@@ -4,20 +4,23 @@ The latent space is split into static nodes z, their paired derivative
 nodes zdot, and free statistical nodes s. Training adds a consistency
 term to the reconstruction loss: the derivative nodes at time t must match
 the central-difference estimate built from the static nodes at t-1 and
-t+1. Gradients flow through all three encoder evaluations.
+t+1. Training runs the encoder once over the stacked rows at t, t-1 and
+t+1, and gradients flow back through all three row blocks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .nn import Activation, DenseLayer, GradientSet, Mlp, backward, forward, init_mlp
-from .optim import AdamaxState, adamax_step
+from .nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
+from .nn import _backward, _forward, _share_params
+from .optim import _adamax_update
 from .preprocess import DatasetFrame, RobustScalerParams, make_triples
 
 MODEL_FORMAT = "tdcae-model-v1"
@@ -228,33 +231,50 @@ def tdc_loss(delta_z, zdot_t) -> float:
     return float(np.mean((delta_z - zdot_t) ** 2))
 
 
-def _loss_pass(model, x_prev, x_t, x_next, alpha, delta_t):
-    """Forward passes plus everything the backward pass needs."""
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x_next = np.asarray(x_next, dtype=np.float64)
-    if not (x_prev.shape == x_t.shape == x_next.shape):
+def _stack_triples(model: HTdcAutoencoder, x_prev, x_t, x_next) -> np.ndarray:
+    """Validate a batch of triples once and stack it as [x_t; x_prev; x_next]."""
+    parts = [np.asarray(x, dtype=np.float64) for x in (x_t, x_prev, x_next)]
+    shape = parts[0].shape
+    if not (parts[1].shape == shape == parts[2].shape):
         raise DimensionError("triple matrices must share one shape")
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != model.n_features:
+        raise DimensionError(
+            f"triples must be (batch >= 1, {model.n_features}) matrices, got {shape}"
+        )
+    x = np.concatenate(parts)
+    if not np.isfinite(x).all():
+        raise NumericError("triples contain non-finite entries")
+    return x
+
+
+def _mean_square(a: np.ndarray) -> float:
+    """np.mean(a**2) as one dot product, a few times faster at batch size."""
+    flat = a.ravel()
+    return float(flat @ flat) / flat.size
+
+
+def _loss_pass(model, x_prev, x_t, x_next, alpha, delta_t):
+    """One encoder pass over the stacked triples and one decoder pass over
+    the x_t rows, plus everything the backward pass needs."""
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
-
+    x = _stack_triples(model, x_prev, x_t, x_next)
+    b = x.shape[0] // 3
     p = model.partition
-    trace_t = forward(model.encoder, x_t)
-    trace_dec = forward(model.decoder, trace_t.output)
-    trace_prev = forward(model.encoder, x_prev)
-    trace_next = forward(model.encoder, x_next)
+    enc_trace = _forward(model.encoder, x)
+    h = enc_trace.output
+    dec_trace = _forward(model.decoder, h[:b])
 
-    xhat = trace_dec.output
-    rec = float(np.mean((xhat - x_t) ** 2))
-
-    delta_z = central_difference(
-        trace_prev.output[:, p.z_slice], trace_next.output[:, p.z_slice], delta_t
-    )
-    diff = delta_z - trace_t.output[:, p.zdot_slice]
-    tdc = float(np.mean(diff**2)) if diff.size else 0.0
+    residual = dec_trace.output - x[:b]
+    delta_z = central_difference(h[b : 2 * b, p.z_slice], h[2 * b :, p.z_slice], delta_t)
+    diff = delta_z - h[:b, p.zdot_slice]
+    rec = _mean_square(residual)
+    tdc = _mean_square(diff) if diff.size else 0.0
 
     breakdown = LossBreakdown.from_parts(rec, tdc, alpha)
-    return breakdown, trace_t, trace_dec, trace_prev, trace_next, diff
+    if not np.isfinite(breakdown.total):
+        raise NumericError("non-finite loss")
+    return breakdown, enc_trace, dec_trace, residual, diff
 
 
 def total_loss(
@@ -269,32 +289,30 @@ def total_loss_grads(
 ) -> tuple[LossBreakdown, GradientSet, GradientSet]:
     """Loss plus exact gradients w.r.t. encoder and decoder parameters.
 
-    The consistency term contributes three cotangents: the derivative-node
-    slice of the encoder pass at t, and the static-node slices of the
-    passes at t-1 and t+1 (with opposite signs, scaled by 1/(2*delta_t)).
+    The encoder runs once over the stacked [x_t; x_prev; x_next], so one
+    backward pass takes one combined cotangent: the x_t rows get the
+    decoder's latent cotangent plus the consistency term on the derivative
+    nodes, and the x_prev and x_next rows get the consistency term on the
+    static nodes, with opposite signs and scaled by 1/(2*delta_t).
     """
-    breakdown, trace_t, trace_dec, trace_prev, trace_next, diff = _loss_pass(
+    breakdown, enc_trace, dec_trace, residual, diff = _loss_pass(
         model, x_prev, x_t, x_next, alpha, delta_t
     )
     p = model.partition
-    x_t = trace_t.input
-    n_rec = x_t.size
+    b = residual.shape[0]
 
-    g_xhat = (2.0 / n_rec) * (trace_dec.output - x_t)
-    dec_grads, g_latent = backward(model.decoder, trace_dec, g_xhat)
+    dec_grads = GradientSet.zeros_like(model.decoder)
+    g_latent = _backward(model.decoder, dec_trace, (2.0 / residual.size) * residual, dec_grads)
 
+    g_enc = np.zeros_like(enc_trace.output)
+    g_enc[:b] = g_latent
     if diff.size and alpha != 0.0:
-        g_latent = g_latent.copy()
-        g_latent[:, p.zdot_slice] += (-2.0 * alpha / diff.size) * diff
-    enc_grads, _ = backward(model.encoder, trace_t, g_latent)
-
-    if diff.size and alpha != 0.0:
-        g_side = np.zeros_like(trace_next.output)
-        g_side[:, p.z_slice] = (2.0 * alpha / diff.size) * diff / (2.0 * delta_t)
-        g_next, _ = backward(model.encoder, trace_next, g_side)
-        g_prev, _ = backward(model.encoder, trace_prev, -g_side)
-        enc_grads.add_(g_next).add_(g_prev)
-
+        g_enc[:b, p.zdot_slice] += (-2.0 * alpha / diff.size) * diff
+        g_side = (alpha / (diff.size * delta_t)) * diff
+        np.negative(g_side, out=g_enc[b : 2 * b, p.z_slice])
+        g_enc[2 * b :, p.z_slice] = g_side
+    enc_grads = GradientSet.zeros_like(model.encoder)
+    _backward(model.encoder, enc_trace, g_enc, enc_grads)
     return breakdown, enc_grads, dec_grads
 
 
@@ -306,29 +324,31 @@ def train(
     Triples are shuffled each epoch with a generator derived from
     config.seed (the last partial batch is kept), so a fixed seed yields a
     bit-identical model. Labels on the frame are ignored. The history
-    holds per-epoch mean losses, one entry per epoch.
+    holds per-epoch mean losses, one entry per epoch. The encoder and
+    decoder parameters share one flat vector, which each batch updates in
+    place with one Adamax step.
     """
     triples = make_triples(train_frame, config.delta_t)
     model = build_model(train_frame.n_features, config)
     _, _, shuffle_seed = _seed_triple(config.seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
-    encoder, decoder = model.encoder, model.decoder
-    enc_state = AdamaxState.for_mlp(encoder)
-    dec_state = AdamaxState.for_mlp(decoder)
+    params = _share_params(model.encoder, model.decoder)
+    m = np.zeros_like(params)
+    u = np.zeros_like(params)
 
     n = triples.n_rows
     history: list[LossBreakdown] = []
+    step = 0
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         rec_sum = 0.0
         tdc_sum = 0.0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            current = HTdcAutoencoder(encoder, decoder, config.partition)
             try:
                 breakdown, enc_grads, dec_grads = total_loss_grads(
-                    current,
+                    model,
                     triples.x_prev[idx],
                     triples.x_t[idx],
                     triples.x_next[idx],
@@ -339,21 +359,18 @@ def train(
                 raise NumericError(
                     f"epoch {epoch + 1}, batch {batch_index + 1}: {exc}"
                 ) from None
-            if not np.isfinite(breakdown.total):
+            grads = np.concatenate((enc_grads.flat, dec_grads.flat))
+            if not np.isfinite(grads).all():
                 raise NumericError(
-                    f"non-finite loss at epoch {epoch + 1}, batch {batch_index + 1}"
+                    f"non-finite gradient at epoch {epoch + 1}, batch {batch_index + 1}"
                 )
-            encoder, enc_state = adamax_step(
-                encoder, enc_grads, enc_state, config.learning_rate
-            )
-            decoder, dec_state = adamax_step(
-                decoder, dec_grads, dec_state, config.learning_rate
-            )
+            step += 1
+            _adamax_update(params, grads, m, u, step, config.learning_rate)
             rec_sum += breakdown.rec_loss * len(idx)
             tdc_sum += breakdown.tdc_loss * len(idx)
         history.append(LossBreakdown.from_parts(rec_sum / n, tdc_sum / n, config.alpha))
 
-    return HTdcAutoencoder(encoder, decoder, config.partition), history
+    return model, history
 
 
 def _mlp_to_doc(mlp: Mlp) -> dict:
@@ -367,16 +384,93 @@ def _mlp_to_doc(mlp: Mlp) -> dict:
     }
 
 
-def _mlp_from_doc(doc: dict) -> Mlp:
-    sizes = [int(s) for s in doc["layer_sizes"]]
-    layers = []
-    for fan_in, fan_out, act, payload in zip(
-        sizes, sizes[1:], doc["activations"], doc["layers"]
+# Model-document checks. `where` is the JSON path of the enclosing object,
+# ending in a dot, or "" at the top level.
+def _field(doc, key: str, kind: type | None, where: str):
+    """doc[key], which must be present and, unless kind is None, of that
+    JSON type."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ConfigError(f"missing field {where}{key}")
+    value = doc[key]
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ConfigError(f"{where}{key}: expected {kind.__name__}, got {value!r:.40}")
+    return value
+
+
+def _finite(value, where: str) -> float:
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r:.40}")
+    return value
+
+
+def _number(doc, key: str, where: str) -> float:
+    return _finite(_field(doc, key, None, where), f"{where}{key}")
+
+
+def _numbers(doc, key: str, n: int, where: str) -> np.ndarray:
+    """doc[key] as a float64 vector; it must be a list of n finite numbers."""
+    values = _field(doc, key, list, where)
+    if len(values) != n:
+        raise ConfigError(f"{where}{key}: expected {n} values, got {len(values)}")
+    return np.array([_finite(v, f"{where}{key}[{i}]") for i, v in enumerate(values)])
+
+
+def _mlp_from_doc(doc, where: str) -> Mlp:
+    sizes = _field(doc, "layer_sizes", list, where)
+    if len(sizes) < 2 or not all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in sizes
     ):
-        weights = np.array(payload["weights"], dtype=np.float64).reshape(fan_out, fan_in)
-        bias = np.array(payload["bias"], dtype=np.float64)
-        layers.append(DenseLayer(weights, bias, Activation(act)))
+        raise ConfigError(f"{where}layer_sizes: expected two or more integers >= 1")
+    n_layers = len(sizes) - 1
+    activations = _field(doc, "activations", list, where)
+    payloads = _field(doc, "layers", list, where)
+    if len(activations) != n_layers or len(payloads) != n_layers:
+        raise ConfigError(f"{where[:-1]}: expected {n_layers} activations and {n_layers} layers")
+    names = [a.value for a in Activation]
+    layers = []
+    for k, (fan_in, fan_out, act, payload) in enumerate(
+        zip(sizes, sizes[1:], activations, payloads)
+    ):
+        if act not in names:
+            raise ConfigError(f"{where}activations[{k}]: expected one of {names}")
+        here = f"{where}layers[{k}]."
+        weights = _numbers(payload, "weights", fan_in * fan_out, here)
+        bias = _numbers(payload, "bias", fan_out, here)
+        layers.append(DenseLayer(weights.reshape(fan_out, fan_in), bias, Activation(act)))
     return Mlp(layers)
+
+
+def _model_from_doc(doc: dict):
+    part = _field(doc, "partition", dict, "")
+    model = HTdcAutoencoder(
+        _mlp_from_doc(_field(doc, "encoder", dict, ""), "encoder."),
+        _mlp_from_doc(_field(doc, "decoder", dict, ""), "decoder."),
+        LatentPartition(*(_field(part, k, int, "partition.") for k in ("n_pairs", "n_stat"))),
+    )
+    scaler = None
+    if doc.get("scaler") is not None:
+        entries = _field(doc, "scaler", dict, "")
+        if len(entries) != model.n_features:
+            raise ConfigError(
+                f"scaler: expected {model.n_features} features, got {len(entries)}"
+            )
+        names = list(entries)
+        scaler = RobustScalerParams(
+            names,
+            np.array([_number(entries[n], "median", f"scaler.{n}.") for n in names]),
+            np.array([_number(entries[n], "iqr", f"scaler.{n}.") for n in names]),
+        )
+    config = None
+    if doc.get("config") is not None:
+        entries = _field(doc, "config", dict, "")
+        for key in TrainingConfig().to_dict():
+            _number(entries, key, "config.")
+        config = TrainingConfig.from_dict(entries)
+    return model, scaler, config
 
 
 def save_model(
@@ -411,24 +505,15 @@ def save_model(
 def load_model(
     path,
 ) -> tuple[HTdcAutoencoder, RobustScalerParams | None, TrainingConfig | None]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != MODEL_FORMAT:
+    """Read a model document, checking it field by field: a malformed or
+    inconsistent field raises ConfigError naming it."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # invalid JSON or not UTF-8 text
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} document")
-    partition = LatentPartition(
-        int(doc["partition"]["n_pairs"]), int(doc["partition"]["n_stat"])
-    )
-    model = HTdcAutoencoder(
-        _mlp_from_doc(doc["encoder"]), _mlp_from_doc(doc["decoder"]), partition
-    )
-    scaler = None
-    if doc.get("scaler") is not None:
-        names = list(doc["scaler"].keys())
-        scaler = RobustScalerParams(
-            names,
-            np.array([doc["scaler"][n]["median"] for n in names]),
-            np.array([doc["scaler"][n]["iqr"] for n in names]),
-        )
-    config = None
-    if doc.get("config") is not None:
-        config = TrainingConfig.from_dict(doc["config"])
-    return model, scaler, config
+    try:
+        return _model_from_doc(doc)
+    except (ConfigError, DimensionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None

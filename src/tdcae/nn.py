@@ -2,8 +2,13 @@
 exact reverse-mode gradients for stacks of affine layers with tanh or
 identity activations.
 
-Everything is float64. Networks here are tiny (tens of neurons), so the
-engine favours exactness and checkability over throughput.
+Everything is float64. Each Mlp keeps all of its parameters in one
+contiguous vector, `params`; the layers' weights and biases are views into
+it, and a GradientSet lays its gradients out the same way in one `flat`
+buffer. An optimizer step is then a few elementwise operations on flat
+vectors. The public `forward` and `backward` validate their arguments and
+call the unchecked kernels `_forward` and `_backward`, which the training
+loop calls directly after validating a whole batch once.
 """
 
 from __future__ import annotations
@@ -61,11 +66,33 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
+def _views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat vector that holds, layer
+    by layer, the (out, in) weights in row-major order and then the bias."""
+    weights, biases, start = [], [], 0
+    for out_size, in_size in shapes:
+        end = start + out_size * in_size
+        weights.append(flat[start:end].reshape(out_size, in_size))
+        biases.append(flat[end : end + out_size])
+        start = end + out_size
+    return weights, biases
+
+
+def _pack(weights, biases) -> np.ndarray:
+    """A new flat vector holding copies of per-layer weights and biases."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
 @dataclass
 class Mlp:
-    """An ordered stack of shape-compatible dense layers."""
+    """An ordered stack of shape-compatible dense layers.
+
+    The Mlp copies the given layers' parameters into its own `params`
+    vector and holds new layers whose weights and biases view into it.
+    """
 
     layers: list[DenseLayer]
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -76,6 +103,17 @@ class Mlp:
                     f"layer {k} outputs {self.layers[k].out_size} values but "
                     f"layer {k + 1} expects {self.layers[k + 1].in_size}"
                 )
+        self._shapes = [l.weights.shape for l in self.layers]
+        params = _pack([l.weights for l in self.layers], [l.bias for l in self.layers])
+        self.layers = [DenseLayer(l.weights, l.bias, l.activation) for l in self.layers]
+        self._bind(params)
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Adopt `params`, a vector laid out like this Mlp's parameters, and
+        point the layer views at it."""
+        self.params = params
+        for layer, w, b in zip(self.layers, *_views(params, self._shapes)):
+            layer.weights, layer.bias = w, b
 
     @property
     def input_size(self) -> int:
@@ -90,23 +128,29 @@ class Mlp:
         return [self.input_size] + [layer.out_size for layer in self.layers]
 
     def n_parameters(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
+        return self.params.size
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            [
-                DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                for l in self.layers
-            ]
-        )
+        return Mlp(self.layers)
+
+
+def _share_params(*mlps: Mlp) -> np.ndarray:
+    """Move the parameters of several Mlps into one flat vector, in order,
+    and return it; each Mlp's `params` becomes a slice of it."""
+    flat = np.concatenate([mlp.params for mlp in mlps])
+    start = 0
+    for mlp in mlps:
+        mlp._bind(flat[start : start + mlp.params.size])
+        start += mlp.params.size
+    return flat
 
 
 @dataclass
 class ActivationTrace:
-    """Everything forward() saw, kept for the backward pass."""
+    """Everything forward() saw, kept for the backward pass: the input and
+    each layer's post-activation output."""
 
     input: np.ndarray
-    pre: list[np.ndarray] = field(default_factory=list)
     post: list[np.ndarray] = field(default_factory=list)
 
     @property
@@ -114,32 +158,32 @@ class ActivationTrace:
         return self.post[-1]
 
 
-@dataclass
 class GradientSet:
-    """Per-layer parameter gradients, shape-matched to an Mlp."""
+    """Per-layer parameter gradients, shape-matched to an Mlp.
 
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
+    `weight_grads` and `bias_grads` are views into one `flat` buffer laid
+    out like the Mlp's `params`.
+    """
+
+    def __init__(self, weight_grads, bias_grads):
+        weight_grads = [np.asarray(g, dtype=np.float64) for g in weight_grads]
+        self.flat = _pack(weight_grads, [np.asarray(g, dtype=np.float64) for g in bias_grads])
+        self.weight_grads, self.bias_grads = _views(self.flat, [g.shape for g in weight_grads])
 
     @classmethod
     def zeros_like(cls, mlp: Mlp) -> "GradientSet":
-        return cls(
-            [np.zeros_like(l.weights) for l in mlp.layers],
-            [np.zeros_like(l.bias) for l in mlp.layers],
-        )
+        grads = cls.__new__(cls)
+        grads.flat = np.zeros(mlp.params.size)
+        grads.weight_grads, grads.bias_grads = _views(grads.flat, mlp._shapes)
+        return grads
 
     def add_(self, other: "GradientSet") -> "GradientSet":
         """Accumulate another gradient set into this one, in place."""
-        for gw, ow in zip(self.weight_grads, other.weight_grads):
-            gw += ow
-        for gb, ob in zip(self.bias_grads, other.bias_grads):
-            gb += ob
+        self.flat += other.flat
         return self
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(g)) for g in self.weight_grads) and all(
-            np.all(np.isfinite(g)) for g in self.bias_grads
-        )
+        return bool(np.isfinite(self.flat).all())
 
 
 def init_mlp(layer_sizes: list[int], activations: list[Activation], seed: int) -> Mlp:
@@ -167,6 +211,41 @@ def init_mlp(layer_sizes: list[int], activations: list[Activation], seed: int) -
     return Mlp(layers)
 
 
+def _forward(mlp: Mlp, x: np.ndarray) -> ActivationTrace:
+    """Unchecked forward kernel: x must be a finite float64 matrix with
+    mlp.input_size columns."""
+    post = []
+    a = x
+    for layer in mlp.layers:
+        a = a @ layer.weights.T
+        a += layer.bias
+        if layer.activation is Activation.TANH:
+            np.tanh(a, out=a)
+        post.append(a)
+    return ActivationTrace(x, post)
+
+
+def _backward(
+    mlp: Mlp, trace: ActivationTrace, g: np.ndarray, grads: GradientSet
+) -> np.ndarray:
+    """Unchecked backward kernel: writes the parameter gradients into grads
+    and returns the cotangent of the input."""
+    ones = np.ones(g.shape[0])  # bias gradients as ones @ g: a BLAS call, unlike sum(axis=0)
+    for k in range(len(mlp.layers) - 1, -1, -1):
+        layer = mlp.layers[k]
+        if layer.activation is Activation.TANH:
+            # tanh' = 1 - post**2, from the stored post-activation
+            d = trace.post[k] * trace.post[k]
+            np.subtract(1.0, d, out=d)
+            d *= g
+            g = d
+        a_in = trace.post[k - 1] if k > 0 else trace.input
+        np.matmul(g.T, a_in, out=grads.weight_grads[k])
+        np.matmul(ones, g, out=grads.bias_grads[k])
+        g = g @ layer.weights
+    return g
+
+
 def forward(mlp: Mlp, x) -> ActivationTrace:
     """Evaluate the network on a batch, keeping per-layer activations.
 
@@ -180,15 +259,8 @@ def forward(mlp: Mlp, x) -> ActivationTrace:
         raise DimensionError(
             f"input has {x.shape[1]} columns, network expects {mlp.input_size}"
         )
-
-    trace = ActivationTrace(input=x)
-    a = x
-    for layer in mlp.layers:
-        z = a @ layer.weights.T + layer.bias
-        a = np.tanh(z) if layer.activation is Activation.TANH else z
-        trace.pre.append(z)
-        trace.post.append(a)
-    if not np.all(np.isfinite(a)):
+    trace = _forward(mlp, x)
+    if not np.all(np.isfinite(trace.output)):
         raise NumericError("forward pass produced non-finite output")
     return trace
 
@@ -199,26 +271,13 @@ def backward(
     """Reverse-mode pass: cotangent of the output -> parameter gradients
     plus the cotangent of the input.
 
-    The input cotangent matters because the consistency loss differentiates
-    through separate encoder evaluations at neighbouring timesteps.
+    The input cotangent carries the gradient on into an upstream network,
+    as from the decoder into the encoder.
     """
     g = _as_matrix(output_cotangent, "output_cotangent")
     if g.shape != trace.output.shape:
         raise DimensionError(
             f"cotangent shape {g.shape} != output shape {trace.output.shape}"
         )
-
-    weight_grads: list[np.ndarray] = [None] * len(mlp.layers)  # type: ignore[list-item]
-    bias_grads: list[np.ndarray] = [None] * len(mlp.layers)  # type: ignore[list-item]
-
-    for k in range(len(mlp.layers) - 1, -1, -1):
-        layer = mlp.layers[k]
-        post = trace.post[k]
-        if layer.activation is Activation.TANH:
-            g = g * (1.0 - post * post)  # tanh' from the stored post-activation
-        a_in = trace.post[k - 1] if k > 0 else trace.input
-        weight_grads[k] = g.T @ a_in
-        bias_grads[k] = g.sum(axis=0)
-        g = g @ layer.weights
-
-    return GradientSet(weight_grads, bias_grads), g
+    grads = GradientSet.zeros_like(mlp)
+    return grads, _backward(mlp, trace, g, grads)

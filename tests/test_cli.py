@@ -257,11 +257,80 @@ class TestExitCodes:
         code = run("train", "--data", tmp_path / "absent.csv", "--out", tmp_path / "o")
         assert code == 1
 
-    def test_internal_error_is_exit_two(self, tmp_path, capsys):
-        broken = tmp_path / "model.json"
-        broken.write_text(json.dumps({"format": "tdcae-model-v1"}))  # missing keys
+    def test_internal_error_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        # An exception outside the package's error hierarchy is a bug.
+        def broken_loader(path):
+            raise RuntimeError("unexpected failure")
+
+        monkeypatch.setattr("tdcae.model.load_model", broken_loader)
         frame = simulate(TankSystemConfig(horizon=120, seed=0))
         save_csv(frame, tmp_path / "d.csv")
-        code = run("detect", "--model", broken, "--data", tmp_path / "d.csv",
+        code = run("detect", "--model", tmp_path / "model.json", "--data", tmp_path / "d.csv",
                    "--threshold", 1.0, "--out", tmp_path / "o")
         assert code == 2
+        assert "RuntimeError" in capsys.readouterr().err
+
+
+class TestMalformedModel:
+    """A damaged model.json is a user error (exit 1) naming the bad field."""
+
+    @staticmethod
+    def detect_with(doc, tmp_path, capsys):
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        code = run("detect", "--model", broken,
+                   "--data", tmp_path / "d.csv", "--threshold", 1.0,
+                   "--out", tmp_path / "o")
+        return code, capsys.readouterr().err
+
+    @pytest.fixture
+    def doc(self, pipeline, tmp_path):
+        save_csv(load_csv(pipeline / "test" / "data.csv"), tmp_path / "d.csv")
+        return json.loads((pipeline / "model" / "model.json").read_text())
+
+    def test_intact_copy_loads(self, doc, tmp_path, capsys):
+        assert self.detect_with(doc, tmp_path, capsys)[0] == 0
+
+    def test_truncated_weight_list(self, doc, tmp_path, capsys):
+        doc["encoder"]["layers"][0]["weights"].pop()
+        code, err = self.detect_with(doc, tmp_path, capsys)
+        assert code == 1
+        assert "encoder.layers[0].weights" in err
+
+    def test_missing_decoder(self, doc, tmp_path, capsys):
+        del doc["decoder"]
+        code, err = self.detect_with(doc, tmp_path, capsys)
+        assert code == 1
+        assert "decoder" in err
+
+    def test_binary_file(self, tmp_path, capsys, pipeline):
+        save_csv(load_csv(pipeline / "test" / "data.csv"), tmp_path / "d.csv")
+        (tmp_path / "model.json").write_bytes(b"\xff\xfe{}")
+        code = run("detect", "--model", tmp_path / "model.json",
+                   "--data", tmp_path / "d.csv", "--threshold", 1.0, "--out", tmp_path / "o")
+        assert code == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_only_format_field(self, tmp_path, capsys, pipeline):
+        save_csv(load_csv(pipeline / "test" / "data.csv"), tmp_path / "d.csv")
+        code, err = self.detect_with({"format": "tdcae-model-v1"}, tmp_path, capsys)
+        assert code == 1
+        assert "partition" in err
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d.update(format="tdcae-model-v0"), "tdcae-model-v1"),
+        (lambda d: d["partition"].update(n_pairs="3"), "partition.n_pairs"),
+        (lambda d: d["partition"].update(n_stat=5), "latent width"),
+        (lambda d: d["encoder"].update(layer_sizes=[8, 0, 7]), "encoder.layer_sizes"),
+        (lambda d: d["decoder"]["activations"].__setitem__(0, "relu"), "decoder.activations[0]"),
+        (lambda d: d["decoder"]["layers"][1]["bias"].append(0.0), "decoder.layers[1].bias"),
+        (lambda d: d["decoder"]["layers"][0]["weights"].__setitem__(2, "x"), "weights[2]"),
+        (lambda d: d["scaler"].popitem(), "scaler"),
+        (lambda d: next(iter(d["scaler"].values())).pop("iqr"), "iqr"),
+        (lambda d: d["config"].pop("alpha"), "config"),
+    ])
+    def test_each_field_is_checked(self, doc, tmp_path, capsys, mutate, field):
+        mutate(doc)
+        code, err = self.detect_with(doc, tmp_path, capsys)
+        assert code == 1
+        assert field in err

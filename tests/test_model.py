@@ -195,6 +195,69 @@ class TestTotalLoss:
         assert np.array_equal(g3.weight_grads[0], g4.weight_grads[0])
 
 
+def three_pass_loss_grads(model, x_prev, x_t, x_next, alpha, delta_t=1.0):
+    """Reference gradients: separate encoder passes at t, t-1 and t+1 through
+    the public forward/backward, each back-propagated on its own, summed."""
+    p = model.partition
+    trace_t = forward(model.encoder, x_t)
+    trace_prev = forward(model.encoder, x_prev)
+    trace_next = forward(model.encoder, x_next)
+    trace_dec = forward(model.decoder, trace_t.output)
+    dec_grads, g_latent = backward(
+        model.decoder, trace_dec, (2.0 / x_t.size) * (trace_dec.output - x_t)
+    )
+    diff = (
+        (trace_next.output[:, p.z_slice] - trace_prev.output[:, p.z_slice]) / (2.0 * delta_t)
+        - trace_t.output[:, p.zdot_slice]
+    )
+    g_latent = g_latent.copy()
+    g_side = np.zeros_like(trace_t.output)
+    if diff.size:
+        g_latent[:, p.zdot_slice] += (-2.0 * alpha / diff.size) * diff
+        g_side[:, p.z_slice] = (2.0 * alpha / diff.size) * diff / (2.0 * delta_t)
+    enc_grads, _ = backward(model.encoder, trace_t, g_latent)
+    enc_grads.add_(backward(model.encoder, trace_next, g_side)[0])
+    enc_grads.add_(backward(model.encoder, trace_prev, -g_side)[0])
+    return enc_grads, dec_grads
+
+
+class TestStackedPass:
+    @pytest.mark.parametrize("partition, alpha, delta_t", [
+        (LatentPartition(3, 1), 0.3, 1.0),
+        (LatentPartition(3, 1), 0.0, 1.0),
+        (LatentPartition(0, 2), 0.3, 1.0),
+        (LatentPartition(2, 0), 0.7, 0.5),
+    ])
+    def test_matches_three_pass_reference(self, partition, alpha, delta_t, rng):
+        config = TrainingConfig(hidden_size=6, partition=partition, seed=4)
+        model = build_model(5, config)
+        x_prev, x_t, x_next = random_triple(rng, 7, 5)
+        breakdown, enc_grads, dec_grads = total_loss_grads(
+            model, x_prev, x_t, x_next, alpha, delta_t
+        )
+        want_enc, want_dec = three_pass_loss_grads(model, x_prev, x_t, x_next, alpha, delta_t)
+        assert np.allclose(enc_grads.flat, want_enc.flat, rtol=0, atol=1e-12)
+        assert np.allclose(dec_grads.flat, want_dec.flat, rtol=0, atol=1e-12)
+        assert breakdown == total_loss(model, x_prev, x_t, x_next, alpha, delta_t)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_triple_raises(self, which, bad, rng):
+        model = edge1_model(2)
+        triple = list(random_triple(rng, 4, 9))
+        triple[which][2, 3] = bad
+        with pytest.raises(NumericError):
+            total_loss_grads(model, *triple, alpha=0.002)
+
+    def test_mismatched_triple_shapes_raise(self, rng):
+        model = edge1_model(2)
+        x_prev, x_t, x_next = random_triple(rng, 4, 9)
+        with pytest.raises(DimensionError):
+            total_loss_grads(model, x_prev[:3], x_t, x_next, alpha=0.002)
+        with pytest.raises(DimensionError):
+            total_loss_grads(model, x_prev[:, :8], x_t[:, :8], x_next[:, :8], alpha=0.002)
+
+
 def small_training_frame(seed: int = 0, rows: int = 240) -> DatasetFrame:
     frame = simulate(TankSystemConfig(horizon=max(rows, 100), seed=seed))
     frame = DatasetFrame(frame.feature_names, frame.values[:rows])

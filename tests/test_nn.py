@@ -170,3 +170,58 @@ class TestStructures:
         mlp = init_mlp([9, 9, 7], [TANH, TANH], seed=0)
         assert mlp.layer_sizes == [9, 9, 7]
         assert mlp.n_parameters() == 9 * 9 + 9 + 9 * 7 + 7
+
+
+class TestFlatParameters:
+    def test_layers_view_into_params(self):
+        mlp = init_mlp([4, 3, 2], [TANH, IDENTITY], seed=8)
+        assert mlp.params.shape == (mlp.n_parameters(),)
+        mlp.params[:] = np.arange(mlp.params.size)
+        assert np.array_equal(mlp.layers[0].weights, np.arange(12.0).reshape(3, 4))
+        assert np.array_equal(mlp.layers[0].bias, [12.0, 13.0, 14.0])
+        assert np.array_equal(mlp.layers[1].weights, np.arange(15.0, 21.0).reshape(2, 3))
+        assert np.array_equal(mlp.layers[1].bias, [21.0, 22.0])
+
+    def test_writes_through_layer_views_reach_params(self):
+        mlp = init_mlp([3, 2], [TANH], seed=4)
+        mlp.layers[0].weights[1, 2] = 7.5
+        assert mlp.params[5] == 7.5
+
+    def test_building_from_another_mlps_layers_copies(self):
+        first = init_mlp([3, 4, 2], [TANH, IDENTITY], seed=6)
+        before = first.params.copy()
+        second = Mlp(first.layers)
+        second.params[:] = 0.0
+        second.layers[1].weights[:] = 1.0
+        assert np.array_equal(first.params, before)
+        assert np.array_equal(first.layers[0].weights.ravel(), before[:12])
+        assert not np.shares_memory(first.params, second.params)
+
+    def test_copy_is_independent(self):
+        mlp = init_mlp([2, 2], [TANH], seed=1)
+        clone = mlp.copy()
+        clone.params += 1.0
+        assert np.array_equal(mlp.params + 1.0, clone.params)
+
+    def test_gradient_set_matches_layout(self, rng):
+        mlp = init_mlp([3, 4, 2], [TANH, IDENTITY], seed=2)
+        grads, _ = backward(mlp, forward(mlp, rng.normal(size=(5, 3))), rng.normal(size=(5, 2)))
+        assert grads.flat.shape == mlp.params.shape
+        expected = np.concatenate([
+            a.ravel() for pair in zip(grads.weight_grads, grads.bias_grads) for a in pair
+        ])
+        assert np.array_equal(grads.flat, expected)
+        rebuilt = GradientSet(grads.weight_grads, grads.bias_grads)
+        assert np.array_equal(rebuilt.flat, grads.flat)
+        assert not np.shares_memory(rebuilt.flat, grads.flat)
+
+    def test_add_and_all_finite_cover_every_layer(self):
+        mlp = init_mlp([3, 4, 2], [TANH, IDENTITY], seed=2)
+        total = GradientSet.zeros_like(mlp)
+        one = GradientSet.zeros_like(mlp)
+        one.flat[:] = 1.0
+        total.add_(one).add_(one)
+        assert all(np.all(g == 2.0) for g in total.weight_grads + total.bias_grads)
+        assert total.all_finite()
+        total.bias_grads[-1][0] = np.inf
+        assert not total.all_finite()

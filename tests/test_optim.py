@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tdcae.errors import ConfigError, NumericError
-from tdcae.nn import Activation, DenseLayer, GradientSet, Mlp
-from tdcae.optim import AdamaxState, adamax_step
+from tdcae.errors import ConfigError, DimensionError, NumericError
+from tdcae.nn import Activation, DenseLayer, GradientSet, Mlp, init_mlp
+from tdcae.optim import AdamaxState, _adamax_update, adamax_step
 
 
 def single_param_mlp(value: float = 1.0) -> Mlp:
@@ -85,6 +85,16 @@ def test_nonfinite_gradient_raises():
         adamax_step(mlp, grads_for(mlp, float("nan")), state, 0.01)
 
 
+def test_gradients_laid_out_unlike_the_mlp_raise():
+    mlp = single_param_mlp()
+    state = AdamaxState.for_mlp(mlp)
+    other = init_mlp([1, 2], [Activation.IDENTITY], seed=0)
+    with pytest.raises(DimensionError):
+        adamax_step(mlp, GradientSet.zeros_like(other), state, 0.01)
+    with pytest.raises(DimensionError):
+        adamax_step(mlp, grads_for(mlp, 1.0), AdamaxState.for_mlp(other), 0.01)
+
+
 def test_nonpositive_learning_rate_raises():
     mlp = single_param_mlp()
     state = AdamaxState.for_mlp(mlp)
@@ -100,3 +110,31 @@ def test_inputs_left_untouched():
     assert mlp.layers[0].weights[0, 0] == 0.5
     assert state.step_count == 0
     assert state.m.weight_grads[0][0, 0] == 0.0
+
+
+def test_pure_step_matches_in_place_kernel_bit_for_bit(rng):
+    mlp = init_mlp([4, 3, 2], [Activation.TANH, Activation.IDENTITY], seed=3)
+    state = AdamaxState.for_mlp(mlp)
+    params = mlp.params.copy()
+    m = np.zeros_like(params)
+    u = np.zeros_like(params)
+    for step in range(1, 8):
+        grads = GradientSet.zeros_like(mlp)
+        grads.flat[:] = rng.normal(scale=10.0 ** (step % 3 - 1), size=grads.flat.size)
+        mlp, state = adamax_step(mlp, grads, state, 0.01)
+        _adamax_update(params, grads.flat, m, u, step, 0.01)
+        assert mlp.params.tobytes() == params.tobytes()
+        assert state.m.flat.tobytes() == m.tobytes()
+        assert state.u.flat.tobytes() == u.tobytes()
+
+
+def test_kernel_matches_update_rule():
+    params, grads = np.array([1.0, -2.0]), np.array([4.0, -0.5])
+    m, u = np.array([0.2, 0.1]), np.array([3.0, 1.0])
+    _adamax_update(params, grads, m, u, 2, 0.01)
+    want_m = 0.9 * np.array([0.2, 0.1]) + 0.1 * grads
+    want_u = np.maximum(0.999 * np.array([3.0, 1.0]), np.abs(grads))
+    assert np.allclose(m, want_m, rtol=1e-15)
+    assert np.allclose(u, want_u, rtol=1e-15)
+    want = np.array([1.0, -2.0]) - (0.01 / (1 - 0.9**2)) * want_m / (want_u + 1e-8)
+    assert np.allclose(params, want, rtol=1e-15)
