@@ -4,8 +4,16 @@ The latent space is split into static nodes z, their paired derivative
 nodes zdot, and free statistical nodes s. Training adds a consistency
 term to the reconstruction loss: the derivative nodes at time t must match
 the central-difference estimate built from the static nodes at t-1 and
-t+1. Training runs the encoder once over the stacked rows at t, t-1 and
-t+1, and gradients flow back through all three row blocks.
+t+1.
+
+The loss and its exact gradient come from one fused step, `_LossStep`,
+built once per model and batch size with every buffer preallocated: it runs
+the encoder once over the stacked rows [x_t; x_prev; x_next] and the
+decoder once over the x_t rows, then back-propagates one combined encoder
+cotangent, writing the gradients into one flat vector laid out like the
+shared encoder-then-decoder parameter vector. `total_loss`,
+`total_loss_grads` and `train` all run this step, so the gradient that the
+finite-difference tests check is the one training uses.
 """
 
 from __future__ import annotations
@@ -253,67 +261,124 @@ def _mean_square(a: np.ndarray) -> float:
     return float(flat @ flat) / flat.size
 
 
-def _loss_pass(model, x_prev, x_t, x_next, alpha, delta_t):
-    """One encoder pass over the stacked triples and one decoder pass over
-    the x_t rows, plus everything the backward pass needs."""
-    if alpha < 0:
-        raise ConfigError("alpha must be >= 0")
-    x = _stack_triples(model, x_prev, x_t, x_next)
-    b = x.shape[0] // 3
-    p = model.partition
-    enc_trace = _forward(model.encoder, x)
-    h = enc_trace.output
-    dec_trace = _forward(model.decoder, h[:b])
+class _LossStep:
+    """The training loss and its exact gradient for batches of b triples.
 
-    residual = dec_trace.output - x[:b]
-    delta_z = central_difference(h[b : 2 * b, p.z_slice], h[2 * b :, p.z_slice], delta_t)
-    diff = delta_z - h[:b, p.zdot_slice]
-    rec = _mean_square(residual)
-    tdc = _mean_square(diff) if diff.size else 0.0
+    Built once per model and batch size. It keeps views of the model's
+    parameters, so it follows in-place updates of them, and preallocates
+    every buffer a batch needs. The gradients land in `grads`, one flat
+    vector laid out like `_share_params(model.encoder, model.decoder)`;
+    `enc_grads` and `dec_grads` view into it.
 
-    breakdown = LossBreakdown.from_parts(rec, tdc, alpha)
-    if not np.isfinite(breakdown.total):
-        raise NumericError("non-finite loss")
-    return breakdown, enc_trace, dec_trace, residual, diff
+    The encoder runs once over the stacked [x_t; x_prev; x_next], so one
+    backward pass takes one combined cotangent: the x_t rows get the
+    decoder's latent cotangent plus the consistency term on the derivative
+    nodes, and the x_prev and x_next rows get the consistency term on the
+    static nodes, with opposite signs and scaled by 1/(2*delta_t). The
+    cotangent's other entries are never written and stay zero.
+    """
+
+    def __init__(self, model: HTdcAutoencoder, b: int, alpha: float, delta_t: float):
+        if alpha < 0:
+            raise ConfigError("alpha must be >= 0")
+        if delta_t <= 0:
+            raise ConfigError("delta_t must be > 0")
+        enc, dec, p = model.encoder, model.decoder, model.partition
+        self.b, self.alpha = b, alpha
+        self.enc, self.dec = enc._kernel, dec._kernel
+        self.grads = np.empty(enc.params.size + dec.params.size)
+        self.enc_grads = GradientSet.over(self.grads[: enc.params.size], enc)
+        self.dec_grads = GradientSet.over(self.grads[enc.params.size :], dec)
+        self.ones = np.ones(3 * b)  # bias gradients as ones @ g
+
+        self.enc_post = [np.empty((3 * b, l.out_size)) for l in enc.layers]
+        h = self.enc_post[-1]
+        self.h_t = h[:b]
+        self.dec_post = [np.empty((b, l.out_size)) for l in dec.layers]
+        self.residual = np.empty((b, model.n_features))
+        self.diff = np.empty((b, p.n_pairs))
+        self.z_prev, self.z_next = h[b : 2 * b, p.z_slice], h[2 * b :, p.z_slice]
+        self.zdot_t = h[:b, p.zdot_slice]
+
+        self.g_latent = np.zeros((3 * b, p.width))
+        self.g_zdot_t = self.g_latent[:b, p.zdot_slice]
+        self.g_z_prev = self.g_latent[b : 2 * b, p.z_slice]
+        self.g_z_next = self.g_latent[2 * b :, p.z_slice]
+        self.dec_cotangents = [self.g_latent[:b]] + [
+            np.empty((b, l.in_size)) for l in dec.layers[1:]
+        ]
+        self.enc_cotangents = [None] + [np.empty((3 * b, l.in_size)) for l in enc.layers[1:]]
+
+        self.two_delta_t = 2.0 * delta_t
+        self.rec_scale = 2.0 / self.residual.size
+        self.consistency = self.diff.size > 0 and alpha != 0.0
+        if self.consistency:
+            self.zdot_scale = -2.0 * alpha / self.diff.size
+            self.side_scale = alpha / (self.diff.size * delta_t)
+
+    def loss(self, x: np.ndarray) -> LossBreakdown:
+        """Forward passes on the stacked (3b, F) batch x, which must be
+        finite; raises NumericError if the loss is not."""
+        b = self.b
+        _forward(self.enc, x, self.enc_post)
+        _forward(self.dec, self.h_t, self.dec_post)
+        np.subtract(self.dec_post[-1], x[:b], out=self.residual)
+        np.subtract(self.z_next, self.z_prev, out=self.diff)
+        self.diff /= self.two_delta_t
+        self.diff -= self.zdot_t
+        rec = _mean_square(self.residual)
+        tdc = _mean_square(self.diff) if self.diff.size else 0.0
+        breakdown = LossBreakdown.from_parts(rec, tdc, self.alpha)
+        if not math.isfinite(breakdown.total):
+            raise NumericError("non-finite loss")
+        return breakdown
+
+    def __call__(self, x: np.ndarray) -> LossBreakdown:
+        """The loss on x plus its gradient, written into `grads`."""
+        breakdown = self.loss(x)
+        self.residual *= self.rec_scale
+        _backward(self.dec, self.h_t, self.dec_post, self.residual, self.dec_grads,
+                  self.ones[: self.b], self.dec_cotangents)
+        if self.consistency:
+            self.g_zdot_t += self.zdot_scale * self.diff
+            np.multiply(self.diff, self.side_scale, out=self.g_z_next)
+            np.negative(self.g_z_next, out=self.g_z_prev)
+        _backward(self.enc, x, self.enc_post, self.g_latent, self.enc_grads,
+                  self.ones, self.enc_cotangents)
+        return breakdown
 
 
 def total_loss(
     model: HTdcAutoencoder, x_prev, x_t, x_next, alpha: float, delta_t: float = 1.0
 ) -> LossBreakdown:
     """Reconstruction MSE of x_t plus alpha times the consistency loss."""
-    return _loss_pass(model, x_prev, x_t, x_next, alpha, delta_t)[0]
+    x = _stack_triples(model, x_prev, x_t, x_next)
+    return _LossStep(model, x.shape[0] // 3, alpha, delta_t).loss(x)
 
 
 def total_loss_grads(
     model: HTdcAutoencoder, x_prev, x_t, x_next, alpha: float, delta_t: float = 1.0
 ) -> tuple[LossBreakdown, GradientSet, GradientSet]:
-    """Loss plus exact gradients w.r.t. encoder and decoder parameters.
+    """Loss plus exact gradients w.r.t. encoder and decoder parameters: one
+    run of the fused step that training uses (see `_LossStep`)."""
+    x = _stack_triples(model, x_prev, x_t, x_next)
+    step = _LossStep(model, x.shape[0] // 3, alpha, delta_t)
+    breakdown = step(x)
+    return breakdown, step.enc_grads, step.dec_grads
 
-    The encoder runs once over the stacked [x_t; x_prev; x_next], so one
-    backward pass takes one combined cotangent: the x_t rows get the
-    decoder's latent cotangent plus the consistency term on the derivative
-    nodes, and the x_prev and x_next rows get the consistency term on the
-    static nodes, with opposite signs and scaled by 1/(2*delta_t).
-    """
-    breakdown, enc_trace, dec_trace, residual, diff = _loss_pass(
-        model, x_prev, x_t, x_next, alpha, delta_t
-    )
-    p = model.partition
-    b = residual.shape[0]
 
-    dec_grads = GradientSet.zeros_like(model.decoder)
-    g_latent = _backward(model.decoder, dec_trace, (2.0 / residual.size) * residual, dec_grads)
+# Row offsets of x_t, x_prev and x_next in the frame, relative to triple k's
+# first row k: triple k is frame rows (k, k+1, k+2).
+_TRIPLE_OFFSETS = np.array([[1], [0], [2]])
 
-    g_enc = np.zeros_like(enc_trace.output)
-    g_enc[:b] = g_latent
-    if diff.size and alpha != 0.0:
-        g_enc[:b, p.zdot_slice] += (-2.0 * alpha / diff.size) * diff
-        g_side = (alpha / (diff.size * delta_t)) * diff
-        np.negative(g_side, out=g_enc[b : 2 * b, p.z_slice])
-        g_enc[2 * b :, p.z_slice] = g_side
-    enc_grads = GradientSet.zeros_like(model.encoder)
-    _backward(model.encoder, enc_trace, g_enc, enc_grads)
-    return breakdown, enc_grads, dec_grads
+
+def _batch_rows(order: np.ndarray, b: int) -> np.ndarray:
+    """Frame row indices of every batch of one epoch, batch after batch,
+    each laid out as [x_t rows; x_prev rows; x_next rows]."""
+    full = order.size - order.size % b
+    blocks = order[:full].reshape(-1, 1, b) + _TRIPLE_OFFSETS
+    tail = order[full:] + _TRIPLE_OFFSETS
+    return np.concatenate((blocks.ravel(), tail.ravel()))
 
 
 def train(
@@ -326,9 +391,12 @@ def train(
     bit-identical model. Labels on the frame are ignored. The history
     holds per-epoch mean losses, one entry per epoch. The encoder and
     decoder parameters share one flat vector, which each batch updates in
-    place with one Adamax step.
+    place with one Adamax step on the gradient of the fused loss step.
     """
-    triples = make_triples(train_frame, config.delta_t)
+    n = make_triples(train_frame, config.delta_t).n_rows
+    values = train_frame.values
+    if not np.isfinite(values).all():
+        raise NumericError("training frame contains non-finite entries")
     model = build_model(train_frame.n_features, config)
     _, _, shuffle_seed = _seed_triple(config.seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -336,38 +404,36 @@ def train(
     params = _share_params(model.encoder, model.decoder)
     m = np.zeros_like(params)
     u = np.zeros_like(params)
+    b = config.batch_size
+    # One step for full batches and one for the tail batch, if sizes differ.
+    steps = {
+        size: _LossStep(model, size, config.alpha, config.delta_t)
+        for size in {min(b, n), n % b or b}
+    }
 
-    n = triples.n_rows
     history: list[LossBreakdown] = []
-    step = 0
+    step_count = 0
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
+        rows = _batch_rows(shuffle_rng.permutation(n), b)
         rec_sum = 0.0
         tdc_sum = 0.0
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
+        for batch_index, start in enumerate(range(0, n, b)):
+            size = min(b, n - start)
+            step = steps[size]
             try:
-                breakdown, enc_grads, dec_grads = total_loss_grads(
-                    model,
-                    triples.x_prev[idx],
-                    triples.x_t[idx],
-                    triples.x_next[idx],
-                    config.alpha,
-                    config.delta_t,
-                )
+                breakdown = step(values[rows[3 * start : 3 * (start + size)]])
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch + 1}, batch {batch_index + 1}: {exc}"
                 ) from None
-            grads = np.concatenate((enc_grads.flat, dec_grads.flat))
-            if not np.isfinite(grads).all():
+            if not np.isfinite(step.grads).all():
                 raise NumericError(
                     f"non-finite gradient at epoch {epoch + 1}, batch {batch_index + 1}"
                 )
-            step += 1
-            _adamax_update(params, grads, m, u, step, config.learning_rate)
-            rec_sum += breakdown.rec_loss * len(idx)
-            tdc_sum += breakdown.tdc_loss * len(idx)
+            step_count += 1
+            _adamax_update(params, step.grads, m, u, step_count, config.learning_rate)
+            rec_sum += breakdown.rec_loss * size
+            tdc_sum += breakdown.tdc_loss * size
         history.append(LossBreakdown.from_parts(rec_sum / n, tdc_sum / n, config.alpha))
 
     return model, history
@@ -444,6 +510,10 @@ def _mlp_from_doc(doc, where: str) -> Mlp:
     return Mlp(layers)
 
 
+# TrainingConfig fields that a model document must hold as JSON integers.
+_INTEGER_CONFIG_FIELDS = ("batch_size", "epochs", "seed", "hidden_size", "n_pairs", "n_stat")
+
+
 def _model_from_doc(doc: dict):
     part = _field(doc, "partition", dict, "")
     model = HTdcAutoencoder(
@@ -468,7 +538,10 @@ def _model_from_doc(doc: dict):
     if doc.get("config") is not None:
         entries = _field(doc, "config", dict, "")
         for key in TrainingConfig().to_dict():
-            _number(entries, key, "config.")
+            if key in _INTEGER_CONFIG_FIELDS:
+                _field(entries, key, int, "config.")
+            else:
+                _number(entries, key, "config.")
         config = TrainingConfig.from_dict(entries)
     return model, scaler, config
 

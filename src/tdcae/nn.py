@@ -7,8 +7,10 @@ contiguous vector, `params`; the layers' weights and biases are views into
 it, and a GradientSet lays its gradients out the same way in one `flat`
 buffer. An optimizer step is then a few elementwise operations on flat
 vectors. The public `forward` and `backward` validate their arguments and
-call the unchecked kernels `_forward` and `_backward`, which the training
-loop calls directly after validating a whole batch once.
+call the unchecked kernels `_forward` and `_backward` with fresh output
+arrays. The fused training step in `tdcae.model` calls the same kernels
+with buffers it allocates once, so training and the public functions share
+one implementation of the layer arithmetic.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ class Mlp:
         self.params = params
         for layer, w, b in zip(self.layers, *_views(params, self._shapes)):
             layer.weights, layer.bias = w, b
+        # What the kernels read, per layer: (weights, weights.T, bias, is_tanh).
+        self._kernel = [
+            (l.weights, l.weights.T, l.bias, l.activation is Activation.TANH)
+            for l in self.layers
+        ]
 
     @property
     def input_size(self) -> int:
@@ -172,9 +179,15 @@ class GradientSet:
 
     @classmethod
     def zeros_like(cls, mlp: Mlp) -> "GradientSet":
+        return cls.over(np.zeros(mlp.params.size), mlp)
+
+    @classmethod
+    def over(cls, flat: np.ndarray, mlp: Mlp) -> "GradientSet":
+        """A gradient set whose per-layer views look into `flat`, a vector
+        laid out like mlp.params; no data is copied."""
         grads = cls.__new__(cls)
-        grads.flat = np.zeros(mlp.params.size)
-        grads.weight_grads, grads.bias_grads = _views(grads.flat, mlp._shapes)
+        grads.flat = flat
+        grads.weight_grads, grads.bias_grads = _views(flat, mlp._shapes)
         return grads
 
     def add_(self, other: "GradientSet") -> "GradientSet":
@@ -211,39 +224,50 @@ def init_mlp(layer_sizes: list[int], activations: list[Activation], seed: int) -
     return Mlp(layers)
 
 
-def _forward(mlp: Mlp, x: np.ndarray) -> ActivationTrace:
-    """Unchecked forward kernel: x must be a finite float64 matrix with
-    mlp.input_size columns."""
-    post = []
-    a = x
-    for layer in mlp.layers:
-        a = a @ layer.weights.T
-        a += layer.bias
-        if layer.activation is Activation.TANH:
-            np.tanh(a, out=a)
-        post.append(a)
-    return ActivationTrace(x, post)
+def _forward(layers: list[tuple], x: np.ndarray, post: list) -> None:
+    """Unchecked forward kernel over an Mlp's `_kernel` layers: layer k's
+    post-activation output for the finite float64 matrix x goes into the
+    buffer post[k], or into a new array stored there if post[k] is None."""
+    for k, (_, weights_t, bias, tanh) in enumerate(layers):
+        x = post[k] = np.matmul(x, weights_t, out=post[k])
+        x += bias
+        if tanh:
+            np.tanh(x, out=x)
 
 
 def _backward(
-    mlp: Mlp, trace: ActivationTrace, g: np.ndarray, grads: GradientSet
-) -> np.ndarray:
-    """Unchecked backward kernel: writes the parameter gradients into grads
-    and returns the cotangent of the input."""
-    ones = np.ones(g.shape[0])  # bias gradients as ones @ g: a BLAS call, unlike sum(axis=0)
-    for k in range(len(mlp.layers) - 1, -1, -1):
-        layer = mlp.layers[k]
-        if layer.activation is Activation.TANH:
+    layers: list[tuple],
+    x: np.ndarray,
+    post: list[np.ndarray],
+    g: np.ndarray,
+    grads: GradientSet,
+    ones: np.ndarray,
+    cotangents: list,
+) -> None:
+    """Unchecked backward kernel over an Mlp's `_kernel` layers, from the
+    output cotangent g.
+
+    Writes the parameter gradients into grads and the cotangent of layer k's
+    input into cotangents[k]; cotangents[0] may be None when the caller does
+    not need the input cotangent. ones is a vector of ones, one per row. The
+    kernel overwrites post[k] of every tanh layer with the cotangent of its
+    pre-activation, so post cannot be reused afterwards.
+    """
+    for k in range(len(layers) - 1, -1, -1):
+        weights, _, _, tanh = layers[k]
+        if tanh:
             # tanh' = 1 - post**2, from the stored post-activation
-            d = trace.post[k] * trace.post[k]
+            d = post[k]
+            np.multiply(d, d, out=d)
             np.subtract(1.0, d, out=d)
             d *= g
             g = d
-        a_in = trace.post[k - 1] if k > 0 else trace.input
-        np.matmul(g.T, a_in, out=grads.weight_grads[k])
+        np.matmul(g.T, post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
+        # bias gradients as ones @ g: a BLAS call, unlike sum(axis=0)
         np.matmul(ones, g, out=grads.bias_grads[k])
-        g = g @ layer.weights
-    return g
+        if cotangents[k] is not None:
+            np.matmul(g, weights, out=cotangents[k])
+            g = cotangents[k]
 
 
 def forward(mlp: Mlp, x) -> ActivationTrace:
@@ -259,7 +283,8 @@ def forward(mlp: Mlp, x) -> ActivationTrace:
         raise DimensionError(
             f"input has {x.shape[1]} columns, network expects {mlp.input_size}"
         )
-    trace = _forward(mlp, x)
+    trace = ActivationTrace(x, [None] * len(mlp.layers))
+    _forward(mlp._kernel, x, trace.post)
     if not np.all(np.isfinite(trace.output)):
         raise NumericError("forward pass produced non-finite output")
     return trace
@@ -280,4 +305,8 @@ def backward(
             f"cotangent shape {g.shape} != output shape {trace.output.shape}"
         )
     grads = GradientSet.zeros_like(mlp)
-    return grads, _backward(mlp, trace, g, grads)
+    rows = g.shape[0]
+    cotangents = [np.empty((rows, l.in_size)) for l in mlp.layers]
+    post = [p.copy() for p in trace.post]  # the kernel overwrites them
+    _backward(mlp._kernel, trace.input, post, g, grads, np.ones(rows), cotangents)
+    return grads, cotangents[0]

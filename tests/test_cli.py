@@ -334,3 +334,15 @@ class TestMalformedModel:
         code, err = self.detect_with(doc, tmp_path, capsys)
         assert code == 1
         assert field in err
+
+    @pytest.mark.parametrize("key", [
+        "batch_size", "epochs", "seed", "hidden_size", "n_pairs", "n_stat",
+    ])
+    @pytest.mark.parametrize("value", [32.7, 3.0])
+    def test_integer_config_field_rejects_non_integers(
+        self, doc, tmp_path, capsys, key, value
+    ):
+        doc["config"][key] = value
+        code, err = self.detect_with(doc, tmp_path, capsys)
+        assert code == 1
+        assert f"config.{key}" in err

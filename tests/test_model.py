@@ -290,7 +290,56 @@ def plain_autoencoder_train(config: TrainingConfig, frame: DatasetFrame):
     return encoder, decoder
 
 
+def reference_train(config: TrainingConfig, frame: DatasetFrame):
+    """Reference trainer: public total_loss_grads and pure adamax_step per
+    batch, on train's batch schedule. Returns the parameters as one
+    encoder-then-decoder vector and the loss history."""
+    triples = make_triples(frame, config.delta_t)
+    model = build_model(frame.n_features, config)
+    _, _, shuffle_seed = _seed_triple(config.seed)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+    encoder, decoder = model.encoder, model.decoder
+    enc_state = AdamaxState.for_mlp(encoder)
+    dec_state = AdamaxState.for_mlp(decoder)
+    n = triples.n_rows
+    history = []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        rec_sum = tdc_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            breakdown, enc_grads, dec_grads = total_loss_grads(
+                HTdcAutoencoder(encoder, decoder, config.partition),
+                triples.x_prev[idx], triples.x_t[idx], triples.x_next[idx],
+                config.alpha, config.delta_t,
+            )
+            encoder, enc_state = adamax_step(encoder, enc_grads, enc_state, config.learning_rate)
+            decoder, dec_state = adamax_step(decoder, dec_grads, dec_state, config.learning_rate)
+            rec_sum += breakdown.rec_loss * len(idx)
+            tdc_sum += breakdown.tdc_loss * len(idx)
+        history.append(LossBreakdown.from_parts(rec_sum / n, tdc_sum / n, config.alpha))
+    return np.concatenate((encoder.params, decoder.params)), history
+
+
 class TestTraining:
+    @pytest.mark.parametrize("rows, overrides", [
+        (103, {"batch_size": 32}),  # 101 triples: a tail batch of 5
+        (40, {"batch_size": 64}),  # one batch, smaller than batch_size
+        (24, {"batch_size": 1}),
+        (103, {"alpha": 0.0}),
+        (103, {"partition": LatentPartition(0, 2)}),
+        (103, {"partition": LatentPartition(2, 0), "delta_t": 0.5}),
+    ])
+    def test_matches_reference_loop_bit_for_bit(self, rows, overrides):
+        frame = small_training_frame(8, rows=rows)
+        config = TrainingConfig(**{"hidden_size": 6, "epochs": 3, "seed": 12, "alpha": 0.3,
+                                   **overrides})
+        model, history = train(config, frame)
+        want_params, want_history = reference_train(config, frame)
+        got_params = np.concatenate((model.encoder.params, model.decoder.params))
+        assert got_params.tobytes() == want_params.tobytes()
+        assert history == want_history
+
     def test_fixed_seed_is_bit_identical(self):
         frame = small_training_frame(1)
         config = TrainingConfig(hidden_size=8, epochs=3, seed=17)
