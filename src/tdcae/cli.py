@@ -33,7 +33,8 @@ from .detect import (
     smooth,
     threshold_from_scores,
 )
-from .errors import ConfigError, TdcaeError
+from .errors import ConfigError, IngestionError, TdcaeError
+from .model import _field, _number, read_json
 from .svgplot import line_plot
 
 SEED_ENV_VAR = "TDCAE_SEED"
@@ -67,11 +68,21 @@ def _echo_config(out: Path, payload: dict) -> None:
     (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+def _load_settings(path) -> dict:
+    """The JSON object in a --config file, or {} without one."""
+    doc = read_json(path) if path else {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {doc!r:.40}")
+    return doc
+
+
+def _scaled_csv(path, scaler) -> pre.DatasetFrame:
+    """A CSV's frame, restricted to the scaler's columns and scaled when
+    the model carries a scaler."""
+    frame = pre.load_csv(path)
+    if scaler is None:
+        return frame
+    return pre.apply_scaler(scaler, frame.select(scaler.feature_names))
 
 
 def _label_shading(labels) -> list[tuple[int, int]]:
@@ -85,17 +96,23 @@ def _label_shading(labels) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------- synth
 
 
-def _attacks_from_doc(doc: list) -> list[synth_mod.AttackScenario]:
+def _attacks_from_doc(doc) -> list[synth_mod.AttackScenario]:
+    """Attack scenarios from a JSON list, checked entry by entry."""
+    if not isinstance(doc, list):
+        raise ConfigError(f"attacks: expected a list, got {doc!r:.40}")
+    kinds = [k.value for k in synth_mod.AttackKind]
     out = []
-    for entry in doc:
+    for k, entry in enumerate(doc):
+        where = f"attacks[{k}]."
+        kind = _field(entry, "kind", str, where)
+        if kind not in kinds:
+            raise ConfigError(f"{where}kind: expected one of {kinds}")
+        target, start, end = (_field(entry, key, int, where) for key in ("target", "start", "end"))
+        magnitude = _number(entry, "magnitude", where) if "magnitude" in entry else 0.0
         out.append(
             synth_mod.AttackScenario(
-                kind=synth_mod.AttackKind(entry["kind"]),
-                target=int(entry["target"]),
-                interval=metrics_mod.AttackInterval(
-                    int(entry["start"]), int(entry["end"])
-                ),
-                magnitude=float(entry.get("magnitude", 0.0)),
+                synth_mod.AttackKind(kind), target, metrics_mod.AttackInterval(start, end),
+                float(magnitude),
             )
         )
     return out
@@ -115,7 +132,7 @@ def _attacks_to_doc(attacks) -> list[dict]:
 
 
 def cmd_synth(args) -> int:
-    doc = _load_json(args.config) if args.config else {}
+    doc = _load_settings(args.config)
     tank_doc = dict(doc.get("tanks", {}))
     if args.horizon is not None:
         tank_doc["horizon"] = args.horizon
@@ -139,7 +156,7 @@ def cmd_synth(args) -> int:
     elif args.attacks == "config":
         attacks = _attacks_from_doc(doc.get("attacks", []))
     else:
-        attacks = _attacks_from_doc(_load_json(args.attacks))
+        attacks = _attacks_from_doc(read_json(args.attacks))
 
     frame = synth_mod.simulate(config, attacks)
     out = _out_dir(args.out)
@@ -170,7 +187,7 @@ def _resolve_training_config(args, n_features: int) -> model_mod.TrainingConfig:
         config = model_mod.edge_training_config(args.edge)
     else:
         config = model_mod.TrainingConfig(hidden_size=n_features)
-    doc = _load_json(args.config) if args.config else {}
+    doc = _load_settings(args.config)
     base = config.to_dict()
     unknown = sorted(set(doc) - set(base))
     if unknown:
@@ -204,7 +221,7 @@ def cmd_train(args) -> int:
 
     out = _out_dir(args.out)
     model_mod.save_model(out / "model.json", trained, scaler, config)
-    pre.save_scaler(scaler, out / "scaler.json")
+    model_mod.save_scaler(scaler, out / "scaler.json")
     with (out / "loss_history.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "rec_loss", "tdc_loss", "total"])
@@ -242,7 +259,13 @@ def _load_train_scores(path) -> np.ndarray:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["timestamp", "raw"]:
         raise ConfigError(f"{path}: not a train-scores CSV")
-    return np.array([float(r[1]) for r in rows[1:]])
+    try:
+        return np.array(
+            [pre._parse_cell(r[1] if len(r) > 1 else "", k, "raw")
+             for k, r in enumerate(rows[1:], start=2)]
+        )
+    except IngestionError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_detect(args) -> int:
@@ -250,17 +273,10 @@ def cmd_detect(args) -> int:
     config = DetectionConfig(
         window=args.window,
         percentile=args.percentile,
-        threshold_override=args.threshold,
         smoothing=args.smoothing,
         threshold_source=args.threshold_source,
     )
-
-    frame = pre.load_csv(args.data)
-    if scaler is not None:
-        frame = frame.select(scaler.feature_names)
-        scored_frame = pre.apply_scaler(scaler, frame)
-    else:
-        scored_frame = frame
+    scored_frame = _scaled_csv(args.data, scaler)
 
     if args.threshold is not None:
         threshold = float(args.threshold)
@@ -269,10 +285,7 @@ def cmd_detect(args) -> int:
             _load_train_scores(args.train_scores), config
         )
     elif args.train_data is not None:
-        train_frame = pre.load_csv(args.train_data)
-        if scaler is not None:
-            train_frame = pre.apply_scaler(scaler, train_frame.select(scaler.feature_names))
-        threshold = fit_threshold(trained, train_frame, config)
+        threshold = fit_threshold(trained, _scaled_csv(args.train_data, scaler), config)
     else:
         raise ConfigError(
             "a threshold source is required: --threshold, --train-scores or --train-data"
@@ -347,12 +360,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     trained, scaler, _ = model_mod.load_model(args.model)
-    frame = pre.load_csv(args.data)
-    if scaler is not None:
-        frame = frame.select(scaler.feature_names)
-        scaled = pre.apply_scaler(scaler, frame)
-    else:
-        scaled = frame
+    scaled = _scaled_csv(args.data, scaler)
+    rows = min(args.plot_rows, scaled.n_rows)
+    if rows < 3:  # a central difference spans three rows
+        raise ConfigError(f"need >= 3 rows to plot, got --plot-rows {args.plot_rows} "
+                          f"on {scaled.n_rows} data rows")
 
     z, zdot, s = model_mod.encode(trained, scaled.values)
     p = trained.partition
@@ -370,7 +382,6 @@ def cmd_report(args) -> int:
         for t in range(scaled.n_rows):
             writer.writerow([int(scaled.timestamps[t])] + [repr(v) for v in latent[t].tolist()])
 
-    rows = min(args.plot_rows, scaled.n_rows)
     shading = _label_shading(None if scaled.labels is None else scaled.labels[:rows])
 
     # Derivative nodes against the central difference of their static

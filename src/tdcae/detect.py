@@ -26,7 +26,6 @@ class DetectionConfig:
 
     window: int = 7
     percentile: float = 95.0
-    threshold_override: float | None = None
     smoothing: str = "trailing"
     threshold_source: str = "smoothed"
 
@@ -103,9 +102,7 @@ def fit_threshold(
     model: HTdcAutoencoder, train_frame: DatasetFrame, config: DetectionConfig
 ) -> float:
     """Percentile of the (smoothed) training reconstruction errors, linear
-    interpolation between order statistics. An override wins verbatim."""
-    if config.threshold_override is not None:
-        return float(config.threshold_override)
+    interpolation between order statistics."""
     if train_frame.n_rows == 0:
         raise ConfigError("cannot fit a threshold on an empty frame")
     scores = reconstruction_error(model, train_frame)
@@ -114,8 +111,6 @@ def fit_threshold(
 
 def threshold_from_scores(scores, config: DetectionConfig) -> float:
     """Threshold from precomputed raw training scores."""
-    if config.threshold_override is not None:
-        return float(config.threshold_override)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ConfigError("cannot fit a threshold on empty scores")

@@ -55,14 +55,12 @@ class ClfScores:
 
 
 @dataclass
-class MetricsReport:
+class MetricsReport(ClfScores):
+    """The classification scores plus the counts they come from, the
+    time-to-detection score and the ranking score."""
+
     counts: ConfusionCounts
-    tpr: float
-    tnr: float
-    ppv: float
-    f1: float
     s_ttd: float
-    s_clf: float
     s: float
 
 
@@ -182,16 +180,7 @@ def evaluate_flags(flags, labels) -> MetricsReport:
     scores = clf_scores(counts)
     s_ttd = ttd_score(flags, intervals_from_labels(labels))
     s = ranking_score(s_ttd, scores.s_clf)
-    return MetricsReport(
-        counts=counts,
-        tpr=scores.tpr,
-        tnr=scores.tnr,
-        ppv=scores.ppv,
-        f1=scores.f1,
-        s_ttd=s_ttd,
-        s_clf=scores.s_clf,
-        s=s,
-    )
+    return MetricsReport(**vars(scores), counts=counts, s_ttd=s_ttd, s=s)
 
 
 def _cell(v: float) -> float | None:

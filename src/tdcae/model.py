@@ -102,6 +102,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.alpha < 0:
@@ -127,17 +129,18 @@ class TrainingConfig:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TrainingConfig":
-        return cls(
-            learning_rate=float(doc["learning_rate"]),
-            batch_size=int(doc["batch_size"]),
-            alpha=float(doc["alpha"]),
-            epochs=int(doc["epochs"]),
-            seed=int(doc["seed"]),
-            hidden_size=int(doc["hidden_size"]),
-            partition=LatentPartition(int(doc["n_pairs"]), int(doc["n_stat"])),
-            delta_t=float(doc["delta_t"]),
-        )
+    def from_dict(cls, doc: dict, where: str = "") -> "TrainingConfig":
+        """Inverse of to_dict, checked field by field: the integer fields
+        must be JSON integers and the others finite numbers. `where` is
+        the JSON path that error messages put before a field name."""
+        fields = {
+            key: _field(doc, key, int, where)
+            if key in _INTEGER_CONFIG_FIELDS
+            else float(_number(doc, key, where))
+            for key in cls().to_dict()
+        }
+        pairs, stat = fields.pop("n_pairs"), fields.pop("n_stat")
+        return cls(partition=LatentPartition(pairs, stat), **fields)
 
 
 # Per-edge defaults for the C-Town models: hidden width, latent layout,
@@ -510,8 +513,27 @@ def _mlp_from_doc(doc, where: str) -> Mlp:
     return Mlp(layers)
 
 
-# TrainingConfig fields that a model document must hold as JSON integers.
+# TrainingConfig fields that a document must hold as JSON integers.
 _INTEGER_CONFIG_FIELDS = ("batch_size", "epochs", "seed", "hidden_size", "n_pairs", "n_stat")
+
+
+def _scaler_to_doc(params: RobustScalerParams) -> dict:
+    return {
+        name: {"median": m, "iqr": q}
+        for name, m, q in zip(params.feature_names, params.median.tolist(), params.iqr.tolist())
+    }
+
+
+def _scaler_from_doc(doc, where: str) -> RobustScalerParams:
+    """Inverse of _scaler_to_doc, checked entry by entry."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where[:-1] or 'scaler'}: expected an object, got {doc!r:.40}")
+    names = list(doc)
+    return RobustScalerParams(
+        names,
+        np.array([_number(doc[n], "median", f"{where}{n}.") for n in names]),
+        np.array([_number(doc[n], "iqr", f"{where}{n}.") for n in names]),
+    )
 
 
 def _model_from_doc(doc: dict):
@@ -523,27 +545,24 @@ def _model_from_doc(doc: dict):
     )
     scaler = None
     if doc.get("scaler") is not None:
-        entries = _field(doc, "scaler", dict, "")
-        if len(entries) != model.n_features:
+        scaler = _scaler_from_doc(doc["scaler"], "scaler.")
+        if len(scaler.feature_names) != model.n_features:
             raise ConfigError(
-                f"scaler: expected {model.n_features} features, got {len(entries)}"
+                f"scaler: expected {model.n_features} features, got {len(scaler.feature_names)}"
             )
-        names = list(entries)
-        scaler = RobustScalerParams(
-            names,
-            np.array([_number(entries[n], "median", f"scaler.{n}.") for n in names]),
-            np.array([_number(entries[n], "iqr", f"scaler.{n}.") for n in names]),
-        )
     config = None
     if doc.get("config") is not None:
-        entries = _field(doc, "config", dict, "")
-        for key in TrainingConfig().to_dict():
-            if key in _INTEGER_CONFIG_FIELDS:
-                _field(entries, key, int, "config.")
-            else:
-                _number(entries, key, "config.")
-        config = TrainingConfig.from_dict(entries)
+        config = TrainingConfig.from_dict(_field(doc, "config", dict, ""), "config.")
     return model, scaler, config
+
+
+def read_json(path):
+    """The parsed JSON document in a file; invalid JSON or text that is not
+    UTF-8 raises ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
 def save_model(
@@ -562,14 +581,7 @@ def save_model(
         },
         "encoder": _mlp_to_doc(model.encoder),
         "decoder": _mlp_to_doc(model.decoder),
-        "scaler": None
-        if scaler is None
-        else {
-            name: {"median": m, "iqr": q}
-            for name, m, q in zip(
-                scaler.feature_names, scaler.median.tolist(), scaler.iqr.tolist()
-            )
-        },
+        "scaler": None if scaler is None else _scaler_to_doc(scaler),
         "config": None if config is None else config.to_dict(),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
@@ -580,13 +592,23 @@ def load_model(
 ) -> tuple[HTdcAutoencoder, RobustScalerParams | None, TrainingConfig | None]:
     """Read a model document, checking it field by field: a malformed or
     inconsistent field raises ConfigError naming it."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # invalid JSON or not UTF-8 text
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} document")
     try:
         return _model_from_doc(doc)
     except (ConfigError, DimensionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def save_scaler(params: RobustScalerParams, path) -> None:
+    Path(path).write_text(json.dumps(_scaler_to_doc(params), indent=2) + "\n")
+
+
+def load_scaler(path) -> RobustScalerParams:
+    """Read a scaler document, checking it entry by entry: a malformed
+    entry raises ConfigError naming it."""
+    try:
+        return _scaler_from_doc(read_json(path), "")
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -4,7 +4,6 @@ triples for hourly SCADA-style sensor matrices."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,9 +93,14 @@ class DatasetFrame:
         if missing:
             raise IngestionError(f"missing features: {', '.join(missing)}")
         idx = [self.feature_names.index(n) for n in names]
+        return self.with_values(self.values[:, idx], names)
+
+    def with_values(self, values, feature_names=None) -> "DatasetFrame":
+        """A frame with the given values (and column names, if given) over
+        copies of this frame's labels, timestamps and datetimes."""
         return DatasetFrame(
-            feature_names=list(names),
-            values=self.values[:, idx].copy(),
+            feature_names=list(self.feature_names if feature_names is None else feature_names),
+            values=values,
             labels=None if self.labels is None else self.labels.copy(),
             timestamps=self.timestamps.copy(),
             datetimes=None if self.datetimes is None else list(self.datetimes),
@@ -185,28 +189,14 @@ def apply_scaler(params: RobustScalerParams, frame: DatasetFrame) -> DatasetFram
             "frame features do not match the fitted scaler"
             + (f" (unknown: {', '.join(unknown)})" if unknown else " (order differs)")
         )
-    scaled = (frame.values - params.median) / params.divisors
-    return DatasetFrame(
-        feature_names=list(frame.feature_names),
-        values=scaled,
-        labels=None if frame.labels is None else frame.labels.copy(),
-        timestamps=frame.timestamps.copy(),
-        datetimes=None if frame.datetimes is None else list(frame.datetimes),
-    )
+    return frame.with_values((frame.values - params.median) / params.divisors)
 
 
 def invert_scaler(params: RobustScalerParams, frame: DatasetFrame) -> DatasetFrame:
     """Undo apply_scaler: value * divisor + median."""
     if list(frame.feature_names) != list(params.feature_names):
         raise ConfigError("frame features do not match the fitted scaler")
-    raw = frame.values * params.divisors + params.median
-    return DatasetFrame(
-        feature_names=list(frame.feature_names),
-        values=raw,
-        labels=None if frame.labels is None else frame.labels.copy(),
-        timestamps=frame.timestamps.copy(),
-        datetimes=None if frame.datetimes is None else list(frame.datetimes),
-    )
+    return frame.with_values(frame.values * params.divisors + params.median)
 
 
 def segment_edges(frame: DatasetFrame) -> list[tuple[EdgeSegment, DatasetFrame]]:
@@ -332,21 +322,3 @@ def save_csv(frame: DatasetFrame, path) -> None:
             if frame.labels is not None:
                 row.append(str(int(frame.labels[t])))
             writer.writerow(row)
-
-
-def save_scaler(params: RobustScalerParams, path) -> None:
-    doc = {
-        name: {"median": m, "iqr": q}
-        for name, m, q in zip(
-            params.feature_names, params.median.tolist(), params.iqr.tolist()
-        )
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-
-
-def load_scaler(path) -> RobustScalerParams:
-    doc = json.loads(Path(path).read_text())
-    names = list(doc.keys())
-    median = np.array([doc[n]["median"] for n in names], dtype=np.float64)
-    iqr = np.array([doc[n]["iqr"] for n in names], dtype=np.float64)
-    return RobustScalerParams(names, median, iqr)

@@ -108,6 +108,8 @@ class TankSystemConfig:
             raise ConfigError("noise_std must be >= 0")
         if self.horizon < 100:
             raise ConfigError("horizon must be >= 100")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.initial_levels is not None:
             vals = tuple(float(v) for v in self.initial_levels)
             if len(vals) != self.n_tanks:

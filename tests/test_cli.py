@@ -8,6 +8,7 @@ import pytest
 from tdcae.cli import main
 from tdcae.detect import load_detection_flags
 from tdcae.metrics import AttackInterval
+from tdcae.model import load_model, load_scaler
 from tdcae.preprocess import load_csv, save_csv
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate
 
@@ -113,6 +114,15 @@ class TestTrainCommand:
                    "--out", pipeline / "nope", "--edge", 1)
         assert code == 1
         assert "missing features" in capsys.readouterr().err
+
+    def test_scaler_file_matches_model_document(self, pipeline):
+        model_dir = pipeline / "model"
+        in_model = json.loads((model_dir / "model.json").read_text())["scaler"]
+        assert json.loads((model_dir / "scaler.json").read_text()) == in_model
+        scaler, embedded = load_scaler(model_dir / "scaler.json"), load_model(model_dir / "model.json")[1]
+        assert scaler.feature_names == embedded.feature_names
+        assert np.array_equal(scaler.median, embedded.median)
+        assert np.array_equal(scaler.iqr, embedded.iqr)
 
     def test_deterministic_model_bytes(self, pipeline, tmp_path):
         outs = []
@@ -328,6 +338,7 @@ class TestMalformedModel:
         (lambda d: d["scaler"].popitem(), "scaler"),
         (lambda d: next(iter(d["scaler"].values())).pop("iqr"), "iqr"),
         (lambda d: d["config"].pop("alpha"), "config"),
+        (lambda d: d["config"].update(seed=-1), "seed must be >= 0"),
     ])
     def test_each_field_is_checked(self, doc, tmp_path, capsys, mutate, field):
         mutate(doc)
@@ -346,3 +357,77 @@ class TestMalformedModel:
         code, err = self.detect_with(doc, tmp_path, capsys)
         assert code == 1
         assert f"config.{key}" in err
+
+
+class TestMalformedInput:
+    """Bad settings and malformed input files are user errors (exit 1)
+    whose message names the culprit."""
+
+    @staticmethod
+    def train(pipeline, tmp_path, *extra):
+        return run("train", "--data", pipeline / "train" / "data.csv",
+                   "--out", tmp_path / "m", "--epochs", 1, *extra)
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("flag, env", [(["--seed", -1], None), ([], "-5")])
+    def test_negative_seed(self, pipeline, tmp_path, capsys, monkeypatch, command, flag, env):
+        if env is not None:
+            monkeypatch.setenv("TDCAE_SEED", env)
+        if command == "synth":
+            code = run("synth", "--out", tmp_path / "s", "--horizon", 200, "--attacks", "none", *flag)
+        else:
+            code = self.train(pipeline, tmp_path, *flag)
+        assert code == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, field", [
+        (b'{"batch_size": "abc"}', "batch_size"),
+        (b'{"hidden_size": 2.5}', "hidden_size"),
+        (b'{"seed": -1}', "seed"),
+        (b"[1, 2]", "expected a JSON object"),
+        (b"\xff\xfe{}", "invalid JSON"),
+    ])
+    def test_training_config_file(self, pipeline, tmp_path, capsys, content, field):
+        (tmp_path / "cfg.json").write_bytes(content)
+        assert self.train(pipeline, tmp_path, "--config", tmp_path / "cfg.json") == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("attack, field", [
+        ({"kind": "bogus", "target": 0, "start": 10, "end": 20}, "attacks[0].kind"),
+        ({"kind": "sensor_freeze", "start": 10, "end": 20}, "attacks[0].target"),
+        ({"kind": "sensor_freeze", "target": 0, "end": 20}, "attacks[0].start"),
+        ({"kind": "sensor_freeze", "target": 0, "start": 10}, "attacks[0].end"),
+        ({"kind": "sensor_freeze", "target": 0, "start": 10, "end": 20, "magnitude": "x"},
+         "attacks[0].magnitude"),
+    ])
+    @pytest.mark.parametrize("source", ["attacks", "config"])
+    def test_attacks_file(self, tmp_path, capsys, attack, field, source):
+        path = tmp_path / "attacks.json"
+        if source == "attacks":
+            path.write_text(json.dumps([attack]))
+            code = run("synth", "--out", tmp_path / "s", "--horizon", 200, "--attacks", path)
+        else:
+            path.write_text(json.dumps({"attacks": [attack]}))
+            code = run("synth", "--out", tmp_path / "s", "--horizon", 200, "--config", path)
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", None])
+    def test_train_scores_file(self, pipeline, tmp_path, capsys, cell):
+        lines = (pipeline / "model" / "train_scores.csv").read_text().splitlines()
+        lines[2] = "1" if cell is None else f"1,{cell}"
+        (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
+        code = run("detect", "--model", pipeline / "model" / "model.json",
+                   "--data", pipeline / "test" / "data.csv",
+                   "--train-scores", tmp_path / "scores.csv", "--out", tmp_path / "o")
+        assert code == 1
+        assert "scores.csv: row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plot_rows, data_rows", [(1, 600), (2, 600), (500, 2)])
+    def test_report_needs_three_plot_rows(self, pipeline, tmp_path, capsys, plot_rows, data_rows):
+        lines = (pipeline / "test" / "data.csv").read_text().splitlines()
+        (tmp_path / "d.csv").write_text("\n".join(lines[: 1 + data_rows]) + "\n")
+        code = run("report", "--model", pipeline / "model" / "model.json", "--data",
+                   tmp_path / "d.csv", "--plot-rows", plot_rows, "--out", tmp_path / "o")
+        assert code == 1
+        assert "need >= 3 rows to plot" in capsys.readouterr().err

@@ -124,13 +124,6 @@ class TestThreshold:
         threshold = threshold_from_scores(np.arange(1.0, 101.0), config)
         assert threshold == pytest.approx(95.05)
 
-    def test_override_returned_verbatim(self, rng):
-        config = DetectionConfig(threshold_override=0.625)
-        assert threshold_from_scores(rng.normal(size=50), config) == 0.625
-        model = identity_autoencoder(2)
-        frame = frame_of(rng.normal(size=(10, 2)))
-        assert fit_threshold(model, frame, config) == 0.625
-
     def test_smoothed_source_smooths_before_percentile(self, rng):
         scores = rng.exponential(size=200)
         smoothed = smooth(scores, 7)

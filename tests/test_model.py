@@ -446,3 +446,5 @@ class TestDefaultsAndPersistence:
             TrainingConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainingConfig(delta_t=0.0)
+        with pytest.raises(ConfigError):
+            TrainingConfig(seed=-1)

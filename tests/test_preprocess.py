@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tdcae.errors import ConfigError, DimensionError, IngestionError, NumericError
+from tdcae.model import load_scaler, save_scaler
 from tdcae.preprocess import (
     EDGE_FEATURES,
     DatasetFrame,
@@ -9,10 +10,8 @@ from tdcae.preprocess import (
     fit_scaler,
     invert_scaler,
     load_csv,
-    load_scaler,
     make_triples,
     save_csv,
-    save_scaler,
     segment_edges,
 )
 
@@ -102,6 +101,28 @@ class TestScaler:
         assert loaded.feature_names == params.feature_names
         assert np.array_equal(loaded.median, params.median)
         assert np.array_equal(loaded.iqr, params.iqr)
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"a": {"median": 1}}', "missing field a.iqr"),
+        ('{"a": {"median": "x", "iqr": 1}}', "a.median"),
+        ("[1, 2]", "expected an object"),
+        ('{"a": {"median": 1,', "invalid JSON"),
+    ])
+    def test_malformed_file_names_the_field(self, tmp_path, text, field):
+        (tmp_path / "scaler.json").write_text(text)
+        with pytest.raises(ConfigError, match=field):
+            load_scaler(tmp_path / "scaler.json")
+
+
+class TestFrame:
+    def test_with_values_copies_everything_but_the_values(self):
+        frame = DatasetFrame(["a", "b"], np.zeros((3, 2)), labels=[0, 1, 0],
+                             timestamps=[5, 6, 7], datetimes=["x", "y", "z"])
+        out = frame.with_values(np.ones((3, 1)), ["c"])
+        assert out.feature_names == ["c"] and np.array_equal(out.values, np.ones((3, 1)))
+        assert frame.with_values(frame.values).feature_names == ["a", "b"]
+        out.labels[0], out.timestamps[0], out.datetimes[0] = 1, 0, "w"
+        assert frame.labels[0] == 0 and frame.timestamps[0] == 5 and frame.datetimes[0] == "x"
 
 
 class TestEdgeSegmentation:
