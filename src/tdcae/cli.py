@@ -34,7 +34,7 @@ from .detect import (
     threshold_from_scores,
 )
 from .errors import ConfigError, IngestionError, TdcaeError
-from .model import _field, _number, read_json
+from .model import _field, _finite, _number, read_json
 from .svgplot import line_plot
 
 SEED_ENV_VAR = "TDCAE_SEED"
@@ -131,22 +131,45 @@ def _attacks_to_doc(attacks) -> list[dict]:
     ]
 
 
+_TANK_INTEGERS = ("n_tanks", "horizon", "seed")
+_TANK_VECTORS = ("tank_area", "pump_on_level", "pump_off_level", "tank_height", "initial_levels")
+
+
+def _tanks_from_doc(doc) -> dict:
+    """TankSystemConfig arguments from the "tanks" object of a --config
+    file, checked field by field: integers for n_tanks, horizon and seed,
+    lists of finite numbers for the per-tank fields (initial_levels may
+    be null) and finite numbers for the rest."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"tanks: expected a JSON object, got {doc!r:.40}")
+    unknown = sorted(set(doc) - set(synth_mod.TankSystemConfig.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"unknown tank settings: {', '.join(unknown)}")
+    where = "tanks."
+    out = {}
+    for key, value in doc.items():
+        if key in _TANK_INTEGERS:
+            out[key] = _field(doc, key, int, where)
+        elif key == "initial_levels" and value is None:
+            out[key] = None
+        elif key in _TANK_VECTORS:
+            out[key] = tuple(
+                float(_finite(v, f"{where}{key}[{i}]"))
+                for i, v in enumerate(_field(doc, key, list, where))
+            )
+        else:
+            out[key] = _number(doc, key, where)
+    return out
+
+
 def cmd_synth(args) -> int:
     doc = _load_settings(args.config)
-    tank_doc = dict(doc.get("tanks", {}))
+    tank_doc = _tanks_from_doc(doc.get("tanks", {}))
     if args.horizon is not None:
         tank_doc["horizon"] = args.horizon
     if args.seed is not None:
         tank_doc["seed"] = args.seed
-    tank_doc["seed"] = _env_seed(int(tank_doc.get("seed", 0)))
-    for key in ("tank_area", "pump_on_level", "pump_off_level", "tank_height",
-                "initial_levels"):
-        if key in tank_doc and tank_doc[key] is not None:
-            tank_doc[key] = tuple(tank_doc[key])
-    known = set(synth_mod.TankSystemConfig.__dataclass_fields__)
-    unknown = sorted(set(tank_doc) - known)
-    if unknown:
-        raise ConfigError(f"unknown tank settings: {', '.join(unknown)}")
+    tank_doc["seed"] = _env_seed(tank_doc.get("seed", 0))
     config = synth_mod.TankSystemConfig(**tank_doc)
 
     if args.attacks == "none":

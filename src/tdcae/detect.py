@@ -137,7 +137,7 @@ def detect(
 
 def save_detection_csv(result: DetectionResult, frame: DatasetFrame, path) -> None:
     """Columns: timestamp, raw, smoothed, flag."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "raw", "smoothed", "flag"])
         for t in range(len(result.raw_scores)):
@@ -157,9 +157,24 @@ def save_detection_csv(result: DetectionResult, frame: DatasetFrame, path) -> No
 
 
 def load_detection_flags(path) -> np.ndarray:
-    """Read back the flag column of a detection CSV."""
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    """Read back the flag column of a detection CSV. Every row needs all
+    of the header's cells and a flag of 0 or 1; blank lines are skipped."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: not a detection CSV ({exc})") from None
     if not rows or rows[0][:4] != ["timestamp", "raw", "smoothed", "flag"]:
         raise ConfigError(f"{path}: not a detection CSV")
-    return np.array([r[3] == "1" for r in rows[1:]], dtype=bool)
+    flags = []
+    for row_number, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(rows[0]):
+            raise ConfigError(
+                f"{path}: row {row_number}: expected {len(rows[0])} cells, got {len(row)}"
+            )
+        if row[3] not in ("0", "1"):
+            raise ConfigError(f"{path}: row {row_number}: flag must be 0 or 1, got {row[3]!r:.20}")
+        flags.append(row[3] == "1")
+    return np.array(flags, dtype=bool)

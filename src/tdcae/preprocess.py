@@ -4,6 +4,8 @@ triples for hourly SCADA-style sensor matrices."""
 from __future__ import annotations
 
 import csv
+import operator
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -241,16 +243,52 @@ def _parse_cell(cell: str, row_number: int, column: str) -> float:
     return value
 
 
+def _blank(row: list[str]) -> bool:
+    return len(row) == 0 or (len(row) == 1 and row[0].strip() == "")
+
+
+def _raise_first_bad_cell(path: Path, header: list[str], columns: list[int]):
+    """Re-read the file row by row, cell by cell, and raise the
+    IngestionError that names its first bad cell (or ragged row)."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row_number, row in enumerate(reader, start=2):
+            if _blank(row):
+                continue
+            if len(row) != len(header):
+                raise IngestionError(
+                    f"row {row_number}: expected {len(header)} cells, got {len(row)}"
+                )
+            for i in columns:
+                _parse_cell(row[i].strip(), row_number, header[i])
+    raise IngestionError(f"{path}: changed while it was read")
+
+
 def load_csv(path) -> DatasetFrame:
     """Read an hourly sensor CSV into a DatasetFrame.
 
-    Expects a header row; a DATETIME column (any case) is kept as strings,
-    an ATT_FLAG column (any case) becomes the label vector. Negative label
-    sentinels count as 0. Row numbers in error messages are 1-based and
-    include the header.
+    Expects a UTF-8 file with a header row; a DATETIME column (any case)
+    is kept as strings, an ATT_FLAG column (any case) becomes the label
+    vector. Negative label sentinels count as 0. Blank lines are skipped.
+
+    Every cell is checked: a ragged row, a cell that is not a number and
+    a non-finite cell each raise IngestionError. When a file has several,
+    the error names the first in file order: rows top to bottom, and
+    within a row the feature cells left to right, then the label cell.
+    Row numbers in error messages are 1-based and include the header.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    try:
+        return _read_csv(path)
+    except UnicodeDecodeError:
+        raise IngestionError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise IngestionError(f"{path}: {exc}") from None
+
+
+def _read_csv(path: Path) -> DatasetFrame:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -269,34 +307,47 @@ def load_csv(path) -> DatasetFrame:
         feature_idx = [
             i for i in range(len(header)) if i not in (label_idx, time_idx)
         ]
-        feature_names = [header[i] for i in feature_idx]
+        columns = feature_idx + ([] if label_idx is None else [label_idx])
+        width = len(header)
+        # itemgetter returns a tuple only for two or more indices.
+        pick = (
+            operator.itemgetter(*feature_idx)
+            if len(feature_idx) > 1
+            else lambda row: [row[i] for i in feature_idx]
+        )
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        datetimes: list[str] = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) == 0 or (len(row) == 1 and row[0].strip() == ""):
-                continue  # ignore trailing blank lines
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"row {row_number}: expected {len(header)} cells, got {len(row)}"
-                )
-            cells = [c.strip() for c in row]
-            rows.append(
-                [_parse_cell(cells[i], row_number, header[i]) for i in feature_idx]
-            )
-            if label_idx is not None:
-                raw = _parse_cell(cells[label_idx], row_number, header[label_idx])
-                labels.append(1 if raw > 0.5 else 0)
-            if time_idx is not None:
-                datetimes.append(cells[time_idx])
+        # Cells stream into flat float64 buffers; float() accepts the
+        # surrounding whitespace that the error path strips.
+        values, labels, datetimes = array("d"), array("d"), []
+        n_rows = 0
+        try:
+            for row in reader:
+                if len(row) != width or width == 1:  # blank or ragged
+                    if _blank(row):
+                        continue
+                    if len(row) != width:
+                        raise ValueError("ragged row")
+                values.extend(map(float, pick(row)))
+                if label_idx is not None:
+                    labels.append(float(row[label_idx]))
+                if time_idx is not None:
+                    datetimes.append(row[time_idx].strip())
+                n_rows += 1
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            _raise_first_bad_cell(path, header, columns)
 
-    if not rows:
+    values = np.frombuffer(values).reshape(n_rows, len(feature_idx))
+    labels = np.frombuffer(labels)
+    if not (np.isfinite(values).all() and np.isfinite(labels).all()):
+        _raise_first_bad_cell(path, header, columns)
+    if n_rows == 0:
         raise IngestionError(f"{path}: no data rows")
     return DatasetFrame(
-        feature_names=feature_names,
-        values=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64) if label_idx is not None else None,
+        feature_names=[header[i] for i in feature_idx],
+        values=values,
+        labels=(labels > 0.5).astype(np.int64) if label_idx is not None else None,
         datetimes=datetimes if time_idx is not None else None,
     )
 
@@ -311,7 +362,7 @@ def save_csv(frame: DatasetFrame, path) -> None:
     header.extend(frame.feature_names)
     if frame.labels is not None:
         header.append(LABEL_COLUMN)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for t in range(frame.n_rows):

@@ -8,6 +8,15 @@ Physics: explicit Euler with a one-hour step on dL/dt = (Q_in - Q_out)/A.
 Pump 1 draws from a reservoir; pump i>1 draws from tank i-1. Attacks
 corrupt reported sensor values and/or actuator behaviour while the hidden
 physical state keeps evolving consistently.
+
+Only the truly sequential state runs hour by hour, on Python floats read
+from and written to preallocated arrays: levels, pump hysteresis, the
+upstream-first balance with its dry-tank clamp, and the overflow spill.
+Noise, the demand table and the attack schedule (per-tank masks and
+offsets over the horizon) are built before the loop; the reported levels,
+flows and pressures, the spoof and freeze overlays and the labels are
+whole-array operations after it, in the same operation order as an
+hour-by-hour computation, so every value is bit-identical to one.
 """
 
 from __future__ import annotations
@@ -177,15 +186,133 @@ class SimulationTrace:
     clamped: bool = False
 
 
-def _active(attacks, kind: AttackKind, tank: int, t: int):
+def _schedule(config: TankSystemConfig, attacks):
+    """The attacks as per-hour arrays over the horizon: the spoof offset
+    added to each tank's level (0 where no spoof is active), where spoofs
+    and forced pump outages are active, the labels (1 in hours with any
+    attack active) and the frozen (tank, start, end) spans."""
+    T, n = config.horizon, config.n_tanks
+    offset = np.zeros((T, n))
+    spoofed = np.zeros((T, n), dtype=bool)
+    forced_off = np.zeros((T, n), dtype=bool)
+    labels = np.zeros(T, dtype=np.int64)
+    frozen = []
     for attack in attacks:
-        if (
-            attack.kind is kind
-            and attack.target == tank
-            and attack.interval.start <= t <= attack.interval.end
-        ):
-            return attack
-    return None
+        i, start, end = attack.target, attack.interval.start, attack.interval.end
+        span = slice(start, end + 1)
+        labels[span] = 1
+        if attack.kind is AttackKind.LEVEL_SPOOF_OFFSET:
+            offset[span, i] = attack.magnitude
+            spoofed[span, i] = True
+        elif attack.kind is AttackKind.PUMP_FORCE_OFF:
+            forced_off[span, i] = True
+        else:
+            frozen.append((i, start, end))
+    return offset, spoofed, forced_off, labels, frozen
+
+
+def _flat(a: np.ndarray) -> memoryview:
+    """A flat view of a C-contiguous array whose items read and write as
+    Python scalars, without a numpy call per item."""
+    return memoryview(a.reshape(-1))
+
+
+def _demand_table(config: TankSystemConfig, rng) -> np.ndarray:
+    """Consumer demand per hour and tank, never negative: a daily
+    sinusoid, phase-shifted per tank, plus an AR(1) disturbance with
+    ~10 h memory drawn from rng, so different seeds explore different but
+    equally normal trajectories."""
+    T, n = config.horizon, config.n_tanks
+    hours = np.arange(T)[:, None]
+    table = (
+        config.demand_amplitude
+        / 2.0
+        * (1.0 + np.sin(2.0 * np.pi * (hours / config.demand_period + np.arange(n) / n)))
+    )
+    if config.demand_noise_std > 0:
+        wander = rng.normal(0.0, 1.0, (T, n))
+        rho = 0.9
+        scale = np.sqrt(1.0 - rho * rho)
+        w = _flat(wander)
+        for k in range(n, T * n):
+            w[k] = rho * w[k - n] + scale * w[k]
+        table = np.maximum(0.0, table + config.demand_noise_std * wander)
+    return table
+
+
+def _run_hours(config: TankSystemConfig, demand_table, offset, forced_off):
+    """The sequential part of the simulation, on Python floats: levels,
+    pump hysteresis (the controller sees level + offset), the
+    upstream-first balance with its dry-tank clamp, and the overflow
+    spill. Returns levels (T+1, n), pump states, inflows, outflows,
+    realized demands and spills (T, n each) and whether any hour clamped
+    or spilled."""
+    T, n = config.horizon, config.n_tanks
+    area, height = config.tank_area, config.tank_height
+    on, off = config.pump_on_level, config.pump_off_level
+    pump_flow = float(config.pump_flow)
+    levels = np.empty((T + 1, n))
+    pumps, inflows, outflows, demands = (np.empty((T, n)) for _ in range(4))
+    spills = np.zeros((T, n))
+    level_out, pump_out, in_out, out_out, demand_out = map(
+        _flat, (levels, pumps, inflows, outflows, demands)
+    )
+    demand, shift, forced = map(_flat, (demand_table, offset, forced_off))
+    if config.initial_levels is not None:
+        level = list(config.initial_levels)
+    else:
+        level = [(lo + hi) / 2.0 for lo, hi in zip(on, off)]
+    pump = [1.0 if lv <= lo else 0.0 for lv, lo in zip(level, on)]
+    new = [0.0] * n
+    tanks = range(n)
+    clamped = False
+
+    for k in range(0, T * n, n):
+        for i in tanks:
+            level_out[k + i] = level[i]
+            ctrl = level[i] + shift[k + i]
+            if pump[i] == 1.0 and ctrl >= off[i]:
+                pump[i] = 0.0
+            elif pump[i] == 0.0 and ctrl <= on[i]:
+                pump[i] = 1.0
+            if forced[k + i]:
+                pump[i] = 0.0
+            pump_out[k + i] = pump[i]
+
+        # Pump i+1 draws from tank i; nothing draws from the last tank.
+        # Outflows shrink if a tank would run dry.
+        realized_in = pump_flow * pump[0]
+        spilled = False
+        for i in tanks:
+            want_draw = pump_flow * pump[i + 1] if i + 1 < n else 0.0
+            realized_demand = demand[k + i]
+            want_out = realized_demand + want_draw
+            available = level[i] * area[i] + realized_in
+            if want_out > available:
+                factor = available / want_out if want_out > 0 else 0.0
+                realized_demand *= factor
+                want_draw *= factor
+                clamped = True
+            realized_out = realized_demand + want_draw
+            new[i] = level[i] + (realized_in - realized_out) / area[i]
+            spilled = spilled or new[i] > height[i]
+            in_out[k + i] = realized_in
+            out_out[k + i] = realized_out
+            demand_out[k + i] = realized_demand
+            realized_in = want_draw
+
+        if spilled:
+            # Overflow drains over the rim and counts as outflow.
+            for i in tanks:
+                spill = 0.0
+                if new[i] > height[i]:
+                    spill = spills[k // n, i] = (new[i] - height[i]) * area[i]
+                    new[i] = height[i]
+                out_out[k + i] += spill
+            clamped = True
+        level, new = new, level
+    levels[T] = level
+    return levels, pumps, inflows, outflows, demands, spills, clamped
 
 
 def simulate_trace(
@@ -195,151 +322,41 @@ def simulate_trace(
     attacks = _validate_attacks(config, attacks)
     n = config.n_tanks
     T = config.horizon
-    area = np.array(config.tank_area)
-    on = np.array(config.pump_on_level)
-    off = np.array(config.pump_off_level)
-    height = np.array(config.tank_height)
-
     rng = np.random.default_rng(config.seed)
     noise_level = rng.normal(0.0, config.noise_std * _LEVEL_NOISE, (T, n))
     noise_flow = rng.normal(0.0, config.noise_std * _FLOW_NOISE, (T, n))
     noise_pressure = rng.normal(0.0, config.noise_std * _PRESSURE_NOISE, (T, n))
-    demand_eps = rng.normal(0.0, 1.0, (T, n))
-
-    if config.initial_levels is not None:
-        level = np.array(config.initial_levels, dtype=np.float64)
-    else:
-        level = (on + off) / 2.0
-    pump = (level <= on).astype(np.float64)
-
-    phases = np.arange(n) / n
-    hours = np.arange(T)
-    demand_table = (
-        config.demand_amplitude
-        / 2.0
-        * (1.0 + np.sin(2.0 * np.pi * (hours[:, None] / config.demand_period + phases)))
+    offset, spoofed, forced_off, labels, frozen = _schedule(config, attacks)
+    levels, pumps, inflows, outflows, demands, spills, clamped = _run_hours(
+        config, _demand_table(config, rng), offset, forced_off
     )
-    # Stochastic demand: an AR(1) disturbance with ~10 h memory rides on
-    # the daily sinusoid, so different seeds explore different but equally
-    # normal trajectories. Demand never goes negative.
-    if config.demand_noise_std > 0:
-        wander = np.empty((T, n))
-        wander[0] = demand_eps[0]
-        rho = 0.9
-        scale = np.sqrt(1.0 - rho * rho)
-        for t in range(1, T):
-            wander[t] = rho * wander[t - 1] + scale * demand_eps[t]
-        demand_table = np.maximum(
-            0.0, demand_table + config.demand_noise_std * wander
-        )
+    hidden = levels[:-1]
 
-    levels = np.empty((T + 1, n))
-    pump_states = np.empty((T, n))
-    inflows = np.empty((T, n))
-    outflows = np.empty((T, n))
-    demands = np.empty((T, n))
-    spills = np.zeros((T, n))
+    # Reported sensor values: physics plus noise plus telemetry attacks,
+    # written in place into the frame so that no (T, n) temporaries pile up.
     values = np.empty((T, 3 * n + n))
-    labels = np.zeros(T, dtype=np.int64)
-    frozen: dict[int, float] = {}
-    clamped = False
-
-    for t in range(T):
-        levels[t] = level
-
-        # Controller sees the spoofed level while a spoof attack is active.
-        ctrl = level.copy()
-        for i in range(n):
-            spoof = _active(attacks, AttackKind.LEVEL_SPOOF_OFFSET, i, t)
-            if spoof is not None:
-                ctrl[i] = level[i] + spoof.magnitude
-
-        for i in range(n):
-            if pump[i] == 1.0 and ctrl[i] >= off[i]:
-                pump[i] = 0.0
-            elif pump[i] == 0.0 and ctrl[i] <= on[i]:
-                pump[i] = 1.0
-            if _active(attacks, AttackKind.PUMP_FORCE_OFF, i, t) is not None:
-                pump[i] = 0.0
-
-        demand = demand_table[t]
-        desired_in = config.pump_flow * pump
-
-        # Upstream-first balance; outflows shrink if a tank would run dry.
-        realized_in = np.empty(n)
-        realized_demand = demand.copy()
-        realized_draw = np.zeros(n)  # draw taken out of tank i by pump i+1
-        realized_in[0] = desired_in[0]
-        for i in range(n):
-            if i > 0:
-                realized_in[i] = realized_draw[i - 1]
-            want_draw = desired_in[i + 1] if i + 1 < n else 0.0
-            want_out = realized_demand[i] + want_draw
-            available = level[i] * area[i] + realized_in[i]
-            if want_out > available:
-                factor = available / want_out if want_out > 0 else 0.0
-                realized_demand[i] *= factor
-                want_draw *= factor
-                clamped = True
-            realized_draw[i] = want_draw
-
-        # realized_draw[n-1] is always 0: nothing draws from the last tank.
-        realized_out = realized_demand + realized_draw
-
-        new_level = level + (realized_in - realized_out) / area
-        over = new_level > height
-        if np.any(over):
-            # Overflow drains over the rim and counts as outflow.
-            spills[t][over] = (new_level[over] - height[over]) * area[over]
-            realized_out = realized_out + spills[t]
-            new_level = np.minimum(new_level, height)
-            clamped = True
-
-        pump_states[t] = pump
-        inflows[t] = realized_in
-        outflows[t] = realized_out
-        demands[t] = realized_demand
-
-        # Reported sensor values: physics plus noise plus telemetry attacks.
-        reported_level = level + noise_level[t]
-        reported_flow = realized_in + noise_flow[t]
-        pressure = (
-            _P_BASE
-            + _P_LEVEL * level
-            + _P_PUMP * pump
-            - _P_DEMAND * realized_demand
-            + noise_pressure[t]
-        )
-        attacked = False
-        for i in range(n):
-            spoof = _active(attacks, AttackKind.LEVEL_SPOOF_OFFSET, i, t)
-            if spoof is not None:
-                reported_level[i] = level[i] + spoof.magnitude + noise_level[t, i]
-                attacked = True
-            freeze = _active(attacks, AttackKind.SENSOR_FREEZE, i, t)
-            if freeze is not None:
-                if t == freeze.interval.start:
-                    frozen[i] = reported_level[i]
-                reported_level[i] = frozen[i]
-                attacked = True
-            if _active(attacks, AttackKind.PUMP_FORCE_OFF, i, t) is not None:
-                attacked = True
-
-        values[t, :n] = reported_level
-        values[t, n : 3 * n : 2] = reported_flow
-        values[t, n + 1 : 3 * n : 2] = pump
-        values[t, 3 * n :] = pressure
-        labels[t] = 1 if attacked else 0
-
-        level = new_level
-    levels[T] = level
+    reported_level = values[:, :n]
+    np.add(hidden, noise_level, out=reported_level)
+    reported_level[spoofed] = (hidden[spoofed] + offset[spoofed]) + noise_level[spoofed]
+    for i, start, end in frozen:
+        reported_level[start : end + 1, i] = reported_level[start, i]
+    np.add(inflows, noise_flow, out=values[:, n : 3 * n : 2])
+    values[:, n + 1 : 3 * n : 2] = pumps
+    pressure = values[:, 3 * n :]
+    np.multiply(_P_LEVEL, hidden, out=pressure)
+    np.add(_P_BASE, pressure, out=pressure)
+    pressure += _P_PUMP * pumps
+    pressure -= _P_DEMAND * demands
+    pressure += noise_pressure
 
     frame = DatasetFrame(
-        feature_names=config.feature_names(), values=values, labels=labels
+        feature_names=config.feature_names(),
+        values=values,
+        labels=labels,
     )
     trace = SimulationTrace(
         levels=levels,
-        pump_states=pump_states,
+        pump_states=pumps,
         inflows=inflows,
         outflows=outflows,
         demands=demands,

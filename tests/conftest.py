@@ -7,6 +7,17 @@ import pytest
 from tdcae.model import HTdcAutoencoder, LatentPartition
 from tdcae.nn import Activation, DenseLayer, Mlp
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI
+    # failure reproduces locally.
+    settings.register_profile("ci", derandomize=True)
+    if "HYPOTHESIS_PROFILE" in os.environ:
+        settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+
 
 def identity_autoencoder(n_features: int) -> HTdcAutoencoder:
     """A model that reconstructs its input exactly: single identity layers

@@ -59,3 +59,129 @@ def trailing_mean_reference(scores, window: int) -> np.ndarray:
         lo = max(0, t - window + 1)
         out[t] = scores[lo : t + 1].mean()
     return out
+
+
+
+def simulate_reference(config, attacks=()):
+    """The tank simulator written hour by hour on numpy rows, with every
+    attack looked up per tank and hour. Returns values, labels, levels,
+    pump_states, inflows, outflows, demands, spills and clamped, which
+    tdcae.synth.simulate_trace must reproduce bit for bit."""
+    from tdcae import synth
+
+    n, T = config.n_tanks, config.horizon
+    area = np.array(config.tank_area)
+    on = np.array(config.pump_on_level)
+    off = np.array(config.pump_off_level)
+    height = np.array(config.tank_height)
+
+    def active(kind, tank, t):
+        for attack in attacks:
+            iv = attack.interval
+            if attack.kind is kind and attack.target == tank and iv.start <= t <= iv.end:
+                return attack
+        return None
+
+    rng = np.random.default_rng(config.seed)
+    noise_level = rng.normal(0.0, config.noise_std * synth._LEVEL_NOISE, (T, n))
+    noise_flow = rng.normal(0.0, config.noise_std * synth._FLOW_NOISE, (T, n))
+    noise_pressure = rng.normal(0.0, config.noise_std * synth._PRESSURE_NOISE, (T, n))
+    demand_eps = rng.normal(0.0, 1.0, (T, n))
+    if config.initial_levels is not None:
+        level = np.array(config.initial_levels, dtype=np.float64)
+    else:
+        level = (on + off) / 2.0
+    pump = (level <= on).astype(np.float64)
+    hours = np.arange(T)[:, None]
+    demand_table = config.demand_amplitude / 2.0 * (
+        1.0 + np.sin(2.0 * np.pi * (hours / config.demand_period + np.arange(n) / n))
+    )
+    if config.demand_noise_std > 0:
+        wander = np.empty((T, n))
+        wander[0] = demand_eps[0]
+        scale = np.sqrt(1.0 - 0.9 * 0.9)
+        for t in range(1, T):
+            wander[t] = 0.9 * wander[t - 1] + scale * demand_eps[t]
+        demand_table = np.maximum(0.0, demand_table + config.demand_noise_std * wander)
+
+    levels = np.empty((T + 1, n))
+    pump_states, inflows, outflows, demands = (np.empty((T, n)) for _ in range(4))
+    spills = np.zeros((T, n))
+    values = np.empty((T, 4 * n))
+    labels = np.zeros(T, dtype=np.int64)
+    frozen = {}
+    clamped = False
+    SPOOF = synth.AttackKind.LEVEL_SPOOF_OFFSET
+    FREEZE = synth.AttackKind.SENSOR_FREEZE
+    FORCE_OFF = synth.AttackKind.PUMP_FORCE_OFF
+    for t in range(T):
+        levels[t] = level
+        ctrl = level.copy()
+        for i in range(n):
+            spoof = active(SPOOF, i, t)
+            if spoof is not None:
+                ctrl[i] = level[i] + spoof.magnitude
+        for i in range(n):
+            if pump[i] == 1.0 and ctrl[i] >= off[i]:
+                pump[i] = 0.0
+            elif pump[i] == 0.0 and ctrl[i] <= on[i]:
+                pump[i] = 1.0
+            if active(FORCE_OFF, i, t) is not None:
+                pump[i] = 0.0
+        desired_in = config.pump_flow * pump
+        realized_in = np.empty(n)
+        realized_demand = demand_table[t].copy()
+        realized_draw = np.zeros(n)
+        realized_in[0] = desired_in[0]
+        for i in range(n):
+            if i > 0:
+                realized_in[i] = realized_draw[i - 1]
+            want_draw = desired_in[i + 1] if i + 1 < n else 0.0
+            want_out = realized_demand[i] + want_draw
+            available = level[i] * area[i] + realized_in[i]
+            if want_out > available:
+                factor = available / want_out if want_out > 0 else 0.0
+                realized_demand[i] *= factor
+                want_draw *= factor
+                clamped = True
+            realized_draw[i] = want_draw
+        realized_out = realized_demand + realized_draw
+        new_level = level + (realized_in - realized_out) / area
+        over = new_level > height
+        if np.any(over):
+            spills[t][over] = (new_level[over] - height[over]) * area[over]
+            realized_out = realized_out + spills[t]
+            new_level = np.minimum(new_level, height)
+            clamped = True
+        pump_states[t] = pump
+        inflows[t] = realized_in
+        outflows[t] = realized_out
+        demands[t] = realized_demand
+
+        reported_level = level + noise_level[t]
+        pressure = (
+            synth._P_BASE + synth._P_LEVEL * level + synth._P_PUMP * pump
+            - synth._P_DEMAND * realized_demand + noise_pressure[t]
+        )
+        attacked = False
+        for i in range(n):
+            spoof = active(SPOOF, i, t)
+            if spoof is not None:
+                reported_level[i] = level[i] + spoof.magnitude + noise_level[t, i]
+                attacked = True
+            freeze = active(FREEZE, i, t)
+            if freeze is not None:
+                if t == freeze.interval.start:
+                    frozen[i] = reported_level[i]
+                reported_level[i] = frozen[i]
+                attacked = True
+            if active(FORCE_OFF, i, t) is not None:
+                attacked = True
+        values[t, :n] = reported_level
+        values[t, n : 3 * n : 2] = realized_in + noise_flow[t]
+        values[t, n + 1 : 3 * n : 2] = pump
+        values[t, 3 * n :] = pressure
+        labels[t] = 1 if attacked else 0
+        level = new_level
+    levels[T] = level
+    return values, labels, levels, pump_states, inflows, outflows, demands, spills, clamped

@@ -412,6 +412,49 @@ class TestMalformedInput:
         assert code == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tanks, field", [
+        ({"horizon": "abc"}, "tanks.horizon"),
+        ({"horizon": 300.0}, "tanks.horizon"),
+        ({"seed": "x"}, "tanks.seed"),
+        ({"n_tanks": True}, "tanks.n_tanks"),
+        ({"pump_flow": "fast"}, "tanks.pump_flow"),
+        ({"noise_std": None}, "tanks.noise_std"),
+        ({"demand_period": 1e999}, "tanks.demand_period"),
+        ({"tank_area": 140}, "tanks.tank_area"),
+        ({"tank_height": [7.5, "6.8"]}, "tanks.tank_height[1]"),
+        ({"initial_levels": [1.0, None]}, "tanks.initial_levels[1]"),
+        (5, "tanks: expected a JSON object"),
+    ])
+    def test_tank_settings(self, tmp_path, capsys, tanks, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tanks": tanks}))
+        assert run("synth", "--out", tmp_path / "s", "--config", path) == 1
+        assert field in capsys.readouterr().err
+
+    def test_tank_settings_of_every_type_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tanks": {
+            "n_tanks": 1, "horizon": 150, "seed": 3, "pump_flow": 150,
+            "noise_std": 0.01, "tank_area": [100], "pump_on_level": [2.0],
+            "pump_off_level": [5.0], "tank_height": [7.0], "initial_levels": None,
+        }}))
+        assert run("synth", "--out", tmp_path / "s", "--config", path, "--attacks", "none") == 0
+        echoed = json.loads((tmp_path / "s" / "config.json").read_text())["tanks"]
+        assert (echoed["pump_flow"], echoed["tank_area"]) == (150, [100.0])
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,1.0", "row 3: expected 4 cells, got 2"),
+        ("0,1.0,1.0,2", "row 3: flag must be 0 or 1"),
+    ])
+    def test_detection_file(self, tmp_path, capsys, row, message):
+        det = tmp_path / "det.csv"
+        det.write_text(f"timestamp,raw,smoothed,flag\n0,1.0,1.0,1\n{row}\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("x,ATT_FLAG\n0.0,1\n0.0,0\n")
+        code = run("evaluate", "--detections", det, "--labels", labels, "--out", tmp_path / "ev")
+        assert code == 1
+        assert f"det.csv: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["abc", "nan", None])
     def test_train_scores_file(self, pipeline, tmp_path, capsys, cell):
         lines = (pipeline / "model" / "train_scores.csv").read_text().splitlines()

@@ -211,3 +211,16 @@ class TestDetectionCsv:
         (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError):
             load_detection_flags(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,1.0", "row 3: expected 4 cells, got 2"),
+        ("0,1.0,1.0,yes", "row 3: flag must be 0 or 1, got 'yes'"),
+        ("0,1.0,1.0,", "row 3: flag must be 0 or 1, got ''"),
+        ("0,1.0,1.0,1,extra", "row 3: expected 4 cells, got 5"),
+    ])
+    def test_malformed_row_names_file_and_row(self, tmp_path, row, message):
+        path = tmp_path / "det.csv"
+        path.write_text(f"timestamp,raw,smoothed,flag\n0,1.0,1.0,1\n{row}\n")
+        with pytest.raises(ConfigError) as info:
+            load_detection_flags(path)
+        assert str(info.value) == f"{path}: {message}"

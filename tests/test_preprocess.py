@@ -238,6 +238,52 @@ class TestCsv:
         with pytest.raises(IngestionError, match="b"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        # a non-finite cell before a later unparseable cell or short row
+        ("a,b\n1,2\n3,inf\n4,x\n", "row 3: non-finite value in b"),
+        ("a,b\n1,nan\n2\n", "row 2: non-finite value in b"),
+        # an unparseable cell or short row before a later non-finite cell
+        ("a,b\n1,x\n2,inf\n", "row 2: cannot parse b='x' as a number"),
+        ("a,b\n1,2\n3\n4,nan\n", "row 3: expected 2 cells, got 1"),
+        ("a,b\n1,x\n2,3,4\n", "row 2: cannot parse b='x' as a number"),
+        # within a row, left to right
+        ("a,b\nnan,x\n", "row 2: non-finite value in a"),
+        ("a,b\n x ,inf\n", "row 2: cannot parse a='x' as a number"),
+        # a bad label cell before a later bad feature cell, and after one
+        ("a,ATT_FLAG\n1,x\n2,nan\n", "row 2: cannot parse ATT_FLAG='x' as a number"),
+        ("a,ATT_FLAG\n1,nan\nx,0\n", "row 2: non-finite value in ATT_FLAG"),
+        ("a,ATT_FLAG\n1,0\nnan,x\n", "row 3: non-finite value in a"),
+        # the feature cells of a row come before its label cell
+        ("ATT_FLAG,a\nx,inf\n", "row 2: non-finite value in a"),
+        # blank lines are skipped but still counted
+        ("a,b\n1,2\n\n3,nan\n", "row 4: non-finite value in b"),
+    ])
+    def test_first_bad_cell_in_file_order_wins(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(IngestionError) as info:
+            load_csv(path)
+        assert str(info.value) == message
+
+    def test_whitespace_around_cells_and_a_datetime_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            " a ,DateTime , b ,ATT_FLAG\n"
+            " 1.5 , 01/01/16 00 ,\t-2e-3\t, 0 \n"
+            "\t7\t,01/01/16 01, 1_0 ,1\n"
+        )
+        frame = load_csv(path)
+        assert frame.feature_names == ["a", "b"]
+        assert frame.datetimes == ["01/01/16 00", "01/01/16 01"]
+        assert frame.values.tolist() == [[1.5, -0.002], [7.0, 10.0]]
+        assert frame.labels.tolist() == [0, 1]
+
+    def test_text_that_is_not_utf8_is_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,\xff\n")
+        with pytest.raises(IngestionError, match="not UTF-8"):
+            load_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")

@@ -7,8 +7,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import simulate_reference
 from tdcae.detect import smooth
-from tdcae.metrics import fuse_edges, intervals_from_labels, ttd_score
+from tdcae.errors import TdcaeError
+from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
+from tdcae.preprocess import DatasetFrame, load_csv, save_csv
+from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate_trace
 
 # No per-example deadline: timings on a shared machine vary too much.
 relaxed = settings(deadline=None)
@@ -52,3 +56,122 @@ def test_trailing_smooth_at_t_depends_only_on_scores_up_to_t(data, values, windo
     whole = smooth(values, window)
     assert np.array_equal(whole[: t + 1], smooth(changed, window)[: t + 1])
     assert np.allclose(whole[: t + 1], smooth(values[: t + 1], window), rtol=1e-12, atol=0)
+
+
+# Cell text that survives the CSV round trip: no surrounding whitespace
+# (the loader strips it), no NUL, not a reserved column name.
+cell_text = st.text(st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+                    max_size=8).filter(lambda s: s.strip() == s)
+names = cell_text.filter(lambda s: s and s.upper() not in ("ATT_FLAG", "DATETIME"))
+
+
+@st.composite
+def frames(draw):
+    feature_names = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    n_rows = draw(st.integers(1, 12))
+    values = draw(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=len(feature_names), max_size=len(feature_names)),
+        min_size=n_rows, max_size=n_rows,
+    ))
+    labels = draw(st.none() | st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows))
+    datetimes = draw(st.none() | st.lists(cell_text, min_size=n_rows, max_size=n_rows))
+    return DatasetFrame(feature_names, np.array(values), labels=labels, datetimes=datetimes)
+
+
+@relaxed
+@given(frame=frames())
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, frame):
+    path = tmp_path_factory.mktemp("csv") / "frame.csv"
+    save_csv(frame, path)
+    back = load_csv(path)
+    assert back.feature_names == frame.feature_names
+    assert back.values.tobytes() == frame.values.tobytes()
+    if frame.labels is None:
+        assert back.labels is None
+    else:
+        assert back.labels.tobytes() == frame.labels.tobytes()
+    assert back.datetimes == frame.datetimes
+
+
+VALID_CSV = (
+    b"DATETIME,L_T1,F_PU1,S_PU1,ATT_FLAG\r\n"
+    b"01/01/16 00,3.25,160.5,1.0,0\r\n"
+    b"01/01/16 01,3.5,-0.0,0.0,1\r\n"
+    b"01/01/16 02,1e-3,12,1,-999\r\n"
+)
+edits = st.lists(
+    st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, len(VALID_CSV)),
+              st.binary(min_size=1, max_size=3)),
+    min_size=1, max_size=6,
+)
+
+
+@relaxed
+@given(edits=edits)
+def test_mutated_csv_loads_or_raises_a_tdcae_error(tmp_path_factory, edits):
+    data = bytearray(VALID_CSV)
+    for op, pos, blob in edits:
+        pos = min(pos, len(data))
+        if op == "set":
+            data[pos : pos + len(blob)] = blob
+        elif op == "insert":
+            data[pos:pos] = blob
+        else:
+            del data[pos : pos + len(blob)]
+    path = tmp_path_factory.mktemp("mutated") / "data.csv"
+    path.write_bytes(bytes(data))
+    try:
+        frame = load_csv(path)
+    except TdcaeError:
+        return
+    assert np.isfinite(frame.values).all()
+
+
+@st.composite
+def tank_runs(draw):
+    """A small tank network and attacks that never overlap within one
+    kind and tank."""
+    n = draw(st.integers(1, 3))
+    horizon = draw(st.integers(100, 160))
+
+    def per_tank(lo, hi):
+        return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+
+    on = draw(per_tank(0.5, 3.0))
+    off = [a + b for a, b in zip(on, draw(per_tank(0.5, 3.0)))]
+    height = [a + b for a, b in zip(off, draw(per_tank(0.1, 2.0)))]
+    config = TankSystemConfig(
+        n_tanks=n,
+        tank_area=draw(per_tank(20.0, 200.0)),
+        pump_on_level=on,
+        pump_off_level=off,
+        tank_height=height,
+        pump_flow=draw(st.floats(20.0, 300.0)),
+        demand_amplitude=draw(st.floats(0.0, 200.0)),
+        demand_noise_std=draw(st.sampled_from([0.0, 8.0, 40.0])),
+        noise_std=draw(st.sampled_from([0.0, 0.02])),
+        horizon=horizon,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        initial_levels=draw(st.none() | st.tuples(*(st.floats(0.0, h) for h in height))),
+    )
+    attacks = []
+    for kind in AttackKind:
+        for tank in range(n):
+            cuts = sorted(draw(st.lists(st.integers(0, horizon - 1), max_size=4, unique=True)))
+            for start, end in zip(cuts[::2], cuts[1::2]):
+                magnitude = draw(st.floats(-5.0, 5.0))
+                attacks.append(AttackScenario(kind, tank, AttackInterval(start, end), magnitude))
+    return config, draw(st.permutations(attacks))
+
+
+@relaxed
+@given(run=tank_runs())
+def test_simulator_matches_hour_by_hour_reference(run):
+    config, attacks = run
+    frame, trace = simulate_trace(config, attacks)
+    *expected, clamped = simulate_reference(config, attacks)
+    got = (frame.values, frame.labels, trace.levels, trace.pump_states,
+           trace.inflows, trace.outflows, trace.demands, trace.spills)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+    assert trace.clamped == clamped
