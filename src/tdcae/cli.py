@@ -10,7 +10,6 @@ error, 2 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -38,6 +37,7 @@ from .model import _field, _finite, _number, read_json
 from .svgplot import line_plot
 
 SEED_ENV_VAR = "TDCAE_SEED"
+TRAIN_SCORES_HEADER = ("timestamp", "raw")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +65,9 @@ def _out_dir(path) -> Path:
 
 
 def _echo_config(out: Path, payload: dict) -> None:
-    (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "config.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def _load_settings(path) -> dict:
@@ -185,7 +187,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args.out)
     pre.save_csv(frame, out / "data.csv")
     (out / "attacks.json").write_text(
-        json.dumps(_attacks_to_doc(attacks), indent=2) + "\n"
+        json.dumps(_attacks_to_doc(attacks), indent=2) + "\n", encoding="utf-8"
     )
     _echo_config(
         out,
@@ -245,19 +247,10 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)
     model_mod.save_model(out / "model.json", trained, scaler, config)
     model_mod.save_scaler(scaler, out / "scaler.json")
-    with (out / "loss_history.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "rec_loss", "tdc_loss", "total"])
-        for epoch, entry in enumerate(history, start=1):
-            writer.writerow(
-                [epoch, repr(entry.rec_loss), repr(entry.tdc_loss), repr(entry.total)]
-            )
-    train_scores = reconstruction_error(trained, scaled)
-    with (out / "train_scores.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "raw"])
-        for t, score in enumerate(train_scores.tolist()):
-            writer.writerow([t, repr(score)])
+    rows = [(k, e.rec_loss, e.tdc_loss, e.total) for k, e in enumerate(history, start=1)]
+    pre.write_table(out / "loss_history.csv", ["epoch", "rec_loss", "tdc_loss", "total"], zip(*rows))
+    scores = reconstruction_error(trained, scaled)
+    pre.write_table(out / "train_scores.csv", TRAIN_SCORES_HEADER, [scaled.stamps, scores])
     _echo_config(
         out,
         {
@@ -278,14 +271,10 @@ def cmd_train(args) -> int:
 
 
 def _load_train_scores(path) -> np.ndarray:
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["timestamp", "raw"]:
-        raise ConfigError(f"{path}: not a train-scores CSV")
     try:
         return np.array(
-            [pre._parse_cell(r[1] if len(r) > 1 else "", k, "raw")
-             for k, r in enumerate(rows[1:], start=2)]
+            [pre._parse_cell(cells[1], row_number, "raw")
+             for row_number, cells in pre.read_table(path, TRAIN_SCORES_HEADER)]
         )
     except IngestionError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -362,9 +351,9 @@ def cmd_evaluate(args) -> int:
     report = metrics_mod.evaluate_flags(fused, labels_frame.labels)
 
     out = _out_dir(args.out)
-    (out / "metrics.json").write_text(metrics_mod.report_to_json(report) + "\n")
+    (out / "metrics.json").write_text(metrics_mod.report_to_json(report) + "\n", encoding="utf-8")
     table = metrics_mod.format_table({"system": report})
-    (out / "metrics.txt").write_text(table + "\n")
+    (out / "metrics.txt").write_text(table + "\n", encoding="utf-8")
     _echo_config(
         out,
         {
@@ -399,11 +388,7 @@ def cmd_report(args) -> int:
     latent = np.hstack([z, zdot, s])
 
     out = _out_dir(args.out)
-    with (out / "latent_trace.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + names)
-        for t in range(scaled.n_rows):
-            writer.writerow([int(scaled.timestamps[t])] + [repr(v) for v in latent[t].tolist()])
+    pre.write_table(out / "latent_trace.csv", ["timestamp"] + names, [scaled.timestamps, *latent.T])
 
     shading = _label_shading(None if scaled.labels is None else scaled.labels[:rows])
 

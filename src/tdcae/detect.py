@@ -3,15 +3,13 @@ thresholding and binary anomaly flagging."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, IngestionError
 from .model import HTdcAutoencoder, reconstruct
-from .preprocess import DatasetFrame
+from .preprocess import DatasetFrame, read_table, write_table
 
 
 @dataclass
@@ -135,46 +133,24 @@ def detect(
     return DetectionResult(raw, smoothed, float(threshold), flags)
 
 
+DETECTION_HEADER = ("timestamp", "raw", "smoothed", "flag")
+
+
 def save_detection_csv(result: DetectionResult, frame: DatasetFrame, path) -> None:
     """Columns: timestamp, raw, smoothed, flag."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "raw", "smoothed", "flag"])
-        for t in range(len(result.raw_scores)):
-            stamp = (
-                frame.datetimes[t]
-                if frame.datetimes is not None
-                else str(int(frame.timestamps[t]))
-            )
-            writer.writerow(
-                [
-                    stamp,
-                    repr(float(result.raw_scores[t])),
-                    repr(float(result.smoothed_scores[t])),
-                    int(result.flags[t]),
-                ]
-            )
+    columns = [frame.stamps, result.raw_scores, result.smoothed_scores, result.flags.astype(int)]
+    write_table(path, DETECTION_HEADER, columns)
 
 
 def load_detection_flags(path) -> np.ndarray:
     """Read back the flag column of a detection CSV. Every row needs all
     of the header's cells and a flag of 0 or 1; blank lines are skipped."""
-    try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"{path}: not a detection CSV ({exc})") from None
-    if not rows or rows[0][:4] != ["timestamp", "raw", "smoothed", "flag"]:
-        raise ConfigError(f"{path}: not a detection CSV")
     flags = []
-    for row_number, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(rows[0]):
-            raise ConfigError(
-                f"{path}: row {row_number}: expected {len(rows[0])} cells, got {len(row)}"
-            )
-        if row[3] not in ("0", "1"):
-            raise ConfigError(f"{path}: row {row_number}: flag must be 0 or 1, got {row[3]!r:.20}")
-        flags.append(row[3] == "1")
+    try:
+        for row_number, cells in read_table(path, DETECTION_HEADER):
+            if cells[3] not in ("0", "1"):
+                raise IngestionError(f"row {row_number}: flag must be 0 or 1, got {cells[3]!r:.20}")
+            flags.append(cells[3] == "1")
+    except IngestionError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return np.array(flags, dtype=bool)

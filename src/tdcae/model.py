@@ -584,7 +584,7 @@ def save_model(
         "scaler": None if scaler is None else _scaler_to_doc(scaler),
         "config": None if config is None else config.to_dict(),
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 def load_model(
@@ -602,7 +602,7 @@ def load_model(
 
 
 def save_scaler(params: RobustScalerParams, path) -> None:
-    Path(path).write_text(json.dumps(_scaler_to_doc(params), indent=2) + "\n")
+    Path(path).write_text(json.dumps(_scaler_to_doc(params), indent=2) + "\n", encoding="utf-8")
 
 
 def load_scaler(path) -> RobustScalerParams:

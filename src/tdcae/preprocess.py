@@ -89,6 +89,12 @@ class DatasetFrame:
     def n_features(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def stamps(self) -> list[str] | np.ndarray:
+        """The time column of the CSVs written from this frame: the
+        DATETIME cells when the frame has them, else the timestamps."""
+        return self.timestamps if self.datetimes is None else self.datetimes
+
     def select(self, names: list[str] | tuple[str, ...]) -> "DatasetFrame":
         """Frame restricted to the given columns, in the given order."""
         missing = [n for n in names if n not in self.feature_names]
@@ -250,18 +256,9 @@ def _blank(row: list[str]) -> bool:
 def _raise_first_bad_cell(path: Path, header: list[str], columns: list[int]):
     """Re-read the file row by row, cell by cell, and raise the
     IngestionError that names its first bad cell (or ragged row)."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row_number, row in enumerate(reader, start=2):
-            if _blank(row):
-                continue
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"row {row_number}: expected {len(header)} cells, got {len(row)}"
-                )
-            for i in columns:
-                _parse_cell(row[i].strip(), row_number, header[i])
+    for row_number, row in read_table(path):
+        for i in columns:
+            _parse_cell(row[i].strip(), row_number, header[i])
     raise IngestionError(f"{path}: changed while it was read")
 
 
@@ -355,21 +352,46 @@ def _read_csv(path: Path) -> DatasetFrame:
 def save_csv(frame: DatasetFrame, path) -> None:
     """Write a frame in the same schema load_csv reads (shortest float
     representation that round-trips, so output is byte-deterministic)."""
-    path = Path(path)
-    header = []
-    if frame.datetimes is not None:
-        header.append(DATETIME_COLUMN)
-    header.extend(frame.feature_names)
-    if frame.labels is not None:
-        header.append(LABEL_COLUMN)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    named = [(DATETIME_COLUMN, frame.datetimes), *zip(frame.feature_names, frame.values.T),
+             (LABEL_COLUMN, frame.labels)]
+    named = [(name, column) for name, column in named if column is not None]
+    write_table(path, [name for name, _ in named], [column for _, column in named])
+
+
+def write_table(path, header, columns) -> None:
+    """Write a UTF-8 CSV table (excel dialect, CRLF line ends): the header
+    row, then one row per index of the equally long columns. numpy
+    columns go through tolist(), so floats are written as their shortest
+    round-tripping repr and integers as decimals."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t in range(frame.n_rows):
-            row: list[str] = []
-            if frame.datetimes is not None:
-                row.append(frame.datetimes[t])
-            row.extend(repr(v) for v in frame.values[t].tolist())
-            if frame.labels is not None:
-                row.append(str(int(frame.labels[t])))
-            writer.writerow(row)
+        writer.writerows(
+            zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        )
+
+
+def read_table(path, header=()):
+    """Yield (row_number, cells) for each non-blank data row of a UTF-8 CSV
+    table whose header starts with `header`; rows are numbered from 1 at
+    the header. Rows are checked as they are read, so a caller checking
+    cells meets the first bad row in file order. Errors are IngestionErrors
+    relative to the file ("row 3: ...", "not UTF-8 text"): the caller names it."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, [])
+            if first[: len(header)] != list(header):
+                raise IngestionError(f"expected a header starting with {','.join(header)}")
+            for row_number, row in enumerate(reader, start=2):
+                if _blank(row):
+                    continue
+                if len(row) != len(first):
+                    raise IngestionError(
+                        f"row {row_number}: expected {len(first)} cells, got {len(row)}"
+                    )
+                yield row_number, row
+    except UnicodeDecodeError:
+        raise IngestionError("not UTF-8 text") from None
+    except csv.Error as exc:
+        raise IngestionError(str(exc)) from None

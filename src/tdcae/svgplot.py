@@ -142,4 +142,4 @@ def line_plot(
         )
 
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

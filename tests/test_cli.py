@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ from tdcae.cli import main
 from tdcae.detect import load_detection_flags
 from tdcae.metrics import AttackInterval
 from tdcae.model import load_model, load_scaler
-from tdcae.preprocess import load_csv, save_csv
+from tdcae.preprocess import DatasetFrame, load_csv, save_csv
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate
 
 
@@ -123,6 +125,16 @@ class TestTrainCommand:
         assert scaler.feature_names == embedded.feature_names
         assert np.array_equal(scaler.median, embedded.median)
         assert np.array_equal(scaler.iqr, embedded.iqr)
+
+    def test_train_scores_carry_the_datetime_cells(self, pipeline, tmp_path):
+        frame = load_csv(pipeline / "train" / "data.csv")
+        stamps = [f"{1 + t // 24:02d}/01/16 {t % 24:02d}" for t in range(frame.n_rows)]
+        save_csv(DatasetFrame(frame.feature_names, frame.values, frame.labels,
+                              datetimes=stamps), tmp_path / "d.csv")
+        assert run("train", "--data", tmp_path / "d.csv", "--out", tmp_path / "m",
+                   "--epochs", 1) == 0
+        rows = (tmp_path / "m" / "train_scores.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == stamps
 
     def test_deterministic_model_bytes(self, pipeline, tmp_path):
         outs = []
@@ -257,6 +269,50 @@ class TestReportCommand:
         assert header[1] == "z1"
         assert (out / "latent_pairs.svg").exists()
         assert (out / "latent_overlay.svg").exists()
+
+
+# synth, then train, detect and report on the data with every feature
+# renamed to a non-ASCII name. The script text itself stays ASCII, so a C
+# locale reads it unchanged.
+NON_ASCII_CHAIN = r"""
+import sys
+from pathlib import Path
+from tdcae.cli import main
+
+def run(*argv):
+    if main(list(argv)) != 0:
+        sys.exit(f"{argv[0]} failed")
+
+run("synth", "--out", "s", "--horizon", "120", "--seed", "5", "--attacks", "default")
+data = Path("s/data.csv")
+head, sep, rest = data.read_bytes().partition(b"\r\n")
+names = [n if n == "ATT_FLAG" else "F\u00fcllstand_" + n for n in head.decode().split(",")]
+data.write_bytes(",".join(names).encode("utf-8") + sep + rest)
+run("train", "--data", "s/data.csv", "--out", "m", "--epochs", "2", "--seed", "5")
+run("detect", "--model", "m/model.json", "--data", "s/data.csv",
+    "--train-scores", "m/train_scores.csv", "--out", "d")
+run("report", "--model", "m/model.json", "--data", "s/data.csv", "--out", "r")
+"""
+
+
+class TestLocale:
+    @staticmethod
+    def chain(cwd: Path, **env) -> dict:
+        cwd.mkdir()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, **env}
+        done = subprocess.run([sys.executable, "-c", NON_ASCII_CHAIN], cwd=cwd, env=env,
+                              capture_output=True, text=True, errors="replace")
+        assert done.returncode == 0, done.stderr
+        return {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+
+    def test_c_locale_writes_the_same_bytes(self, tmp_path):
+        default = self.chain(tmp_path / "default")
+        ascii_locale = self.chain(tmp_path / "c", LC_ALL="C", PYTHONUTF8="0",
+                                  PYTHONCOERCECLOCALE="0")
+        assert "F\u00fcllstand_L_T1".encode() in default["r/latent_overlay.svg"]
+        assert ascii_locale == default
 
 
 class TestExitCodes:
@@ -455,16 +511,18 @@ class TestMalformedInput:
         assert code == 1
         assert f"det.csv: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cell", ["abc", "nan", None])
+    @pytest.mark.parametrize("cell", ["abc", "nan", None, b"\xff", "0.5,extra"])
     def test_train_scores_file(self, pipeline, tmp_path, capsys, cell):
-        lines = (pipeline / "model" / "train_scores.csv").read_text().splitlines()
-        lines[2] = "1" if cell is None else f"1,{cell}"
-        (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
+        lines = (pipeline / "model" / "train_scores.csv").read_bytes().splitlines()
+        raw = cell if isinstance(cell, bytes) else str(cell).encode()
+        lines[2] = b"1" if cell is None else b"1," + raw
+        (tmp_path / "scores.csv").write_bytes(b"\n".join(lines) + b"\n")
         code = run("detect", "--model", pipeline / "model" / "model.json",
                    "--data", pipeline / "test" / "data.csv",
                    "--train-scores", tmp_path / "scores.csv", "--out", tmp_path / "o")
         assert code == 1
-        assert "scores.csv: row 3" in capsys.readouterr().err
+        where = "not UTF-8 text" if isinstance(cell, bytes) else "row 3"
+        assert f"scores.csv: {where}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("plot_rows, data_rows", [(1, 600), (2, 600), (500, 2)])
     def test_report_needs_three_plot_rows(self, pipeline, tmp_path, capsys, plot_rows, data_rows):

@@ -11,8 +11,10 @@ from tdcae.preprocess import (
     invert_scaler,
     load_csv,
     make_triples,
+    read_table,
     save_csv,
     segment_edges,
+    write_table,
 )
 
 
@@ -301,6 +303,38 @@ class TestCsv:
         assert back.feature_names == frame.feature_names
         assert np.array_equal(back.values, frame.values)
         assert np.array_equal(back.labels, frame.labels)
+
+
+class TestTableCodec:
+    def test_write_table_golden_bytes_read_back(self, tmp_path):
+        path = tmp_path / "t.csv"
+        floats = np.array([0.1 + 0.2, -0.0, 1e-300])
+        write_table(path, ["n", 'a,"b"', "x"], [np.array([7, -2, 0]), ["p", "q,r", 's"t'], floats])
+        assert path.read_bytes() == (
+            b'n,"a,""b""",x\r\n'
+            b"7,p,0.30000000000000004\r\n"
+            b'-2,"q,r",-0.0\r\n'
+            b'0,"s""t",1e-300\r\n'
+        )
+        rows = list(read_table(path, ["n", 'a,"b"']))
+        assert rows == [
+            (2, ["7", "p", "0.30000000000000004"]),
+            (3, ["-2", "q,r", "-0.0"]),
+            (4, ["0", 's"t', "1e-300"]),
+        ]
+        assert np.array([float(r[2]) for _, r in rows]).tobytes() == floats.tobytes()
+
+    @pytest.mark.parametrize("data, message", [
+        (b"a,b\n1,2\n", "expected a header starting with a,c"),
+        (b"", "expected a header starting with a,c"),
+        (b"a,c\n1,\xff\n", "not UTF-8 text"),
+    ])
+    def test_read_table_errors_leave_the_file_to_the_caller(self, tmp_path, data, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(IngestionError) as info:
+            list(read_table(path, ["a", "c"]))
+        assert str(info.value) == message
 
 
 class TestFrameInvariants:

@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import simulate_reference
+from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores
 from tdcae.detect import smooth
 from tdcae.errors import TdcaeError
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
-from tdcae.preprocess import DatasetFrame, load_csv, save_csv
+from tdcae.preprocess import DatasetFrame, load_csv, save_csv, write_table
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate_trace
 
 # No per-example deadline: timings on a shared machine vary too much.
@@ -92,6 +93,20 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, frame):
     else:
         assert back.labels.tobytes() == frame.labels.tobytes()
     assert back.datetimes == frame.datetimes
+
+
+@relaxed
+@given(data=st.data(), scores=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                       min_size=1, max_size=30))
+def test_train_scores_round_trip_is_bit_exact(tmp_path_factory, data, scores):
+    # The stamp column holds timestamps or DATETIME cells, as train writes it.
+    datetimes = data.draw(st.none() | st.lists(cell_text, min_size=len(scores),
+                                               max_size=len(scores)))
+    scores = np.array(scores)
+    frame = DatasetFrame(["x"], np.zeros((len(scores), 1)), datetimes=datetimes)
+    path = tmp_path_factory.mktemp("scores") / "train_scores.csv"
+    write_table(path, TRAIN_SCORES_HEADER, [frame.stamps, scores])
+    assert _load_train_scores(path).tobytes() == scores.tobytes()
 
 
 VALID_CSV = (
