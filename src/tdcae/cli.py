@@ -388,7 +388,7 @@ def cmd_report(args) -> int:
     latent = np.hstack([z, zdot, s])
 
     out = _out_dir(args.out)
-    pre.write_table(out / "latent_trace.csv", ["timestamp"] + names, [scaled.timestamps, *latent.T])
+    pre.write_table(out / "latent_trace.csv", ["timestamp"] + names, [scaled.stamps, *latent.T])
 
     shading = _label_shading(None if scaled.labels is None else scaled.labels[:rows])
 

@@ -3,6 +3,8 @@ thresholding and binary anomaly flagging."""
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +30,9 @@ class DetectionConfig:
     threshold_source: str = "smoothed"
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
+        self.window = _check_smoothing(self.window, self.smoothing)
         if not 0.0 < self.percentile < 100.0:
             raise ConfigError("percentile must lie strictly between 0 and 100")
-        if self.smoothing not in ("trailing", "centered"):
-            raise ConfigError(f"unknown smoothing mode {self.smoothing!r}")
         if self.threshold_source not in ("smoothed", "raw"):
             raise ConfigError(f"unknown threshold source {self.threshold_source!r}")
 
@@ -60,40 +59,43 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
             f"frame has {frame.n_features} features, model expects {model.n_features}"
         )
     xhat = reconstruct(model, frame.values)
-    return np.mean((frame.values - xhat) ** 2, axis=1)
+    return ((frame.values - xhat) ** 2).mean(axis=1)
+
+
+def _check_smoothing(window, mode: str) -> int:
+    """The moving-average window as an int, once window and mode are
+    checked. A window that is not an integer >= 1, such as a float or a
+    bool, is a ConfigError; numpy integers pass."""
+    try:
+        value = operator.index(window)
+    except TypeError:
+        value = 0
+    if isinstance(window, bool) or value < 1:
+        raise ConfigError("window must be an integer >= 1")
+    if mode not in ("trailing", "centered"):
+        raise ConfigError(f"unknown smoothing mode {mode!r}")
+    return value
 
 
 def smooth(scores, window: int, mode: str = "trailing") -> np.ndarray:
     """Moving-average filter. Trailing mode averages the min(window, t+1)
     most recent scores; centered mode averages a window of the same size
     centred on t, truncated at both ends. Output length equals input
-    length."""
-    if window < 1:
-        raise ConfigError("window must be >= 1")
-    if mode not in ("trailing", "centered"):
-        raise ConfigError(f"unknown smoothing mode {mode!r}")
+    length. Each window is summed left to right, in O(n * min(window, 2n)) work."""
+    window = _check_smoothing(window, mode)
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
-    if n == 0:
+    if n == 0 or window == 1:
         return scores.copy()
-    if window == 1:
-        return scores.copy()
-
-    out = np.empty(n, dtype=np.float64)
-    if mode == "trailing":
-        head = min(window - 1, n)
-        for t in range(head):
-            out[t] = scores[: t + 1].mean()
-        if n >= window:
-            windows = np.lib.stride_tricks.sliding_window_view(scores, window)
-            out[window - 1 :] = windows.mean(axis=1)
-    else:
-        half = window // 2
-        for t in range(n):
-            lo = max(0, t - half)
-            hi = min(n, t + window - half)
-            out[t] = scores[lo:hi].mean()
-    return out
+    # Pad no further than some row reads: row t sums padded[t : t + front + back + 1].
+    lead = window - 1 if mode == "trailing" else window // 2
+    front, back = min(lead, n - 1), min(window - 1 - lead, n - 1)
+    padded = np.concatenate([np.zeros(front), scores, np.zeros(back)])
+    total = np.zeros(n)
+    for start in range(front + back + 1):
+        total += padded[start : start + n]
+    t = np.arange(n)
+    return total / (np.minimum(t + front + back + 1, front + n) - np.maximum(t, front))
 
 
 def fit_threshold(
@@ -125,7 +127,7 @@ def detect(
 ) -> DetectionResult:
     """Flag timesteps whose smoothed reconstruction error strictly exceeds
     the threshold; scores equal to the threshold stay normal."""
-    if not np.isfinite(threshold):
+    if not math.isfinite(threshold):
         raise ConfigError("threshold must be finite")
     raw = reconstruction_error(model, frame)
     smoothed = smooth(raw, config.window, config.smoothing)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 from .nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
-from .nn import _backward, _forward, _share_params
+from .nn import _backward, _finite_output, _forward, _share_params
 from .optim import _adamax_update
 from .preprocess import DatasetFrame, RobustScalerParams, make_triples
 
@@ -214,8 +214,10 @@ def encode(model: HTdcAutoencoder, x) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def reconstruct(model: HTdcAutoencoder, x) -> np.ndarray:
-    """Full autoencode of a batch."""
-    return forward(model.decoder, forward(model.encoder, x).output).output
+    """Full autoencode of a batch; input, latent and output are checked once."""
+    post = [None] * len(model.decoder.layers)
+    _forward(model.decoder._kernel, forward(model.encoder, x).output, post)
+    return _finite_output(post[-1])
 
 
 def central_difference(z_prev, z_next, delta_t: float) -> np.ndarray:

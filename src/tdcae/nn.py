@@ -32,9 +32,15 @@ def _as_matrix(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"{name} contains non-finite entries")
     return x
+
+
+def _finite_output(out: np.ndarray) -> np.ndarray:
+    if not np.isfinite(out).all():
+        raise NumericError("forward pass produced non-finite output")
+    return out
 
 
 @dataclass
@@ -285,8 +291,7 @@ def forward(mlp: Mlp, x) -> ActivationTrace:
         )
     trace = ActivationTrace(x, [None] * len(mlp.layers))
     _forward(mlp._kernel, x, trace.post)
-    if not np.all(np.isfinite(trace.output)):
-        raise NumericError("forward pass produced non-finite output")
+    _finite_output(trace.output)
     return trace
 
 

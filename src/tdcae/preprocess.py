@@ -60,7 +60,7 @@ class DatasetFrame:
             )
         if len(set(self.feature_names)) != len(self.feature_names):
             raise IngestionError("duplicate feature names")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NumericError("values contain non-finite entries")
         if self.timestamps is None:
             self.timestamps = np.arange(self.values.shape[0], dtype=np.int64)
@@ -69,8 +69,8 @@ class DatasetFrame:
             if self.timestamps.shape != (self.values.shape[0],):
                 raise DimensionError("timestamps length must equal row count")
             if self.values.shape[0] > 1:
-                steps = np.diff(self.timestamps)
-                if np.any(steps <= 0) or np.any(steps != steps[0]):
+                steps = self.timestamps[1:] - self.timestamps[:-1]
+                if steps[0] <= 0 or (steps != steps[0]).any():
                     raise ConfigError(
                         "timestamps must be strictly increasing with uniform spacing"
                     )

@@ -50,16 +50,30 @@ def fd_gradient_mlp(loss_fn, mlp, h: float = 1e-5):
     return weight_grads, bias_grads
 
 
-def trailing_mean_reference(scores, window: int) -> np.ndarray:
-    """Hand-rolled causal moving average: mean of the min(window, t+1)
-    most recent scores."""
+def smooth_reference(scores, window: int, mode: str = "trailing") -> np.ndarray:
+    """tdcae.detect.smooth written the slow way: a per-row loop of numpy
+    means, and a sliding-window view for the full trailing windows. numpy
+    sums fewer than eight numbers left to right from +0.0, so for windows
+    up to 7 smooth must give these bits."""
     scores = np.asarray(scores, dtype=np.float64)
-    out = np.empty_like(scores)
-    for t in range(len(scores)):
-        lo = max(0, t - window + 1)
-        out[t] = scores[lo : t + 1].mean()
+    n = len(scores)
+    if n == 0 or window == 1:
+        return scores.copy()
+    out = np.empty(n, dtype=np.float64)
+    if mode == "trailing":
+        head = min(window - 1, n)
+        for t in range(head):
+            out[t] = scores[: t + 1].mean()
+        if n >= window:
+            windows = np.lib.stride_tricks.sliding_window_view(scores, window)
+            out[window - 1 :] = windows.mean(axis=1)
+    else:
+        half = window // 2
+        for t in range(n):
+            lo = max(0, t - half)
+            hi = min(n, t + window - half)
+            out[t] = scores[lo:hi].mean()
     return out
-
 
 
 def simulate_reference(config, attacks=()):

@@ -270,6 +270,16 @@ class TestReportCommand:
         assert (out / "latent_pairs.svg").exists()
         assert (out / "latent_overlay.svg").exists()
 
+    def test_latent_trace_carries_the_datetime_cells(self, pipeline, tmp_path):
+        frame = load_csv(pipeline / "test" / "data.csv")
+        stamps = [f"{1 + t // 24:02d}/01/16 {t % 24:02d}" for t in range(frame.n_rows)]
+        save_csv(DatasetFrame(frame.feature_names, frame.values, frame.labels,
+                              datetimes=stamps), tmp_path / "d.csv")
+        assert run("report", "--model", pipeline / "model" / "model.json",
+                   "--data", tmp_path / "d.csv", "--out", tmp_path / "rep") == 0
+        rows = (tmp_path / "rep" / "latent_trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == stamps
+
 
 # synth, then train, detect and report on the data with every feature
 # renamed to a non-ASCII name. The script text itself stays ASCII, so a C

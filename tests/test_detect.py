@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_autoencoder
-from oracles import trailing_mean_reference
+from oracles import smooth_reference
 from tdcae.detect import (
     DetectionConfig,
     DetectionResult,
@@ -85,11 +85,12 @@ class TestSmooth:
     def test_matches_hand_rolled_reference(self, rng):
         scores = rng.exponential(size=51)
         for window in (1, 2, 3, 7, 10, 51, 80):
-            assert np.allclose(
-                smooth(scores, window),
-                trailing_mean_reference(scores, window),
-                atol=1e-12,
-            )
+            for mode in ("trailing", "centered"):
+                assert np.allclose(
+                    smooth(scores, window, mode),
+                    smooth_reference(scores, window, mode),
+                    atol=1e-12,
+                )
 
     def test_output_length_and_empty(self):
         assert smooth(np.array([]), 7).shape == (0,)
@@ -112,6 +113,20 @@ class TestSmooth:
     def test_bad_window_raises(self):
         with pytest.raises(ConfigError):
             smooth(np.arange(4.0), 0)
+
+    @pytest.mark.parametrize("window", [2.5, 7.0, True, False, "7", None])
+    def test_non_integer_window_is_a_named_error(self, window):
+        for mode in ("trailing", "centered"):
+            with pytest.raises(ConfigError, match="window must be an integer >= 1"):
+                smooth(np.arange(4.0), window, mode)
+        with pytest.raises(ConfigError, match="window must be an integer >= 1"):
+            DetectionConfig(window=window)
+
+    def test_numpy_integer_window_is_accepted(self, rng):
+        scores = rng.exponential(size=20)
+        for window in (np.int64(7), np.int32(7), np.uint8(7)):
+            assert np.array_equal(smooth(scores, window), smooth(scores, 7))
+            assert DetectionConfig(window=window).window == 7
 
 
 class TestThreshold:

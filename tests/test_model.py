@@ -15,13 +15,14 @@ from tdcae.model import (
     edge_training_config,
     encode,
     load_model,
+    reconstruct,
     save_model,
     tdc_loss,
     total_loss,
     total_loss_grads,
     train,
 )
-from tdcae.nn import backward, forward, init_mlp
+from tdcae.nn import Activation, DenseLayer, Mlp, backward, forward, init_mlp
 from tdcae.optim import AdamaxState, adamax_step
 from tdcae.preprocess import DatasetFrame, fit_scaler, apply_scaler, make_triples
 from tdcae.synth import TankSystemConfig, simulate
@@ -74,6 +75,27 @@ class TestPartitionAndEncode:
         dec = init_mlp([5, 4], ["identity"], 0)
         with pytest.raises(DimensionError):
             HTdcAutoencoder(enc, dec, LatentPartition(3, 1))  # width 7 != 5
+
+
+class TestReconstruct:
+    def test_overflowing_latent_raises_even_if_the_decoder_saturates(self):
+        # Identity encoder with huge weights: the latent overflows to +inf,
+        # which a tanh decoder with positive weights would map to 1.0.
+        encoder = Mlp([DenseLayer(np.full((2, 2), 1e300), np.zeros(2), Activation.IDENTITY)])
+        decoder = Mlp([DenseLayer(np.ones((2, 2)), np.zeros(2), Activation.TANH)])
+        model = HTdcAutoencoder(encoder, decoder, LatentPartition(0, 2))
+        x = np.full((1, 2), 1e10)
+        with np.errstate(over="ignore"):
+            assert np.isinf(x @ encoder.layers[0].weights.T).all()
+            assert np.isfinite(np.tanh(np.full((1, 2), np.inf) @ np.ones((2, 2)))).all()
+            with pytest.raises(NumericError):
+                reconstruct(model, x)
+
+    def test_matches_two_public_forward_passes(self, rng):
+        model = edge1_model(5)
+        x = rng.normal(size=(7, 9))
+        twice = forward(model.decoder, forward(model.encoder, x).output).output
+        assert reconstruct(model, x).tobytes() == twice.tobytes()
 
 
 class TestCentralDifference:

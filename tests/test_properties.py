@@ -1,5 +1,7 @@
 """Property-based checks of invariants that the example tests only sample."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import simulate_reference
+from oracles import simulate_reference, smooth_reference
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores
 from tdcae.detect import smooth
 from tdcae.errors import TdcaeError
@@ -57,6 +59,47 @@ def test_trailing_smooth_at_t_depends_only_on_scores_up_to_t(data, values, windo
     whole = smooth(values, window)
     assert np.array_equal(whole[: t + 1], smooth(changed, window)[: t + 1])
     assert np.allclose(whole[: t + 1], smooth(values[: t + 1], window), rtol=1e-12, atol=0)
+
+
+modes = st.sampled_from(["trailing", "centered"])
+# Finite signed scores whose window sums cannot overflow, with signed
+# zeros and subnormals drawn often.
+signed = st.lists(
+    st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]),
+    max_size=40,
+)
+
+
+@relaxed
+@given(values=signed, window=st.integers(1, 7), mode=modes)
+def test_smooth_matches_the_reference_bit_for_bit_up_to_window_7(values, window, mode):
+    values = np.array(values, dtype=np.float64)
+    expected = smooth_reference(values, window, mode)
+    assert smooth(values, window, mode).tobytes() == expected.tobytes()
+
+
+@relaxed
+@given(values=st.lists(st.floats(-1e300, 1e300, allow_subnormal=False), min_size=1, max_size=40),
+       window=st.integers(1, 100), mode=modes)
+def test_smooth_is_within_rounding_of_an_exact_mean(values, window, mode):
+    n = len(values)
+    lead = window - 1 if mode == "trailing" else window // 2
+    exact = []
+    for t in range(n):
+        lo, hi = max(t - lead, 0), min(t - lead + window, n)
+        exact.append(math.fsum(values[lo:hi]) / (hi - lo))
+    bound = 4 * window * np.finfo(float).eps * max(abs(v) for v in values)
+    assert np.all(np.abs(smooth(values, window, mode) - exact) <= bound)
+
+
+@settings(deadline=2000)
+@given(values=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40), mode=modes)
+def test_smooth_with_a_huge_window_averages_everything_in_reach(values, mode):
+    # A window of 2n already reaches every row from every row.
+    expected = smooth(values, 2 * len(values), mode)
+    assert smooth(values, 10**9, mode).tobytes() == expected.tobytes()
+    if mode == "trailing":
+        assert smooth(values, len(values)).tobytes() == expected.tobytes()
 
 
 # Cell text that survives the CSV round trip: no surrounding whitespace
