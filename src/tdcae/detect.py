@@ -58,8 +58,10 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
         raise DimensionError(
             f"frame has {frame.n_features} features, model expects {model.n_features}"
         )
-    xhat = reconstruct(model, frame.values)
-    return ((frame.values - xhat) ** 2).mean(axis=1)
+    residual = frame.values - reconstruct(model, frame.values)
+    residual *= residual
+    # np.mean's own arithmetic: one row sum, then a division by the count.
+    return np.add.reduce(residual, axis=1) / residual.shape[1]
 
 
 def _check_smoothing(window, mode: str) -> int:
@@ -81,21 +83,26 @@ def smooth(scores, window: int, mode: str = "trailing") -> np.ndarray:
     """Moving-average filter. Trailing mode averages the min(window, t+1)
     most recent scores; centered mode averages a window of the same size
     centred on t, truncated at both ends. Output length equals input
-    length. Each window is summed left to right, in O(n * min(window, 2n)) work."""
+    length. Each window is summed left to right from +0.0, in
+    O(n * min(window, 2n)) work."""
     window = _check_smoothing(window, mode)
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     if n == 0 or window == 1:
         return scores.copy()
-    # Pad no further than some row reads: row t sums padded[t : t + front + back + 1].
+    # Pad no further than some row reads: row t sums padded[t : t + k].
     lead = window - 1 if mode == "trailing" else window // 2
     front, back = min(lead, n - 1), min(window - 1 - lead, n - 1)
-    padded = np.concatenate([np.zeros(front), scores, np.zeros(back)])
-    total = np.zeros(n)
-    for start in range(front + back + 1):
-        total += padded[start : start + n]
+    k = front + back + 1
+    padded = np.zeros(front + n + back)
+    padded[front : front + n] = scores
+    padded.flags.writeable = False
+    # Row j of this read-only view is padded[j : j + n]. Reducing over
+    # axis 0 adds the rows in order, so no pairwise summation reorders a window.
+    shifted = np.ndarray((k, n), np.float64, padded, 0, padded.strides * 2)
+    total = np.add.reduce(shifted, axis=0, initial=0.0)
     t = np.arange(n)
-    return total / (np.minimum(t + front + back + 1, front + n) - np.maximum(t, front))
+    return total / (np.minimum(t + k, front + n) - np.maximum(t, front))
 
 
 def fit_threshold(

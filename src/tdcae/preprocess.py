@@ -4,9 +4,10 @@ triples for hourly SCADA-style sensor matrices."""
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,18 +51,7 @@ class DatasetFrame:
     datetimes: list[str] | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise DimensionError(f"values must be 2-D, got shape {self.values.shape}")
-        if len(self.feature_names) != self.values.shape[1]:
-            raise DimensionError(
-                f"{len(self.feature_names)} feature names for "
-                f"{self.values.shape[1]} columns"
-            )
-        if len(set(self.feature_names)) != len(self.feature_names):
-            raise IngestionError("duplicate feature names")
-        if not np.isfinite(self.values).all():
-            raise NumericError("values contain non-finite entries")
+        self.values = _checked_values(self.values, self.feature_names, unique=True)
         if self.timestamps is None:
             self.timestamps = np.arange(self.values.shape[0], dtype=np.int64)
         else:
@@ -105,40 +95,76 @@ class DatasetFrame:
 
     def with_values(self, values, feature_names=None) -> "DatasetFrame":
         """A frame with the given values (and column names, if given) over
-        copies of this frame's labels, timestamps and datetimes."""
-        return DatasetFrame(
-            feature_names=list(self.feature_names if feature_names is None else feature_names),
-            values=values,
-            labels=None if self.labels is None else self.labels.copy(),
-            timestamps=self.timestamps.copy(),
-            datetimes=None if self.datetimes is None else list(self.datetimes),
-        )
+        copies of this frame's labels, timestamps and datetimes.
+
+        Only what new values can break is checked again: the values must be
+        a 2-D float64 matrix with this frame's row count, one column per
+        name, and finite; new names must be unique. The copied fields come
+        from a checked frame and are not checked twice. Errors are those of
+        the constructor."""
+        names = list(self.feature_names if feature_names is None else feature_names)
+        values = _checked_values(values, names, unique=feature_names is not None)
+        if values.shape[0] != self.values.shape[0]:
+            raise DimensionError("timestamps length must equal row count")
+        out = object.__new__(DatasetFrame)
+        out.feature_names = names
+        out.values = values
+        out.labels = None if self.labels is None else self.labels.copy()
+        out.timestamps = self.timestamps.copy()
+        out.datetimes = None if self.datetimes is None else list(self.datetimes)
+        return out
 
 
-@dataclass
+def _checked_values(values, names, unique: bool) -> np.ndarray:
+    """values as a float64 matrix with one finite column per name; names
+    must be unique when `unique` is set."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise DimensionError(f"values must be 2-D, got shape {values.shape}")
+    if len(names) != values.shape[1]:
+        raise DimensionError(f"{len(names)} feature names for {values.shape[1]} columns")
+    if unique and len(set(names)) != len(names):
+        raise IngestionError("duplicate feature names")
+    if not np.isfinite(values).all():
+        raise NumericError("values contain non-finite entries")
+    return values
+
+
+@dataclass(frozen=True)
 class RobustScalerParams:
     """Per-feature median and interquartile range fitted on training data.
 
-    Division uses `divisors`, which replaces a zero IQR by 1.0 so that
+    Frozen, over read-only float64 copies of `median` and `iqr`, which must
+    be finite with iqr >= 0. Division uses `divisors`, fixed at
+    construction: the IQR, with a zero IQR replaced by 1.0 so that
     constant features are centred but not rescaled.
     """
 
     feature_names: list[str]
     median: np.ndarray
     iqr: np.ndarray
+    divisors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.median = np.asarray(self.median, dtype=np.float64)
-        self.iqr = np.asarray(self.iqr, dtype=np.float64)
+        median, iqr = _read_only(self.median), _read_only(self.iqr)
         n = len(self.feature_names)
-        if self.median.shape != (n,) or self.iqr.shape != (n,):
+        if median.shape != (n,) or iqr.shape != (n,):
             raise DimensionError("median/iqr must have one entry per feature")
-        if np.any(self.iqr < 0):
+        if not (np.isfinite(median).all() and np.isfinite(iqr).all()):
+            raise ConfigError("median/iqr entries must be finite")
+        if (iqr < 0).any():
             raise ConfigError("iqr entries must be >= 0")
+        object.__setattr__(self, "feature_names", list(self.feature_names))
+        object.__setattr__(self, "median", median)
+        object.__setattr__(self, "iqr", iqr)
+        object.__setattr__(self, "divisors", _read_only(np.where(iqr > 0.0, iqr, 1.0)))
 
-    @property
-    def divisors(self) -> np.ndarray:
-        return np.where(self.iqr > 0.0, self.iqr, 1.0)
+
+def _read_only(values) -> np.ndarray:
+    """A read-only float64 copy of values."""
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -244,7 +270,7 @@ def _parse_cell(cell: str, row_number: int, column: str) -> float:
         raise IngestionError(
             f"row {row_number}: cannot parse {column}={cell!r} as a number"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise IngestionError(f"row {row_number}: non-finite value in {column}")
     return value
 

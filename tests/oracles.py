@@ -76,6 +76,25 @@ def smooth_reference(scores, window: int, mode: str = "trailing") -> np.ndarray:
     return out
 
 
+def smooth_shifted_reference(scores, window: int, mode: str = "trailing") -> np.ndarray:
+    """tdcae.detect.smooth as a loop over shifted slices: zero-pad the
+    scores, then add each of the front + back + 1 slices of the padded
+    vector to a +0.0 accumulator in turn. Every window is summed left to
+    right, so smooth must give these bits for every window size."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(scores)
+    if n == 0 or window == 1:
+        return scores.copy()
+    lead = window - 1 if mode == "trailing" else window // 2
+    front, back = min(lead, n - 1), min(window - 1 - lead, n - 1)
+    padded = np.concatenate([np.zeros(front), scores, np.zeros(back)])
+    total = np.zeros(n)
+    for start in range(front + back + 1):
+        total += padded[start : start + n]
+    t = np.arange(n)
+    return total / (np.minimum(t + front + back + 1, front + n) - np.maximum(t, front))
+
+
 def simulate_reference(config, attacks=()):
     """The tank simulator written hour by hour on numpy rows, with every
     attack looked up per tank and hour. Returns values, labels, levels,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from tdcae.model import load_scaler, save_scaler
 from tdcae.preprocess import (
     EDGE_FEATURES,
     DatasetFrame,
+    RobustScalerParams,
     apply_scaler,
     fit_scaler,
     invert_scaler,
@@ -104,6 +107,36 @@ class TestScaler:
         assert np.array_equal(loaded.median, params.median)
         assert np.array_equal(loaded.iqr, params.iqr)
 
+    @pytest.mark.parametrize("median, iqr", [
+        ([0.0], [np.nan]), ([0.0], [np.inf]), ([np.nan], [1.0]), ([-np.inf], [1.0]),
+    ])
+    def test_non_finite_median_or_iqr_rejected(self, median, iqr):
+        with pytest.raises(ConfigError, match="finite"):
+            RobustScalerParams(["a"], median, iqr)
+
+    def test_iqr_that_overflows_is_rejected_at_fit(self):
+        # p75 - p25 = 2e308 is not a float64: a scaler over it would map the feature to 0.
+        with np.errstate(over="ignore"), pytest.raises(ConfigError, match="finite"):
+            fit_scaler(frame_from_columns(a=[-1e308, -1e308, 1e308, 1e308]))
+
+    def test_scaler_is_frozen_over_read_only_copies(self):
+        median, iqr = np.array([1.0, 2.0]), np.array([0.0, 4.0])
+        params = RobustScalerParams(["a", "b"], median, iqr)
+        median[0], iqr[0] = 9.0, 9.0
+        assert params.median.tolist() == [1.0, 2.0]
+        assert params.divisors.tolist() == [1.0, 4.0]
+        for array in (params.median, params.iqr, params.divisors):
+            with pytest.raises(ValueError):
+                array[0] = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.iqr = np.ones(2)
+
+    @pytest.mark.parametrize("scale, iqr", [(apply_scaler, 1e-3), (invert_scaler, 1e3)])
+    def test_finite_value_that_overflows_when_scaled_is_rejected(self, scale, iqr):
+        params = RobustScalerParams(["a"], [0.0], [iqr])
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
+            scale(params, frame_from_columns(a=[1.0, 1e308]))
+
     @pytest.mark.parametrize("text, field", [
         ('{"a": {"median": 1}}', "missing field a.iqr"),
         ('{"a": {"median": "x", "iqr": 1}}', "a.median"),
@@ -125,6 +158,23 @@ class TestFrame:
         assert frame.with_values(frame.values).feature_names == ["a", "b"]
         out.labels[0], out.timestamps[0], out.datetimes[0] = 1, 0, "w"
         assert frame.labels[0] == 0 and frame.timestamps[0] == 5 and frame.datetimes[0] == "x"
+
+    @pytest.mark.parametrize("values, names", [
+        (np.zeros((2, 2)), None), (np.zeros((4, 2)), None), (np.zeros((3, 3)), None),
+        (np.zeros((3, 2)), ["c"]), (np.zeros(3), None), (np.zeros((3, 2, 1)), None),
+    ])
+    def test_with_values_rejects_a_wrong_shape(self, values, names):
+        frame = DatasetFrame(["a", "b"], np.zeros((3, 2)), timestamps=[5, 6, 7])
+        with pytest.raises(DimensionError):
+            frame.with_values(values, names)
+
+    def test_with_values_checks_new_names_and_values(self):
+        frame = DatasetFrame(["a", "b"], np.zeros((3, 2)))
+        with pytest.raises(IngestionError, match="duplicate"):
+            frame.with_values(np.zeros((3, 2)), ["c", "c"])
+        with pytest.raises(NumericError):
+            frame.with_values(np.full((3, 2), np.nan))
+        assert frame.with_values(np.ones((3, 2), dtype=int)).values.dtype == np.float64
 
 
 class TestEdgeSegmentation:

@@ -1,5 +1,7 @@
 """Property-based checks of invariants that the example tests only sample."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,8 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import simulate_reference, smooth_reference
-from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores
+from oracles import simulate_reference, smooth_reference, smooth_shifted_reference
+from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import smooth
 from tdcae.errors import TdcaeError
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
@@ -63,9 +65,11 @@ def test_trailing_smooth_at_t_depends_only_on_scores_up_to_t(data, values, windo
 
 modes = st.sampled_from(["trailing", "centered"])
 # Finite signed scores whose window sums cannot overflow, with signed
-# zeros and subnormals drawn often.
+# zeros and subnormals drawn often, and often of one magnitude so that
+# the order of the additions shows in the last bits.
 signed = st.lists(
-    st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]),
+    st.floats(-1e300, 1e300) | st.floats(-1.0, 1.0)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]),
     max_size=40,
 )
 
@@ -75,6 +79,14 @@ signed = st.lists(
 def test_smooth_matches_the_reference_bit_for_bit_up_to_window_7(values, window, mode):
     values = np.array(values, dtype=np.float64)
     expected = smooth_reference(values, window, mode)
+    assert smooth(values, window, mode).tobytes() == expected.tobytes()
+
+
+@relaxed
+@given(values=signed, window=st.integers(1, 100), mode=modes)
+def test_smooth_matches_the_shifted_slice_loop_bit_for_bit(values, window, mode):
+    values = np.array(values, dtype=np.float64)
+    expected = smooth_shifted_reference(values, window, mode)
     assert smooth(values, window, mode).tobytes() == expected.tobytes()
 
 
@@ -120,7 +132,10 @@ def frames(draw):
     ))
     labels = draw(st.none() | st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows))
     datetimes = draw(st.none() | st.lists(cell_text, min_size=n_rows, max_size=n_rows))
-    return DatasetFrame(feature_names, np.array(values), labels=labels, datetimes=datetimes)
+    start, step = draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 24))
+    timestamps = draw(st.none() | st.just(start + step * np.arange(n_rows)))
+    return DatasetFrame(feature_names, np.array(values), labels=labels,
+                        timestamps=timestamps, datetimes=datetimes)
 
 
 @relaxed
@@ -136,6 +151,39 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, frame):
     else:
         assert back.labels.tobytes() == frame.labels.tobytes()
     assert back.datetimes == frame.datetimes
+
+
+def _built(build):
+    """(fields, None) of the frame build() returns, or (None, error)."""
+    try:
+        frame = build()
+    except TdcaeError as exc:
+        return None, (type(exc), str(exc))
+    fields = []
+    for f in dataclasses.fields(frame):
+        value = getattr(frame, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype, value.shape, value.tobytes())
+        fields.append((f.name, type(value), value))
+    return fields, None
+
+
+@relaxed
+@given(frame=frames(), data=st.data())
+def test_a_derived_frame_equals_the_constructor_built_one(frame, data):
+    # New values of the right or a wrong shape, finite or not, under the
+    # frame's names or new ones (duplicates allowed).
+    rows = data.draw(st.sampled_from([frame.n_rows, frame.n_rows + 1]))
+    cols = data.draw(st.sampled_from([frame.n_features, frame.n_features + 1]))
+    values = np.array(data.draw(st.lists(st.lists(st.floats(), min_size=cols, max_size=cols),
+                                         min_size=rows, max_size=rows)))
+    names = data.draw(st.none() | st.lists(st.sampled_from(["a", "b", "c"]),
+                                           min_size=cols, max_size=cols))
+    built = _built(lambda: DatasetFrame(
+        list(frame.feature_names if names is None else names), values, labels=frame.labels,
+        timestamps=frame.timestamps, datetimes=frame.datetimes,
+    ))
+    assert _built(lambda: frame.with_values(values, names)) == built
 
 
 @relaxed
@@ -158,17 +206,19 @@ VALID_CSV = (
     b"01/01/16 01,3.5,-0.0,0.0,1\r\n"
     b"01/01/16 02,1e-3,12,1,-999\r\n"
 )
-edits = st.lists(
-    st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, len(VALID_CSV)),
-              st.binary(min_size=1, max_size=3)),
-    min_size=1, max_size=6,
-)
 
 
-@relaxed
-@given(edits=edits)
-def test_mutated_csv_loads_or_raises_a_tdcae_error(tmp_path_factory, edits):
-    data = bytearray(VALID_CSV)
+def byte_edits(size: int):
+    """Up to six byte edits of a file of `size` bytes."""
+    return st.lists(
+        st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, size),
+                  st.binary(min_size=1, max_size=3)),
+        min_size=1, max_size=6,
+    )
+
+
+def edited(content: bytes, edits) -> bytes:
+    data = bytearray(content)
     for op, pos, blob in edits:
         pos = min(pos, len(data))
         if op == "set":
@@ -177,8 +227,14 @@ def test_mutated_csv_loads_or_raises_a_tdcae_error(tmp_path_factory, edits):
             data[pos:pos] = blob
         else:
             del data[pos : pos + len(blob)]
+    return bytes(data)
+
+
+@relaxed
+@given(edits=byte_edits(len(VALID_CSV)))
+def test_mutated_csv_loads_or_raises_a_tdcae_error(tmp_path_factory, edits):
     path = tmp_path_factory.mktemp("mutated") / "data.csv"
-    path.write_bytes(bytes(data))
+    path.write_bytes(edited(VALID_CSV, edits))
     try:
         frame = load_csv(path)
     except TdcaeError:
@@ -233,3 +289,53 @@ def test_simulator_matches_hour_by_hour_reference(run):
            trace.inflows, trace.outflows, trace.demands, trace.spills)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
     assert trace.clamped == clamped
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    """A data CSV and the model.json text of a one-epoch run on it."""
+    base = tmp_path_factory.mktemp("model")
+    assert main(["synth", "--out", str(base / "s"), "--horizon", "120", "--seed", "7"]) == 0
+    assert main(["train", "--data", str(base / "s" / "data.csv"), "--out", str(base / "m"),
+                 "--epochs", "1", "--hidden", "4", "--seed", "7"]) == 0
+    return base / "s" / "data.csv", (base / "m" / "model.json").read_text()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate_node(data, node):
+    """node with one of its descendants (or node itself) replaced by a
+    drawn JSON value, or deleted from its container."""
+    keys = list(node) if isinstance(node, dict) else []
+    if isinstance(node, list):
+        keys = list(range(len(node)))
+    if not keys or data.draw(st.integers(0, 3)) == 0:
+        return data.draw(json_values)
+    key = data.draw(st.sampled_from(keys))
+    if data.draw(st.integers(0, 7)) == 0:
+        del node[key]
+    else:
+        node[key] = _mutate_node(data, node[key])
+    return node
+
+
+@relaxed
+@given(data=st.data(), structural=st.booleans())
+def test_detect_on_a_mutated_model_exits_0_or_1(tmp_path_factory, trained_model, data,
+                                                  structural):
+    csv_path, text = trained_model
+    if structural:
+        mutated = json.dumps(_mutate_node(data, json.loads(text))).encode()
+    else:
+        mutated = edited(text.encode(), data.draw(byte_edits(len(text))))
+    base = tmp_path_factory.mktemp("mutated")
+    (base / "model.json").write_bytes(mutated)
+    code = main(["detect", "--model", str(base / "model.json"), "--data", str(csv_path),
+                 "--train-data", str(csv_path), "--out", str(base / "det")])
+    assert code in (0, 1)
