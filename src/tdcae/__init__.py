@@ -52,8 +52,7 @@ from .model import (
     total_loss_grads,
     train,
 )
-from .nn import Activation, ActivationTrace, DenseLayer, GradientSet, Mlp, backward, forward, init_mlp
-from .optim import AdamaxState, adamax_step
+from .nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
 from .preprocess import (
     EDGE_FEATURES,
     DatasetFrame,

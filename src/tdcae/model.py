@@ -8,12 +8,14 @@ t+1.
 
 The loss and its exact gradient come from one fused step, `_LossStep`,
 built once per model and batch size with every buffer preallocated: it runs
-the encoder once over the stacked rows [x_t; x_prev; x_next] and the
-decoder once over the x_t rows, then back-propagates one combined encoder
-cotangent, writing the gradients into one flat vector laid out like the
-shared encoder-then-decoder parameter vector. `total_loss`,
-`total_loss_grads` and `train` all run this step, so the gradient that the
-finite-difference tests check is the one training uses.
+nn's forward kernel once over the stacked rows [x_t; x_prev; x_next] through
+the encoder and once over the x_t rows through the decoder, then nn's
+backward kernel once per network, with one combined encoder cotangent,
+writing the gradients into one flat vector laid out like the shared
+encoder-then-decoder parameter vector. `total_loss`, `total_loss_grads` and
+`train` all run this step, so the gradient that the finite-difference tests
+check is the one training uses. Inference (`encode`, `reconstruct`) runs the
+checked public `forward`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import ConfigError, DimensionError, NumericError
 from .nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
 from .nn import _backward, _finite_output, _forward, _share_params
 from .optim import _adamax_update
-from .preprocess import DatasetFrame, RobustScalerParams, make_triples
+from .preprocess import DatasetFrame, RobustScalerParams, _check_delta_t, make_triples
 
 MODEL_FORMAT = "tdcae-model-v1"
 
@@ -100,20 +102,19 @@ class TrainingConfig:
     delta_t: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.hidden_size < 1:
             raise ConfigError("hidden_size must be >= 1")
-        if self.delta_t <= 0:
-            raise ConfigError("delta_t must be > 0")
+        _check_delta_t(self.delta_t)
 
     def to_dict(self) -> dict:
         return {
@@ -208,7 +209,7 @@ def build_model(n_features: int, config: TrainingConfig) -> HTdcAutoencoder:
 
 def encode(model: HTdcAutoencoder, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encoder output split into (z, zdot, s) column views."""
-    h = forward(model.encoder, x).output
+    h = forward(model.encoder, x)
     p = model.partition
     return h[:, p.z_slice], h[:, p.zdot_slice], h[:, p.s_slice]
 
@@ -216,15 +217,14 @@ def encode(model: HTdcAutoencoder, x) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def reconstruct(model: HTdcAutoencoder, x) -> np.ndarray:
     """Full autoencode of a batch; input, latent and output are checked once."""
     post = [None] * len(model.decoder.layers)
-    _forward(model.decoder._kernel, forward(model.encoder, x).output, post)
+    _forward(model.decoder._kernel, forward(model.encoder, x), post)
     return _finite_output(post[-1])
 
 
 def central_difference(z_prev, z_next, delta_t: float) -> np.ndarray:
     """(z_next - z_prev) / (2*delta_t), the second-order first-derivative
     estimate; exact for quadratic trajectories."""
-    if delta_t <= 0:
-        raise ConfigError("delta_t must be > 0")
+    delta_t = _check_delta_t(delta_t)
     z_prev = np.asarray(z_prev, dtype=np.float64)
     z_next = np.asarray(z_next, dtype=np.float64)
     if z_prev.shape != z_next.shape:
@@ -284,16 +284,15 @@ class _LossStep:
     """
 
     def __init__(self, model: HTdcAutoencoder, b: int, alpha: float, delta_t: float):
-        if alpha < 0:
-            raise ConfigError("alpha must be >= 0")
-        if delta_t <= 0:
-            raise ConfigError("delta_t must be > 0")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+        _check_delta_t(delta_t)
         enc, dec, p = model.encoder, model.decoder, model.partition
         self.b, self.alpha = b, alpha
         self.enc, self.dec = enc._kernel, dec._kernel
         self.grads = np.empty(enc.params.size + dec.params.size)
-        self.enc_grads = GradientSet.over(self.grads[: enc.params.size], enc)
-        self.dec_grads = GradientSet.over(self.grads[enc.params.size :], dec)
+        self.enc_grads = GradientSet(self.grads[: enc.params.size], enc)
+        self.dec_grads = GradientSet(self.grads[enc.params.size :], dec)
         self.ones = np.ones(3 * b)  # bias gradients as ones @ g
 
         self.enc_post = [np.empty((3 * b, l.out_size)) for l in enc.layers]

@@ -4,13 +4,12 @@ identity activations.
 
 Everything is float64. Each Mlp keeps all of its parameters in one
 contiguous vector, `params`; the layers' weights and biases are views into
-it, and a GradientSet lays its gradients out the same way in one `flat`
-buffer. An optimizer step is then a few elementwise operations on flat
-vectors. The public `forward` and `backward` validate their arguments and
-call the unchecked kernels `_forward` and `_backward` with fresh output
-arrays. The fused training step in `tdcae.model` calls the same kernels
-with buffers it allocates once, so training and the public functions share
-one implementation of the layer arithmetic.
+it, and a GradientSet views a flat gradient vector laid out the same way.
+An optimizer step is then a few elementwise operations on flat vectors.
+The layer arithmetic lives in two unchecked kernels that write into
+caller-provided buffers: `_forward`, which the checked public `forward`
+wraps for inference, and `_backward`, which only the fused training step
+in `tdcae.model` calls.
 """
 
 from __future__ import annotations
@@ -86,11 +85,6 @@ def _views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]
     return weights, biases
 
 
-def _pack(weights, biases) -> np.ndarray:
-    """A new flat vector holding copies of per-layer weights and biases."""
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
-
-
 @dataclass
 class Mlp:
     """An ordered stack of shape-compatible dense layers.
@@ -112,7 +106,7 @@ class Mlp:
                     f"layer {k + 1} expects {self.layers[k + 1].in_size}"
                 )
         self._shapes = [l.weights.shape for l in self.layers]
-        params = _pack([l.weights for l in self.layers], [l.bias for l in self.layers])
+        params = np.concatenate([a.ravel() for l in self.layers for a in (l.weights, l.bias)])
         self.layers = [DenseLayer(l.weights, l.bias, l.activation) for l in self.layers]
         self._bind(params)
 
@@ -143,9 +137,6 @@ class Mlp:
     def n_parameters(self) -> int:
         return self.params.size
 
-    def copy(self) -> "Mlp":
-        return Mlp(self.layers)
-
 
 def _share_params(*mlps: Mlp) -> np.ndarray:
     """Move the parameters of several Mlps into one flat vector, in order,
@@ -158,51 +149,14 @@ def _share_params(*mlps: Mlp) -> np.ndarray:
     return flat
 
 
-@dataclass
-class ActivationTrace:
-    """Everything forward() saw, kept for the backward pass: the input and
-    each layer's post-activation output."""
-
-    input: np.ndarray
-    post: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.post[-1]
-
-
 class GradientSet:
-    """Per-layer parameter gradients, shape-matched to an Mlp.
+    """Per-layer parameter gradients of an Mlp: `weight_grads` and
+    `bias_grads` are views into `flat`, a vector laid out like the Mlp's
+    `params`; no data is copied."""
 
-    `weight_grads` and `bias_grads` are views into one `flat` buffer laid
-    out like the Mlp's `params`.
-    """
-
-    def __init__(self, weight_grads, bias_grads):
-        weight_grads = [np.asarray(g, dtype=np.float64) for g in weight_grads]
-        self.flat = _pack(weight_grads, [np.asarray(g, dtype=np.float64) for g in bias_grads])
-        self.weight_grads, self.bias_grads = _views(self.flat, [g.shape for g in weight_grads])
-
-    @classmethod
-    def zeros_like(cls, mlp: Mlp) -> "GradientSet":
-        return cls.over(np.zeros(mlp.params.size), mlp)
-
-    @classmethod
-    def over(cls, flat: np.ndarray, mlp: Mlp) -> "GradientSet":
-        """A gradient set whose per-layer views look into `flat`, a vector
-        laid out like mlp.params; no data is copied."""
-        grads = cls.__new__(cls)
-        grads.flat = flat
-        grads.weight_grads, grads.bias_grads = _views(flat, mlp._shapes)
-        return grads
-
-    def add_(self, other: "GradientSet") -> "GradientSet":
-        """Accumulate another gradient set into this one, in place."""
-        self.flat += other.flat
-        return self
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+    def __init__(self, flat: np.ndarray, mlp: Mlp):
+        self.flat = flat
+        self.weight_grads, self.bias_grads = _views(flat, mlp._shapes)
 
 
 def init_mlp(layer_sizes: list[int], activations: list[Activation], seed: int) -> Mlp:
@@ -276,12 +230,9 @@ def _backward(
             g = cotangents[k]
 
 
-def forward(mlp: Mlp, x) -> ActivationTrace:
-    """Evaluate the network on a batch, keeping per-layer activations.
-
-    x has shape (batch, input_size); trace.output has shape
-    (batch, output_size). Pure: does not touch the Mlp.
-    """
+def forward(mlp: Mlp, x) -> np.ndarray:
+    """Evaluate the network on a batch: x has shape (batch, input_size), the
+    result (batch, output_size). Pure: does not touch the Mlp."""
     x = _as_matrix(x, "input")
     if x.shape[0] < 1:
         raise DimensionError("batch must contain at least one row")
@@ -289,29 +240,6 @@ def forward(mlp: Mlp, x) -> ActivationTrace:
         raise DimensionError(
             f"input has {x.shape[1]} columns, network expects {mlp.input_size}"
         )
-    trace = ActivationTrace(x, [None] * len(mlp.layers))
-    _forward(mlp._kernel, x, trace.post)
-    _finite_output(trace.output)
-    return trace
-
-
-def backward(
-    mlp: Mlp, trace: ActivationTrace, output_cotangent
-) -> tuple[GradientSet, np.ndarray]:
-    """Reverse-mode pass: cotangent of the output -> parameter gradients
-    plus the cotangent of the input.
-
-    The input cotangent carries the gradient on into an upstream network,
-    as from the decoder into the encoder.
-    """
-    g = _as_matrix(output_cotangent, "output_cotangent")
-    if g.shape != trace.output.shape:
-        raise DimensionError(
-            f"cotangent shape {g.shape} != output shape {trace.output.shape}"
-        )
-    grads = GradientSet.zeros_like(mlp)
-    rows = g.shape[0]
-    cotangents = [np.empty((rows, l.in_size)) for l in mlp.layers]
-    post = [p.copy() for p in trace.post]  # the kernel overwrites them
-    _backward(mlp._kernel, trace.input, post, g, grads, np.ones(rows), cotangents)
-    return grads, cotangents[0]
+    post = [None] * len(mlp.layers)
+    _forward(mlp._kernel, x, post)
+    return _finite_output(post[-1])

@@ -173,6 +173,15 @@ class EdgeSegment:
     feature_names: tuple[str, ...]
 
 
+def _check_delta_t(delta_t) -> float:
+    """The time step between consecutive rows as a float. It must be finite
+    and > 0: an infinite step would turn every central difference, and with
+    it the consistency gradient, into 0."""
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise ConfigError(f"delta_t must be finite and > 0, got {delta_t}")
+    return float(delta_t)
+
+
 @dataclass
 class TripleBatch:
     """Time-aligned (t-1, t, t+1) rows for consistency training.
@@ -189,8 +198,7 @@ class TripleBatch:
     def __post_init__(self):
         if not (self.x_prev.shape == self.x_t.shape == self.x_next.shape):
             raise DimensionError("triple matrices must share one shape")
-        if self.delta_t <= 0:
-            raise ConfigError("delta_t must be > 0")
+        self.delta_t = _check_delta_t(self.delta_t)
 
     @property
     def n_rows(self) -> int:
@@ -257,10 +265,8 @@ def make_triples(frame: DatasetFrame, delta_t: float = 1.0) -> TripleBatch:
     """Stack (t-1, t, t+1) views of the frame; T-2 rows for T timesteps."""
     if frame.n_rows < 3:
         raise ConfigError(f"need >= 3 rows to build triples, got {frame.n_rows}")
-    if delta_t <= 0:
-        raise ConfigError("delta_t must be > 0")
     v = frame.values
-    return TripleBatch(v[:-2], v[1:-1], v[2:], float(delta_t))
+    return TripleBatch(v[:-2], v[1:-1], v[2:], delta_t)
 
 
 def _parse_cell(cell: str, row_number: int, column: str) -> float:

@@ -1,7 +1,10 @@
 """Independent numerical oracles shared by the tests.
 
 The finite-difference gradient here is the reference the analytic backward
-pass is checked against; it never calls backward() itself.
+kernel is checked against; it never calls the kernel itself.
+`backward_reference` and `adamax_stepper` are the per-call forms of the
+nn and optim kernels that the fused training step does without: the
+reference trainers in test_model.py are built from them.
 """
 
 import numpy as np
@@ -48,6 +51,41 @@ def fd_gradient_mlp(loss_fn, mlp, h: float = 1e-5):
         weight_grads.append(gw)
         bias_grads.append(gb)
     return weight_grads, bias_grads
+
+
+def backward_reference(mlp, x, cotangent):
+    """Gradients of sum(forward(mlp, x) * cotangent) by nn's kernels, run
+    into fresh buffers: a GradientSet over a new flat vector, and the
+    cotangent of the input x."""
+    from tdcae.nn import GradientSet, _backward, _forward
+
+    x = np.asarray(x, dtype=np.float64)
+    rows = x.shape[0]
+    post = [None] * len(mlp.layers)
+    _forward(mlp._kernel, x, post)
+    grads = GradientSet(np.zeros(mlp.params.size), mlp)
+    cotangents = [np.empty((rows, layer.in_size)) for layer in mlp.layers]
+    _backward(mlp._kernel, x, post, np.asarray(cotangent, dtype=np.float64), grads,
+              np.ones(rows), cotangents)
+    return grads, cotangents[0]
+
+
+def adamax_stepper(mlps, learning_rate: float):
+    """A function that makes one Adamax step on each Mlp of mlps, in place,
+    given one GradientSet per Mlp; each Mlp has its own moments, and all
+    share the step count."""
+    from tdcae.optim import _adamax_update
+
+    moments = [(np.zeros(mlp.params.size), np.zeros(mlp.params.size)) for mlp in mlps]
+    steps = 0
+
+    def step(*grads):
+        nonlocal steps
+        steps += 1
+        for mlp, g, (m, u) in zip(mlps, grads, moments):
+            _adamax_update(mlp.params, g.flat, m, u, steps, learning_rate)
+
+    return step
 
 
 def smooth_reference(scores, window: int, mode: str = "trailing") -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import tdcae.model as model_mod
 from conftest import identity_autoencoder
-from oracles import fd_gradient_mlp, rel_error
+from oracles import adamax_stepper, backward_reference, fd_gradient_mlp, rel_error
 from tdcae.errors import ConfigError, DimensionError, NumericError
 from tdcae.model import (
     HTdcAutoencoder,
@@ -22,8 +23,7 @@ from tdcae.model import (
     total_loss_grads,
     train,
 )
-from tdcae.nn import Activation, DenseLayer, Mlp, backward, forward, init_mlp
-from tdcae.optim import AdamaxState, adamax_step
+from tdcae.nn import Activation, DenseLayer, Mlp, forward, init_mlp
 from tdcae.preprocess import DatasetFrame, fit_scaler, apply_scaler, make_triples
 from tdcae.synth import TankSystemConfig, simulate
 
@@ -61,7 +61,7 @@ class TestPartitionAndEncode:
         model = edge1_model(3)
         x = rng.normal(size=(4, 9))
         z, zdot, s = encode(model, x)
-        raw = forward(model.encoder, x).output
+        raw = forward(model.encoder, x)
         assert np.array_equal(np.hstack([z, zdot, s]), raw)
 
     def test_partition_layout_indices(self):
@@ -94,7 +94,7 @@ class TestReconstruct:
     def test_matches_two_public_forward_passes(self, rng):
         model = edge1_model(5)
         x = rng.normal(size=(7, 9))
-        twice = forward(model.decoder, forward(model.encoder, x).output).output
+        twice = forward(model.decoder, forward(model.encoder, x))
         assert reconstruct(model, x).tobytes() == twice.tobytes()
 
 
@@ -218,28 +218,22 @@ class TestTotalLoss:
 
 
 def three_pass_loss_grads(model, x_prev, x_t, x_next, alpha, delta_t=1.0):
-    """Reference gradients: separate encoder passes at t, t-1 and t+1 through
-    the public forward/backward, each back-propagated on its own, summed."""
+    """Reference gradients: separate encoder passes at t, t-1 and t+1, each
+    back-propagated on its own by the per-call oracle, summed."""
     p = model.partition
-    trace_t = forward(model.encoder, x_t)
-    trace_prev = forward(model.encoder, x_prev)
-    trace_next = forward(model.encoder, x_next)
-    trace_dec = forward(model.decoder, trace_t.output)
-    dec_grads, g_latent = backward(
-        model.decoder, trace_dec, (2.0 / x_t.size) * (trace_dec.output - x_t)
-    )
-    diff = (
-        (trace_next.output[:, p.z_slice] - trace_prev.output[:, p.z_slice]) / (2.0 * delta_t)
-        - trace_t.output[:, p.zdot_slice]
-    )
-    g_latent = g_latent.copy()
-    g_side = np.zeros_like(trace_t.output)
+    h_t = forward(model.encoder, x_t)
+    h_prev = forward(model.encoder, x_prev)
+    h_next = forward(model.encoder, x_next)
+    out = forward(model.decoder, h_t)
+    dec_grads, g_latent = backward_reference(model.decoder, h_t, (2.0 / x_t.size) * (out - x_t))
+    diff = (h_next[:, p.z_slice] - h_prev[:, p.z_slice]) / (2.0 * delta_t) - h_t[:, p.zdot_slice]
+    g_side = np.zeros_like(h_t)
     if diff.size:
         g_latent[:, p.zdot_slice] += (-2.0 * alpha / diff.size) * diff
         g_side[:, p.z_slice] = (2.0 * alpha / diff.size) * diff / (2.0 * delta_t)
-    enc_grads, _ = backward(model.encoder, trace_t, g_latent)
-    enc_grads.add_(backward(model.encoder, trace_next, g_side)[0])
-    enc_grads.add_(backward(model.encoder, trace_prev, -g_side)[0])
+    enc_grads, _ = backward_reference(model.encoder, x_t, g_latent)
+    enc_grads.flat += backward_reference(model.encoder, x_next, g_side)[0].flat
+    enc_grads.flat += backward_reference(model.encoder, x_prev, -g_side)[0].flat
     return enc_grads, dec_grads
 
 
@@ -294,35 +288,29 @@ def plain_autoencoder_train(config: TrainingConfig, frame: DatasetFrame):
     _, _, shuffle_seed = _seed_triple(config.seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     encoder, decoder = model.encoder, model.decoder
-    enc_state = AdamaxState.for_mlp(encoder)
-    dec_state = AdamaxState.for_mlp(decoder)
+    step = adamax_stepper((encoder, decoder), config.learning_rate)
     n = triples.n_rows
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            x = triples.x_t[idx]
-            enc_trace = forward(encoder, x)
-            dec_trace = forward(decoder, enc_trace.output)
-            cot = (2.0 / x.size) * (dec_trace.output - x)
-            dec_grads, g_latent = backward(decoder, dec_trace, cot)
-            enc_grads, _ = backward(encoder, enc_trace, g_latent)
-            encoder, enc_state = adamax_step(encoder, enc_grads, enc_state, config.learning_rate)
-            decoder, dec_state = adamax_step(decoder, dec_grads, dec_state, config.learning_rate)
+            x = triples.x_t[order[start : start + config.batch_size]]
+            h = forward(encoder, x)
+            cot = (2.0 / x.size) * (forward(decoder, h) - x)
+            dec_grads, g_latent = backward_reference(decoder, h, cot)
+            enc_grads, _ = backward_reference(encoder, x, g_latent)
+            step(enc_grads, dec_grads)
     return encoder, decoder
 
 
 def reference_train(config: TrainingConfig, frame: DatasetFrame):
-    """Reference trainer: public total_loss_grads and pure adamax_step per
-    batch, on train's batch schedule. Returns the parameters as one
-    encoder-then-decoder vector and the loss history."""
+    """Reference trainer: public total_loss_grads and one Adamax step per
+    network per batch, on train's batch schedule. Returns the parameters
+    as one encoder-then-decoder vector and the loss history."""
     triples = make_triples(frame, config.delta_t)
     model = build_model(frame.n_features, config)
     _, _, shuffle_seed = _seed_triple(config.seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    encoder, decoder = model.encoder, model.decoder
-    enc_state = AdamaxState.for_mlp(encoder)
-    dec_state = AdamaxState.for_mlp(decoder)
+    step = adamax_stepper((model.encoder, model.decoder), config.learning_rate)
     n = triples.n_rows
     history = []
     for _ in range(config.epochs):
@@ -331,16 +319,14 @@ def reference_train(config: TrainingConfig, frame: DatasetFrame):
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             breakdown, enc_grads, dec_grads = total_loss_grads(
-                HTdcAutoencoder(encoder, decoder, config.partition),
-                triples.x_prev[idx], triples.x_t[idx], triples.x_next[idx],
+                model, triples.x_prev[idx], triples.x_t[idx], triples.x_next[idx],
                 config.alpha, config.delta_t,
             )
-            encoder, enc_state = adamax_step(encoder, enc_grads, enc_state, config.learning_rate)
-            decoder, dec_state = adamax_step(decoder, dec_grads, dec_state, config.learning_rate)
+            step(enc_grads, dec_grads)
             rec_sum += breakdown.rec_loss * len(idx)
             tdc_sum += breakdown.tdc_loss * len(idx)
         history.append(LossBreakdown.from_parts(rec_sum / n, tdc_sum / n, config.alpha))
-    return np.concatenate((encoder.params, decoder.params)), history
+    return np.concatenate((model.encoder.params, model.decoder.params)), history
 
 
 class TestTraining:
@@ -361,6 +347,32 @@ class TestTraining:
         got_params = np.concatenate((model.encoder.params, model.decoder.params))
         assert got_params.tobytes() == want_params.tobytes()
         assert history == want_history
+
+    def test_one_fused_step_per_batch(self, monkeypatch):
+        # Every batch, full or tail, runs each kernel once per network: the
+        # encoder forward over the 3B stacked triple rows, the decoder over
+        # the B x_t rows, then the two backward passes on the same rows.
+        calls = []
+
+        def spy(kind, kernel):
+            def counted(layers, x, *rest):
+                calls.append((kind, layers, x.shape[0]))
+                return kernel(layers, x, *rest)
+            return counted
+
+        monkeypatch.setattr(model_mod, "_forward", spy("forward", model_mod._forward))
+        monkeypatch.setattr(model_mod, "_backward", spy("backward", model_mod._backward))
+        frame = small_training_frame(8, rows=103)  # 101 triples: 32, 32, 32 and a tail of 5
+        model, _ = train(TrainingConfig(hidden_size=6, epochs=1, seed=12), frame)
+        nets = {id(model.encoder._kernel): "encoder", id(model.decoder._kernel): "decoder"}
+        got = [(kind, nets.get(id(layers)), rows) for kind, layers, rows in calls]
+        want = []
+        for b in (32, 32, 32, 5):
+            want += [("forward", "encoder", 3 * b), ("forward", "decoder", b),
+                     ("backward", "decoder", b), ("backward", "encoder", 3 * b)]
+        assert got == want
+        encoder_rows = sum(r for kind, net, r in got if (kind, net) == ("forward", "encoder"))
+        assert encoder_rows / 101 == 3.0
 
     def test_fixed_seed_is_bit_identical(self):
         frame = small_training_frame(1)
@@ -470,3 +482,36 @@ class TestDefaultsAndPersistence:
             TrainingConfig(delta_t=0.0)
         with pytest.raises(ConfigError):
             TrainingConfig(seed=-1)
+
+
+NON_FINITE = [float("inf"), float("nan")]
+
+
+class TestNonFiniteSettings:
+    """An infinite time step divides every central difference to 0 and so
+    silently turns the consistency term off; NaN settings poison training
+    only later. Each entry point rejects them up front."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("entry", [
+        "train", "total_loss", "total_loss_grads", "make_triples", "central_difference",
+    ])
+    def test_delta_t_rejected(self, entry, bad, rng):
+        frame = small_training_frame(0, rows=40)
+        model = edge1_model()
+        triple = random_triple(rng, 4, 9)
+        calls = {
+            "train": lambda: train(TrainingConfig(hidden_size=6, epochs=1, delta_t=bad), frame),
+            "total_loss": lambda: total_loss(model, *triple, alpha=0.002, delta_t=bad),
+            "total_loss_grads": lambda: total_loss_grads(model, *triple, alpha=0.002, delta_t=bad),
+            "make_triples": lambda: make_triples(frame, bad),
+            "central_difference": lambda: central_difference(triple[0], triple[2], bad),
+        }
+        with pytest.raises(ConfigError, match="delta_t must be finite"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", ["learning_rate", "alpha"])
+    def test_training_config_rejects_non_finite(self, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            TrainingConfig(**{name: bad})

@@ -1,131 +1,93 @@
 import numpy as np
 import pytest
 
-from tdcae.errors import ConfigError, DimensionError, NumericError
-from tdcae.nn import Activation, DenseLayer, GradientSet, Mlp, init_mlp
-from tdcae.optim import AdamaxState, _adamax_update, adamax_step
+from tdcae.errors import ConfigError
+from tdcae.model import TrainingConfig
+from tdcae.optim import BETA1, BETA2, EPSILON, _adamax_update
 
 
-def single_param_mlp(value: float = 1.0) -> Mlp:
-    return Mlp([DenseLayer(np.array([[value]]), np.zeros(1), Activation.IDENTITY)])
+class Adamax:
+    """One parameter vector with its moments, stepped by the kernel."""
 
+    def __init__(self, *theta: float):
+        self.params = np.array(theta, dtype=np.float64)
+        self.m = np.zeros_like(self.params)
+        self.u = np.zeros_like(self.params)
+        self.t = 0
 
-def grads_for(mlp: Mlp, weight_grad: float) -> GradientSet:
-    g = GradientSet.zeros_like(mlp)
-    g.weight_grads[0][0, 0] = weight_grad
-    return g
+    def step(self, *grads: float, learning_rate: float = 0.01) -> None:
+        self.t += 1
+        _adamax_update(self.params, np.array(grads, dtype=np.float64), self.m, self.u,
+                       self.t, learning_rate)
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
-    mlp = single_param_mlp(0.37)
-    state = AdamaxState.for_mlp(mlp)
-    updated, new_state = adamax_step(mlp, GradientSet.zeros_like(mlp), state, 0.01)
-    assert np.array_equal(updated.layers[0].weights, mlp.layers[0].weights)
-    assert new_state.step_count == 1
+    opt = Adamax(0.37, -2.0)
+    opt.step(0.0, 0.0)
+    assert np.array_equal(opt.params, [0.37, -2.0])
 
 
 def test_first_step_matches_hand_evaluation():
     # m = 0.1*4 = 0.4, u = max(0, |4|) = 4, scale = 0.01/(1-0.9) = 0.1,
     # delta = -0.1*0.4/(4+eps) ~ -0.01
-    mlp = single_param_mlp(1.0)
-    state = AdamaxState.for_mlp(mlp)
-    updated, _ = adamax_step(mlp, grads_for(mlp, 4.0), state, 0.01)
-    delta = updated.layers[0].weights[0, 0] - 1.0
-    assert delta == pytest.approx(-0.01, abs=1e-9)
+    opt = Adamax(1.0)
+    opt.step(4.0)
+    assert opt.params[0] - 1.0 == pytest.approx(-0.01, abs=1e-9)
 
 
 def test_infinity_accumulator_sticks_at_gradient_magnitude():
     # two identical gradients: u stays |g| because beta2*|g| < |g|
-    mlp = single_param_mlp()
-    state = AdamaxState.for_mlp(mlp)
-    mlp, state = adamax_step(mlp, grads_for(mlp, 4.0), state, 0.01)
-    assert state.u.weight_grads[0][0, 0] == pytest.approx(4.0)
-    mlp, state = adamax_step(mlp, grads_for(mlp, 4.0), state, 0.01)
-    assert state.u.weight_grads[0][0, 0] == pytest.approx(4.0)
+    opt = Adamax(1.0)
+    opt.step(4.0)
+    assert opt.u[0] == pytest.approx(4.0)
+    opt.step(4.0)
+    assert opt.u[0] == pytest.approx(4.0)
 
 
 def test_accumulator_monotone_and_nonnegative_under_constant_magnitude():
-    mlp = single_param_mlp()
-    state = AdamaxState.for_mlp(mlp)
+    opt = Adamax(1.0)
     previous = 0.0
     for step in range(50):
         sign = 1.0 if step % 2 == 0 else -1.0
-        mlp, state = adamax_step(mlp, grads_for(mlp, sign * 2.5), state, 0.001)
-        u = state.u.weight_grads[0][0, 0]
-        assert u >= previous
-        assert u >= 0.0
-        previous = u
+        opt.step(sign * 2.5, learning_rate=0.001)
+        assert opt.u[0] >= previous
+        assert opt.u[0] >= 0.0
+        previous = opt.u[0]
     assert previous == pytest.approx(2.5)
 
 
 def test_quadratic_loss_converges():
     # f(theta) = theta^2, gradient 2*theta, from theta0 = 1 with lr 0.01
-    mlp = single_param_mlp(1.0)
-    state = AdamaxState.for_mlp(mlp)
+    opt = Adamax(1.0)
     for _ in range(2000):
-        theta = mlp.layers[0].weights[0, 0]
-        if abs(theta) < 0.01:
+        if abs(opt.params[0]) < 0.01:
             break
-        mlp, state = adamax_step(mlp, grads_for(mlp, 2.0 * theta), state, 0.01)
-    assert abs(mlp.layers[0].weights[0, 0]) < 0.01
-
-
-def test_step_count_increments_by_one():
-    mlp = single_param_mlp()
-    state = AdamaxState.for_mlp(mlp)
-    for expected in (1, 2, 3):
-        mlp, state = adamax_step(mlp, grads_for(mlp, 1.0), state, 0.01)
-        assert state.step_count == expected
-
-
-def test_nonfinite_gradient_raises():
-    mlp = single_param_mlp()
-    state = AdamaxState.for_mlp(mlp)
-    with pytest.raises(NumericError):
-        adamax_step(mlp, grads_for(mlp, float("nan")), state, 0.01)
-
-
-def test_gradients_laid_out_unlike_the_mlp_raise():
-    mlp = single_param_mlp()
-    state = AdamaxState.for_mlp(mlp)
-    other = init_mlp([1, 2], [Activation.IDENTITY], seed=0)
-    with pytest.raises(DimensionError):
-        adamax_step(mlp, GradientSet.zeros_like(other), state, 0.01)
-    with pytest.raises(DimensionError):
-        adamax_step(mlp, grads_for(mlp, 1.0), AdamaxState.for_mlp(other), 0.01)
+        opt.step(2.0 * opt.params[0])
+    assert abs(opt.params[0]) < 0.01
 
 
 def test_nonpositive_learning_rate_raises():
-    mlp = single_param_mlp()
-    state = AdamaxState.for_mlp(mlp)
-    with pytest.raises(ConfigError):
-        adamax_step(mlp, grads_for(mlp, 1.0), state, 0.0)
+    # Training takes its learning rate from TrainingConfig, which checks it.
+    for bad in (0.0, -0.01, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainingConfig(learning_rate=bad)
 
 
-def test_inputs_left_untouched():
-    mlp = single_param_mlp(0.5)
-    state = AdamaxState.for_mlp(mlp)
-    grads = grads_for(mlp, 1.0)
-    adamax_step(mlp, grads, state, 0.01)
-    assert mlp.layers[0].weights[0, 0] == 0.5
-    assert state.step_count == 0
-    assert state.m.weight_grads[0][0, 0] == 0.0
-
-
-def test_pure_step_matches_in_place_kernel_bit_for_bit(rng):
-    mlp = init_mlp([4, 3, 2], [Activation.TANH, Activation.IDENTITY], seed=3)
-    state = AdamaxState.for_mlp(mlp)
-    params = mlp.params.copy()
-    m = np.zeros_like(params)
-    u = np.zeros_like(params)
-    for step in range(1, 8):
-        grads = GradientSet.zeros_like(mlp)
-        grads.flat[:] = rng.normal(scale=10.0 ** (step % 3 - 1), size=grads.flat.size)
-        mlp, state = adamax_step(mlp, grads, state, 0.01)
-        _adamax_update(params, grads.flat, m, u, step, 0.01)
-        assert mlp.params.tobytes() == params.tobytes()
-        assert state.m.flat.tobytes() == m.tobytes()
-        assert state.u.flat.tobytes() == u.tobytes()
+def test_kernel_matches_elementwise_rule_bit_for_bit(rng):
+    # Seven steps with gradients spanning three orders of magnitude, against
+    # the rule evaluated on Python floats one parameter at a time.
+    opt = Adamax(*rng.normal(size=5))
+    theta, m, u = opt.params.tolist(), [0.0] * 5, [0.0] * 5
+    for t in range(1, 8):
+        grads = rng.normal(scale=10.0 ** (t % 3 - 1), size=5)
+        opt.step(*grads)
+        for i, g in enumerate(grads.tolist()):
+            m[i] = BETA1 * m[i] + (1.0 - BETA1) * g
+            u[i] = max(BETA2 * u[i], abs(g))
+            theta[i] -= (0.01 / (1.0 - BETA1**t)) * m[i] / (u[i] + EPSILON)
+        assert opt.params.tobytes() == np.array(theta).tobytes()
+        assert opt.m.tobytes() == np.array(m).tobytes()
+        assert opt.u.tobytes() == np.array(u).tobytes()
 
 
 def test_kernel_matches_update_rule():
