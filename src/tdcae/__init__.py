@@ -47,7 +47,6 @@ from .model import (
     load_model,
     reconstruct,
     save_model,
-    tdc_loss,
     total_loss,
     total_loss_grads,
     train,
@@ -56,16 +55,12 @@ from .nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
 from .preprocess import (
     EDGE_FEATURES,
     DatasetFrame,
-    EdgeSegment,
     RobustScalerParams,
-    TripleBatch,
     apply_scaler,
     fit_scaler,
     invert_scaler,
     load_csv,
-    make_triples,
     save_csv,
-    segment_edges,
 )
 from .synth import (
     AttackKind,

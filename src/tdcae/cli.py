@@ -230,7 +230,7 @@ def _resolve_training_config(args, n_features: int) -> model_mod.TrainingConfig:
         "delta_t": args.delta_t,
     }
     base.update({k: v for k, v in overrides.items() if v is not None})
-    base["seed"] = _env_seed(int(base["seed"]))
+    base["seed"] = _env_seed(base["seed"])
     return model_mod.TrainingConfig.from_dict(base)
 
 

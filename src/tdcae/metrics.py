@@ -64,21 +64,16 @@ class MetricsReport(ClfScores):
     s: float
 
 
-def fuse_edges(results, rule: str = "or") -> np.ndarray:
+def fuse_edges(flags, rule: str = "or") -> np.ndarray:
     """Combine per-edge flag sequences into one system-level alarm.
 
     "or": any edge alarms; "majority": strictly more than half do.
-    Accepts DetectionResult objects or plain boolean arrays.
     """
     if rule not in ("or", "majority"):
         raise ConfigError(f"unknown fusion rule {rule!r}")
-    flag_arrays = []
-    for r in results:
-        # ndarray.flags is numpy's memory-layout descriptor, not ours.
-        raw = r if isinstance(r, np.ndarray) else getattr(r, "flags", r)
-        flag_arrays.append(np.asarray(raw, dtype=bool))
+    flag_arrays = [np.asarray(f, dtype=bool) for f in flags]
     if not flag_arrays:
-        raise ConfigError("fuse_edges needs at least one result")
+        raise ConfigError("fuse_edges needs at least one flag sequence")
     n = len(flag_arrays[0])
     if any(len(f) != n for f in flag_arrays):
         raise ConfigError("edge flag sequences have mismatched lengths")

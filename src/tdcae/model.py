@@ -4,7 +4,10 @@ The latent space is split into static nodes z, their paired derivative
 nodes zdot, and free statistical nodes s. Training adds a consistency
 term to the reconstruction loss: the derivative nodes at time t must match
 the central-difference estimate built from the static nodes at t-1 and
-t+1.
+t+1. This module owns the triple layout: triple k is frame rows
+(k, k+1, k+2), which `train` gathers batch by batch through the row
+offsets `_TRIPLE_OFFSETS`. It also owns the check of the time step delta_t
+between rows.
 
 The loss and its exact gradient come from one fused step, `_LossStep`,
 built once per model and batch size with every buffer preallocated: it runs
@@ -31,9 +34,18 @@ from .errors import ConfigError, DimensionError, NumericError
 from .nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
 from .nn import _backward, _finite_output, _forward, _share_params
 from .optim import _adamax_update
-from .preprocess import DatasetFrame, RobustScalerParams, _check_delta_t, make_triples
+from .preprocess import DatasetFrame, RobustScalerParams
 
 MODEL_FORMAT = "tdcae-model-v1"
+
+
+def _check_delta_t(delta_t) -> float:
+    """The time step between consecutive rows as a float. It must be finite
+    and > 0: an infinite step would turn every central difference, and with
+    it the consistency gradient, into 0."""
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise ConfigError(f"delta_t must be finite and > 0, got {delta_t}")
+    return float(delta_t)
 
 
 @dataclass(frozen=True)
@@ -232,18 +244,6 @@ def central_difference(z_prev, z_next, delta_t: float) -> np.ndarray:
     return (z_next - z_prev) / (2.0 * delta_t)
 
 
-def tdc_loss(delta_z, zdot_t) -> float:
-    """Mean squared difference between the central-difference estimate and
-    the derivative nodes, over every entry of the batch."""
-    delta_z = np.asarray(delta_z, dtype=np.float64)
-    zdot_t = np.asarray(zdot_t, dtype=np.float64)
-    if delta_z.shape != zdot_t.shape:
-        raise DimensionError("delta_z and zdot_t must share one shape")
-    if delta_z.size == 0:
-        return 0.0
-    return float(np.mean((delta_z - zdot_t) ** 2))
-
-
 def _stack_triples(model: HTdcAutoencoder, x_prev, x_t, x_next) -> np.ndarray:
     """Validate a batch of triples once and stack it as [x_t; x_prev; x_next]."""
     parts = [np.asarray(x, dtype=np.float64) for x in (x_t, x_prev, x_next)]
@@ -397,7 +397,9 @@ def train(
     decoder parameters share one flat vector, which each batch updates in
     place with one Adamax step on the gradient of the fused loss step.
     """
-    n = make_triples(train_frame, config.delta_t).n_rows
+    if train_frame.n_rows < 3:
+        raise ConfigError(f"need >= 3 rows to build triples, got {train_frame.n_rows}")
+    n = train_frame.n_rows - 2
     values = train_frame.values
     if not np.isfinite(values).all():
         raise NumericError("training frame contains non-finite entries")

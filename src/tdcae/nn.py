@@ -134,9 +134,6 @@ class Mlp:
     def layer_sizes(self) -> list[int]:
         return [self.input_size] + [layer.out_size for layer in self.layers]
 
-    def n_parameters(self) -> int:
-        return self.params.size
-
 
 def _share_params(*mlps: Mlp) -> np.ndarray:
     """Move the parameters of several Mlps into one flat vector, in order,

@@ -18,16 +18,13 @@ import numpy as np
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
-def _adamax_update(
-    params, grads, m, u, t: int, learning_rate: float,
-    beta1: float = BETA1, beta2: float = BETA2, epsilon: float = EPSILON,
-) -> None:
+def _adamax_update(params, grads, m, u, t: int, learning_rate: float) -> None:
     """Unchecked Adamax step number t, in place on the flat float64 vectors
     params, m and u."""
-    m *= beta1
-    m += (1.0 - beta1) * grads
-    u *= beta2
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    u *= BETA2
     np.maximum(u, np.abs(grads), out=u)
-    delta = (learning_rate / (1.0 - beta1**t)) * m
-    delta /= u + epsilon
+    delta = (learning_rate / (1.0 - BETA1**t)) * m
+    delta /= u + EPSILON
     params -= delta

@@ -1,5 +1,6 @@
-"""Data ingestion, robust scaling, edge-area segmentation and training
-triples for hourly SCADA-style sensor matrices."""
+"""Hourly SCADA-style sensor matrices: the DatasetFrame, CSV ingestion
+and writing, and robust scaling. EDGE_FEATURES names the columns of each
+edge area; `DatasetFrame.select` cuts an edge's frame out of a full one."""
 
 from __future__ import annotations
 
@@ -167,44 +168,6 @@ def _read_only(values) -> np.ndarray:
     return out
 
 
-@dataclass
-class EdgeSegment:
-    edge_id: int
-    feature_names: tuple[str, ...]
-
-
-def _check_delta_t(delta_t) -> float:
-    """The time step between consecutive rows as a float. It must be finite
-    and > 0: an infinite step would turn every central difference, and with
-    it the consistency gradient, into 0."""
-    if not (math.isfinite(delta_t) and delta_t > 0):
-        raise ConfigError(f"delta_t must be finite and > 0, got {delta_t}")
-    return float(delta_t)
-
-
-@dataclass
-class TripleBatch:
-    """Time-aligned (t-1, t, t+1) rows for consistency training.
-
-    Row k of each matrix corresponds to frame rows (k, k+1, k+2), so only
-    interior timesteps appear.
-    """
-
-    x_prev: np.ndarray
-    x_t: np.ndarray
-    x_next: np.ndarray
-    delta_t: float = 1.0
-
-    def __post_init__(self):
-        if not (self.x_prev.shape == self.x_t.shape == self.x_next.shape):
-            raise DimensionError("triple matrices must share one shape")
-        self.delta_t = _check_delta_t(self.delta_t)
-
-    @property
-    def n_rows(self) -> int:
-        return self.x_t.shape[0]
-
-
 def fit_scaler(train: DatasetFrame) -> RobustScalerParams:
     """Median and IQR per feature, linear interpolation between order
     statistics, fitted on training data only (labels are ignored)."""
@@ -239,34 +202,6 @@ def invert_scaler(params: RobustScalerParams, frame: DatasetFrame) -> DatasetFra
     if list(frame.feature_names) != list(params.feature_names):
         raise ConfigError("frame features do not match the fitted scaler")
     return frame.with_values(frame.values * params.divisors + params.median)
-
-
-def segment_edges(frame: DatasetFrame) -> list[tuple[EdgeSegment, DatasetFrame]]:
-    """Split a full-schema frame into the three edge-area frames.
-
-    Column order inside each segment follows the edge feature lists; labels
-    and timestamps are replicated to every segment.
-    """
-    missing = [
-        name
-        for names in EDGE_FEATURES.values()
-        for name in names
-        if name not in frame.feature_names
-    ]
-    if missing:
-        raise IngestionError(f"missing features: {', '.join(missing)}")
-    out = []
-    for edge_id, names in EDGE_FEATURES.items():
-        out.append((EdgeSegment(edge_id, names), frame.select(names)))
-    return out
-
-
-def make_triples(frame: DatasetFrame, delta_t: float = 1.0) -> TripleBatch:
-    """Stack (t-1, t, t+1) views of the frame; T-2 rows for T timesteps."""
-    if frame.n_rows < 3:
-        raise ConfigError(f"need >= 3 rows to build triples, got {frame.n_rows}")
-    v = frame.values
-    return TripleBatch(v[:-2], v[1:-1], v[2:], delta_t)
 
 
 def _parse_cell(cell: str, row_number: int, column: str) -> float:

@@ -3,8 +3,10 @@
 The finite-difference gradient here is the reference the analytic backward
 kernel is checked against; it never calls the kernel itself.
 `backward_reference` and `adamax_stepper` are the per-call forms of the
-nn and optim kernels that the fused training step does without: the
-reference trainers in test_model.py are built from them.
+nn and optim kernels that the fused training step does without, and
+`make_triples` and `tdc_loss` the per-call forms of its triple layout and
+consistency term: the reference trainers in test_model.py are built from
+them.
 """
 
 import numpy as np
@@ -86,6 +88,19 @@ def adamax_stepper(mlps, learning_rate: float):
             _adamax_update(mlp.params, g.flat, m, u, steps, learning_rate)
 
     return step
+
+
+def make_triples(values):
+    """(x_prev, x_t, x_next): row k of each is row k, k+1 or k+2 of the
+    (T, F) matrix values, so T rows give T-2 triples."""
+    return values[:-2], values[1:-1], values[2:]
+
+
+def tdc_loss(delta_z, zdot_t) -> float:
+    """Mean squared difference between the central-difference estimate and
+    the derivative nodes, over every entry of the batch; 0 when there are
+    no derivative nodes."""
+    return float(np.mean((delta_z - zdot_t) ** 2)) if delta_z.size else 0.0
 
 
 def smooth_reference(scores, window: int, mode: str = "trailing") -> np.ndarray:

@@ -23,7 +23,7 @@ from tdcae.model import (
     train,
     TrainingConfig,
 )
-from tdcae.preprocess import apply_scaler, fit_scaler, load_csv, segment_edges
+from tdcae.preprocess import EDGE_FEATURES, apply_scaler, fit_scaler, load_csv
 from tdcae.synth import TankSystemConfig, default_attacks, simulate
 
 
@@ -82,7 +82,7 @@ def test_criterion_3_gradient_correctness():
         for got, want in zip(grads.weight_grads + grads.bias_grads, fd_w + fd_b):
             worst = max(worst, rel_error(got, want))
     elapsed = time.perf_counter() - started
-    n_params = model.encoder.n_parameters() + model.decoder.n_parameters()
+    n_params = model.encoder.params.size + model.decoder.params.size
     ok = worst < 1e-5 and elapsed < 10.0
     announce(
         3,
@@ -192,13 +192,12 @@ def test_criterion_7_batadal_reproduction():
     assert test_frame.labels is not None, "test CSV must carry the label column"
 
     per_edge_flags = []
-    for (segment, edge_train), (_, edge_test) in zip(
-        segment_edges(train_frame), segment_edges(test_frame)
-    ):
+    for edge_id, names in EDGE_FEATURES.items():
+        edge_train, edge_test = train_frame.select(names), test_frame.select(names)
         scaler = fit_scaler(edge_train)
         scaled_train = apply_scaler(scaler, edge_train)
         scaled_test = apply_scaler(scaler, edge_test)
-        config = edge_training_config(segment.edge_id, seed=0)
+        config = edge_training_config(edge_id, seed=0)
         model, _ = train(config, scaled_train)
         detection_config = DetectionConfig(window=7, percentile=95.0)
         threshold = fit_threshold(model, scaled_train, detection_config)

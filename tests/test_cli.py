@@ -450,6 +450,10 @@ class TestMalformedInput:
         (b'{"batch_size": "abc"}', "batch_size"),
         (b'{"hidden_size": 2.5}', "hidden_size"),
         (b'{"seed": -1}', "seed"),
+        (b'{"seed": "abc"}', "seed"),
+        (b'{"seed": null}', "seed"),
+        (b'{"seed": 1.5}', "seed"),
+        (b'{"seed": true}', "seed"),
         (b"[1, 2]", "expected a JSON object"),
         (b"\xff\xfe{}", "invalid JSON"),
     ])

@@ -71,13 +71,6 @@ class TestFusion:
         with pytest.raises(ConfigError):
             fuse_edges([np.zeros(3, bool), np.zeros(4, bool)])
 
-    def test_accepts_detection_results(self, rng):
-        from tdcae.detect import DetectionResult
-
-        raw = rng.uniform(size=6)
-        result = DetectionResult(raw, raw, 0.5, raw > 0.5)
-        assert np.array_equal(fuse_edges([result]), raw > 0.5)
-
 
 class TestConfusion:
     def test_perfect_agreement(self):

@@ -3,7 +3,9 @@ import pytest
 
 import tdcae.model as model_mod
 from conftest import identity_autoencoder
-from oracles import adamax_stepper, backward_reference, fd_gradient_mlp, rel_error
+from oracles import (
+    adamax_stepper, backward_reference, fd_gradient_mlp, make_triples, rel_error, tdc_loss,
+)
 from tdcae.errors import ConfigError, DimensionError, NumericError
 from tdcae.model import (
     HTdcAutoencoder,
@@ -18,13 +20,12 @@ from tdcae.model import (
     load_model,
     reconstruct,
     save_model,
-    tdc_loss,
     total_loss,
     total_loss_grads,
     train,
 )
 from tdcae.nn import Activation, DenseLayer, Mlp, forward, init_mlp
-from tdcae.preprocess import DatasetFrame, fit_scaler, apply_scaler, make_triples
+from tdcae.preprocess import DatasetFrame, fit_scaler, apply_scaler
 from tdcae.synth import TankSystemConfig, simulate
 
 
@@ -132,25 +133,49 @@ class TestCentralDifference:
             central_difference(np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
 
 
+def identity_pairs_model(n_pairs: int) -> HTdcAutoencoder:
+    """A model whose latent is its input, read as [z | zdot]."""
+    identity = identity_autoencoder(2 * n_pairs)
+    return HTdcAutoencoder(identity.encoder, identity.decoder, LatentPartition(n_pairs, 0))
+
+
 class TestTdcLoss:
-    def test_perfect_consistency_is_zero(self, rng):
-        z = rng.normal(size=(6, 3))
-        assert tdc_loss(z, z) == 0.0
+    """The consistency term of the fused loss step, total_loss(...).tdc_loss."""
+
+    def test_perfect_consistency_is_zero(self):
+        # z = c t^2 and zdot = 2 c t on integer hours: the central difference
+        # of a quadratic is exact, so every derivative node is consistent.
+        t = np.arange(-3.0, 5.0)[:, None]
+        c = np.array([1.0, -2.0, 3.0])
+        x = np.hstack([c * t**2, 2.0 * c * t])
+        x_prev, x_t, x_next = make_triples(x)
+        breakdown = total_loss(identity_pairs_model(3), x_prev, x_t, x_next, alpha=0.5)
+        assert breakdown.tdc_loss == 0.0
 
     def test_small_example(self):
-        assert tdc_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])) == 0.5
+        # pair 0: (2 - 0) / 2 - 0 = 1; pair 1: 0; mean of squares 0.5
+        zeros = np.zeros((1, 4))
+        x_next = np.array([[2.0, 0.0, 0.0, 0.0]])
+        breakdown = total_loss(identity_pairs_model(2), zeros, zeros, x_next, alpha=1.0)
+        assert breakdown.tdc_loss == 0.5
 
     def test_matches_brute_force(self, rng):
-        a = rng.normal(size=(8, 4))
-        b = rng.normal(size=(8, 4))
+        model = edge1_model(4)
+        x_prev, x_t, x_next = random_triple(rng, 8, 9)
+        z_prev, _, _ = encode(model, x_prev)
+        _, zdot, _ = encode(model, x_t)
+        z_next, _, _ = encode(model, x_next)
         brute = sum(
-            (a[i, j] - b[i, j]) ** 2 for i in range(8) for j in range(4)
-        ) / 32.0
-        assert tdc_loss(a, b) == pytest.approx(brute, rel=1e-12)
+            ((z_next[i, j] - z_prev[i, j]) / 2.0 - zdot[i, j]) ** 2
+            for i in range(8) for j in range(3)
+        ) / 24.0
+        breakdown = total_loss(model, x_prev, x_t, x_next, alpha=0.002)
+        assert breakdown.tdc_loss == pytest.approx(brute, rel=1e-12)
 
-    def test_shape_mismatch_rejected(self):
+    def test_shape_mismatch_rejected(self, rng):
+        x_prev, x_t, x_next = random_triple(rng, 2, 9)
         with pytest.raises(DimensionError):
-            tdc_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+            total_loss(edge1_model(), x_prev, x_t, x_next[:, :8], alpha=0.002)
 
 
 class TestTotalLoss:
@@ -175,6 +200,22 @@ class TestTotalLoss:
         assert breakdown.total == pytest.approx(
             breakdown.rec_loss + alpha * breakdown.tdc_loss, abs=1e-12
         )
+
+    @pytest.mark.parametrize("partition", [
+        LatentPartition(3, 1), LatentPartition(0, 2), LatentPartition(2, 0),
+    ])
+    def test_matches_oracle_loss_values(self, partition, rng):
+        model = build_model(5, TrainingConfig(hidden_size=6, partition=partition, seed=6))
+        x_prev, x_t, x_next = random_triple(rng, 7, 5)
+        delta_t = 0.5
+        z_prev, _, _ = encode(model, x_prev)
+        _, zdot_t, _ = encode(model, x_t)
+        z_next, _, _ = encode(model, x_next)
+        want_rec = np.mean((reconstruct(model, x_t) - x_t) ** 2)
+        want_tdc = tdc_loss(central_difference(z_prev, z_next, delta_t), zdot_t)
+        breakdown = total_loss(model, x_prev, x_t, x_next, alpha=0.3, delta_t=delta_t)
+        assert breakdown.rec_loss == pytest.approx(want_rec, rel=1e-12)
+        assert breakdown.tdc_loss == pytest.approx(want_tdc, rel=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
         # The most important check in the repo: the analytic gradient of the
@@ -283,17 +324,17 @@ def small_training_frame(seed: int = 0, rows: int = 240) -> DatasetFrame:
 def plain_autoencoder_train(config: TrainingConfig, frame: DatasetFrame):
     """Reference trainer without any consistency machinery: a straight
     reconstruction autoencoder on the same batch schedule."""
-    triples = make_triples(frame, config.delta_t)
+    _, x_t, _ = make_triples(frame.values)
     model = build_model(frame.n_features, config)
     _, _, shuffle_seed = _seed_triple(config.seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     encoder, decoder = model.encoder, model.decoder
     step = adamax_stepper((encoder, decoder), config.learning_rate)
-    n = triples.n_rows
+    n = len(x_t)
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            x = triples.x_t[order[start : start + config.batch_size]]
+            x = x_t[order[start : start + config.batch_size]]
             h = forward(encoder, x)
             cot = (2.0 / x.size) * (forward(decoder, h) - x)
             dec_grads, g_latent = backward_reference(decoder, h, cot)
@@ -306,12 +347,12 @@ def reference_train(config: TrainingConfig, frame: DatasetFrame):
     """Reference trainer: public total_loss_grads and one Adamax step per
     network per batch, on train's batch schedule. Returns the parameters
     as one encoder-then-decoder vector and the loss history."""
-    triples = make_triples(frame, config.delta_t)
+    x_prev, x_t, x_next = make_triples(frame.values)
     model = build_model(frame.n_features, config)
     _, _, shuffle_seed = _seed_triple(config.seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     step = adamax_stepper((model.encoder, model.decoder), config.learning_rate)
-    n = triples.n_rows
+    n = len(x_t)
     history = []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
@@ -319,7 +360,7 @@ def reference_train(config: TrainingConfig, frame: DatasetFrame):
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             breakdown, enc_grads, dec_grads = total_loss_grads(
-                model, triples.x_prev[idx], triples.x_t[idx], triples.x_next[idx],
+                model, x_prev[idx], x_t[idx], x_next[idx],
                 config.alpha, config.delta_t,
             )
             step(enc_grads, dec_grads)
@@ -327,6 +368,50 @@ def reference_train(config: TrainingConfig, frame: DatasetFrame):
             tdc_sum += breakdown.tdc_loss * len(idx)
         history.append(LossBreakdown.from_parts(rec_sum / n, tdc_sum / n, config.alpha))
     return np.concatenate((model.encoder.params, model.decoder.params)), history
+
+
+class TestTriples:
+    """train's triple layout: triple k of a T-row frame is rows (k, k+1,
+    k+2), gathered batch by batch through _batch_rows."""
+
+    @staticmethod
+    def frame(*column: float) -> DatasetFrame:
+        return DatasetFrame(["a"], np.array(column)[:, None])
+
+    def test_five_rows_give_three_triples(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(model_mod, "_adamax_update", lambda *a: steps.append(a[4]))
+        train(TrainingConfig(hidden_size=2, epochs=1, batch_size=1),
+              self.frame(0.0, 1.0, 2.0, 3.0, 4.0))
+        assert steps == [1, 2, 3]
+
+    def test_alignment(self):
+        values = np.arange(10.0, 17.0)[:, None]  # 7 rows, 5 triples
+        order = np.array([3, 0, 4, 2, 1])
+        x_prev, x_t, x_next = make_triples(values)
+        assert (x_prev[0, 0], x_t[0, 0], x_next[0, 0], x_next[-1, 0]) == (10, 11, 12, 16)
+        rows = model_mod._batch_rows(order, 2)  # batches of 2, 2 and a tail of 1
+        for start in (0, 2, 4):
+            idx = order[start : start + 2]
+            want = np.concatenate((x_t[idx], x_prev[idx], x_next[idx]))
+            assert np.array_equal(values[rows[3 * start : 3 * (start + len(idx))]], want)
+
+    def test_default_delta_t_is_one_hour(self, rng):
+        assert TrainingConfig().delta_t == 1.0
+        model, triple = edge1_model(), random_triple(rng, 4, 9)
+        assert total_loss(model, *triple, alpha=0.5) == total_loss(
+            model, *triple, alpha=0.5, delta_t=1.0
+        )
+
+    def test_too_few_rows_raise(self):
+        with pytest.raises(ConfigError, match="need >= 3 rows"):
+            train(TrainingConfig(hidden_size=2, epochs=1), self.frame(1.0, 2.0))
+
+    def test_nonpositive_delta_t_raises(self, rng):
+        with pytest.raises(ConfigError):
+            TrainingConfig(delta_t=0.0)
+        with pytest.raises(ConfigError):
+            total_loss(edge1_model(), *random_triple(rng, 4, 9), alpha=0.5, delta_t=0.0)
 
 
 class TestTraining:
@@ -494,7 +579,7 @@ class TestNonFiniteSettings:
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("entry", [
-        "train", "total_loss", "total_loss_grads", "make_triples", "central_difference",
+        "train", "total_loss", "total_loss_grads", "central_difference",
     ])
     def test_delta_t_rejected(self, entry, bad, rng):
         frame = small_training_frame(0, rows=40)
@@ -504,7 +589,6 @@ class TestNonFiniteSettings:
             "train": lambda: train(TrainingConfig(hidden_size=6, epochs=1, delta_t=bad), frame),
             "total_loss": lambda: total_loss(model, *triple, alpha=0.002, delta_t=bad),
             "total_loss_grads": lambda: total_loss_grads(model, *triple, alpha=0.002, delta_t=bad),
-            "make_triples": lambda: make_triples(frame, bad),
             "central_difference": lambda: central_difference(triple[0], triple[2], bad),
         }
         with pytest.raises(ConfigError, match="delta_t must be finite"):

@@ -149,13 +149,13 @@ class TestStructures:
     def test_layer_sizes_and_parameter_count(self):
         mlp = init_mlp([9, 9, 7], [TANH, TANH], seed=0)
         assert mlp.layer_sizes == [9, 9, 7]
-        assert mlp.n_parameters() == 9 * 9 + 9 + 9 * 7 + 7
+        assert mlp.params.size == 9 * 9 + 9 + 9 * 7 + 7
 
 
 class TestFlatParameters:
     def test_layers_view_into_params(self):
         mlp = init_mlp([4, 3, 2], [TANH, IDENTITY], seed=8)
-        assert mlp.params.shape == (mlp.n_parameters(),)
+        assert mlp.params.shape == (4 * 3 + 3 + 3 * 2 + 2,)
         mlp.params[:] = np.arange(mlp.params.size)
         assert np.array_equal(mlp.layers[0].weights, np.arange(12.0).reshape(3, 4))
         assert np.array_equal(mlp.layers[0].bias, [12.0, 13.0, 14.0])

@@ -13,10 +13,8 @@ from tdcae.preprocess import (
     fit_scaler,
     invert_scaler,
     load_csv,
-    make_triples,
     read_table,
     save_csv,
-    segment_edges,
     write_table,
 )
 
@@ -186,17 +184,15 @@ class TestEdgeSegmentation:
         )
 
     def test_edge1_columns_exact(self):
-        segments = segment_edges(self.full_frame())
-        edge1, frame1 = segments[0]
-        assert edge1.edge_id == 1
+        frame1 = self.full_frame().select(EDGE_FEATURES[1])
         assert frame1.feature_names == [
             "L_T1", "F_PU1", "S_PU1", "F_PU2", "S_PU2", "F_PU3", "S_PU3",
             "P_J280", "P_J269",
         ]
 
     def test_segment_widths(self):
-        segments = segment_edges(self.full_frame())
-        widths = [frame.n_features for _, frame in segments]
+        frame = self.full_frame()
+        widths = [frame.select(names).n_features for names in EDGE_FEATURES.values()]
         assert widths == [9, 19, 15]
 
     def test_union_is_disjoint_and_covers_43(self):
@@ -208,40 +204,13 @@ class TestEdgeSegmentation:
         frame = self.full_frame()
         keep = [n for n in frame.feature_names if n != "P_J269"]
         with pytest.raises(IngestionError, match="P_J269"):
-            segment_edges(frame.select(keep))
+            frame.select(keep).select(EDGE_FEATURES[1])
 
     def test_labels_replicated(self):
         frame = self.full_frame()
         frame.labels[2] = 1
-        for _, segment in segment_edges(frame):
-            assert np.array_equal(segment.labels, frame.labels)
-
-
-class TestTriples:
-    def test_five_rows_give_three_triples(self):
-        frame = frame_from_columns(a=[0, 1, 2, 3, 4.0])
-        triples = make_triples(frame)
-        assert triples.n_rows == 3
-
-    def test_alignment(self):
-        frame = frame_from_columns(a=[10.0, 11, 12, 13, 14])
-        triples = make_triples(frame)
-        assert triples.x_prev[0, 0] == 10.0
-        assert triples.x_t[0, 0] == 11.0
-        assert triples.x_next[0, 0] == 12.0
-        assert triples.x_next[-1, 0] == 14.0
-
-    def test_default_delta_t_is_one_hour(self):
-        triples = make_triples(frame_from_columns(a=[1.0, 2, 3]))
-        assert triples.delta_t == 1.0
-
-    def test_too_few_rows_raise(self):
-        with pytest.raises(ConfigError):
-            make_triples(frame_from_columns(a=[1.0, 2]))
-
-    def test_nonpositive_delta_t_raises(self):
-        with pytest.raises(ConfigError):
-            make_triples(frame_from_columns(a=[1.0, 2, 3]), delta_t=0.0)
+        for names in EDGE_FEATURES.values():
+            assert np.array_equal(frame.select(names).labels, frame.labels)
 
 
 class TestCsv:
