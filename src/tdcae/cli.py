@@ -218,6 +218,8 @@ def _resolve_training_config(args, n_features: int) -> model_mod.TrainingConfig:
     if unknown:
         raise ConfigError(f"unknown training settings: {', '.join(unknown)}")
     base.update(doc)
+    # Check the file itself, so that a flag or TDCAE_SEED cannot hide a bad field.
+    model_mod.TrainingConfig.from_dict(base)
     overrides = {
         "learning_rate": args.lr,
         "batch_size": args.batch_size,
@@ -282,12 +284,7 @@ def _load_train_scores(path) -> np.ndarray:
 
 def cmd_detect(args) -> int:
     trained, scaler, _ = model_mod.load_model(args.model)
-    config = DetectionConfig(
-        window=args.window,
-        percentile=args.percentile,
-        smoothing=args.smoothing,
-        threshold_source=args.threshold_source,
-    )
+    config = DetectionConfig(window=args.window, percentile=args.percentile)
     scored_frame = _scaled_csv(args.data, scaler)
 
     if args.threshold is not None:
@@ -322,8 +319,6 @@ def cmd_detect(args) -> int:
             "data": str(args.data),
             "window": config.window,
             "percentile": config.percentile,
-            "smoothing": config.smoothing,
-            "threshold_source": config.threshold_source,
             "threshold": threshold,
         },
     )
@@ -496,10 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, help="explicit threshold override")
     p.add_argument("--train-scores", help="train_scores.csv from the train command")
     p.add_argument("--train-data", help="attack-free CSV to fit the threshold on")
-    p.add_argument("--smoothing", choices=("trailing", "centered"), default="trailing")
-    p.add_argument(
-        "--threshold-source", choices=("smoothed", "raw"), default="smoothed"
-    )
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="challenge metrics from detections")

@@ -17,24 +17,20 @@ from .preprocess import DatasetFrame, read_table, write_table
 @dataclass
 class DetectionConfig:
     """window/percentile defaults follow the deployment recipe: a 7-sample
-    moving average and the 95th percentile of training errors.
+    trailing moving average, flagged against the 95th percentile of the
+    training errors smoothed the same way.
 
-    smoothing is "trailing" (causal, online-friendly) or "centered";
-    threshold_source picks whether the percentile is taken over smoothed
-    or raw training scores.
+    Smoothing is causal only, since a flag that reads later scores would
+    be raised early and inflate the time-to-detect score S_TTD.
     """
 
     window: int = 7
     percentile: float = 95.0
-    smoothing: str = "trailing"
-    threshold_source: str = "smoothed"
 
     def __post_init__(self):
-        self.window = _check_smoothing(self.window, self.smoothing)
+        self.window = _check_window(self.window)
         if not 0.0 < self.percentile < 100.0:
             raise ConfigError("percentile must lie strictly between 0 and 100")
-        if self.threshold_source not in ("smoothed", "raw"):
-            raise ConfigError(f"unknown threshold source {self.threshold_source!r}")
 
 
 @dataclass
@@ -64,51 +60,48 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
     return np.add.reduce(residual, axis=1) / residual.shape[1]
 
 
-def _check_smoothing(window, mode: str) -> int:
-    """The moving-average window as an int, once window and mode are
-    checked. A window that is not an integer >= 1, such as a float or a
-    bool, is a ConfigError; numpy integers pass."""
+def _check_window(window) -> int:
+    """The moving-average window as an int. A window that is not an
+    integer >= 1, such as a float or a bool, is a ConfigError; numpy
+    integers pass."""
     try:
         value = operator.index(window)
     except TypeError:
         value = 0
     if isinstance(window, bool) or value < 1:
         raise ConfigError("window must be an integer >= 1")
-    if mode not in ("trailing", "centered"):
-        raise ConfigError(f"unknown smoothing mode {mode!r}")
     return value
 
 
-def smooth(scores, window: int, mode: str = "trailing") -> np.ndarray:
-    """Moving-average filter. Trailing mode averages the min(window, t+1)
-    most recent scores; centered mode averages a window of the same size
-    centred on t, truncated at both ends. Output length equals input
+def smooth(scores, window: int) -> np.ndarray:
+    """Trailing moving average: entry t is the mean of the min(window,
+    t+1) most recent scores, so it never reads a later score, which would
+    raise flags early and inflate S_TTD. Output length equals input
     length. Each window is summed left to right from +0.0, in
-    O(n * min(window, 2n)) work."""
-    window = _check_smoothing(window, mode)
+    O(n * min(window, n)) work."""
+    window = _check_window(window)
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     if n == 0 or window == 1:
         return scores.copy()
-    # Pad no further than some row reads: row t sums padded[t : t + k].
-    lead = window - 1 if mode == "trailing" else window // 2
-    front, back = min(lead, n - 1), min(window - 1 - lead, n - 1)
-    k = front + back + 1
-    padded = np.zeros(front + n + back)
-    padded[front : front + n] = scores
+    # Pad no further than some row reads: row t sums padded[t : t + front + 1].
+    front = min(window - 1, n - 1)
+    padded = np.zeros(front + n)
+    padded[front:] = scores
     padded.flags.writeable = False
     # Row j of this read-only view is padded[j : j + n]. Reducing over
     # axis 0 adds the rows in order, so no pairwise summation reorders a window.
-    shifted = np.ndarray((k, n), np.float64, padded, 0, padded.strides * 2)
+    shifted = np.ndarray((front + 1, n), np.float64, padded, 0, padded.strides * 2)
     total = np.add.reduce(shifted, axis=0, initial=0.0)
-    t = np.arange(n)
-    return total / (np.minimum(t + k, front + n) - np.maximum(t, front))
+    # min(t + 1, window), with front + 1 = min(window, n) standing in for a
+    # window too large for numpy's integers.
+    return total / np.minimum(np.arange(1, n + 1), front + 1)
 
 
 def fit_threshold(
     model: HTdcAutoencoder, train_frame: DatasetFrame, config: DetectionConfig
 ) -> float:
-    """Percentile of the (smoothed) training reconstruction errors, linear
+    """Percentile of the smoothed training reconstruction errors, linear
     interpolation between order statistics."""
     if train_frame.n_rows == 0:
         raise ConfigError("cannot fit a threshold on an empty frame")
@@ -117,13 +110,12 @@ def fit_threshold(
 
 
 def threshold_from_scores(scores, config: DetectionConfig) -> float:
-    """Threshold from precomputed raw training scores."""
+    """Threshold from precomputed raw training scores: the percentile of
+    their trailing moving average."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ConfigError("cannot fit a threshold on empty scores")
-    if config.threshold_source == "smoothed":
-        scores = smooth(scores, config.window, config.smoothing)
-    return float(np.percentile(scores, config.percentile))
+    return float(np.percentile(smooth(scores, config.window), config.percentile))
 
 
 def detect(
@@ -137,7 +129,7 @@ def detect(
     if not math.isfinite(threshold):
         raise ConfigError("threshold must be finite")
     raw = reconstruction_error(model, frame)
-    smoothed = smooth(raw, config.window, config.smoothing)
+    smoothed = smooth(raw, config.window)
     flags = smoothed > threshold
     return DetectionResult(raw, smoothed, float(threshold), flags)
 

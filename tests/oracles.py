@@ -103,49 +103,40 @@ def tdc_loss(delta_z, zdot_t) -> float:
     return float(np.mean((delta_z - zdot_t) ** 2)) if delta_z.size else 0.0
 
 
-def smooth_reference(scores, window: int, mode: str = "trailing") -> np.ndarray:
+def smooth_reference(scores, window: int) -> np.ndarray:
     """tdcae.detect.smooth written the slow way: a per-row loop of numpy
-    means, and a sliding-window view for the full trailing windows. numpy
-    sums fewer than eight numbers left to right from +0.0, so for windows
-    up to 7 smooth must give these bits."""
+    means over the first rows, and a sliding-window view for the full
+    windows. numpy sums fewer than eight numbers left to right from +0.0,
+    so for windows up to 7 smooth must give these bits."""
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     if n == 0 or window == 1:
         return scores.copy()
     out = np.empty(n, dtype=np.float64)
-    if mode == "trailing":
-        head = min(window - 1, n)
-        for t in range(head):
-            out[t] = scores[: t + 1].mean()
-        if n >= window:
-            windows = np.lib.stride_tricks.sliding_window_view(scores, window)
-            out[window - 1 :] = windows.mean(axis=1)
-    else:
-        half = window // 2
-        for t in range(n):
-            lo = max(0, t - half)
-            hi = min(n, t + window - half)
-            out[t] = scores[lo:hi].mean()
+    for t in range(min(window - 1, n)):
+        out[t] = scores[: t + 1].mean()
+    if n >= window:
+        windows = np.lib.stride_tricks.sliding_window_view(scores, window)
+        out[window - 1 :] = windows.mean(axis=1)
     return out
 
 
-def smooth_shifted_reference(scores, window: int, mode: str = "trailing") -> np.ndarray:
+def smooth_shifted_reference(scores, window: int) -> np.ndarray:
     """tdcae.detect.smooth as a loop over shifted slices: zero-pad the
-    scores, then add each of the front + back + 1 slices of the padded
-    vector to a +0.0 accumulator in turn. Every window is summed left to
-    right, so smooth must give these bits for every window size."""
+    front of the scores, then add each of the front + 1 slices of the
+    padded vector to a +0.0 accumulator in turn. Every window is summed
+    left to right, so smooth must give these bits for every window size."""
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     if n == 0 or window == 1:
         return scores.copy()
-    lead = window - 1 if mode == "trailing" else window // 2
-    front, back = min(lead, n - 1), min(window - 1 - lead, n - 1)
-    padded = np.concatenate([np.zeros(front), scores, np.zeros(back)])
+    front = min(window - 1, n - 1)
+    padded = np.concatenate([np.zeros(front), scores])
     total = np.zeros(n)
-    for start in range(front + back + 1):
+    for start in range(front + 1):
         total += padded[start : start + n]
     t = np.arange(n)
-    return total / (np.minimum(t + front + back + 1, front + n) - np.maximum(t, front))
+    return total / (np.minimum(t + front + 1, front + n) - np.maximum(t, front))
 
 
 def simulate_reference(config, attacks=()):

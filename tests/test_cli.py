@@ -169,6 +169,20 @@ class TestDetectCommand:
                    "--threshold", 0.5, "--out", out) == 0
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["threshold"] == 0.5
+        assert sorted(echoed) == ["command", "data", "model", "percentile", "threshold", "window"]
+
+    @pytest.mark.parametrize("option", [["--smoothing", "centered"], ["--threshold-source", "raw"]])
+    def test_retired_options_are_usage_errors(self, pipeline, tmp_path, capsys, option):
+        # Smoothing is trailing only and the threshold always comes from
+        # smoothed training scores; neither has an option any more.
+        with pytest.raises(SystemExit) as info:
+            run("detect", "--model", pipeline / "model" / "model.json",
+                "--data", pipeline / "test" / "data.csv",
+                "--train-scores", pipeline / "model" / "train_scores.csv",
+                "--out", tmp_path / "det", *option)
+        assert info.value.code == 1
+        assert f"error: unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not (tmp_path / "det").exists()
 
     def test_missing_threshold_source_is_user_error(self, pipeline, capsys):
         code = run("detect", "--model", pipeline / "model" / "model.json",
@@ -448,6 +462,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("content, field", [
         (b'{"batch_size": "abc"}', "batch_size"),
+        # self.train's --epochs 1 must not hide the file's bad value.
+        (b'{"epochs": "abc"}', "epochs: expected int, got 'abc'"),
         (b'{"hidden_size": 2.5}', "hidden_size"),
         (b'{"seed": -1}', "seed"),
         (b'{"seed": "abc"}', "seed"),
@@ -461,6 +477,14 @@ class TestMalformedInput:
         (tmp_path / "cfg.json").write_bytes(content)
         assert self.train(pipeline, tmp_path, "--config", tmp_path / "cfg.json") == 1
         assert field in capsys.readouterr().err
+
+    def test_seed_variable_does_not_hide_a_bad_config_seed(self, pipeline, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("TDCAE_SEED", "3")
+        (tmp_path / "cfg.json").write_text('{"seed": "abc"}')
+        assert self.train(pipeline, tmp_path, "--config", tmp_path / "cfg.json") == 1
+        assert "seed: expected int, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("attack, field", [
         ({"kind": "bogus", "target": 0, "start": 10, "end": 20}, "attacks[0].kind"),

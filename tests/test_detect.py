@@ -85,12 +85,7 @@ class TestSmooth:
     def test_matches_hand_rolled_reference(self, rng):
         scores = rng.exponential(size=51)
         for window in (1, 2, 3, 7, 10, 51, 80):
-            for mode in ("trailing", "centered"):
-                assert np.allclose(
-                    smooth(scores, window, mode),
-                    smooth_reference(scores, window, mode),
-                    atol=1e-12,
-                )
+            assert np.allclose(smooth(scores, window), smooth_reference(scores, window), atol=1e-12)
 
     def test_output_length_and_empty(self):
         assert smooth(np.array([]), 7).shape == (0,)
@@ -102,23 +97,14 @@ class TestSmooth:
         assert out.min() >= scores.min() - 1e-12
         assert out.max() <= scores.max() + 1e-12
 
-    def test_centered_mode(self):
-        scores = np.array([0.0, 0, 7, 0, 0, 0, 0])
-        out = smooth(scores, 3, mode="centered")
-        assert out[2] == pytest.approx(7 / 3)
-        assert out[1] == pytest.approx(7 / 3)  # window 0..2 includes the spike
-        assert out[0] == 0.0  # truncated window 0..1
-        assert np.array_equal(smooth(scores, 1, mode="centered"), scores)
-
     def test_bad_window_raises(self):
         with pytest.raises(ConfigError):
             smooth(np.arange(4.0), 0)
 
     @pytest.mark.parametrize("window", [2.5, 7.0, True, False, "7", None])
     def test_non_integer_window_is_a_named_error(self, window):
-        for mode in ("trailing", "centered"):
-            with pytest.raises(ConfigError, match="window must be an integer >= 1"):
-                smooth(np.arange(4.0), window, mode)
+        with pytest.raises(ConfigError, match="window must be an integer >= 1"):
+            smooth(np.arange(4.0), window)
         with pytest.raises(ConfigError, match="window must be an integer >= 1"):
             DetectionConfig(window=window)
 
@@ -146,10 +132,6 @@ class TestThreshold:
         assert threshold_from_scores(scores, config) == pytest.approx(
             np.percentile(smoothed, 95.0)
         )
-        raw_config = DetectionConfig(window=7, threshold_source="raw")
-        assert threshold_from_scores(scores, raw_config) == pytest.approx(
-            np.percentile(scores, 95.0)
-        )
 
     def test_empty_scores_raise(self):
         with pytest.raises(ConfigError):
@@ -160,8 +142,6 @@ class TestThreshold:
             DetectionConfig(window=0)
         with pytest.raises(ConfigError):
             DetectionConfig(percentile=100.0)
-        with pytest.raises(ConfigError):
-            DetectionConfig(smoothing="boxcar")
 
 
 class TestDetect:

@@ -10,14 +10,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import simulate_reference, smooth_reference, smooth_shifted_reference
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
-from tdcae.detect import smooth
+from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
 from tdcae.errors import TdcaeError
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
-from tdcae.preprocess import DatasetFrame, load_csv, save_csv, write_table
-from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate_trace
+from tdcae.model import TrainingConfig, train
+from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler, load_csv, save_csv, write_table
+from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate, simulate_trace
 
 # No per-example deadline: timings on a shared machine vary too much.
 relaxed = settings(deadline=None)
@@ -63,7 +65,36 @@ def test_trailing_smooth_at_t_depends_only_on_scores_up_to_t(data, values, windo
     assert np.allclose(whole[: t + 1], smooth(values[: t + 1], window), rtol=1e-12, atol=0)
 
 
-modes = st.sampled_from(["trailing", "centered"])
+@pytest.fixture(scope="module")
+def trained():
+    """A model trained once on 300 simulated hours, the scaled frame, a
+    threshold fitted on it and the detection of that frame."""
+    frame = simulate(TankSystemConfig(horizon=300, seed=5))
+    scaled = apply_scaler(fit_scaler(frame), frame)
+    model, _ = train(TrainingConfig(epochs=2, hidden_size=scaled.n_features), scaled)
+    config = DetectionConfig()
+    threshold = fit_threshold(model, scaled, config)
+    return model, scaled, threshold, config, detect(model, scaled, threshold, config)
+
+
+# Finite values whose squared reconstruction errors cannot overflow.
+huge = st.floats(-1e100, 1e100)
+
+
+@relaxed
+@given(data=st.data())
+def test_detect_at_t_depends_only_on_rows_up_to_t(trained, data):
+    model, frame, threshold, config, whole = trained
+    t = data.draw(st.integers(0, frame.n_rows - 1))
+    values = frame.values.copy()
+    values[t + 1 :] = data.draw(
+        arrays(np.float64, (frame.n_rows - t - 1, frame.n_features), elements=huge, fill=huge)
+    )
+    changed = detect(model, frame.with_values(values), threshold, config)
+    for name in ("raw_scores", "smoothed_scores", "flags"):
+        assert getattr(changed, name)[: t + 1].tobytes() == getattr(whole, name)[: t + 1].tobytes()
+
+
 # Finite signed scores whose window sums cannot overflow, with signed
 # zeros and subnormals drawn often, and often of one magnitude so that
 # the order of the additions shows in the last bits.
@@ -75,43 +106,40 @@ signed = st.lists(
 
 
 @relaxed
-@given(values=signed, window=st.integers(1, 7), mode=modes)
-def test_smooth_matches_the_reference_bit_for_bit_up_to_window_7(values, window, mode):
+@given(values=signed, window=st.integers(1, 7))
+def test_smooth_matches_the_reference_bit_for_bit_up_to_window_7(values, window):
     values = np.array(values, dtype=np.float64)
-    expected = smooth_reference(values, window, mode)
-    assert smooth(values, window, mode).tobytes() == expected.tobytes()
+    expected = smooth_reference(values, window)
+    assert smooth(values, window).tobytes() == expected.tobytes()
 
 
 @relaxed
-@given(values=signed, window=st.integers(1, 100), mode=modes)
-def test_smooth_matches_the_shifted_slice_loop_bit_for_bit(values, window, mode):
+@given(values=signed, window=st.integers(1, 100))
+def test_smooth_matches_the_shifted_slice_loop_bit_for_bit(values, window):
     values = np.array(values, dtype=np.float64)
-    expected = smooth_shifted_reference(values, window, mode)
-    assert smooth(values, window, mode).tobytes() == expected.tobytes()
+    expected = smooth_shifted_reference(values, window)
+    assert smooth(values, window).tobytes() == expected.tobytes()
 
 
 @relaxed
 @given(values=st.lists(st.floats(-1e300, 1e300, allow_subnormal=False), min_size=1, max_size=40),
-       window=st.integers(1, 100), mode=modes)
-def test_smooth_is_within_rounding_of_an_exact_mean(values, window, mode):
-    n = len(values)
-    lead = window - 1 if mode == "trailing" else window // 2
+       window=st.integers(1, 100))
+def test_smooth_is_within_rounding_of_an_exact_mean(values, window):
     exact = []
-    for t in range(n):
-        lo, hi = max(t - lead, 0), min(t - lead + window, n)
-        exact.append(math.fsum(values[lo:hi]) / (hi - lo))
+    for t in range(len(values)):
+        lo = max(t + 1 - window, 0)
+        exact.append(math.fsum(values[lo : t + 1]) / (t + 1 - lo))
     bound = 4 * window * np.finfo(float).eps * max(abs(v) for v in values)
-    assert np.all(np.abs(smooth(values, window, mode) - exact) <= bound)
+    assert np.all(np.abs(smooth(values, window) - exact) <= bound)
 
 
 @settings(deadline=2000)
-@given(values=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40), mode=modes)
-def test_smooth_with_a_huge_window_averages_everything_in_reach(values, mode):
-    # A window of 2n already reaches every row from every row.
-    expected = smooth(values, 2 * len(values), mode)
-    assert smooth(values, 10**9, mode).tobytes() == expected.tobytes()
-    if mode == "trailing":
-        assert smooth(values, len(values)).tobytes() == expected.tobytes()
+@given(values=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40))
+def test_smooth_with_a_huge_window_averages_everything_in_reach(values):
+    # A window of n already reaches every earlier row from every row.
+    expected = smooth(values, len(values))
+    assert smooth(values, 10**9).tobytes() == expected.tobytes()
+    assert smooth(values, 10**30).tobytes() == expected.tobytes()
 
 
 # Cell text that survives the CSV round trip: no surrounding whitespace
