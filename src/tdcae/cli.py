@@ -273,6 +273,11 @@ def cmd_train(args) -> int:
 
 
 def _load_train_scores(path) -> np.ndarray:
+    """The raw column of a train_scores.csv: read by numpy's C text reader,
+    or by read_table and float() per cell when that reader refuses it."""
+    table = pre._read_numbers(Path(path), lambda header: 0)
+    if table is not None and table[0][:2] == list(TRAIN_SCORES_HEADER):
+        return table[1][:, 1]
     try:
         return np.array(
             [pre._parse_cell(cells[1], row_number, "raw")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -241,6 +242,11 @@ def load_csv(path) -> DatasetFrame:
     the error names the first in file order: rows top to bottom, and
     within a row the feature cells left to right, then the label cell.
     Row numbers in error messages are 1-based and include the header.
+
+    numpy's C text reader reads the file. A file it refuses, or might read
+    otherwise than csv.reader and float() do, goes to the reference reader
+    (csv.reader, float() per cell), which loads it or raises the error
+    above; either way the frame is the one the reference gives.
     """
     path = Path(path)
     try:
@@ -252,25 +258,45 @@ def load_csv(path) -> DatasetFrame:
 
 
 def _read_csv(path: Path) -> DatasetFrame:
+    """load_csv's reader: numpy's C text reader, or the reference reader
+    for a file that the C reader refuses."""
+    table = _read_numbers(path, lambda header: _columns(header)[3])
+    if table is None:
+        return _read_csv_reference(path)
+    header, values, datetimes = table
+    header, feature_idx, label_idx, time_idx = _columns(header)
+    if all(h == "" for h in header):
+        return _read_csv_reference(path)
+    return DatasetFrame(
+        feature_names=[header[i] for i in feature_idx],
+        values=values.take(feature_idx, axis=1),  # C order, as the reference gives
+        labels=(values[:, label_idx] > 0.5).astype(np.int64) if label_idx is not None else None,
+        datetimes=datetimes if time_idx is not None else None,
+    )
+
+
+def _columns(header: list[str]) -> tuple[list[str], list[int], int | None, int | None]:
+    """The stripped header cells, the feature columns, and the label and
+    DATETIME columns (None when absent), named in any case."""
+    header = [h.strip() for h in header]
+    label_idx = next((i for i, h in enumerate(header) if h.upper() == LABEL_COLUMN), None)
+    time_idx = next((i for i, h in enumerate(header) if h.upper() == DATETIME_COLUMN), None)
+    feature_idx = [i for i in range(len(header)) if i not in (label_idx, time_idx)]
+    return header, feature_idx, label_idx, time_idx
+
+
+def _read_csv_reference(path: Path) -> DatasetFrame:
+    """load_csv's reference reader: csv.reader, and float() per cell."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header, feature_idx, label_idx, time_idx = _columns(header)
         if not header or all(h == "" for h in header):
             raise IngestionError(f"{path}: header row is empty")
 
-        label_idx = next(
-            (i for i, h in enumerate(header) if h.upper() == LABEL_COLUMN), None
-        )
-        time_idx = next(
-            (i for i, h in enumerate(header) if h.upper() == DATETIME_COLUMN), None
-        )
-        feature_idx = [
-            i for i in range(len(header)) if i not in (label_idx, time_idx)
-        ]
         columns = feature_idx + ([] if label_idx is None else [label_idx])
         width = len(header)
         # itemgetter returns a tuple only for two or more indices.
@@ -314,6 +340,70 @@ def _read_csv(path: Path) -> DatasetFrame:
         labels=(labels > 0.5).astype(np.int64) if label_idx is not None else None,
         datetimes=datetimes if time_idx is not None else None,
     )
+
+
+# Bytes on which numpy's C text reader, called without quoting, and
+# csv.reader with float() can disagree. A quote: csv.reader unquotes a
+# cell, and a quoted cell may span lines. NUL: csv.reader rejects it before
+# Python 3.11. \x1c-\x1f: numpy strips them around a number as whitespace,
+# float() does not.
+_REFERENCE_ONLY_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _c_reader_agrees(path: Path) -> bool:
+    """Whether numpy's C reader can read the file only as csv.reader and
+    float() do: it has none of _REFERENCE_ONLY_BYTES, and a line break in
+    every full block of half csv.field_size_limit() bytes (at most 64 KiB),
+    so that no line, and so no cell, is longer than csv.reader allows.
+    Reads the file in such blocks."""
+    span = max(min(csv.field_size_limit(), 1 << 17) // 2, 1)
+    with path.open("rb") as fh:
+        while block := fh.read(span):
+            if any(byte in block for byte in _REFERENCE_ONLY_BYTES):
+                return False
+            if len(block) == span and b"\n" not in block and b"\r" not in block:
+                return False
+    return True
+
+
+def _read_numbers(path: Path, text_index):
+    """(header, values, texts) of a CSV table read by numpy's C text reader,
+    or None when that reader refuses the table or might read it otherwise
+    than the reference readers, csv.reader with float(), do.
+
+    The header row is csv.reader's cells of the first line. `values` is
+    the float64 matrix of the data rows, blank lines skipped, one column
+    per header cell. The column `text_index(header)` (None for none) is
+    kept as text: `texts` holds its stripped cells and its `values` are 0.
+    Every other cell is a finite number; a table with a ragged row, with
+    no data row or with no numeric column gives None."""
+    if not _c_reader_agrees(path):
+        return None
+    texts = []
+
+    def keep(cell: str) -> float:
+        texts.append(cell.strip())
+        return 0.0
+
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader([fh.readline()]))
+            text_idx = text_index(header)
+            # No numeric column. For one text column, csv.reader reads a
+            # whitespace-only line as blank, numpy as a cell.
+            if len(header) - (text_idx is not None) < 1:
+                return None
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                values = np.loadtxt(
+                    fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                    converters=None if text_idx is None else {text_idx: keep},
+                )
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if values.shape[0] == 0 or values.shape[1] != len(header) or not np.isfinite(values).all():
+        return None
+    return header, values, texts
 
 
 def save_csv(frame: DatasetFrame, path) -> None:

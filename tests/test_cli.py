@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdcae.cli import main
+from batadal_fixture import write_batadal_csv
+from tdcae import preprocess
+from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import load_detection_flags
 from tdcae.metrics import AttackInterval
 from tdcae.model import load_model, load_scaler
-from tdcae.preprocess import DatasetFrame, load_csv, save_csv
+from tdcae.preprocess import DatasetFrame, load_csv, read_table, save_csv
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate
 
 
@@ -135,6 +137,19 @@ class TestTrainCommand:
                    "--epochs", 1) == 0
         rows = (tmp_path / "m" / "train_scores.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == stamps
+
+    def test_train_scores_of_a_batadal_file_are_read_by_numpy(self, tmp_path, monkeypatch):
+        write_batadal_csv(tmp_path / "b.csv", rows=200)
+        assert run("train", "--data", tmp_path / "b.csv", "--edge", 1,
+                   "--out", tmp_path / "m", "--epochs", 1) == 0
+        path = tmp_path / "m" / "train_scores.csv"
+        expected = np.array([float(cells[1]) for _, cells in read_table(path, TRAIN_SCORES_HEADER)])
+
+        def refuse(*args):
+            raise AssertionError("the reference reader ran")
+
+        monkeypatch.setattr(preprocess, "read_table", refuse)
+        assert _load_train_scores(path).tobytes() == expected.tobytes()
 
     def test_deterministic_model_bytes(self, pipeline, tmp_path):
         outs = []

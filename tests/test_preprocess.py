@@ -1,8 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+from batadal_fixture import BATADAL_COLUMNS, write_batadal_csv
+from tdcae import preprocess
 from tdcae.errors import ConfigError, DimensionError, IngestionError, NumericError
 from tdcae.model import load_scaler, save_scaler
 from tdcae.preprocess import (
@@ -17,6 +20,22 @@ from tdcae.preprocess import (
     save_csv,
     write_table,
 )
+from tdcae.synth import TankSystemConfig, simulate
+
+
+def frame_bits(frame: DatasetFrame) -> list:
+    """Every field of a frame, arrays as (dtype, shape, bytes)."""
+    fields = [(f.name, getattr(frame, f.name)) for f in dataclasses.fields(frame)]
+    return [(name, (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v)
+            for name, v in fields]
+
+
+def load_outcome(path):
+    """frame_bits of load_csv(path), or the message of its IngestionError."""
+    try:
+        return frame_bits(load_csv(path))
+    except IngestionError as exc:
+        return str(exc)
 
 
 def frame_from_columns(**columns) -> DatasetFrame:
@@ -311,6 +330,37 @@ class TestCsv:
         with pytest.raises(IngestionError):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "DATETIME,a\r\n\r\n", "a\n\n\n"])
+    def test_header_only_file_has_no_data_rows_and_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestionError, match="d.csv: no data rows"):
+                load_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        # numpy strips \x1c-\x1f around a number, float() does not
+        "a,b\n1,2\x1c\n", "a,b\n1,\x1f2\n",
+        # csv.reader caps a cell at csv.field_size_limit() characters,
+        # numpy does not
+        "a,b\n1," + " " * 200_000 + "2\n",
+        # csv.reader unquotes a cell, numpy called without quoting does not
+        'DATETIME,a\n"x",1\n',
+        # csv.reader rejects NUL before Python 3.11
+        "DATETIME,a\nx\x00,1\n",
+        # a whitespace-only line is blank to csv.reader, a cell to numpy
+        "DATETIME\nx\n \ny\n",
+    ])
+    def test_what_numpy_could_misread_loads_as_the_reference_loads_it(
+        self, tmp_path, monkeypatch, text
+    ):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        got = load_outcome(path)
+        monkeypatch.setattr(preprocess, "_read_numbers", lambda path, text_index: None)
+        assert got == load_outcome(path)
+
     def test_save_load_round_trip(self, tmp_path, rng):
         frame = DatasetFrame(
             feature_names=["x", "y"],
@@ -322,6 +372,34 @@ class TestCsv:
         assert back.feature_names == frame.feature_names
         assert np.array_equal(back.values, frame.values)
         assert np.array_equal(back.labels, frame.labels)
+
+
+class TestBatadalLayout:
+    def test_fixture_columns_are_the_edge_features(self):
+        assert sorted(BATADAL_COLUMNS) == sorted(n for fs in EDGE_FEATURES.values() for n in fs)
+
+    def test_fixture_loads_with_stripped_names_stamps_and_sentinels(self, tmp_path):
+        frame = load_csv(write_batadal_csv(tmp_path / "b.csv", rows=60))
+        assert frame.feature_names == list(BATADAL_COLUMNS)
+        assert (frame.datetimes[0], frame.datetimes[-1]) == ("06/01/14 00", "08/01/14 11")
+        assert frame.labels.tolist() == [0] * 30 + [1] * 6 + [0] * 24
+        widths = [frame.select(EDGE_FEATURES[e]).n_features for e in (1, 2, 3)]
+        assert widths == [9, 19, 15]
+
+    @pytest.mark.parametrize("layout", ["batadal", "synth"])
+    def test_numpy_reads_the_file_as_the_reference_does(self, tmp_path, monkeypatch, layout):
+        path = tmp_path / "d.csv"
+        if layout == "batadal":
+            write_batadal_csv(path, rows=200, seed=3)
+        else:
+            save_csv(simulate(TankSystemConfig(horizon=200, seed=3)), path)
+        expected = frame_bits(preprocess._read_csv_reference(path))
+
+        def refuse(path):
+            raise AssertionError("the reference reader ran")
+
+        monkeypatch.setattr(preprocess, "_read_csv_reference", refuse)
+        assert frame_bits(load_csv(path)) == expected
 
 
 class TestTableCodec:

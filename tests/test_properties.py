@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import simulate_reference, smooth_reference, smooth_shifted_reference
+from tdcae import preprocess
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
 from tdcae.errors import TdcaeError
@@ -236,11 +238,11 @@ VALID_CSV = (
 )
 
 
-def byte_edits(size: int):
-    """Up to six byte edits of a file of `size` bytes."""
+def byte_edits(size: int, blobs=st.binary(min_size=1, max_size=3)):
+    """Up to six byte edits of a file of `size` bytes, each writing,
+    inserting or deleting a blob."""
     return st.lists(
-        st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, size),
-                  st.binary(min_size=1, max_size=3)),
+        st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, size), blobs),
         min_size=1, max_size=6,
     )
 
@@ -268,6 +270,33 @@ def test_mutated_csv_loads_or_raises_a_tdcae_error(tmp_path_factory, edits):
     except TdcaeError:
         return
     assert np.isfinite(frame.values).all()
+
+
+VALID_CSV_NO_DATETIME = b"".join(
+    line.split(b",", 1)[1] for line in VALID_CSV.splitlines(keepends=True)
+)
+
+# Bytes on which numpy's C text reader and csv.reader with float() are the
+# likeliest to part: the separators \x1c-\x1f, which numpy strips around a
+# number and float() does not, quotes, line breaks, delimiters, underscores
+# (float() reads "1_0") and blanks.
+tricky_blobs = st.lists(st.sampled_from(list(b'\x1c\x1d\x1e\x1f"\r,_ \t')),
+                        min_size=1, max_size=3).map(bytes)
+
+
+def reference_load_csv(path):
+    """load_csv with the reference reader alone."""
+    with mock.patch.object(preprocess, "_read_numbers", return_value=None):
+        return load_csv(path)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), seed=st.sampled_from([VALID_CSV, VALID_CSV_NO_DATETIME]))
+def test_load_csv_equals_the_reference_reader(tmp_path_factory, data, seed):
+    edits = data.draw(byte_edits(len(seed), tricky_blobs | st.binary(min_size=1, max_size=3)))
+    path = tmp_path_factory.mktemp("edited") / "data.csv"
+    path.write_bytes(edited(seed, edits))
+    assert _built(lambda: load_csv(path)) == _built(lambda: reference_load_csv(path))
 
 
 @st.composite
