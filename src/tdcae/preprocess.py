@@ -395,8 +395,12 @@ def _read_numbers(path: Path, text_index):
                 return None
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # encoding="utf-8" hands the converter str cells; numpy < 2
+                # defaults to "bytes", which hands it latin-1 bytes. The
+                # open stream's own encoding is what decodes the file.
                 values = np.loadtxt(
                     fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                    encoding="utf-8",
                     converters=None if text_idx is None else {text_idx: keep},
                 )
     except ValueError:  # UnicodeDecodeError included

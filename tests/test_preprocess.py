@@ -401,6 +401,26 @@ class TestBatadalLayout:
         monkeypatch.setattr(preprocess, "_read_csv_reference", refuse)
         assert frame_bits(load_csv(path)) == expected
 
+    def test_stamps_are_text_under_the_numpy_1_loadtxt_default(self, tmp_path, monkeypatch):
+        # numpy < 2 defaults loadtxt's encoding to "bytes", which hands
+        # converters bytes; numpy 2 still does so when asked explicitly.
+        path = write_batadal_csv(tmp_path / "b.csv", rows=60)
+        expected = preprocess._read_csv_reference(path).datetimes
+        loadtxt = np.loadtxt
+
+        def loadtxt_numpy_1(*args, **kwargs):
+            kwargs.setdefault("encoding", "bytes")
+            return loadtxt(*args, **kwargs)
+
+        def refuse(path):
+            raise AssertionError("the reference reader ran")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_numpy_1)
+        monkeypatch.setattr(preprocess, "_read_csv_reference", refuse)
+        datetimes = load_csv(path).datetimes
+        assert all(type(stamp) is str for stamp in datetimes)
+        assert datetimes == expected
+
 
 class TestTableCodec:
     def test_write_table_golden_bytes_read_back(self, tmp_path):
