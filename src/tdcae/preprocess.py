@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
+import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -205,12 +205,20 @@ def invert_scaler(params: RobustScalerParams, frame: DatasetFrame) -> DatasetFra
     return frame.with_values(frame.values * params.divisors + params.median)
 
 
+# The whitespace float() ignores around a number: what str.strip() removes
+# but \x1c-\x1f, which float() rejects.
+_FLOAT_PADDING = re.compile(r"\A[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z")
+
+
 def _parse_cell(cell: str, row_number: int, column: str) -> float:
+    """float(cell), which may be padded with whitespace, or an IngestionError
+    that shows the cell without the padding float() ignores."""
     try:
         value = float(cell)
     except ValueError:
+        shown = _FLOAT_PADDING.sub("", cell)
         raise IngestionError(
-            f"row {row_number}: cannot parse {column}={cell!r} as a number"
+            f"row {row_number}: cannot parse {column}={shown!r} as a number"
         ) from None
     if not math.isfinite(value):
         raise IngestionError(f"row {row_number}: non-finite value in {column}")
@@ -219,15 +227,6 @@ def _parse_cell(cell: str, row_number: int, column: str) -> float:
 
 def _blank(row: list[str]) -> bool:
     return len(row) == 0 or (len(row) == 1 and row[0].strip() == "")
-
-
-def _raise_first_bad_cell(path: Path, header: list[str], columns: list[int]):
-    """Re-read the file row by row, cell by cell, and raise the
-    IngestionError that names its first bad cell (or ragged row)."""
-    for row_number, row in read_table(path):
-        for i in columns:
-            _parse_cell(row[i].strip(), row_number, header[i])
-    raise IngestionError(f"{path}: changed while it was read")
 
 
 def load_csv(path) -> DatasetFrame:
@@ -242,37 +241,32 @@ def load_csv(path) -> DatasetFrame:
     the error names the first in file order: rows top to bottom, and
     within a row the feature cells left to right, then the label cell.
     Row numbers in error messages are 1-based and include the header.
+    Every error message starts with the file's path.
 
     numpy's C text reader reads the file. A file it refuses, or might read
-    otherwise than csv.reader and float() do, goes to the reference reader
-    (csv.reader, float() per cell), which loads it or raises the error
-    above; either way the frame is the one the reference gives.
+    otherwise than csv.reader and float() do, goes to the reference reader,
+    which reads it in one pass, cell by cell in the order above, and
+    raises at the first bad cell; either way the frame is the one the
+    reference gives.
     """
     path = Path(path)
     try:
-        return _read_csv(path)
+        table = _read_numbers(path, lambda header: _columns(header)[3])
+        if table is None or all(h.strip() == "" for h in table[0]):
+            table = _read_csv_reference(path)
+        header, values, datetimes = table
+        header, feature_idx, label_idx, time_idx = _columns(header)
+        return DatasetFrame(
+            feature_names=[header[i] for i in feature_idx],
+            values=values.take(feature_idx, axis=1),
+            labels=(values[:, label_idx] > 0.5).astype(np.int64) if label_idx is not None else None,
+            datetimes=datetimes if time_idx is not None else None,
+        )
     except UnicodeDecodeError:
-        raise IngestionError(f"{path}: not UTF-8 text") from None
-    except csv.Error as exc:
-        raise IngestionError(f"{path}: {exc}") from None
-
-
-def _read_csv(path: Path) -> DatasetFrame:
-    """load_csv's reader: numpy's C text reader, or the reference reader
-    for a file that the C reader refuses."""
-    table = _read_numbers(path, lambda header: _columns(header)[3])
-    if table is None:
-        return _read_csv_reference(path)
-    header, values, datetimes = table
-    header, feature_idx, label_idx, time_idx = _columns(header)
-    if all(h == "" for h in header):
-        return _read_csv_reference(path)
-    return DatasetFrame(
-        feature_names=[header[i] for i in feature_idx],
-        values=values.take(feature_idx, axis=1),  # C order, as the reference gives
-        labels=(values[:, label_idx] > 0.5).astype(np.int64) if label_idx is not None else None,
-        datetimes=datetimes if time_idx is not None else None,
-    )
+        message = "not UTF-8 text"
+    except (csv.Error, IngestionError) as exc:
+        message = str(exc)
+    raise IngestionError(f"{path}: {message}") from None
 
 
 def _columns(header: list[str]) -> tuple[list[str], list[int], int | None, int | None]:
@@ -285,61 +279,31 @@ def _columns(header: list[str]) -> tuple[list[str], list[int], int | None, int |
     return header, feature_idx, label_idx, time_idx
 
 
-def _read_csv_reference(path: Path) -> DatasetFrame:
-    """load_csv's reference reader: csv.reader, and float() per cell."""
+def _read_csv_reference(path: Path):
+    """load_csv's reference reader, in one pass: the header by csv.reader,
+    the rows by read_table, and each row's feature cells left to right,
+    then its label cell, by _parse_cell. Returns what _read_numbers
+    returns for the DATETIME column: (header, values, texts), with one
+    float64 column per header cell."""
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        header, feature_idx, label_idx, time_idx = _columns(header)
-        if not header or all(h == "" for h in header):
-            raise IngestionError(f"{path}: header row is empty")
-
-        columns = feature_idx + ([] if label_idx is None else [label_idx])
-        width = len(header)
-        # itemgetter returns a tuple only for two or more indices.
-        pick = (
-            operator.itemgetter(*feature_idx)
-            if len(feature_idx) > 1
-            else lambda row: [row[i] for i in feature_idx]
-        )
-
-        # Cells stream into flat float64 buffers; float() accepts the
-        # surrounding whitespace that the error path strips.
-        values, labels, datetimes = array("d"), array("d"), []
-        n_rows = 0
-        try:
-            for row in reader:
-                if len(row) != width or width == 1:  # blank or ragged
-                    if _blank(row):
-                        continue
-                    if len(row) != width:
-                        raise ValueError("ragged row")
-                values.extend(map(float, pick(row)))
-                if label_idx is not None:
-                    labels.append(float(row[label_idx]))
-                if time_idx is not None:
-                    datetimes.append(row[time_idx].strip())
-                n_rows += 1
-        except UnicodeDecodeError:
-            raise
-        except ValueError:
-            _raise_first_bad_cell(path, header, columns)
-
-    values = np.frombuffer(values).reshape(n_rows, len(feature_idx))
-    labels = np.frombuffer(labels)
-    if not (np.isfinite(values).all() and np.isfinite(labels).all()):
-        _raise_first_bad_cell(path, header, columns)
-    if n_rows == 0:
-        raise IngestionError(f"{path}: no data rows")
-    return DatasetFrame(
-        feature_names=[header[i] for i in feature_idx],
-        values=values,
-        labels=(labels > 0.5).astype(np.int64) if label_idx is not None else None,
-        datetimes=datetimes if time_idx is not None else None,
-    )
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise IngestionError("empty file")
+    header, feature_idx, label_idx, time_idx = _columns(header)
+    if all(h == "" for h in header):
+        raise IngestionError("header row is empty")
+    columns = feature_idx + ([] if label_idx is None else [label_idx])
+    # Rows go into one flat buffer; the DATETIME cell stays 0.
+    row_values, values, texts = [0.0] * len(header), array("d"), []
+    for row_number, row in read_table(path):
+        for i in columns:
+            row_values[i] = _parse_cell(row[i], row_number, header[i])
+        values.extend(row_values)
+        if time_idx is not None:
+            texts.append(row[time_idx].strip())
+    if not values:
+        raise IngestionError("no data rows")
+    return header, np.frombuffer(values).reshape(-1, len(header)), texts
 
 
 # Bytes on which numpy's C text reader, called without quoting, and

@@ -6,8 +6,10 @@ kernel is checked against; it never calls the kernel itself.
 nn and optim kernels that the fused training step does without, and
 `make_triples` and `tdc_loss` the per-call forms of its triple layout and
 consistency term: the reference trainers in test_model.py are built from
-them.
+them. `reference_load_csv` is load_csv without numpy's C text reader.
 """
+
+from unittest import mock
 
 import numpy as np
 
@@ -262,3 +264,12 @@ def simulate_reference(config, attacks=()):
         level = new_level
     levels[T] = level
     return values, labels, levels, pump_states, inflows, outflows, demands, spills, clamped
+
+
+def reference_load_csv(path):
+    """load_csv with the reference reader alone: the C reader refuses
+    every file."""
+    from tdcae import preprocess
+
+    with mock.patch.object(preprocess, "_read_numbers", return_value=None):
+        return preprocess.load_csv(path)

@@ -214,6 +214,17 @@ class TestDetectCommand:
                    "--out", out) == 0
         assert (out / "detection.csv").exists()
 
+    def test_a_bad_train_data_file_is_named(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "train" / "data.csv").read_text().splitlines()
+        header, row = lines[0].split(","), lines[2].split(",")
+        row[1] = "nan"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([lines[0], lines[1], ",".join(row), *lines[3:]]) + "\n")
+        assert run("detect", "--model", pipeline / "model" / "model.json",
+                   "--data", pipeline / "test" / "data.csv",
+                   "--train-data", bad, "--out", tmp_path / "fit") == 1
+        assert capsys.readouterr().err == f"error: {bad}: row 3: non-finite value in {header[1]}\n"
+
 
 class TestEvaluateCommand:
     def test_crafted_detections_reproduce_benchmark_row(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from batadal_fixture import BATADAL_COLUMNS, write_batadal_csv
+from oracles import reference_load_csv
 from tdcae import preprocess
 from tdcae.errors import ConfigError, DimensionError, IngestionError, NumericError
 from tdcae.model import load_scaler, save_scaler
@@ -30,10 +31,10 @@ def frame_bits(frame: DatasetFrame) -> list:
             for name, v in fields]
 
 
-def load_outcome(path):
-    """frame_bits of load_csv(path), or the message of its IngestionError."""
+def load_outcome(path, load=load_csv):
+    """frame_bits of load(path), or the message of its IngestionError."""
     try:
-        return frame_bits(load_csv(path))
+        return frame_bits(load(path))
     except IngestionError as exc:
         return str(exc)
 
@@ -297,13 +298,16 @@ class TestCsv:
         ("ATT_FLAG,a\nx,inf\n", "row 2: non-finite value in a"),
         # blank lines are skipped but still counted
         ("a,b\n1,2\n\n3,nan\n", "row 4: non-finite value in b"),
+        # float() rejects \x1c-\x1f, which str.strip() would remove
+        ("a,b\n1,2\x1c\n", "row 2: cannot parse b='2\\x1c' as a number"),
+        ("a,b\n1,2\x1c\n3,x\n", "row 2: cannot parse b='2\\x1c' as a number"),
     ])
     def test_first_bad_cell_in_file_order_wins(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)
         with pytest.raises(IngestionError) as info:
             load_csv(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
     def test_whitespace_around_cells_and_a_datetime_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -352,14 +356,10 @@ class TestCsv:
         # a whitespace-only line is blank to csv.reader, a cell to numpy
         "DATETIME\nx\n \ny\n",
     ])
-    def test_what_numpy_could_misread_loads_as_the_reference_loads_it(
-        self, tmp_path, monkeypatch, text
-    ):
+    def test_what_numpy_could_misread_loads_as_the_reference_loads_it(self, tmp_path, text):
         path = tmp_path / "d.csv"
         path.write_text(text)
-        got = load_outcome(path)
-        monkeypatch.setattr(preprocess, "_read_numbers", lambda path, text_index: None)
-        assert got == load_outcome(path)
+        assert load_outcome(path) == load_outcome(path, reference_load_csv)
 
     def test_save_load_round_trip(self, tmp_path, rng):
         frame = DatasetFrame(
@@ -393,7 +393,7 @@ class TestBatadalLayout:
             write_batadal_csv(path, rows=200, seed=3)
         else:
             save_csv(simulate(TankSystemConfig(horizon=200, seed=3)), path)
-        expected = frame_bits(preprocess._read_csv_reference(path))
+        expected = frame_bits(reference_load_csv(path))
 
         def refuse(path):
             raise AssertionError("the reference reader ran")
@@ -405,7 +405,7 @@ class TestBatadalLayout:
         # numpy < 2 defaults loadtxt's encoding to "bytes", which hands
         # converters bytes; numpy 2 still does so when asked explicitly.
         path = write_batadal_csv(tmp_path / "b.csv", rows=60)
-        expected = preprocess._read_csv_reference(path).datetimes
+        expected = reference_load_csv(path).datetimes
         loadtxt = np.loadtxt
 
         def loadtxt_numpy_1(*args, **kwargs):

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import simulate_reference, smooth_reference, smooth_shifted_reference
-from tdcae import preprocess
+from oracles import (
+    reference_load_csv,
+    simulate_reference,
+    smooth_reference,
+    smooth_shifted_reference,
+)
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
 from tdcae.errors import TdcaeError
@@ -282,12 +285,6 @@ VALID_CSV_NO_DATETIME = b"".join(
 # (float() reads "1_0") and blanks.
 tricky_blobs = st.lists(st.sampled_from(list(b'\x1c\x1d\x1e\x1f"\r,_ \t')),
                         min_size=1, max_size=3).map(bytes)
-
-
-def reference_load_csv(path):
-    """load_csv with the reference reader alone."""
-    with mock.patch.object(preprocess, "_read_numbers", return_value=None):
-        return load_csv(path)
 
 
 @settings(deadline=None, max_examples=300)
