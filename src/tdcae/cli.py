@@ -33,7 +33,7 @@ from .detect import (
     threshold_from_scores,
 )
 from .errors import ConfigError, IngestionError, TdcaeError
-from .model import _field, _finite, _number, read_json
+from .model import _settings, read_json
 from .svgplot import line_plot
 
 SEED_ENV_VAR = "TDCAE_SEED"
@@ -103,18 +103,17 @@ def _attacks_from_doc(doc) -> list[synth_mod.AttackScenario]:
     if not isinstance(doc, list):
         raise ConfigError(f"attacks: expected a list, got {doc!r:.40}")
     kinds = [k.value for k in synth_mod.AttackKind]
+    defaults = {"kind": "", "target": 0, "start": 0, "end": 0, "magnitude": 0.0}
     out = []
     for k, entry in enumerate(doc):
         where = f"attacks[{k}]."
-        kind = _field(entry, "kind", str, where)
-        if kind not in kinds:
+        fields = _settings(entry, defaults, where, required=("kind", "target", "start", "end"))
+        if fields["kind"] not in kinds:
             raise ConfigError(f"{where}kind: expected one of {kinds}")
-        target, start, end = (_field(entry, key, int, where) for key in ("target", "start", "end"))
-        magnitude = _number(entry, "magnitude", where) if "magnitude" in entry else 0.0
         out.append(
             synth_mod.AttackScenario(
-                synth_mod.AttackKind(kind), target, metrics_mod.AttackInterval(start, end),
-                float(magnitude),
+                synth_mod.AttackKind(fields["kind"]), fields["target"],
+                metrics_mod.AttackInterval(fields["start"], fields["end"]), fields["magnitude"],
             )
         )
     return out
@@ -133,53 +132,26 @@ def _attacks_to_doc(attacks) -> list[dict]:
     ]
 
 
-_TANK_INTEGERS = ("n_tanks", "horizon", "seed")
-_TANK_VECTORS = ("tank_area", "pump_on_level", "pump_off_level", "tank_height", "initial_levels")
-
-
-def _tanks_from_doc(doc) -> dict:
-    """TankSystemConfig arguments from the "tanks" object of a --config
-    file, checked field by field: integers for n_tanks, horizon and seed,
-    lists of finite numbers for the per-tank fields (initial_levels may
-    be null) and finite numbers for the rest."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"tanks: expected a JSON object, got {doc!r:.40}")
-    unknown = sorted(set(doc) - set(synth_mod.TankSystemConfig.__dataclass_fields__))
-    if unknown:
-        raise ConfigError(f"unknown tank settings: {', '.join(unknown)}")
-    where = "tanks."
-    out = {}
-    for key, value in doc.items():
-        if key in _TANK_INTEGERS:
-            out[key] = _field(doc, key, int, where)
-        elif key == "initial_levels" and value is None:
-            out[key] = None
-        elif key in _TANK_VECTORS:
-            out[key] = tuple(
-                float(_finite(v, f"{where}{key}[{i}]"))
-                for i, v in enumerate(_field(doc, key, list, where))
-            )
-        else:
-            out[key] = _number(doc, key, where)
-    return out
-
-
 def cmd_synth(args) -> int:
-    doc = _load_settings(args.config)
-    tank_doc = _tanks_from_doc(doc.get("tanks", {}))
+    doc = _settings(
+        _load_settings(args.config),
+        {"tanks": vars(synth_mod.TankSystemConfig()), "attacks": []},
+        "",
+    )
+    tanks = doc["tanks"]
     if args.horizon is not None:
-        tank_doc["horizon"] = args.horizon
+        tanks["horizon"] = args.horizon
     if args.seed is not None:
-        tank_doc["seed"] = args.seed
-    tank_doc["seed"] = _env_seed(tank_doc.get("seed", 0))
-    config = synth_mod.TankSystemConfig(**tank_doc)
+        tanks["seed"] = args.seed
+    tanks["seed"] = _env_seed(tanks["seed"])
+    config = synth_mod.TankSystemConfig(**tanks)
 
     if args.attacks == "none":
         attacks = []
     elif args.attacks == "default":
         attacks = synth_mod.default_attacks(config.horizon)
     elif args.attacks == "config":
-        attacks = _attacks_from_doc(doc.get("attacks", []))
+        attacks = _attacks_from_doc(doc["attacks"])
     else:
         attacks = _attacks_from_doc(read_json(args.attacks))
 
@@ -212,28 +184,10 @@ def _resolve_training_config(args, n_features: int) -> model_mod.TrainingConfig:
         config = model_mod.edge_training_config(args.edge)
     else:
         config = model_mod.TrainingConfig(hidden_size=n_features)
-    doc = _load_settings(args.config)
-    base = config.to_dict()
-    unknown = sorted(set(doc) - set(base))
-    if unknown:
-        raise ConfigError(f"unknown training settings: {', '.join(unknown)}")
-    base.update(doc)
-    # Check the file itself, so that a flag or TDCAE_SEED cannot hide a bad field.
-    model_mod.TrainingConfig.from_dict(base)
-    overrides = {
-        "learning_rate": args.lr,
-        "batch_size": args.batch_size,
-        "alpha": args.alpha,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "hidden_size": args.hidden,
-        "n_pairs": args.pairs,
-        "n_stat": args.stat,
-        "delta_t": args.delta_t,
-    }
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    base["seed"] = _env_seed(base["seed"])
-    return model_mod.TrainingConfig.from_dict(base)
+    fields = _settings(_load_settings(args.config), config.to_dict(), "")
+    fields.update({k: getattr(args, k) for k in fields if getattr(args, k) is not None})
+    fields["seed"] = _env_seed(fields["seed"])
+    return model_mod.TrainingConfig.from_dict(fields)
 
 
 def cmd_train(args) -> int:
@@ -479,11 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--alpha", type=float, help="consistency-loss weight")
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--pairs", type=int, help="static/derivative latent pairs")
-    p.add_argument("--stat", type=int, help="statistical latent nodes")
+    p.add_argument("--hidden", dest="hidden_size", type=int)
+    p.add_argument("--pairs", dest="n_pairs", type=int, help="static/derivative latent pairs")
+    p.add_argument("--stat", dest="n_stat", type=int, help="statistical latent nodes")
     p.add_argument("--delta-t", type=float)
     p.set_defaults(func=cmd_train)
 

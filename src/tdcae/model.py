@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -143,43 +143,32 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "") -> "TrainingConfig":
-        """Inverse of to_dict, checked field by field: the integer fields
-        must be JSON integers and the others finite numbers. `where` is
-        the JSON path that error messages put before a field name."""
-        fields = {
-            key: _field(doc, key, int, where)
-            if key in _INTEGER_CONFIG_FIELDS
-            else float(_number(doc, key, where))
-            for key in cls().to_dict()
-        }
+        """Inverse of to_dict, checked by _settings: every field must be
+        present and of its default's kind. `where` is the JSON path that
+        error messages put before a field name."""
+        defaults = cls().to_dict()
+        fields = _settings(doc, defaults, where, required=defaults)
         pairs, stat = fields.pop("n_pairs"), fields.pop("n_stat")
         return cls(partition=LatentPartition(pairs, stat), **fields)
 
 
 # Per-edge defaults for the C-Town models: hidden width, latent layout,
 # learning rate and consistency weight.
-EDGE_HYPERPARAMS: dict[int, dict] = {
-    1: {"hidden_size": 9, "partition": (3, 1), "learning_rate": 0.01, "alpha": 0.002},
-    2: {"hidden_size": 19, "partition": (3, 2), "learning_rate": 0.007, "alpha": 0.003},
-    3: {"hidden_size": 15, "partition": (3, 2), "learning_rate": 0.01, "alpha": 0.002},
+_EDGE_CONFIGS = {
+    1: TrainingConfig(learning_rate=0.01, alpha=0.002, hidden_size=9,
+                      partition=LatentPartition(3, 1)),
+    2: TrainingConfig(learning_rate=0.007, alpha=0.003, hidden_size=19,
+                      partition=LatentPartition(3, 2)),
+    3: TrainingConfig(learning_rate=0.01, alpha=0.002, hidden_size=15,
+                      partition=LatentPartition(3, 2)),
 }
 
 
 def edge_training_config(edge_id: int, seed: int = 0, epochs: int = 40) -> TrainingConfig:
     """Default training configuration for one edge area."""
-    if edge_id not in EDGE_HYPERPARAMS:
+    if edge_id not in _EDGE_CONFIGS:
         raise ConfigError(f"unknown edge id {edge_id}; expected 1, 2 or 3")
-    hp = EDGE_HYPERPARAMS[edge_id]
-    return TrainingConfig(
-        learning_rate=hp["learning_rate"],
-        batch_size=32,
-        alpha=hp["alpha"],
-        epochs=epochs,
-        seed=seed,
-        hidden_size=hp["hidden_size"],
-        partition=LatentPartition(*hp["partition"]),
-        delta_t=1.0,
-    )
+    return replace(_EDGE_CONFIGS[edge_id], seed=seed, epochs=epochs)
 
 
 @dataclass
@@ -483,6 +472,43 @@ def _number(doc, key: str, where: str) -> float:
     return _finite(_field(doc, key, None, where), f"{where}{key}")
 
 
+def _settings(doc, defaults: dict, where: str, required=()) -> dict:
+    """`defaults` updated with the fields of the JSON object `doc`, each
+    checked against the kind of its default:
+    - int: a JSON integer, not a bool;
+    - float: a finite number, read as float;
+    - tuple: a list of finite numbers, read as a tuple of floats;
+    - None: null, or such a list;
+    - dict: an object, checked by _settings against that dict;
+    - str or list: a JSON string or list.
+    A key that is not in `defaults`, or a key of `required` that is not
+    in `doc`, raises ConfigError naming it."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where[:-1] or 'settings'}: expected a JSON object, got {doc!r:.40}")
+    unknown = sorted(set(doc) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown settings: {', '.join(where + k for k in unknown)}")
+    for key in required:
+        _field(doc, key, None, where)
+    out = dict(defaults)
+    for key, value in doc.items():
+        default = defaults[key]
+        if default is None and value is None:
+            continue
+        if isinstance(default, float):
+            out[key] = float(_number(doc, key, where))
+        elif isinstance(default, (tuple, type(None))):
+            out[key] = tuple(
+                float(_finite(v, f"{where}{key}[{i}]"))
+                for i, v in enumerate(_field(doc, key, list, where))
+            )
+        elif isinstance(default, dict):
+            out[key] = _settings(value, default, f"{where}{key}.")
+        else:
+            out[key] = _field(doc, key, type(default), where)
+    return out
+
+
 def _numbers(doc, key: str, n: int, where: str) -> np.ndarray:
     """doc[key] as a float64 vector; it must be a list of n finite numbers."""
     values = _field(doc, key, list, where)
@@ -514,10 +540,6 @@ def _mlp_from_doc(doc, where: str) -> Mlp:
         bias = _numbers(payload, "bias", fan_out, here)
         layers.append(DenseLayer(weights.reshape(fan_out, fan_in), bias, Activation(act)))
     return Mlp(layers)
-
-
-# TrainingConfig fields that a document must hold as JSON integers.
-_INTEGER_CONFIG_FIELDS = ("batch_size", "epochs", "seed", "hidden_size", "n_pairs", "n_stat")
 
 
 def _scaler_to_doc(params: RobustScalerParams) -> dict:
@@ -555,7 +577,7 @@ def _model_from_doc(doc: dict):
             )
     config = None
     if doc.get("config") is not None:
-        config = TrainingConfig.from_dict(_field(doc, "config", dict, ""), "config.")
+        config = TrainingConfig.from_dict(doc["config"], "config.")
     return model, scaler, config
 
 

@@ -73,9 +73,16 @@ class TestSynthCommand:
 
     def test_unknown_tank_setting_is_user_error(self, tmp_path, capsys):
         cfg = tmp_path / "typo.json"
-        cfg.write_text(json.dumps({"tanks": {"pump_flo": 10}}))
-        assert run("synth", "--out", tmp_path / "s", "--config", cfg) == 1
-        assert "pump_flo" in capsys.readouterr().err
+        for doc, names in [
+            ({"tanks": {"pump_flo": 10}}, ["tanks.pump_flo"]),
+            # Misspelt top-level keys would otherwise give the 4000 default rows.
+            ({"tank": {"horizon": 150}, "atacks": []}, ["atacks", "tank"]),
+        ]:
+            cfg.write_text(json.dumps(doc))
+            assert run("synth", "--out", tmp_path / "s", "--config", cfg) == 1
+            err = capsys.readouterr().err
+            assert all(name in err for name in names), err
+        assert not (tmp_path / "s").exists()
 
     def test_attacks_from_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -295,6 +302,36 @@ class TestEvaluateCommand:
         doc = json.loads((tmp_path / "ev" / "metrics.json").read_text())
         assert doc["tpr"] == 1.0 and doc["tnr"] == 1.0
 
+    def test_edge_pipeline_on_the_batadal_fixture(self, tmp_path):
+        """Criterion 7's three-edge pipeline through the CLI, on the in-repo
+        fixture: it checks the path, not the paper's scores."""
+        data = write_batadal_csv(tmp_path / "batadal.csv", rows=400)
+
+        def chain(out):
+            for e in (1, 2, 3):
+                model = out / f"model{e}"
+                assert run("train", "--data", data, "--edge", e, "--epochs", 1, "--out", model) == 0
+                assert run("detect", "--model", model / "model.json", "--data", data,
+                           "--train-scores", model / "train_scores.csv",
+                           "--out", out / f"det{e}") == 0
+            detections = [out / f"det{e}" / "detection.csv" for e in (1, 2, 3)]
+            assert run("evaluate", "--detections", *detections, "--labels", data,
+                       "--fuse", "or", "--out", out / "eval") == 0
+            return [(out / d / name).read_bytes() for e in (1, 2, 3)
+                    for d, name in ((f"model{e}", "model.json"), (f"det{e}", "detection.csv"))]
+
+        first = chain(tmp_path / "a")
+        widths = [json.loads(first[2 * k])["encoder"]["layer_sizes"][0] for k in range(3)]
+        assert widths == [9, 19, 15]
+        for e in (1, 2, 3):
+            rows = read_table(tmp_path / "a" / f"det{e}" / "detection.csv",
+                              ("timestamp", "raw", "smoothed", "flag"))
+            scores = np.array([[float(c) for c in cells[1:3]] for _, cells in rows])
+            assert scores.shape == (400, 2) and np.isfinite(scores).all()
+        metrics = json.loads((tmp_path / "a" / "eval" / "metrics.json").read_text())
+        assert all(np.isfinite(metrics[k]) for k in ("s", "s_ttd", "s_clf"))
+        assert chain(tmp_path / "b") == first
+
 
 class TestReportCommand:
     def test_latent_trace_and_plots(self, pipeline, tmp_path):
@@ -445,6 +482,7 @@ class TestMalformedModel:
         (lambda d: next(iter(d["scaler"].values())).pop("iqr"), "iqr"),
         (lambda d: d["config"].pop("alpha"), "config"),
         (lambda d: d["config"].update(seed=-1), "seed must be >= 0"),
+        (lambda d: d["config"].update(alpa=0.1), "unknown settings: config.alpa"),
     ])
     def test_each_field_is_checked(self, doc, tmp_path, capsys, mutate, field):
         mutate(doc)
@@ -519,6 +557,9 @@ class TestMalformedInput:
         ({"kind": "sensor_freeze", "target": 0, "start": 10}, "attacks[0].end"),
         ({"kind": "sensor_freeze", "target": 0, "start": 10, "end": 20, "magnitude": "x"},
          "attacks[0].magnitude"),
+        # A misspelt magnitude would otherwise label hours that no spoof touched.
+        ({"kind": "level_spoof_offset", "target": 0, "start": 10, "end": 20, "magnitud": 3.0},
+         "attacks[0].magnitud"),
     ])
     @pytest.mark.parametrize("source", ["attacks", "config"])
     def test_attacks_file(self, tmp_path, capsys, attack, field, source):

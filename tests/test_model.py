@@ -522,16 +522,18 @@ class TestTraining:
 
 class TestDefaultsAndPersistence:
     def test_edge_defaults_match_recipe(self):
-        e1 = edge_training_config(1)
-        assert (e1.hidden_size, e1.learning_rate, e1.alpha) == (9, 0.01, 0.002)
-        assert (e1.partition.n_pairs, e1.partition.n_stat) == (3, 1)
-        assert e1.batch_size == 32
-        e2 = edge_training_config(2)
-        assert (e2.hidden_size, e2.learning_rate, e2.alpha) == (19, 0.007, 0.003)
-        assert (e2.partition.n_pairs, e2.partition.n_stat) == (3, 2)
-        e3 = edge_training_config(3)
-        assert (e3.hidden_size, e3.learning_rate, e3.alpha) == (15, 0.01, 0.002)
-        assert (e3.partition.n_pairs, e3.partition.n_stat) == (3, 2)
+        common = {"batch_size": 32, "epochs": 40, "seed": 0, "delta_t": 1.0}
+        assert [edge_training_config(e).to_dict() for e in (1, 2, 3)] == [
+            {"learning_rate": 0.01, "alpha": 0.002, "hidden_size": 9, "n_pairs": 3, "n_stat": 1,
+             **common},
+            {"learning_rate": 0.007, "alpha": 0.003, "hidden_size": 19, "n_pairs": 3, "n_stat": 2,
+             **common},
+            {"learning_rate": 0.01, "alpha": 0.002, "hidden_size": 15, "n_pairs": 3, "n_stat": 2,
+             **common},
+        ]
+        assert edge_training_config(2, seed=5, epochs=3).to_dict() == {
+            **edge_training_config(2).to_dict(), "seed": 5, "epochs": 3}
+        assert edge_training_config(1) is not edge_training_config(1)
 
     def test_unknown_edge_rejected(self):
         with pytest.raises(ConfigError):

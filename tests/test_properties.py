@@ -1,8 +1,11 @@
 """Property-based checks of invariants that the example tests only sample."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,9 +23,9 @@ from oracles import (
 )
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
-from tdcae.errors import TdcaeError
+from tdcae.errors import ConfigError, TdcaeError
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
-from tdcae.model import TrainingConfig, train
+from tdcae.model import TrainingConfig, _settings, train
 from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler, load_csv, save_csv, write_table
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate, simulate_trace
 
@@ -393,3 +396,64 @@ def test_detect_on_a_mutated_model_exits_0_or_1(tmp_path_factory, trained_model,
     code = main(["detect", "--model", str(base / "model.json"), "--data", str(csv_path),
                  "--train-data", str(csv_path), "--out", str(base / "det")])
     assert code in (0, 1)
+
+
+finite_numbers = st.integers(-2**53, 2**53) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def right_kind(default):
+    """JSON values that a settings field with this default accepts."""
+    if isinstance(default, int):
+        return st.integers()
+    if isinstance(default, float):
+        return finite_numbers
+    lists = st.lists(finite_numbers, max_size=4)
+    return lists if default is not None else lists | st.none()
+
+
+def wrong_kind(default):
+    """JSON values that a settings field with this default refuses: a
+    string, a bool, null (unless the default is None), a float for an int,
+    a list for a scalar, and a scalar or a list holding a non-number for a
+    list."""
+    kinds = [st.text(max_size=4), st.booleans()]
+    if default is not None:
+        kinds.append(st.none())
+    if isinstance(default, int):
+        kinds.append(st.floats())
+    if isinstance(default, (int, float)):
+        kinds.append(st.lists(finite_numbers, max_size=3))
+    else:
+        not_number = st.text(max_size=4) | st.booleans() | st.none()
+        kinds += [finite_numbers, st.tuples(st.lists(finite_numbers, max_size=2), not_number)
+                  .map(lambda parts: [*parts[0], parts[1]])]
+    return st.one_of(kinds)
+
+
+@relaxed
+@given(data=st.data(), command=st.sampled_from(["train", "synth"]))
+def test_settings_fields_are_checked_against_the_kind_of_their_default(
+    tmp_path_factory, trained_model, data, command
+):
+    if command == "train":
+        defaults, where = TrainingConfig().to_dict(), ""
+    else:
+        defaults, where = vars(TankSystemConfig()), "tanks."
+    key = data.draw(st.sampled_from(sorted(defaults)))
+    base = tmp_path_factory.mktemp("settings")
+    wrong = data.draw(wrong_kind(defaults[key]))
+    doc = {key: wrong} if command == "train" else {"tanks": {key: wrong}}
+    (base / "cfg.json").write_text(json.dumps(doc))
+    argv = [command, "--out", str(base / "out"), "--config", str(base / "cfg.json")]
+    if command == "train":
+        argv += ["--data", str(trained_model[0])]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 1
+    assert re.search(rf"{re.escape(where + key)}(\[\d+\])?: expected ", err.getvalue())
+
+    fields = _settings({key: data.draw(right_kind(defaults[key]))}, defaults, where)
+    try:
+        TrainingConfig.from_dict(fields) if command == "train" else TankSystemConfig(**fields)
+    except ConfigError as exc:
+        assert "expected" not in str(exc)
