@@ -47,8 +47,6 @@ from .model import (
     load_model,
     reconstruct,
     save_model,
-    total_loss,
-    total_loss_grads,
     train,
 )
 from .nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
@@ -58,7 +56,6 @@ from .preprocess import (
     RobustScalerParams,
     apply_scaler,
     fit_scaler,
-    invert_scaler,
     load_csv,
     save_csv,
 )

@@ -79,12 +79,8 @@ def _load_settings(path) -> dict:
 
 
 def _scaled_csv(path, scaler) -> pre.DatasetFrame:
-    """A CSV's frame, restricted to the scaler's columns and scaled when
-    the model carries a scaler."""
-    frame = pre.load_csv(path)
-    if scaler is None:
-        return frame
-    return pre.apply_scaler(scaler, frame.select(scaler.feature_names))
+    """A CSV's frame, restricted to the scaler's columns and scaled."""
+    return pre.apply_scaler(scaler, pre.load_csv(path).select(scaler.feature_names))
 
 
 def _label_shading(labels) -> list[tuple[int, int]]:
@@ -202,7 +198,6 @@ def cmd_train(args) -> int:
 
     out = _out_dir(args.out)
     model_mod.save_model(out / "model.json", trained, scaler, config)
-    model_mod.save_scaler(scaler, out / "scaler.json")
     rows = [(k, e.rec_loss, e.tdc_loss, e.total) for k, e in enumerate(history, start=1)]
     pre.write_table(out / "loss_history.csv", ["epoch", "rec_loss", "tdc_loss", "total"], zip(*rows))
     scores = reconstruction_error(trained, scaled)
@@ -478,7 +473,7 @@ def main(argv=None) -> int:
     except TdcaeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

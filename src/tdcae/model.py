@@ -15,10 +15,9 @@ nn's forward kernel once over the stacked rows [x_t; x_prev; x_next] through
 the encoder and once over the x_t rows through the decoder, then nn's
 backward kernel once per network, with one combined encoder cotangent,
 writing the gradients into one flat vector laid out like the shared
-encoder-then-decoder parameter vector. `total_loss`, `total_loss_grads` and
-`train` all run this step, so the gradient that the finite-difference tests
-check is the one training uses. Inference (`encode`, `reconstruct`) runs the
-checked public `forward`.
+encoder-then-decoder parameter vector. `train` runs this step, and so do the
+finite-difference tests, so the gradient they check is the one training
+uses. Inference (`encode`, `reconstruct`) runs the checked public `forward`.
 """
 
 from __future__ import annotations
@@ -233,22 +232,6 @@ def central_difference(z_prev, z_next, delta_t: float) -> np.ndarray:
     return (z_next - z_prev) / (2.0 * delta_t)
 
 
-def _stack_triples(model: HTdcAutoencoder, x_prev, x_t, x_next) -> np.ndarray:
-    """Validate a batch of triples once and stack it as [x_t; x_prev; x_next]."""
-    parts = [np.asarray(x, dtype=np.float64) for x in (x_t, x_prev, x_next)]
-    shape = parts[0].shape
-    if not (parts[1].shape == shape == parts[2].shape):
-        raise DimensionError("triple matrices must share one shape")
-    if len(shape) != 2 or shape[0] < 1 or shape[1] != model.n_features:
-        raise DimensionError(
-            f"triples must be (batch >= 1, {model.n_features}) matrices, got {shape}"
-        )
-    x = np.concatenate(parts)
-    if not np.isfinite(x).all():
-        raise NumericError("triples contain non-finite entries")
-    return x
-
-
 def _mean_square(a: np.ndarray) -> float:
     """np.mean(a**2) as one dot product, a few times faster at batch size."""
     flat = a.ravel()
@@ -339,25 +322,6 @@ class _LossStep:
         _backward(self.enc, x, self.enc_post, self.g_latent, self.enc_grads,
                   self.ones, self.enc_cotangents)
         return breakdown
-
-
-def total_loss(
-    model: HTdcAutoencoder, x_prev, x_t, x_next, alpha: float, delta_t: float = 1.0
-) -> LossBreakdown:
-    """Reconstruction MSE of x_t plus alpha times the consistency loss."""
-    x = _stack_triples(model, x_prev, x_t, x_next)
-    return _LossStep(model, x.shape[0] // 3, alpha, delta_t).loss(x)
-
-
-def total_loss_grads(
-    model: HTdcAutoencoder, x_prev, x_t, x_next, alpha: float, delta_t: float = 1.0
-) -> tuple[LossBreakdown, GradientSet, GradientSet]:
-    """Loss plus exact gradients w.r.t. encoder and decoder parameters: one
-    run of the fused step that training uses (see `_LossStep`)."""
-    x = _stack_triples(model, x_prev, x_t, x_next)
-    step = _LossStep(model, x.shape[0] // 3, alpha, delta_t)
-    breakdown = step(x)
-    return breakdown, step.enc_grads, step.dec_grads
 
 
 # Row offsets of x_t, x_prev and x_next in the frame, relative to triple k's
@@ -549,15 +513,13 @@ def _scaler_to_doc(params: RobustScalerParams) -> dict:
     }
 
 
-def _scaler_from_doc(doc, where: str) -> RobustScalerParams:
+def _scaler_from_doc(doc: dict) -> RobustScalerParams:
     """Inverse of _scaler_to_doc, checked entry by entry."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where[:-1] or 'scaler'}: expected an object, got {doc!r:.40}")
     names = list(doc)
     return RobustScalerParams(
         names,
-        np.array([_number(doc[n], "median", f"{where}{n}.") for n in names]),
-        np.array([_number(doc[n], "iqr", f"{where}{n}.") for n in names]),
+        np.array([_number(doc[n], "median", f"scaler.{n}.") for n in names]),
+        np.array([_number(doc[n], "iqr", f"scaler.{n}.") for n in names]),
     )
 
 
@@ -568,16 +530,12 @@ def _model_from_doc(doc: dict):
         _mlp_from_doc(_field(doc, "decoder", dict, ""), "decoder."),
         LatentPartition(*(_field(part, k, int, "partition.") for k in ("n_pairs", "n_stat"))),
     )
-    scaler = None
-    if doc.get("scaler") is not None:
-        scaler = _scaler_from_doc(doc["scaler"], "scaler.")
-        if len(scaler.feature_names) != model.n_features:
-            raise ConfigError(
-                f"scaler: expected {model.n_features} features, got {len(scaler.feature_names)}"
-            )
-    config = None
-    if doc.get("config") is not None:
-        config = TrainingConfig.from_dict(doc["config"], "config.")
+    scaler = _scaler_from_doc(_field(doc, "scaler", dict, ""))
+    if len(scaler.feature_names) != model.n_features:
+        raise ConfigError(
+            f"scaler: expected {model.n_features} features, got {len(scaler.feature_names)}"
+        )
+    config = TrainingConfig.from_dict(_field(doc, "config", dict, ""), "config.")
     return model, scaler, config
 
 
@@ -591,10 +549,7 @@ def read_json(path):
 
 
 def save_model(
-    path,
-    model: HTdcAutoencoder,
-    scaler: RobustScalerParams | None = None,
-    config: TrainingConfig | None = None,
+    path, model: HTdcAutoencoder, scaler: RobustScalerParams, config: TrainingConfig
 ) -> None:
     """Persist the model as JSON. Floats use the shortest representation
     that round-trips, so parameters survive save/load bit-exactly."""
@@ -606,15 +561,13 @@ def save_model(
         },
         "encoder": _mlp_to_doc(model.encoder),
         "decoder": _mlp_to_doc(model.decoder),
-        "scaler": None if scaler is None else _scaler_to_doc(scaler),
-        "config": None if config is None else config.to_dict(),
+        "scaler": _scaler_to_doc(scaler),
+        "config": config.to_dict(),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
-def load_model(
-    path,
-) -> tuple[HTdcAutoencoder, RobustScalerParams | None, TrainingConfig | None]:
+def load_model(path) -> tuple[HTdcAutoencoder, RobustScalerParams, TrainingConfig]:
     """Read a model document, checking it field by field: a malformed or
     inconsistent field raises ConfigError naming it."""
     doc = read_json(path)
@@ -625,15 +578,3 @@ def load_model(
     except (ConfigError, DimensionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-
-def save_scaler(params: RobustScalerParams, path) -> None:
-    Path(path).write_text(json.dumps(_scaler_to_doc(params), indent=2) + "\n", encoding="utf-8")
-
-
-def load_scaler(path) -> RobustScalerParams:
-    """Read a scaler document, checking it entry by entry: a malformed
-    entry raises ConfigError naming it."""
-    try:
-        return _scaler_from_doc(read_json(path), "")
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None

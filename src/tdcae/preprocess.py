@@ -198,13 +198,6 @@ def apply_scaler(params: RobustScalerParams, frame: DatasetFrame) -> DatasetFram
     return frame.with_values((frame.values - params.median) / params.divisors)
 
 
-def invert_scaler(params: RobustScalerParams, frame: DatasetFrame) -> DatasetFrame:
-    """Undo apply_scaler: value * divisor + median."""
-    if list(frame.feature_names) != list(params.feature_names):
-        raise ConfigError("frame features do not match the fitted scaler")
-    return frame.with_values(frame.values * params.divisors + params.median)
-
-
 # The whitespace float() ignores around a number: what str.strip() removes
 # but \x1c-\x1f, which float() rejects.
 _FLOAT_PADDING = re.compile(r"\A[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z")

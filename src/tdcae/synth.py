@@ -41,6 +41,11 @@ _P_LEVEL = 3.2
 _P_PUMP = 2.5
 _P_DEMAND = 0.04
 
+# Largest simulated horizon in hours, about 114 years of hourly data. The
+# simulator's arrays grow linearly with the horizon; checking the limit up
+# front rejects a horizon too large for memory before anything is allocated.
+MAX_HORIZON = 1_000_000
+
 
 class AttackKind(str, Enum):
     SENSOR_FREEZE = "sensor_freeze"
@@ -115,8 +120,8 @@ class TankSystemConfig:
             raise ConfigError("demand_noise_std must be >= 0")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
-        if self.horizon < 100:
-            raise ConfigError("horizon must be >= 100")
+        if not 100 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must be in [100, {MAX_HORIZON}], got {self.horizon}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.initial_levels is not None:

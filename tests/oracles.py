@@ -6,7 +6,11 @@ kernel is checked against; it never calls the kernel itself.
 nn and optim kernels that the fused training step does without, and
 `make_triples` and `tdc_loss` the per-call forms of its triple layout and
 consistency term: the reference trainers in test_model.py are built from
-them. `reference_load_csv` is load_csv without numpy's C text reader.
+them. `total_loss` and `total_loss_grads` are not oracles but the code under
+test: they stack one batch of triples and run the fused step that `train`
+runs, `model._LossStep`, so the finite-difference gate checks the gradient
+training uses. `reference_load_csv` is load_csv without numpy's C text
+reader.
 """
 
 from unittest import mock
@@ -103,6 +107,29 @@ def tdc_loss(delta_z, zdot_t) -> float:
     the derivative nodes, over every entry of the batch; 0 when there are
     no derivative nodes."""
     return float(np.mean((delta_z - zdot_t) ** 2)) if delta_z.size else 0.0
+
+
+def _loss_step(model, x_prev, x_t, x_next, alpha, delta_t):
+    """The fused training step for one batch of triples, and the batch
+    stacked as [x_t; x_prev; x_next], the layout the step reads."""
+    from tdcae.model import _LossStep
+
+    x = np.concatenate([np.asarray(v, dtype=np.float64) for v in (x_t, x_prev, x_next)])
+    return _LossStep(model, x.shape[0] // 3, alpha, delta_t), x
+
+
+def total_loss(model, x_prev, x_t, x_next, alpha: float, delta_t: float = 1.0):
+    """Reconstruction MSE of x_t plus alpha times the consistency loss, as
+    the fused training step computes it, in a LossBreakdown."""
+    step, x = _loss_step(model, x_prev, x_t, x_next, alpha, delta_t)
+    return step.loss(x)
+
+
+def total_loss_grads(model, x_prev, x_t, x_next, alpha: float, delta_t: float = 1.0):
+    """The loss plus the fused training step's exact gradients, as
+    (LossBreakdown, encoder GradientSet, decoder GradientSet)."""
+    step, x = _loss_step(model, x_prev, x_t, x_next, alpha, delta_t)
+    return step(x), step.enc_grads, step.dec_grads
 
 
 def smooth_reference(scores, window: int) -> np.ndarray:

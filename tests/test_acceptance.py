@@ -10,7 +10,7 @@ import pytest
 
 import tdcae
 from conftest import batadal_paths
-from oracles import fd_gradient_mlp, rel_error
+from oracles import fd_gradient_mlp, rel_error, total_loss, total_loss_grads
 from tdcae.cli import main as cli_main
 from tdcae.detect import DetectionConfig, detect, fit_threshold
 from tdcae.metrics import ConfusionCounts, clf_scores, evaluate_flags, fuse_edges, ranking_score
@@ -18,8 +18,6 @@ from tdcae.model import (
     build_model,
     central_difference,
     edge_training_config,
-    total_loss,
-    total_loss_grads,
     train,
     TrainingConfig,
 )
@@ -221,7 +219,7 @@ def _run_cli(*argv) -> int:
 def test_criterion_8_determinism_suite(tmp_path):
     primaries = {
         "synth": ["data.csv", "attacks.json"],
-        "train": ["model.json", "scaler.json", "loss_history.csv", "train_scores.csv"],
+        "train": ["model.json", "loss_history.csv", "train_scores.csv"],
         "detect": ["detection.csv", "detection.svg"],
     }
     outputs: dict[str, list[bytes]] = {k: [] for k in primaries}

@@ -12,9 +12,8 @@ from tdcae import preprocess
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import load_detection_flags
 from tdcae.metrics import AttackInterval
-from tdcae.model import load_model, load_scaler
 from tdcae.preprocess import DatasetFrame, load_csv, read_table, save_csv
-from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate
+from tdcae.synth import MAX_HORIZON, AttackKind, AttackScenario, TankSystemConfig, simulate
 
 
 def run(*argv) -> int:
@@ -71,6 +70,19 @@ class TestSynthCommand:
         assert (tmp_path / "plain" / "data.csv").read_bytes() == \
                (tmp_path / "env" / "data.csv").read_bytes()
 
+    # Each value fails before anything is allocated; at 10**11 hours the
+    # simulator's arrays alone would need terabytes.
+    @pytest.mark.parametrize("horizon, source", [
+        (10**11, "flag"), (10**20, "flag"), (10**11, "config"),
+    ])
+    def test_horizon_beyond_the_limit_is_user_error(self, tmp_path, capsys, horizon, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tanks": {"horizon": horizon}}))
+        extra = ["--horizon", horizon] if source == "flag" else ["--config", cfg]
+        assert run("synth", "--out", tmp_path / "s", "--attacks", "none", *extra) == 1
+        assert f"horizon must be in [100, {MAX_HORIZON}]" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_unknown_tank_setting_is_user_error(self, tmp_path, capsys):
         cfg = tmp_path / "typo.json"
         for doc, names in [
@@ -100,7 +112,7 @@ class TestTrainCommand:
     def test_artifacts_written(self, pipeline):
         model_dir = pipeline / "model"
         assert (model_dir / "model.json").exists()
-        assert (model_dir / "scaler.json").exists()
+        assert not (model_dir / "scaler.json").exists()  # model.json carries the scaler
         lines = (model_dir / "loss_history.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,rec_loss,tdc_loss,total"
         assert len(lines) == 11  # header + one row per epoch
@@ -125,15 +137,6 @@ class TestTrainCommand:
                    "--out", pipeline / "nope", "--edge", 1)
         assert code == 1
         assert "missing features" in capsys.readouterr().err
-
-    def test_scaler_file_matches_model_document(self, pipeline):
-        model_dir = pipeline / "model"
-        in_model = json.loads((model_dir / "model.json").read_text())["scaler"]
-        assert json.loads((model_dir / "scaler.json").read_text()) == in_model
-        scaler, embedded = load_scaler(model_dir / "scaler.json"), load_model(model_dir / "model.json")[1]
-        assert scaler.feature_names == embedded.feature_names
-        assert np.array_equal(scaler.median, embedded.median)
-        assert np.array_equal(scaler.iqr, embedded.iqr)
 
     def test_train_scores_carry_the_datetime_cells(self, pipeline, tmp_path):
         frame = load_csv(pipeline / "train" / "data.csv")
@@ -410,6 +413,24 @@ class TestExitCodes:
         code = run("train", "--data", tmp_path / "absent.csv", "--out", tmp_path / "o")
         assert code == 1
 
+    @pytest.mark.parametrize("case", ["detect --data DIR", "detect --out FILE",
+                                      "train --out FILE"])
+    def test_path_of_the_wrong_kind_is_user_error(self, pipeline, tmp_path, capsys, case):
+        # A directory where a file should be, or a file where a directory should be.
+        file = tmp_path / "f.txt"
+        file.write_text("x\n")
+        detect = ["detect", "--model", pipeline / "model" / "model.json", "--threshold", 1.0]
+        argv, path = {
+            "detect --data DIR": (detect + ["--data", pipeline / "train", "--out", tmp_path / "o"],
+                                  pipeline / "train"),
+            "detect --out FILE": (detect + ["--data", pipeline / "test" / "data.csv",
+                                            "--out", file], file),
+            "train --out FILE": (["train", "--data", pipeline / "train" / "data.csv",
+                                  "--out", file, "--epochs", 1], file),
+        }[case]
+        assert run(*argv) == 1
+        assert str(path) in capsys.readouterr().err
+
     def test_internal_error_is_exit_two(self, tmp_path, capsys, monkeypatch):
         # An exception outside the package's error hierarchy is a bug.
         def broken_loader(path):
@@ -480,6 +501,16 @@ class TestMalformedModel:
         (lambda d: d["decoder"]["layers"][0]["weights"].__setitem__(2, "x"), "weights[2]"),
         (lambda d: d["scaler"].popitem(), "scaler"),
         (lambda d: next(iter(d["scaler"].values())).pop("iqr"), "iqr"),
+        pytest.param(lambda d: d["scaler"]["L_T1"].update(median="x"), "scaler.L_T1.median",
+                     id="scaler-median-x"),
+        pytest.param(lambda d: d.update(scaler=[1, 2]), "scaler: expected dict, got [1, 2]",
+                     id="scaler-list"),
+        # Without its scaler, detect would score unscaled data and exit 0.
+        pytest.param(lambda d: d.update(scaler=None), "scaler: expected dict, got None",
+                     id="scaler-null"),
+        pytest.param(lambda d: d.pop("scaler"), "missing field scaler", id="scaler-missing"),
+        pytest.param(lambda d: d.update(config=None), "config: expected dict, got None",
+                     id="config-null"),
         (lambda d: d["config"].pop("alpha"), "config"),
         (lambda d: d["config"].update(seed=-1), "seed must be >= 0"),
         (lambda d: d["config"].update(alpa=0.1), "unknown settings: config.alpa"),

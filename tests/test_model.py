@@ -5,6 +5,7 @@ import tdcae.model as model_mod
 from conftest import identity_autoencoder
 from oracles import (
     adamax_stepper, backward_reference, fd_gradient_mlp, make_triples, rel_error, tdc_loss,
+    total_loss, total_loss_grads,
 )
 from tdcae.errors import ConfigError, DimensionError, NumericError
 from tdcae.model import (
@@ -20,8 +21,6 @@ from tdcae.model import (
     load_model,
     reconstruct,
     save_model,
-    total_loss,
-    total_loss_grads,
     train,
 )
 from tdcae.nn import Activation, DenseLayer, Mlp, forward, init_mlp
@@ -172,11 +171,6 @@ class TestTdcLoss:
         breakdown = total_loss(model, x_prev, x_t, x_next, alpha=0.002)
         assert breakdown.tdc_loss == pytest.approx(brute, rel=1e-12)
 
-    def test_shape_mismatch_rejected(self, rng):
-        x_prev, x_t, x_next = random_triple(rng, 2, 9)
-        with pytest.raises(DimensionError):
-            total_loss(edge1_model(), x_prev, x_t, x_next[:, :8], alpha=0.002)
-
 
 class TestTotalLoss:
     def test_alpha_zero_reduces_to_reconstruction(self, rng):
@@ -297,23 +291,6 @@ class TestStackedPass:
         assert np.allclose(dec_grads.flat, want_dec.flat, rtol=0, atol=1e-12)
         assert breakdown == total_loss(model, x_prev, x_t, x_next, alpha, delta_t)
 
-    @pytest.mark.parametrize("which", [0, 1, 2])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_triple_raises(self, which, bad, rng):
-        model = edge1_model(2)
-        triple = list(random_triple(rng, 4, 9))
-        triple[which][2, 3] = bad
-        with pytest.raises(NumericError):
-            total_loss_grads(model, *triple, alpha=0.002)
-
-    def test_mismatched_triple_shapes_raise(self, rng):
-        model = edge1_model(2)
-        x_prev, x_t, x_next = random_triple(rng, 4, 9)
-        with pytest.raises(DimensionError):
-            total_loss_grads(model, x_prev[:3], x_t, x_next, alpha=0.002)
-        with pytest.raises(DimensionError):
-            total_loss_grads(model, x_prev[:, :8], x_t[:, :8], x_next[:, :8], alpha=0.002)
-
 
 def small_training_frame(seed: int = 0, rows: int = 240) -> DatasetFrame:
     frame = simulate(TankSystemConfig(horizon=max(rows, 100), seed=seed))
@@ -344,8 +321,8 @@ def plain_autoencoder_train(config: TrainingConfig, frame: DatasetFrame):
 
 
 def reference_train(config: TrainingConfig, frame: DatasetFrame):
-    """Reference trainer: public total_loss_grads and one Adamax step per
-    network per batch, on train's batch schedule. Returns the parameters
+    """Reference trainer: the oracles' total_loss_grads and one Adamax step
+    per network per batch, on train's batch schedule. Returns the parameters
     as one encoder-then-decoder vector and the loss history."""
     x_prev, x_t, x_next = make_triples(frame.values)
     model = build_model(frame.n_features, config)

@@ -8,14 +8,12 @@ from batadal_fixture import BATADAL_COLUMNS, write_batadal_csv
 from oracles import reference_load_csv
 from tdcae import preprocess
 from tdcae.errors import ConfigError, DimensionError, IngestionError, NumericError
-from tdcae.model import load_scaler, save_scaler
 from tdcae.preprocess import (
     EDGE_FEATURES,
     DatasetFrame,
     RobustScalerParams,
     apply_scaler,
     fit_scaler,
-    invert_scaler,
     load_csv,
     read_table,
     save_csv,
@@ -90,14 +88,6 @@ class TestScaler:
         with pytest.raises(ConfigError):
             apply_scaler(params, frame_from_columns(b=[1, 2, 3, 4]))
 
-    def test_inverse_round_trip(self, rng):
-        frame = frame_from_columns(
-            a=rng.normal(10, 4, 50), b=rng.uniform(0, 1, 50), c=np.full(50, 2.5)
-        )
-        params = fit_scaler(frame)
-        restored = invert_scaler(params, apply_scaler(params, frame))
-        assert np.allclose(restored.values, frame.values, atol=1e-12)
-
     def test_scaled_train_has_zero_median_unit_iqr(self, rng):
         frame = frame_from_columns(a=rng.normal(5, 2, 101), b=rng.exponential(3, 101))
         scaled = apply_scaler(fit_scaler(frame), frame)
@@ -116,14 +106,6 @@ class TestScaler:
         )
         scaled = apply_scaler(fit_scaler(frame), frame)
         assert np.array_equal(scaled.labels, frame.labels)
-
-    def test_json_round_trip(self, tmp_path):
-        params = fit_scaler(frame_from_columns(a=[1, 2, 3, 4, 100], b=[5, 5, 5, 5, 5]))
-        save_scaler(params, tmp_path / "scaler.json")
-        loaded = load_scaler(tmp_path / "scaler.json")
-        assert loaded.feature_names == params.feature_names
-        assert np.array_equal(loaded.median, params.median)
-        assert np.array_equal(loaded.iqr, params.iqr)
 
     @pytest.mark.parametrize("median, iqr", [
         ([0.0], [np.nan]), ([0.0], [np.inf]), ([np.nan], [1.0]), ([-np.inf], [1.0]),
@@ -149,22 +131,11 @@ class TestScaler:
         with pytest.raises(dataclasses.FrozenInstanceError):
             params.iqr = np.ones(2)
 
-    @pytest.mark.parametrize("scale, iqr", [(apply_scaler, 1e-3), (invert_scaler, 1e3)])
+    @pytest.mark.parametrize("scale, iqr", [(apply_scaler, 1e-3)])
     def test_finite_value_that_overflows_when_scaled_is_rejected(self, scale, iqr):
         params = RobustScalerParams(["a"], [0.0], [iqr])
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
             scale(params, frame_from_columns(a=[1.0, 1e308]))
-
-    @pytest.mark.parametrize("text, field", [
-        ('{"a": {"median": 1}}', "missing field a.iqr"),
-        ('{"a": {"median": "x", "iqr": 1}}', "a.median"),
-        ("[1, 2]", "expected an object"),
-        ('{"a": {"median": 1,', "invalid JSON"),
-    ])
-    def test_malformed_file_names_the_field(self, tmp_path, text, field):
-        (tmp_path / "scaler.json").write_text(text)
-        with pytest.raises(ConfigError, match=field):
-            load_scaler(tmp_path / "scaler.json")
 
 
 class TestFrame:
