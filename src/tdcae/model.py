@@ -363,11 +363,12 @@ def train(
     params = _share_params(model.encoder, model.decoder)
     m = np.zeros_like(params)
     u = np.zeros_like(params)
-    b = config.batch_size
+    # A batch size beyond the triple count trains on one batch of them all.
+    b = min(config.batch_size, n)
     # One step for full batches and one for the tail batch, if sizes differ.
     steps = {
         size: _LossStep(model, size, config.alpha, config.delta_t)
-        for size in {min(b, n), n % b or b}
+        for size in {b, n % b or b}
     }
 
     history: list[LossBreakdown] = []

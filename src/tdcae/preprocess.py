@@ -378,15 +378,62 @@ def save_csv(frame: DatasetFrame, path) -> None:
 
 def write_table(path, header, columns) -> None:
     """Write a UTF-8 CSV table (excel dialect, CRLF line ends): the header
-    row, then one row per index of the equally long columns. numpy
-    columns go through tolist(), so floats are written as their shortest
-    round-tripping repr and integers as decimals."""
+    row, then one row per index of the columns, which must be equally long
+    (DimensionError otherwise, before the file is opened). The bytes are
+    csv.writer's.
+
+    A 1-D numeric numpy column is written as the repr of each tolist()
+    entry: floats as their shortest round-tripping repr, integers as
+    decimals, booleans as True/False. Every other cell (the header, text
+    such as DATETIME stamps, the entries of any other column) is quoted
+    as the excel dialect quotes it, by _excel_cell. Each row is joined in
+    one str.join call and the rows are streamed to the file, so the table
+    is never held as one string."""
+    cells = [_column_cells(column) for column in columns]
+    lengths = {len(values) for values, _ in cells}
+    if len(lengths) > 1:
+        raise DimensionError(f"columns of unequal length {sorted(lengths)}")
+    head = ",".join(map(_excel_cell, header))
+    rows = map(",".join, zip(*(text for _, text in cells)))
+    if len(header) == 1:
+        head = _lone_cell(head)
+    if len(cells) == 1:
+        rows = map(_lone_cell, rows)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-        )
+        fh.write(head + "\r\n")
+        fh.writelines(map("{}\r\n".format, rows))
+
+
+def _column_cells(column):
+    """(entries, cells) of one write_table column: its entries as a list,
+    and an iterator over their cell texts."""
+    if not isinstance(column, np.ndarray):
+        values = list(column)
+    else:
+        values = column.tolist()
+        if column.ndim == 1 and column.dtype.kind in "biuf":
+            return values, map(repr, values)
+    return values, map(_excel_cell, values)
+
+
+# A cell holding any of these is quoted by csv.writer's excel dialect.
+_NEEDS_QUOTES = re.compile('[",\r\n]')
+
+
+def _excel_cell(value) -> str:
+    """A cell as csv.writer's excel dialect writes it in a row of several:
+    None as empty, anything else as str(), quoted, with its quotes
+    doubled, when it holds a quote, a comma, CR or LF."""
+    text = "" if value is None else str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _lone_cell(cell: str) -> str:
+    """The row of one cell: csv.writer quotes a lone empty cell, so that
+    the row is not read back as blank."""
+    return cell or '""'
 
 
 def read_table(path, header=()):

@@ -132,7 +132,14 @@ def line_plot(
 
     for k, (name, y) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{_fmt(sx(i))},{_fmt(sy(v))}" for i, v in enumerate(y.tolist()))
+        # sx and sy over the whole series, as the same float64 operations,
+        # formatted by one % call with a "%.2f,%.2f" per point. Like the
+        # scalar operations, they turn overflow into inf and inf - inf
+        # into nan without a warning.
+        with np.errstate(all="ignore"):
+            xs = _MARGIN_L + (np.arange(y.size) / max(n - 1, 1)) * plot_w
+            ys = _MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+        pts = " ".join(["%.2f,%.2f"] * y.size) % tuple(np.column_stack((xs, ys)).ravel().tolist())
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

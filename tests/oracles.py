@@ -10,9 +10,13 @@ them. `total_loss` and `total_loss_grads` are not oracles but the code under
 test: they stack one batch of triples and run the fused step that `train`
 runs, `model._LossStep`, so the finite-difference gate checks the gradient
 training uses. `reference_load_csv` is load_csv without numpy's C text
-reader.
+reader. `write_table_reference` is write_table by csv.writer, and
+`polyline_reference` the points of line_plot's polylines mapped and
+formatted one point at a time.
 """
 
+import csv
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -300,3 +304,44 @@ def reference_load_csv(path):
 
     with mock.patch.object(preprocess, "_read_numbers", return_value=None):
         return preprocess.load_csv(path)
+
+
+def write_table_reference(path, header, columns) -> None:
+    """write_table by csv.writer, cell by cell: numpy columns go through
+    tolist(), and rows stop at the shortest column."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        )
+
+
+def polyline_reference(series, threshold=None) -> list[str]:
+    """The `points` of each series' polyline in line_plot's SVG, one point
+    at a time: the y range of the series and the threshold, padded by 5%,
+    mapped to pixels by scalar sx and sy and formatted by _fmt."""
+    from tdcae import svgplot as s
+
+    series = [np.asarray(y, dtype=np.float64) for y in series]
+    n = max((len(y) for y in series), default=0)
+    ys = np.concatenate(series) if series else np.array([0.0])
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if threshold is not None:
+        y_lo, y_hi = min(y_lo, threshold), max(y_hi, threshold)
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+    plot_w = s._WIDTH - s._MARGIN_L - s._MARGIN_R
+    plot_h = s._HEIGHT - s._MARGIN_T - s._MARGIN_B
+
+    def sx(i):
+        return s._MARGIN_L + (i / max(n - 1, 1)) * plot_w
+
+    def sy(v):
+        return s._MARGIN_T + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
+
+    return [" ".join(f"{s._fmt(sx(i))},{s._fmt(sy(v))}" for i, v in enumerate(y.tolist()))
+            for y in series]

@@ -161,6 +161,21 @@ class TestTrainCommand:
         monkeypatch.setattr(preprocess, "read_table", refuse)
         assert _load_train_scores(path).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("batch_size", [2**62, 2**63 - 1, 2**63])
+    def test_batch_size_beyond_the_triple_count_trains_one_batch(
+        self, pipeline, tmp_path, batch_size
+    ):
+        # 600 rows make 598 triples: any larger batch holds them all.
+        docs = {}
+        for size in (598, batch_size):
+            out = tmp_path / str(size)
+            assert run("train", "--data", pipeline / "train" / "data.csv", "--out", out,
+                       "--epochs", 2, "--seed", 5, "--batch-size", size) == 0
+            docs[size] = json.loads((out / "model.json").read_text())
+            assert docs[size].pop("config")["batch_size"] == size
+            assert json.loads((out / "config.json").read_text())["training"]["batch_size"] == size
+        assert docs[batch_size] == docs[598]
+
     def test_deterministic_model_bytes(self, pipeline, tmp_path):
         outs = []
         for name in ("m1", "m2"):

@@ -412,6 +412,17 @@ class TestTableCodec:
         ]
         assert np.array([float(r[2]) for _, r in rows]).tobytes() == floats.tobytes()
 
+    @pytest.mark.parametrize("columns", [
+        [np.arange(3), np.zeros(2)],
+        [["a", "b"], np.arange(3)],
+        [np.arange(2), np.arange(2), ["x"]],
+    ])
+    def test_columns_of_unequal_length_are_rejected(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(DimensionError, match="unequal length"):
+            write_table(path, ["a"] * len(columns), columns)
+        assert not path.exists()
+
     @pytest.mark.parametrize("data, message", [
         (b"a,b\n1,2\n", "expected a header starting with a,c"),
         (b"", "expected a header starting with a,c"),

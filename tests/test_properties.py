@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    polyline_reference,
     reference_load_csv,
     simulate_reference,
     smooth_reference,
     smooth_shifted_reference,
+    write_table_reference,
 )
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
@@ -27,6 +30,7 @@ from tdcae.errors import ConfigError, TdcaeError
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
 from tdcae.model import TrainingConfig, _settings, train
 from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler, load_csv, save_csv, write_table
+from tdcae.svgplot import line_plot
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate, simulate_trace
 
 # No per-example deadline: timings on a shared machine vary too much.
@@ -457,3 +461,67 @@ def test_settings_fields_are_checked_against_the_kind_of_their_default(
         TrainingConfig.from_dict(fields) if command == "train" else TankSystemConfig(**fields)
     except ConfigError as exc:
         assert "expected" not in str(exc)
+
+
+# Floats at the edges of repr's forms: signed zero, non-finite values,
+# subnormals, and both sides of the switches to exponent notation at 1e16
+# and 1e-4.
+EDGE_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308,
+               2.2250738585072014e-308, 1e16, -1e16, 9999999999999998.0, 1e-4, -1e-4,
+               9.999999999999999e-05, 1.7976931348623157e308]
+# Any text csv.writer can write, with spaces and the characters that make
+# it quote a cell drawn often. Before Python 3.11 csv.writer refuses a NUL.
+table_text = st.text(
+    st.characters(blacklist_categories=("Cs",),
+                  blacklist_characters="\x00" if sys.version_info < (3, 11) else "")
+    | st.sampled_from(['"', ",", "\r", "\n", " "]),
+    max_size=6,
+)
+
+
+def table_columns(rows):
+    """One write_table column of `rows` entries: a float64, int64 or bool
+    array, text, or a list of Python values as zip(*rows) gives them."""
+    floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+    return st.one_of(
+        arrays(np.float64, rows, elements=floats),
+        arrays(np.int64, rows),
+        arrays(np.bool_, rows),
+        st.lists(table_text, min_size=rows, max_size=rows),
+        st.lists(st.none() | st.integers() | floats | table_text, min_size=rows, max_size=rows),
+    )
+
+
+@relaxed
+@given(data=st.data(), rows=st.integers(0, 8), width=st.integers(1, 4))
+def test_write_table_writes_the_bytes_of_csv_writer(tmp_path_factory, data, rows, width):
+    header = data.draw(st.lists(table_text, min_size=width, max_size=width))
+    columns = [data.draw(table_columns(rows)) for _ in range(width)]
+    base = tmp_path_factory.mktemp("table")
+    write_table(base / "fast.csv", header, columns)
+    write_table_reference(base / "reference.csv", header, columns)
+    assert (base / "fast.csv").read_bytes() == (base / "reference.csv").read_bytes()
+
+
+plot_series = st.one_of(
+    arrays(np.float64, st.integers(0, 12)),
+    st.builds(np.full, st.integers(1, 12), st.floats()),  # a constant series
+)
+
+
+@relaxed
+@given(series=st.lists(plot_series, min_size=1, max_size=3),
+       threshold=st.none() | st.floats())
+def test_line_plot_polylines_match_the_scalar_oracle(tmp_path_factory, series, threshold):
+    path = tmp_path_factory.mktemp("plot") / "p.svg"
+    try:
+        expected = polyline_reference(series, threshold)
+    except (ValueError, ZeroDivisionError) as exc:
+        # No finite y range: every series empty, or a constant too large
+        # for the unit pad. line_plot fails the same way and writes nothing.
+        with pytest.raises(type(exc)):
+            line_plot(path, [(f"s{k}", y) for k, y in enumerate(series)], threshold=threshold)
+        assert not path.exists()
+        return
+    line_plot(path, [(f"s{k}", y) for k, y in enumerate(series)], threshold=threshold)
+    assert re.findall(r'points="([^"]*)"', path.read_text()) == expected

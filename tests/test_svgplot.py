@@ -1,0 +1,38 @@
+import re
+
+import numpy as np
+import pytest
+
+from oracles import polyline_reference
+from tdcae.svgplot import line_plot
+
+
+def polylines(path) -> list[str]:
+    return re.findall(r'points="([^"]*)"', path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("series, threshold, expected", [
+    # Series of unequal length, under a threshold above the data.
+    ([[0.0, 1.0, 2.0, 3.0], [1.5, 1.5]], 5.0,
+     ["64.00,268.82 357.33,224.09 650.67,179.36 944.00,134.64",
+      "64.00,201.73 357.33,201.73"]),
+    # A constant series: its range is widened by one.
+    ([[2.0, 2.0, 2.0]], None, ["64.00,268.82 504.00,268.82 944.00,268.82"]),
+])
+def test_polyline_points(tmp_path, series, threshold, expected):
+    path = tmp_path / "p.svg"
+    line_plot(path, [(f"s{k}", np.array(y)) for k, y in enumerate(series)], threshold=threshold)
+    assert polylines(path) == expected
+    assert polyline_reference(series, threshold) == expected
+
+
+@pytest.mark.parametrize("series, threshold", [
+    ([np.linspace(-3.0, 7.0, 50), np.sin(np.arange(17.0))], None),
+    ([np.full(9, -4.25)], None),
+    ([np.arange(20.0) ** 2, np.array([0.5])], -100.0),
+    ([np.array([1e-9, 3e-9, 2e-9]), np.array([])], 1e-6),
+])
+def test_polylines_match_the_scalar_oracle(tmp_path, series, threshold):
+    path = tmp_path / "p.svg"
+    line_plot(path, [(f"s{k}", y) for k, y in enumerate(series)], threshold=threshold)
+    assert polylines(path) == polyline_reference(series, threshold)
