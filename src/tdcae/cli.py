@@ -361,21 +361,22 @@ def cmd_report(args) -> int:
     # For every latent node, overlay its most correlated input feature,
     # rescaled and offset onto the node's range.
     overlay_series = []
+    feat_std = [np.std(scaled.values[:, f]) for f in range(scaled.n_features)]
     for j, name in enumerate(names):
         node = latent[:, j]
+        node_std = np.std(node)
         best, best_corr = None, 0.0
         for f in range(scaled.n_features):
-            feat = scaled.values[:, f]
-            if np.std(feat) == 0 or np.std(node) == 0:
+            if feat_std[f] == 0 or node_std == 0:
                 continue
-            corr = float(np.corrcoef(node, feat)[0, 1])
+            corr = float(np.corrcoef(node, scaled.values[:, f])[0, 1])
             if abs(corr) > abs(best_corr):
                 best, best_corr = f, corr
         overlay_series.append((name, node[:rows]))
         if best is not None:
             feat = scaled.values[:, best]
             rescaled = (feat - feat.mean()) * (
-                np.std(node) / np.std(feat)
+                node_std / feat_std[best]
             ) * np.sign(best_corr) + node.mean()
             overlay_series.append(
                 (f"{scaled.feature_names[best]} -> {name} (r={best_corr:.2f})",
@@ -473,7 +474,9 @@ def main(argv=None) -> int:
     except TdcaeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
+        # A path the system refuses, or a size too large to allocate;
+        # numpy's MemoryError names the size and the shape.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -235,7 +235,7 @@ def central_difference(z_prev, z_next, delta_t: float) -> np.ndarray:
 def _mean_square(a: np.ndarray) -> float:
     """np.mean(a**2) as one dot product, a few times faster at batch size."""
     flat = a.ravel()
-    return float(flat @ flat) / flat.size
+    return float(np.dot(flat, flat)) / flat.size
 
 
 class _LossStep:
@@ -265,7 +265,7 @@ class _LossStep:
         self.grads = np.empty(enc.params.size + dec.params.size)
         self.enc_grads = GradientSet(self.grads[: enc.params.size], enc)
         self.dec_grads = GradientSet(self.grads[enc.params.size :], dec)
-        self.ones = np.ones(3 * b)  # bias gradients as ones @ g
+        self.ones = np.ones(3 * b)  # bias gradients as dot(ones, g)
 
         self.enc_post = [np.empty((3 * b, l.out_size)) for l in enc.layers]
         h = self.enc_post[-1]

@@ -10,6 +10,16 @@ The layer arithmetic lives in two unchecked kernels that write into
 caller-provided buffers: `_forward`, which the checked public `forward`
 wraps for inference, and `_backward`, which only the fused training step
 in `tdcae.model` calls.
+
+The kernels call BLAS through `np.dot`, not `np.matmul`: on the 32x8
+matrices of a training batch the cost of a product is call overhead, and
+`np.dot` goes straight to `dgemm`/`dgemv`, skipping matmul's gufunc
+dispatch (about 0.5 to 1.3 us a call). Its `out` buffers must be
+C-contiguous float64 of the result's exact shape, which every kernel
+buffer is. On C- and Fortran-order inputs the results are bit-identical
+to the `np.matmul` form of the kernels that `tests/oracles.py` keeps; on
+views strided in memory the two can choose different BLAS calls and
+differ in the last bit.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ def _finite_output(out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DenseLayer:
-    """One affine layer: y = act(x @ weights.T + bias).
+    """One affine layer: y = act(dot(x, weights.T) + bias).
 
     weights has shape (out, in); bias has shape (out,).
     """
@@ -186,7 +196,7 @@ def _forward(layers: list[tuple], x: np.ndarray, post: list) -> None:
     post-activation output for the finite float64 matrix x goes into the
     buffer post[k], or into a new array stored there if post[k] is None."""
     for k, (_, weights_t, bias, tanh) in enumerate(layers):
-        x = post[k] = np.matmul(x, weights_t, out=post[k])
+        x = post[k] = np.dot(x, weights_t, out=post[k])
         x += bias
         if tanh:
             np.tanh(x, out=x)
@@ -219,11 +229,11 @@ def _backward(
             np.subtract(1.0, d, out=d)
             d *= g
             g = d
-        np.matmul(g.T, post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
-        # bias gradients as ones @ g: a BLAS call, unlike sum(axis=0)
-        np.matmul(ones, g, out=grads.bias_grads[k])
+        np.dot(g.T, post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
+        # bias gradients as dot(ones, g): a BLAS call, unlike sum(axis=0)
+        np.dot(ones, g, out=grads.bias_grads[k])
         if cotangents[k] is not None:
-            np.matmul(g, weights, out=cotangents[k])
+            np.dot(g, weights, out=cotangents[k])
             g = cotangents[k]
 
 

@@ -3,6 +3,7 @@ inputs, so plots are byte-stable and diff-able in tests."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,13 @@ def line_plot(
         y_lo = min(y_lo, threshold)
         y_hi = max(y_hi, threshold)
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        # Widen a constant by 1, or by one ulp where 1 would be absorbed
+        # (|y| >= 2**53); at the largest float, widen downwards.
+        step = max(1.0, math.ulp(y_lo))
+        if y_lo + step < math.inf:
+            y_hi = y_lo + step
+        else:
+            y_lo -= step
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

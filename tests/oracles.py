@@ -12,10 +12,14 @@ runs, `model._LossStep`, so the finite-difference gate checks the gradient
 training uses. `reference_load_csv` is load_csv without numpy's C text
 reader. `write_table_reference` is write_table by csv.writer, and
 `polyline_reference` the points of line_plot's polylines mapped and
-formatted one point at a time.
+formatted one point at a time. `forward_matmul` and `backward_matmul` are
+nn's `_forward` and `_backward` kernels with their products by
+`np.matmul`: on C- and Fortran-order inputs, the bits the np.dot kernels
+must reproduce.
 """
 
 import csv
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -80,6 +84,32 @@ def backward_reference(mlp, x, cotangent):
     _backward(mlp._kernel, x, post, np.asarray(cotangent, dtype=np.float64), grads,
               np.ones(rows), cotangents)
     return grads, cotangents[0]
+
+
+def forward_matmul(layers, x, post) -> None:
+    """nn._forward with its product by np.matmul."""
+    for k, (_, weights_t, bias, tanh) in enumerate(layers):
+        x = post[k] = np.matmul(x, weights_t, out=post[k])
+        x += bias
+        if tanh:
+            np.tanh(x, out=x)
+
+
+def backward_matmul(layers, x, post, g, grads, ones, cotangents) -> None:
+    """nn._backward with its three products by np.matmul."""
+    for k in range(len(layers) - 1, -1, -1):
+        weights, _, _, tanh = layers[k]
+        if tanh:
+            d = post[k]
+            np.multiply(d, d, out=d)
+            np.subtract(1.0, d, out=d)
+            d *= g
+            g = d
+        np.matmul(g.T, post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
+        np.matmul(ones, g, out=grads.bias_grads[k])
+        if cotangents[k] is not None:
+            np.matmul(g, weights, out=cotangents[k])
+            g = cotangents[k]
 
 
 def adamax_stepper(mlps, learning_rate: float):
@@ -330,7 +360,11 @@ def polyline_reference(series, threshold=None) -> list[str]:
     if threshold is not None:
         y_lo, y_hi = min(y_lo, threshold), max(y_hi, threshold)
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        step = max(1.0, math.ulp(y_lo))
+        if y_lo + step < math.inf:
+            y_hi = y_lo + step
+        else:
+            y_lo -= step
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

@@ -420,6 +420,16 @@ class TestLocale:
         assert ascii_locale == default
 
 
+# tdcae.cli.main on the command-line arguments, in a process whose address
+# space is limited to 4 GiB.
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from tdcae.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestExitCodes:
     def test_unknown_argument_is_user_error(self):
         assert pytest.raises(SystemExit, run, "synth", "--bogus").value.code == 1
@@ -445,6 +455,24 @@ class TestExitCodes:
         }[case]
         assert run(*argv) == 1
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--pairs", "--stat"])
+    def test_width_too_large_to_allocate_is_user_error(self, pipeline, tmp_path, flag):
+        # 10**12 nodes ask for tens of TiB of weights. Under a 4 GiB
+        # address-space limit the allocation fails at once, whether or not
+        # the machine overcommits memory.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", LIMITED_MAIN, "train", "--data",
+             str(pipeline / "train" / "data.csv"), "--out", str(tmp_path / "o"),
+             "--epochs", "1", flag, str(10**12)],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: Unable to allocate")
+        assert "Traceback" not in done.stderr
 
     def test_internal_error_is_exit_two(self, tmp_path, capsys, monkeypatch):
         # An exception outside the package's error hierarchy is a bug.

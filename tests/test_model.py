@@ -4,8 +4,8 @@ import pytest
 import tdcae.model as model_mod
 from conftest import identity_autoencoder
 from oracles import (
-    adamax_stepper, backward_reference, fd_gradient_mlp, make_triples, rel_error, tdc_loss,
-    total_loss, total_loss_grads,
+    adamax_stepper, backward_matmul, backward_reference, fd_gradient_mlp, forward_matmul,
+    make_triples, rel_error, tdc_loss, total_loss, total_loss_grads,
 )
 from tdcae.errors import ConfigError, DimensionError, NumericError
 from tdcae.model import (
@@ -435,6 +435,21 @@ class TestTraining:
         assert got == want
         encoder_rows = sum(r for kind, net, r in got if (kind, net) == ("forward", "encoder"))
         assert encoder_rows / 101 == 3.0
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"hidden_size": 1, "partition": LatentPartition(0, 1), "batch_size": 7},
+    ])
+    def test_matmul_kernels_train_the_same_bits(self, monkeypatch, overrides):
+        frame = small_training_frame(8, rows=103)  # 101 triples, with a tail batch
+        config = TrainingConfig(**{"hidden_size": 6, "epochs": 3, "seed": 12, **overrides})
+        model, history = train(config, frame)
+        monkeypatch.setattr(model_mod, "_forward", forward_matmul)
+        monkeypatch.setattr(model_mod, "_backward", backward_matmul)
+        oracle, oracle_history = train(config, frame)
+        assert history == oracle_history
+        for got, want in ((model.encoder, oracle.encoder), (model.decoder, oracle.decoder)):
+            assert got.params.tobytes() == want.params.tobytes()
 
     def test_fixed_seed_is_bit_identical(self):
         frame = small_training_frame(1)

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    backward_matmul,
+    forward_matmul,
     polyline_reference,
     reference_load_csv,
     simulate_reference,
@@ -29,6 +31,7 @@ from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
 from tdcae.errors import ConfigError, TdcaeError
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
 from tdcae.model import TrainingConfig, _settings, train
+from tdcae.nn import Activation, GradientSet, _backward, _forward, init_mlp
 from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler, load_csv, save_csv, write_table
 from tdcae.svgplot import line_plot
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate, simulate_trace
@@ -514,14 +517,52 @@ plot_series = st.one_of(
        threshold=st.none() | st.floats())
 def test_line_plot_polylines_match_the_scalar_oracle(tmp_path_factory, series, threshold):
     path = tmp_path_factory.mktemp("plot") / "p.svg"
+    ys = np.concatenate(series).tolist()
+    values = set(ys + ([] if threshold is None else [threshold]))
+    finite_constant = bool(ys) and len(values) == 1 and math.isfinite(ys[0])
     try:
         expected = polyline_reference(series, threshold)
     except (ValueError, ZeroDivisionError) as exc:
-        # No finite y range: every series empty, or a constant too large
-        # for the unit pad. line_plot fails the same way and writes nothing.
+        # No y range: every series empty. line_plot fails the same way and
+        # writes nothing. A finite constant of any size has a range.
+        assert not finite_constant
         with pytest.raises(type(exc)):
             line_plot(path, [(f"s{k}", y) for k, y in enumerate(series)], threshold=threshold)
         assert not path.exists()
         return
     line_plot(path, [(f"s{k}", y) for k, y in enumerate(series)], threshold=threshold)
     assert re.findall(r'points="([^"]*)"', path.read_text()) == expected
+
+
+def run_kernels(forward_kernel, backward_kernel, mlp, x, g):
+    """One forward and one backward pass into fresh buffers: the network's
+    output, the flat parameter gradient and every layer's input cotangent."""
+    rows = x.shape[0]
+    post = [np.empty((rows, layer.out_size)) for layer in mlp.layers]
+    forward_kernel(mlp._kernel, x, post)
+    output = post[-1].copy()
+    grads = GradientSet(np.empty(mlp.params.size), mlp)
+    cotangents = [np.empty((rows, layer.in_size)) for layer in mlp.layers]
+    backward_kernel(mlp._kernel, x, post, g, grads, np.ones(rows), cotangents)
+    return [output, grads.flat, *cotangents]
+
+
+@relaxed
+@given(data=st.data(), rows=st.integers(1, 100),
+       sizes=st.lists(st.integers(1, 20), min_size=2, max_size=4),
+       x_order=st.sampled_from("CF"), g_order=st.sampled_from("CF"),
+       seed=st.integers(0, 2**32 - 1))
+def test_dot_kernels_give_the_bits_of_the_matmul_kernels(data, rows, sizes, x_order, g_order,
+                                                          seed):
+    # C- or Fortran-order input and output cotangent; the pipeline passes
+    # C-order. On a view strided in memory, np.dot and np.matmul choose
+    # different BLAS calls and can round differently in the last bit.
+    acts = data.draw(st.lists(st.sampled_from(list(Activation)),
+                              min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    mlp = init_mlp(sizes, acts, seed)
+    rng = np.random.default_rng(seed)
+    x = np.asarray(rng.normal(size=(rows, sizes[0])), order=x_order)
+    g = np.asarray(rng.normal(size=(rows, sizes[-1])), order=g_order)
+    got = run_kernels(_forward, _backward, mlp, x, g)
+    want = run_kernels(forward_matmul, backward_matmul, mlp, x, g)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

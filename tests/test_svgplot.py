@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,11 @@ def polylines(path) -> list[str]:
       "64.00,201.73 357.33,201.73"]),
     # A constant series: its range is widened by one.
     ([[2.0, 2.0, 2.0]], None, ["64.00,268.82 504.00,268.82 944.00,268.82"]),
+    # A constant beyond 2**53, where a widening by one is absorbed: widened
+    # by one ulp instead, and the 5% pad is absorbed below it.
+    ([[1e16, 1e16, 1e16]], None, ["64.00,280.00 504.00,280.00 944.00,280.00"]),
+    # The largest float, widened downwards.
+    ([[sys.float_info.max] * 2], None, ["64.00,34.00 944.00,34.00"]),
 ])
 def test_polyline_points(tmp_path, series, threshold, expected):
     path = tmp_path / "p.svg"
