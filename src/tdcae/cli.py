@@ -195,12 +195,12 @@ def cmd_train(args) -> int:
     scaler = pre.fit_scaler(frame)
     scaled = pre.apply_scaler(scaler, frame)
     trained, history = model_mod.train(config, scaled)
+    scores = reconstruction_error(trained, scaled)
 
     out = _out_dir(args.out)
     model_mod.save_model(out / "model.json", trained, scaler, config)
     rows = [(k, e.rec_loss, e.tdc_loss, e.total) for k, e in enumerate(history, start=1)]
     pre.write_table(out / "loss_history.csv", ["epoch", "rec_loss", "tdc_loss", "total"], zip(*rows))
-    scores = reconstruction_error(trained, scaled)
     pre.write_table(out / "train_scores.csv", TRAIN_SCORES_HEADER, [scaled.stamps, scores])
     _echo_config(
         out,
@@ -256,7 +256,7 @@ def cmd_detect(args) -> int:
 
     result = run_detection(trained, scored_frame, threshold, config)
     out = _out_dir(args.out)
-    save_detection_csv(result, scored_frame, out / "detection.csv")
+    # The plot goes first: it refuses scores it cannot place.
     line_plot(
         out / "detection.svg",
         [("smoothed error", result.smoothed_scores)],
@@ -265,6 +265,7 @@ def cmd_detect(args) -> int:
         shaded=_label_shading(scored_frame.labels),
         y_label="mse",
     )
+    save_detection_csv(result, scored_frame, out / "detection.csv")
     _echo_config(
         out,
         {

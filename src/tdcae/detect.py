@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IngestionError
+from .errors import ConfigError, DimensionError, IngestionError, NumericError
 from .model import HTdcAutoencoder, reconstruct
 from .preprocess import DatasetFrame, read_table, write_table
 
@@ -49,15 +49,26 @@ class DetectionResult:
 def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndarray:
     """Per-timestep MSE between each row and its reconstruction. Every
     timestep is scored; the frame must already be scaled with the model's
-    scaler."""
+    scaler. An error beyond the largest float raises NumericError naming
+    the first such row."""
     if frame.n_features != model.n_features:
         raise DimensionError(
             f"frame has {frame.n_features} features, model expects {model.n_features}"
         )
-    residual = frame.values - reconstruct(model, frame.values)
-    residual *= residual
-    # np.mean's own arithmetic: one row sum, then a division by the count.
-    return np.add.reduce(residual, axis=1) / residual.shape[1]
+    reconstruction = reconstruct(model, frame.values)
+    # Finite rows and reconstructions can still differ by more than the
+    # largest float; the overflow is reported below, not warned about.
+    with np.errstate(over="ignore"):
+        residual = frame.values - reconstruction
+        residual *= residual
+        # np.mean's own arithmetic: one row sum, then a division by the count.
+        errors = np.add.reduce(residual, axis=1) / residual.shape[1]
+    if not np.isfinite(errors).all():
+        row = int(np.argmin(np.isfinite(errors)))
+        raise NumericError(
+            f"row {row} (timestamp {frame.stamps[row]}): reconstruction error overflows"
+        )
+    return errors
 
 
 def _check_window(window) -> int:

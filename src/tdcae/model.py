@@ -7,7 +7,9 @@ the central-difference estimate built from the static nodes at t-1 and
 t+1. This module owns the triple layout: triple k is frame rows
 (k, k+1, k+2), which `train` gathers batch by batch through the row
 offsets `_TRIPLE_OFFSETS`. It also owns the check of the time step delta_t
-between rows.
+between rows, and model.json: its config and its scaler's feature count fix
+the architecture, and its `partition`, `layer_sizes` and `activations` are
+checked against what `build_model` gives for them.
 
 The loss and its exact gradient come from one fused step, `_LossStep`,
 built once per model and batch size with every buffer preallocated: it runs
@@ -24,13 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
+from .nn import GradientSet, Mlp, forward, init_mlp
 from .nn import _backward, _finite_output, _forward, _share_params
 from .optim import _adamax_update
 from .preprocess import DatasetFrame, RobustScalerParams
@@ -187,24 +189,26 @@ def _seed_triple(seed: int) -> tuple[int, int, int]:
     return int(words[0]), int(words[1]), int(words[2])
 
 
+def _architecture(n_features: int, config: TrainingConfig) -> dict:
+    """The architecture that build_model gives, as model.json records it:
+    the partition, an encoder [F -> hidden -> latent] with tanh throughout
+    and a decoder [latent -> hidden -> F] with a linear output layer."""
+    sizes = [n_features, config.hidden_size, config.partition.width]
+    return {
+        "partition": asdict(config.partition),
+        "encoder": {"layer_sizes": sizes, "activations": ["tanh", "tanh"]},
+        "decoder": {"layer_sizes": sizes[::-1], "activations": ["tanh", "identity"]},
+    }
+
+
 def build_model(n_features: int, config: TrainingConfig) -> HTdcAutoencoder:
-    """Fresh model: encoder [F -> hidden -> latent] with tanh throughout,
-    decoder [latent -> hidden -> F] with a linear output layer."""
+    """Fresh model with the architecture of _architecture(n_features, config)."""
     if n_features < 1:
         raise ConfigError("n_features must be >= 1")
     enc_seed, dec_seed, _ = _seed_triple(config.seed)
-    width = config.partition.width
-    encoder = init_mlp(
-        [n_features, config.hidden_size, width],
-        [Activation.TANH, Activation.TANH],
-        enc_seed,
-    )
-    decoder = init_mlp(
-        [width, config.hidden_size, n_features],
-        [Activation.TANH, Activation.IDENTITY],
-        dec_seed,
-    )
-    return HTdcAutoencoder(encoder, decoder, config.partition)
+    networks = _architecture(n_features, config)
+    return HTdcAutoencoder(init_mlp(**networks["encoder"], seed=enc_seed),
+                           init_mlp(**networks["decoder"], seed=dec_seed), config.partition)
 
 
 def encode(model: HTdcAutoencoder, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -410,6 +414,25 @@ def _mlp_to_doc(mlp: Mlp) -> dict:
     }
 
 
+def _check_architecture(doc: dict, n_features: int, config: TrainingConfig) -> None:
+    """Raise ConfigError unless the model document `doc` records the
+    _architecture of n_features and the config, naming the first entry
+    that differs and the values that fix it."""
+    p = config.partition
+    basis = (f"config n_pairs={p.n_pairs}, n_stat={p.n_stat}, hidden_size="
+             f"{config.hidden_size} and {n_features} scaler features")
+    for name, fields in _architecture(n_features, config).items():
+        for key, want in fields.items():
+            path, got = f"{name}.{key}", _field(doc[name], key, None, f"{name}.")
+            entries = [(path, got, want)]
+            if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+                entries = [(f"{path}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+            for where, g, w in entries:
+                # By type too: JSON's 3.0 and true are not the integers 3 and 1.
+                if type(g) is not type(w) or g != w:
+                    raise ConfigError(f"{where}: expected {w!r} from {basis}, got {g!r:.40}")
+
+
 # Model-document checks. `where` is the JSON path of the enclosing object,
 # ending in a dot, or "" at the top level.
 def _field(doc, key: str, kind: type | None, where: str):
@@ -482,31 +505,6 @@ def _numbers(doc, key: str, n: int, where: str) -> np.ndarray:
     return np.array([_finite(v, f"{where}{key}[{i}]") for i, v in enumerate(values)])
 
 
-def _mlp_from_doc(doc, where: str) -> Mlp:
-    sizes = _field(doc, "layer_sizes", list, where)
-    if len(sizes) < 2 or not all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in sizes
-    ):
-        raise ConfigError(f"{where}layer_sizes: expected two or more integers >= 1")
-    n_layers = len(sizes) - 1
-    activations = _field(doc, "activations", list, where)
-    payloads = _field(doc, "layers", list, where)
-    if len(activations) != n_layers or len(payloads) != n_layers:
-        raise ConfigError(f"{where[:-1]}: expected {n_layers} activations and {n_layers} layers")
-    names = [a.value for a in Activation]
-    layers = []
-    for k, (fan_in, fan_out, act, payload) in enumerate(
-        zip(sizes, sizes[1:], activations, payloads)
-    ):
-        if act not in names:
-            raise ConfigError(f"{where}activations[{k}]: expected one of {names}")
-        here = f"{where}layers[{k}]."
-        weights = _numbers(payload, "weights", fan_in * fan_out, here)
-        bias = _numbers(payload, "bias", fan_out, here)
-        layers.append(DenseLayer(weights.reshape(fan_out, fan_in), bias, Activation(act)))
-    return Mlp(layers)
-
-
 def _scaler_to_doc(params: RobustScalerParams) -> dict:
     return {
         name: {"median": m, "iqr": q}
@@ -524,22 +522,6 @@ def _scaler_from_doc(doc: dict) -> RobustScalerParams:
     )
 
 
-def _model_from_doc(doc: dict):
-    part = _field(doc, "partition", dict, "")
-    model = HTdcAutoencoder(
-        _mlp_from_doc(_field(doc, "encoder", dict, ""), "encoder."),
-        _mlp_from_doc(_field(doc, "decoder", dict, ""), "decoder."),
-        LatentPartition(*(_field(part, k, int, "partition.") for k in ("n_pairs", "n_stat"))),
-    )
-    scaler = _scaler_from_doc(_field(doc, "scaler", dict, ""))
-    if len(scaler.feature_names) != model.n_features:
-        raise ConfigError(
-            f"scaler: expected {model.n_features} features, got {len(scaler.feature_names)}"
-        )
-    config = TrainingConfig.from_dict(_field(doc, "config", dict, ""), "config.")
-    return model, scaler, config
-
-
 def read_json(path):
     """The parsed JSON document in a file; invalid JSON or text that is not
     UTF-8 raises ConfigError."""
@@ -553,18 +535,17 @@ def save_model(
     path, model: HTdcAutoencoder, scaler: RobustScalerParams, config: TrainingConfig
 ) -> None:
     """Persist the model as JSON. Floats use the shortest representation
-    that round-trips, so parameters survive save/load bit-exactly."""
+    that round-trips, so parameters survive save/load bit-exactly. A model
+    not of its config's and scaler's _architecture raises ConfigError."""
     doc = {
         "format": MODEL_FORMAT,
-        "partition": {
-            "n_pairs": model.partition.n_pairs,
-            "n_stat": model.partition.n_stat,
-        },
+        "partition": asdict(model.partition),
         "encoder": _mlp_to_doc(model.encoder),
         "decoder": _mlp_to_doc(model.decoder),
         "scaler": _scaler_to_doc(scaler),
         "config": config.to_dict(),
     }
+    _check_architecture(doc, len(scaler.feature_names), config)
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
@@ -575,7 +556,24 @@ def load_model(path) -> tuple[HTdcAutoencoder, RobustScalerParams, TrainingConfi
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} document")
     try:
-        return _model_from_doc(doc)
-    except (ConfigError, DimensionError) as exc:
+        for key in ("partition", "encoder", "decoder", "scaler", "config"):
+            _field(doc, key, dict, "")
+        scaler = _scaler_from_doc(doc["scaler"])
+        config = TrainingConfig.from_dict(doc["config"], "config.")
+        # Checked before build_model allocates what a damaged config asks for.
+        _check_architecture(doc, len(scaler.feature_names), config)
+        model = build_model(len(scaler.feature_names), config)
+        for name in ("encoder", "decoder"):
+            layers = getattr(model, name).layers
+            payloads = _field(doc[name], "layers", list, f"{name}.")
+            if len(payloads) != len(layers):
+                raise ConfigError(f"{name}.layers: expected {len(layers)} layers, "
+                                  f"got {len(payloads)}")
+            for k, (layer, payload) in enumerate(zip(layers, payloads)):
+                here = f"{name}.layers[{k}]."
+                for key, out in (("weights", layer.weights), ("bias", layer.bias)):
+                    out[...] = _numbers(payload, key, out.size, here).reshape(out.shape)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return model, scaler, config
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericError
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH = 960
@@ -42,6 +44,8 @@ def line_plot(
 
     threshold draws a dashed horizontal line; shaded draws grey vertical
     bands over the inclusive index intervals (used for attack windows).
+    Non-finite values, or values more than the largest float apart, raise
+    NumericError and write nothing.
     """
     series = [(name, np.asarray(y, dtype=np.float64)) for name, y in series]
     n = max((len(y) for _, y in series), default=0)
@@ -62,6 +66,10 @@ def line_plot(
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    # A NaN or an infinity, or a range wider than the largest float, has no
+    # pixel position; every coordinate drawn below is finite otherwise.
+    if not math.isfinite(y_hi - y_lo) or threshold is not None and not math.isfinite(threshold):
+        raise NumericError(f"{path}: no finite y range to plot")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -140,12 +148,9 @@ def line_plot(
     for k, (name, y) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
         # sx and sy over the whole series, as the same float64 operations,
-        # formatted by one % call with a "%.2f,%.2f" per point. Like the
-        # scalar operations, they turn overflow into inf and inf - inf
-        # into nan without a warning.
-        with np.errstate(all="ignore"):
-            xs = _MARGIN_L + (np.arange(y.size) / max(n - 1, 1)) * plot_w
-            ys = _MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+        # formatted by one % call with a "%.2f,%.2f" per point.
+        xs = _MARGIN_L + (np.arange(y.size) / max(n - 1, 1)) * plot_w
+        ys = _MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
         pts = " ".join(["%.2f,%.2f"] * y.size) % tuple(np.column_stack((xs, ys)).ravel().tolist())
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'

@@ -350,8 +350,11 @@ def write_table_reference(path, header, columns) -> None:
 def polyline_reference(series, threshold=None) -> list[str]:
     """The `points` of each series' polyline in line_plot's SVG, one point
     at a time: the y range of the series and the threshold, padded by 5%,
-    mapped to pixels by scalar sx and sy and formatted by _fmt."""
+    mapped to pixels by scalar sx and sy and formatted by _fmt. A NaN or
+    infinite value or threshold, or a range wider than the largest float,
+    raises NumericError."""
     from tdcae import svgplot as s
+    from tdcae.errors import NumericError
 
     series = [np.asarray(y, dtype=np.float64) for y in series]
     n = max((len(y) for y in series), default=0)
@@ -368,6 +371,8 @@ def polyline_reference(series, threshold=None) -> list[str]:
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    if not math.isfinite(y_hi - y_lo) or threshold is not None and not math.isfinite(threshold):
+        raise NumericError("no finite y range")
     plot_w = s._WIDTH - s._MARGIN_L - s._MARGIN_R
     plot_h = s._HEIGHT - s._MARGIN_T - s._MARGIN_B
 

@@ -537,7 +537,7 @@ class TestMalformedModel:
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d.update(format="tdcae-model-v0"), "tdcae-model-v1"),
         (lambda d: d["partition"].update(n_pairs="3"), "partition.n_pairs"),
-        (lambda d: d["partition"].update(n_stat=5), "latent width"),
+        (lambda d: d["partition"].update(n_stat=5), "partition.n_stat"),
         (lambda d: d["encoder"].update(layer_sizes=[8, 0, 7]), "encoder.layer_sizes"),
         (lambda d: d["decoder"]["activations"].__setitem__(0, "relu"), "decoder.activations[0]"),
         (lambda d: d["decoder"]["layers"][1]["bias"].append(0.0), "decoder.layers[1].bias"),
@@ -575,6 +575,70 @@ class TestMalformedModel:
         code, err = self.detect_with(doc, tmp_path, capsys)
         assert code == 1
         assert f"config.{key}" in err
+
+    # The first two keep the latent width, so the parent loaded them: the
+    # first relabelled the latent columns, the second disagreed with its config.
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["partition"].update(n_pairs=2, n_stat=3),
+         "partition.n_pairs: expected 3 from config n_pairs=3, n_stat=1"),
+        (lambda d: d["config"].update(n_pairs=1, n_stat=5),
+         "partition.n_pairs: expected 1 from config n_pairs=1, n_stat=5"),
+        (lambda d: d.update(scaler={}), "encoder.layer_sizes[0]: expected 0 from config"),
+    ])
+    def test_architecture_must_be_the_one_config_and_scaler_give(
+        self, doc, tmp_path, capsys, mutate, field
+    ):
+        mutate(doc)
+        code, err = self.detect_with(doc, tmp_path, capsys)
+        assert code == 1
+        assert field in err
+
+
+def with_cell(src, dst, row, value) -> Path:
+    """A copy of the CSV src with the first cell of data row `row` set to value."""
+    lines = Path(src).read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    lines[row + 1] = ",".join([value] + cells[1:])
+    Path(dst).write_text("\n".join(lines) + "\n")
+    return Path(dst)
+
+
+class TestOverflow:
+    """Finite input whose reconstruction error or plot range overflows is a
+    user error (exit 1) naming it; no inf or nan reaches the outputs."""
+
+    def test_detect_names_the_row(self, pipeline, tmp_path, capsys):
+        data = with_cell(pipeline / "test" / "data.csv", tmp_path / "d.csv", 100, "1e200")
+        code = run("detect", "--model", pipeline / "model" / "model.json", "--data", data,
+                   "--train-scores", pipeline / "model" / "train_scores.csv",
+                   "--out", tmp_path / "o")
+        assert code == 1
+        assert "row 100 (timestamp 100): reconstruction error overflows" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "detection.csv").exists()
+
+    def test_fit_threshold_names_the_row(self, pipeline, tmp_path, capsys):
+        data = with_cell(pipeline / "train" / "data.csv", tmp_path / "d.csv", 100, "1e200")
+        code = run("detect", "--model", pipeline / "model" / "model.json",
+                   "--data", pipeline / "test" / "data.csv", "--train-data", data,
+                   "--out", tmp_path / "o")
+        assert code == 1
+        assert "row 100 (timestamp 100): reconstruction error overflows" in capsys.readouterr().err
+
+    def test_train_scores_name_the_row(self, pipeline, tmp_path, capsys):
+        # The last row is only ever an x_next, so training's loss stays finite.
+        data = with_cell(pipeline / "train" / "data.csv", tmp_path / "d.csv", 599, "1e200")
+        code = run("train", "--data", data, "--out", tmp_path / "m", "--epochs", 1)
+        assert code == 1
+        assert "row 599 (timestamp 599): reconstruction error overflows" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_plot_range_beyond_the_largest_float(self, pipeline, tmp_path, capsys):
+        code = run("detect", "--model", pipeline / "model" / "model.json",
+                   "--data", pipeline / "test" / "data.csv", "--threshold=-1.7e308",
+                   "--out", tmp_path / "o")
+        assert code == 1
+        assert "detection.svg: no finite y range to plot" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "detection.svg").exists()
 
 
 class TestMalformedInput:

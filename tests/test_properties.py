@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -28,9 +29,9 @@ from oracles import (
 )
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
-from tdcae.errors import ConfigError, TdcaeError
+from tdcae.errors import ConfigError, NumericError, TdcaeError
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
-from tdcae.model import TrainingConfig, _settings, train
+from tdcae.model import LatentPartition, TrainingConfig, _settings, load_model, save_model, train
 from tdcae.nn import Activation, GradientSet, _backward, _forward, init_mlp
 from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler, load_csv, save_csv, write_table
 from tdcae.svgplot import line_plot
@@ -466,6 +467,126 @@ def test_settings_fields_are_checked_against_the_kind_of_their_default(
         assert "expected" not in str(exc)
 
 
+partitions = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p != (0, 0))
+
+
+@relaxed
+@given(data=st.data(), n_features=st.integers(1, 10), hidden=st.integers(1, 12),
+       partition=partitions, seed=st.integers(0, 2**32))
+def test_save_model_round_trips_its_model_and_refuses_another(
+    tmp_path_factory, data, n_features, hidden, partition, seed
+):
+    def frame_of(width):
+        values = np.random.default_rng(seed).normal(size=(8, width))
+        return DatasetFrame([f"f{k}" for k in range(width)], values)
+
+    config = TrainingConfig(epochs=1, hidden_size=hidden, partition=LatentPartition(*partition),
+                            seed=seed)
+    frame = frame_of(n_features)
+    scaler = fit_scaler(frame)
+    model, _ = train(config, apply_scaler(scaler, frame))
+    base = tmp_path_factory.mktemp("saved")
+    save_model(base / "model.json", model, scaler, config)
+    loaded, loaded_scaler, loaded_config = load_model(base / "model.json")
+    assert loaded.partition == model.partition and loaded_config == config
+    for mine, theirs in ((model.encoder, loaded.encoder), (model.decoder, loaded.decoder)):
+        assert theirs.layer_sizes == mine.layer_sizes
+        assert [l.activation for l in theirs.layers] == [l.activation for l in mine.layers]
+        assert theirs.params.tobytes() == mine.params.tobytes()
+    assert loaded_scaler.feature_names == scaler.feature_names
+    assert loaded_scaler.median.tobytes() == scaler.median.tobytes()
+    assert loaded_scaler.iqr.tobytes() == scaler.iqr.tobytes()
+
+    # The model against a config or scaler that build_model would not
+    # have built it from.
+    other = data.draw(st.sampled_from(["partition", "hidden", "scaler"]))
+    if other == "partition":
+        config = dataclasses.replace(config, partition=LatentPartition(
+            *data.draw(partitions.filter(lambda p: p != partition))))
+    elif other == "hidden":
+        config = dataclasses.replace(
+            config, hidden_size=data.draw(st.integers(1, 12).filter(lambda h: h != hidden)))
+    else:
+        width = data.draw(st.integers(1, 10).filter(lambda n: n != n_features))
+        scaler = fit_scaler(frame_of(width))
+    with pytest.raises(ConfigError):
+        save_model(base / "other.json", model, scaler, config)
+    assert not (base / "other.json").exists()
+
+
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A 200-hour synth, train and detect chain whose files drawn argv use."""
+    base = tmp_path_factory.mktemp("small")
+    chain = [
+        ["synth", "--out", base / "train", "--horizon", 200, "--seed", 4, "--attacks", "none"],
+        ["synth", "--out", base / "test", "--horizon", 200, "--seed", 5, "--attacks", "default"],
+        ["train", "--data", base / "train" / "data.csv", "--out", base / "model", "--epochs", 1],
+        ["detect", "--model", base / "model" / "model.json", "--data", base / "test" / "data.csv",
+         "--train-scores", base / "model" / "train_scores.csv", "--out", base / "det"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in chain:
+            assert main([str(a) for a in argv]) == 0
+    return base
+
+
+def command_flags(command, base, work) -> dict:
+    """Each flag of the command with the value of a working run over the
+    pipeline in base, or None where the run omits the flag."""
+    model, test = base / "model" / "model.json", base / "test" / "data.csv"
+    return {
+        "detect": {"--model": model, "--data": test, "--out": work / "out",
+                   "--train-scores": base / "model" / "train_scores.csv", "--window": None,
+                   "--percentile": None, "--threshold": None, "--train-data": None},
+        "evaluate": {"--detections": base / "det" / "detection.csv", "--labels": test,
+                     "--out": work / "out", "--fuse": None},
+        "report": {"--model": model, "--data": test, "--out": work / "out", "--window": None,
+                   "--plot-rows": None},
+        "train": {"--data": base / "train" / "data.csv", "--out": work / "out", "--epochs": 1,
+                  "--alpha": None, "--lr": None, "--delta-t": None, "--seed": None,
+                  "--batch-size": None},
+        "synth": {"--out": work / "out", "--horizon": 200, "--attacks": "none", "--seed": None},
+    }[command]
+
+
+# The flags that take drawn values. train and synth draw only those whose
+# values are checked: no huge --epochs, --hidden, --pairs or --stat, and
+# nothing that starts threads or processes.
+DRAWN_FLAGS = {
+    "train": {"--alpha", "--lr", "--delta-t", "--seed", "--batch-size"},
+    "synth": {"--seed", "--horizon"},
+}
+
+
+@relaxed
+@given(data=st.data(), command=st.sampled_from(["detect", "evaluate", "report", "train", "synth"]))
+def test_drawn_argv_exits_0_or_1(tmp_path_factory, small_pipeline, data, command):
+    work = tmp_path_factory.mktemp("argv")
+    (work / "dir").mkdir()
+    files = sorted(p for p in small_pipeline.rglob("*") if p.is_file())
+    values = st.sampled_from(["0", "-1", str(10**30), "nan", "inf", "-inf", work / "dir",
+                              work / "missing" / "x"]) | st.sampled_from(files)
+    flags = command_flags(command, small_pipeline, work)
+    drawn = data.draw(st.sets(st.sampled_from(sorted(DRAWN_FLAGS.get(command, flags))),
+                              min_size=1, max_size=3))
+    argv = [command]
+    for flag, value in flags.items():
+        value = data.draw(values) if flag in drawn else value
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    cwd = os.getcwd()
+    os.chdir(work)  # a number drawn for --out names a directory here
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1), argv
+
+
 # Floats at the edges of repr's forms: signed zero, non-finite values,
 # subnormals, and both sides of the switches to exponent notation at 1e16
 # and 1e-4.
@@ -522,16 +643,20 @@ def test_line_plot_polylines_match_the_scalar_oracle(tmp_path_factory, series, t
     finite_constant = bool(ys) and len(values) == 1 and math.isfinite(ys[0])
     try:
         expected = polyline_reference(series, threshold)
-    except (ValueError, ZeroDivisionError) as exc:
-        # No y range: every series empty. line_plot fails the same way and
-        # writes nothing. A finite constant of any size has a range.
+    except (ValueError, ZeroDivisionError, NumericError) as exc:
+        # No y range: every series empty, or no finite one: a NaN, an
+        # infinity or values more than the largest float apart. line_plot
+        # fails the same way and writes nothing. A finite constant of any
+        # size has a range.
         assert not finite_constant
         with pytest.raises(type(exc)):
             line_plot(path, [(f"s{k}", y) for k, y in enumerate(series)], threshold=threshold)
         assert not path.exists()
         return
     line_plot(path, [(f"s{k}", y) for k, y in enumerate(series)], threshold=threshold)
-    assert re.findall(r'points="([^"]*)"', path.read_text()) == expected
+    svg = path.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert re.findall(r'points="([^"]*)"', svg) == expected
 
 
 def run_kernels(forward_kernel, backward_kernel, mlp, x, g):

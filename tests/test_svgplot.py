@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import polyline_reference
+from tdcae.errors import NumericError
 from tdcae.svgplot import line_plot
 
 
@@ -42,3 +44,22 @@ def test_polylines_match_the_scalar_oracle(tmp_path, series, threshold):
     path = tmp_path / "p.svg"
     line_plot(path, [(f"s{k}", y) for k, y in enumerate(series)], threshold=threshold)
     assert polylines(path) == polyline_reference(series, threshold)
+
+
+@pytest.mark.parametrize("series, threshold", [
+    # Finite values more than the largest float apart, in the data or
+    # through the threshold.
+    ([[-1e308, 1e308]], None),
+    ([[0.0, 1e308]], -1e308),
+    ([[1.0, math.nan]], None),
+    ([[1.0, 2.0]], math.inf),
+    ([[1.0, 2.0]], math.nan),
+])
+def test_no_finite_y_range_is_an_error(tmp_path, series, threshold):
+    path = tmp_path / "p.svg"
+    with pytest.raises(NumericError, match="no finite y range"):
+        line_plot(path, [(f"s{k}", np.array(y)) for k, y in enumerate(series)],
+                  threshold=threshold)
+    assert not path.exists()
+    with pytest.raises(NumericError):
+        polyline_reference(series, threshold)
