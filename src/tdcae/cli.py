@@ -32,7 +32,7 @@ from .detect import (
     smooth,
     threshold_from_scores,
 )
-from .errors import ConfigError, IngestionError, TdcaeError
+from .errors import ConfigError, IngestionError, NumericError, TdcaeError
 from .model import _settings, read_json
 from .svgplot import line_plot
 
@@ -336,6 +336,13 @@ def cmd_report(args) -> int:
         + [f"s{i + 1}" for i in range(p.n_stat)]
     )
     latent = np.hstack([z, zdot, s])
+    # Each feature's spread, for the overlay below. A feature whose spread
+    # overflows cannot be overlaid, so it is named before anything is written.
+    with np.errstate(over="ignore", invalid="ignore"):
+        feat_std = [np.std(scaled.values[:, f]) for f in range(scaled.n_features)]
+    for name, std in zip(scaled.feature_names, feat_std):
+        if not np.isfinite(std):
+            raise NumericError(f"{args.data}: feature {name}: standard deviation overflows")
 
     out = _out_dir(args.out)
     pre.write_table(out / "latent_trace.csv", ["timestamp"] + names, [scaled.stamps, *latent.T])
@@ -362,7 +369,6 @@ def cmd_report(args) -> int:
     # For every latent node, overlay its most correlated input feature,
     # rescaled and offset onto the node's range.
     overlay_series = []
-    feat_std = [np.std(scaled.values[:, f]) for f in range(scaled.n_features)]
     for j, name in enumerate(names):
         node = latent[:, j]
         node_std = np.std(node)

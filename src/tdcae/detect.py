@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, IngestionError, NumericError
-from .model import HTdcAutoencoder, reconstruct
+from .model import HTdcAutoencoder, _reconstruct
+from .nn import _as_matrix, _finite_output
 from .preprocess import DatasetFrame, read_table, write_table
 
 
@@ -49,21 +50,28 @@ class DetectionResult:
 def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndarray:
     """Per-timestep MSE between each row and its reconstruction. Every
     timestep is scored; the frame must already be scaled with the model's
-    scaler. An error beyond the largest float raises NumericError naming
-    the first such row."""
+    scaler. A non-finite input, latent or reconstruction raises
+    NumericError as reconstruct does, and an error beyond the largest float
+    one naming the first such row."""
     if frame.n_features != model.n_features:
         raise DimensionError(
             f"frame has {frame.n_features} features, model expects {model.n_features}"
         )
-    reconstruction = reconstruct(model, frame.values)
-    # Finite rows and reconstructions can still differ by more than the
-    # largest float; the overflow is reported below, not warned about.
-    with np.errstate(over="ignore"):
-        residual = frame.values - reconstruction
+    values = frame.values
+    # A non-finite input, latent or reconstruction, or finite rows and
+    # reconstructions more than the largest float apart, are named below,
+    # not warned about. A non-finite reconstruction makes its row's error
+    # non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reconstruction = _reconstruct(model, values)
+        residual = values - reconstruction
         residual *= residual
         # np.mean's own arithmetic: one row sum, then a division by the count.
         errors = np.add.reduce(residual, axis=1) / residual.shape[1]
     if not np.isfinite(errors).all():
+        # In reconstruct's order: values changed in place, then the output.
+        _as_matrix(values, "input")
+        _finite_output(reconstruction)
         row = int(np.argmin(np.isfinite(errors)))
         raise NumericError(
             f"row {row} (timestamp {frame.stamps[row]}): reconstruction error overflows"

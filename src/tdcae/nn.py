@@ -9,7 +9,9 @@ An optimizer step is then a few elementwise operations on flat vectors.
 The layer arithmetic lives in two unchecked kernels that write into
 caller-provided buffers: `_forward`, which the checked public `forward`
 wraps for inference, and `_backward`, which only the fused training step
-in `tdcae.model` calls.
+in `tdcae.model` calls. `_backward` reads each tanh layer's derivative
+1 - post**2 from a buffer of the caller's, which the training step fills
+for every tanh layer at once, and leaves the forward outputs as they are.
 
 The kernels call BLAS through `np.dot`, not `np.matmul`: on the 32x8
 matrices of a training batch the cost of a product is call overhead, and
@@ -206,6 +208,7 @@ def _backward(
     layers: list[tuple],
     x: np.ndarray,
     post: list[np.ndarray],
+    deriv: list,
     g: np.ndarray,
     grads: GradientSet,
     ones: np.ndarray,
@@ -214,19 +217,17 @@ def _backward(
     """Unchecked backward kernel over an Mlp's `_kernel` layers, from the
     output cotangent g.
 
-    Writes the parameter gradients into grads and the cotangent of layer k's
-    input into cotangents[k]; cotangents[0] may be None when the caller does
-    not need the input cotangent. ones is a vector of ones, one per row. The
-    kernel overwrites post[k] of every tanh layer with the cotangent of its
-    pre-activation, so post cannot be reused afterwards.
+    deriv[k] holds tanh'(layer k) = 1 - post[k]**2 for every tanh layer k,
+    and the kernel overwrites it with the cotangent of that layer's
+    pre-activation; post itself is only read. Writes the parameter gradients
+    into grads and the cotangent of layer k's input into cotangents[k];
+    cotangents[0] may be None when the caller does not need the input
+    cotangent. ones is a vector of ones, one per row.
     """
     for k in range(len(layers) - 1, -1, -1):
         weights, _, _, tanh = layers[k]
         if tanh:
-            # tanh' = 1 - post**2, from the stored post-activation
-            d = post[k]
-            np.multiply(d, d, out=d)
-            np.subtract(1.0, d, out=d)
+            d = deriv[k]
             d *= g
             g = d
         np.dot(g.T, post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
@@ -237,9 +238,9 @@ def _backward(
             g = cotangents[k]
 
 
-def forward(mlp: Mlp, x) -> np.ndarray:
-    """Evaluate the network on a batch: x has shape (batch, input_size), the
-    result (batch, output_size). Pure: does not touch the Mlp."""
+def _checked_input(mlp: Mlp, x) -> np.ndarray:
+    """x as a finite float64 matrix with at least one row and the Mlp's
+    input_size columns."""
     x = _as_matrix(x, "input")
     if x.shape[0] < 1:
         raise DimensionError("batch must contain at least one row")
@@ -247,6 +248,12 @@ def forward(mlp: Mlp, x) -> np.ndarray:
         raise DimensionError(
             f"input has {x.shape[1]} columns, network expects {mlp.input_size}"
         )
+    return x
+
+
+def forward(mlp: Mlp, x) -> np.ndarray:
+    """Evaluate the network on a batch: x has shape (batch, input_size), the
+    result (batch, output_size). Pure: does not touch the Mlp."""
     post = [None] * len(mlp.layers)
-    _forward(mlp._kernel, x, post)
+    _forward(mlp._kernel, _checked_input(mlp, x), post)
     return _finite_output(post[-1])

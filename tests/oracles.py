@@ -15,7 +15,11 @@ reader. `write_table_reference` is write_table by csv.writer, and
 formatted one point at a time. `forward_matmul` and `backward_matmul` are
 nn's `_forward` and `_backward` kernels with their products by
 `np.matmul`: on C- and Fortran-order inputs, the bits the np.dot kernels
-must reproduce.
+must reproduce. `backward_post`, `loss_step_post`, `adamax_with_temporaries`
+and `train_unchunked` are the backward kernel, the fused step, the Adamax
+step and the training loop as they were before the tanh' buffers, the
+work-buffer Adamax step and the chunked gathers: the bits those must
+reproduce.
 """
 
 import csv
@@ -69,6 +73,13 @@ def fd_gradient_mlp(loss_fn, mlp, h: float = 1e-5):
     return weight_grads, bias_grads
 
 
+def tanh_derivatives(layers, post) -> list:
+    """tanh' = 1 - post**2 of every tanh layer among an Mlp's `_kernel`
+    layers, in new arrays, and None for the others: the `deriv` argument of
+    nn._backward."""
+    return [1.0 - p * p if tanh else None for (*_, tanh), p in zip(layers, post)]
+
+
 def backward_reference(mlp, x, cotangent):
     """Gradients of sum(forward(mlp, x) * cotangent) by nn's kernels, run
     into fresh buffers: a GradientSet over a new flat vector, and the
@@ -81,8 +92,8 @@ def backward_reference(mlp, x, cotangent):
     _forward(mlp._kernel, x, post)
     grads = GradientSet(np.zeros(mlp.params.size), mlp)
     cotangents = [np.empty((rows, layer.in_size)) for layer in mlp.layers]
-    _backward(mlp._kernel, x, post, np.asarray(cotangent, dtype=np.float64), grads,
-              np.ones(rows), cotangents)
+    _backward(mlp._kernel, x, post, tanh_derivatives(mlp._kernel, post),
+              np.asarray(cotangent, dtype=np.float64), grads, np.ones(rows), cotangents)
     return grads, cotangents[0]
 
 
@@ -95,14 +106,12 @@ def forward_matmul(layers, x, post) -> None:
             np.tanh(x, out=x)
 
 
-def backward_matmul(layers, x, post, g, grads, ones, cotangents) -> None:
+def backward_matmul(layers, x, post, deriv, g, grads, ones, cotangents) -> None:
     """nn._backward with its three products by np.matmul."""
     for k in range(len(layers) - 1, -1, -1):
         weights, _, _, tanh = layers[k]
         if tanh:
-            d = post[k]
-            np.multiply(d, d, out=d)
-            np.subtract(1.0, d, out=d)
+            d = deriv[k]
             d *= g
             g = d
         np.matmul(g.T, post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
@@ -112,22 +121,107 @@ def backward_matmul(layers, x, post, g, grads, ones, cotangents) -> None:
             g = cotangents[k]
 
 
+def backward_post(layers, x, post, g, grads, ones, cotangents) -> None:
+    """nn._backward as it was before the derivative buffers: each tanh
+    layer's tanh' is computed from post[k] in place, by three calls, which
+    overwrites post."""
+    for k in range(len(layers) - 1, -1, -1):
+        weights, _, _, tanh = layers[k]
+        if tanh:
+            d = post[k]
+            np.multiply(d, d, out=d)
+            np.subtract(1.0, d, out=d)
+            d *= g
+            g = d
+        np.dot(g.T, post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
+        np.dot(ones, g, out=grads.bias_grads[k])
+        if cotangents[k] is not None:
+            np.dot(g, weights, out=cotangents[k])
+            g = cotangents[k]
+
+
+def loss_step_post(step, x):
+    """model._LossStep.__call__ through backward_post: the loss on the
+    stacked batch x and its gradient, written into step.grads, with no
+    tanh' pass of its own."""
+    breakdown = step.loss(x)
+    step.residual *= step.rec_scale
+    backward_post(step.dec, step.h_t, step.dec_post, step.residual, step.dec_grads,
+                  step.ones[: step.b], step.dec_cotangents)
+    if step.consistency:
+        step.g_zdot_t += step.zdot_scale * step.diff
+        np.multiply(step.diff, step.side_scale, out=step.g_z_next)
+        np.negative(step.g_z_next, out=step.g_z_prev)
+    backward_post(step.enc, x, step.enc_post, step.g_latent, step.enc_grads,
+                  step.ones, step.enc_cotangents)
+    return breakdown
+
+
+def adamax_with_temporaries(params, grads, m, u, t: int, learning_rate: float) -> None:
+    """optim._adamax_update as it was before its work buffers: m and u in
+    two vectors, four temporaries, and no check of the gradient."""
+    from tdcae.optim import BETA1, BETA2, EPSILON
+
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    u *= BETA2
+    np.maximum(u, np.abs(grads), out=u)
+    delta = (learning_rate / (1.0 - BETA1**t)) * m
+    delta /= u + EPSILON
+    params -= delta
+
+
 def adamax_stepper(mlps, learning_rate: float):
     """A function that makes one Adamax step on each Mlp of mlps, in place,
     given one GradientSet per Mlp; each Mlp has its own moments, and all
     share the step count."""
-    from tdcae.optim import _adamax_update
+    from tdcae.optim import _AdamaxState, _adamax_update
 
-    moments = [(np.zeros(mlp.params.size), np.zeros(mlp.params.size)) for mlp in mlps]
+    states = [_AdamaxState(mlp.params.size) for mlp in mlps]
     steps = 0
 
     def step(*grads):
         nonlocal steps
         steps += 1
-        for mlp, g, (m, u) in zip(mlps, grads, moments):
-            _adamax_update(mlp.params, g.flat, m, u, steps, learning_rate)
+        for mlp, g, state in zip(mlps, grads, states):
+            assert _adamax_update(mlp.params, g.flat, state, steps, learning_rate)
 
     return step
+
+
+def train_unchunked(config, frame):
+    """model.train as it was before its chunked gathers, derivative buffers
+    and work-buffer Adamax step: one fancy index per batch, loss_step_post,
+    a separate np.isfinite check of the gradient, and
+    adamax_with_temporaries on separate m and u vectors. Returns the
+    shared encoder-then-decoder parameter vector and the loss history."""
+    from tdcae import model as model_mod
+
+    n = frame.n_rows - 2
+    model = model_mod.build_model(frame.n_features, config)
+    _, _, shuffle_seed = model_mod._seed_triple(config.seed)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+    params = model_mod._share_params(model.encoder, model.decoder)
+    m, u = np.zeros_like(params), np.zeros_like(params)
+    b = min(config.batch_size, n)
+    steps = {size: model_mod._LossStep(model, size, config.alpha, config.delta_t)
+             for size in {b, n % b or b}}
+    history, t = [], 0
+    for _ in range(config.epochs):
+        rows = model_mod._batch_rows(shuffle_rng.permutation(n), b)
+        rec_sum = tdc_sum = 0.0
+        for start in range(0, n, b):
+            size = min(b, n - start)
+            step = steps[size]
+            breakdown = loss_step_post(step, frame.values[rows[3 * start : 3 * (start + size)]])
+            assert np.isfinite(step.grads).all()
+            t += 1
+            adamax_with_temporaries(params, step.grads, m, u, t, config.learning_rate)
+            rec_sum += breakdown.rec_loss * size
+            tdc_sum += breakdown.tdc_loss * size
+        history.append(model_mod.LossBreakdown.from_parts(rec_sum / n, tdc_sum / n,
+                                                          config.alpha))
+    return params, history
 
 
 def make_triples(values):

@@ -632,6 +632,16 @@ class TestOverflow:
         assert "row 599 (timestamp 599): reconstruction error overflows" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    def test_report_names_the_feature_whose_spread_overflows(self, pipeline, tmp_path, capsys):
+        data = with_cell(pipeline / "test" / "data.csv", tmp_path / "d.csv", 100, "1e200")
+        feature = data.read_text().split(",", 1)[0]
+        code = run("report", "--model", pipeline / "model" / "model.json", "--data", data,
+                   "--out", tmp_path / "o")
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"error: {data}: feature {feature}: standard deviation overflows\n")
+        assert not (tmp_path / "o").exists()
+
     def test_plot_range_beyond_the_largest_float(self, pipeline, tmp_path, capsys):
         code = run("detect", "--model", pipeline / "model" / "model.json",
                    "--data", pipeline / "test" / "data.csv", "--threshold=-1.7e308",

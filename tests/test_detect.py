@@ -14,8 +14,8 @@ from tdcae.detect import (
     smooth,
     threshold_from_scores,
 )
-from tdcae.errors import ConfigError, DimensionError
-from tdcae.model import HTdcAutoencoder, LatentPartition
+from tdcae.errors import ConfigError, DimensionError, NumericError
+from tdcae.model import HTdcAutoencoder, LatentPartition, TrainingConfig, build_model
 from tdcae.nn import Activation, DenseLayer, Mlp
 from tdcae.preprocess import DatasetFrame
 
@@ -61,6 +61,58 @@ class TestReconstructionError:
         model = identity_autoencoder(3)
         with pytest.raises(DimensionError):
             reconstruction_error(model, frame_of(rng.normal(size=(4, 2))))
+
+
+def saturating_model() -> HTdcAutoencoder:
+    """Identity encoder with huge weights, whose latent overflows to +inf on
+    inputs of 1e10, and a tanh decoder with positive weights, which maps
+    that latent to a finite 1.0."""
+    encoder = Mlp([DenseLayer(np.full((2, 2), 1e300), np.zeros(2), Activation.IDENTITY)])
+    decoder = Mlp([DenseLayer(np.ones((2, 2)), np.zeros(2), Activation.TANH)])
+    return HTdcAutoencoder(encoder, decoder, LatentPartition(0, 2))
+
+
+class TestNonFiniteScoring:
+    """reconstruction_error and detect name a non-finite input, latent or
+    reconstruction with reconstruct's messages and in its order, before an
+    overflowing error."""
+
+    @staticmethod
+    def score(kind, model, frame):
+        if kind == "reconstruction_error":
+            return reconstruction_error(model, frame)
+        return detect(model, frame, 1.0, DetectionConfig())
+
+    @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
+    def test_overflowing_latent_raises_even_if_the_decoder_saturates(self, kind):
+        frame = frame_of(np.full((3, 2), 1e10))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="^forward pass produced non-finite output$"):
+            self.score(kind, saturating_model(), frame)
+
+    @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_values_made_non_finite_in_place(self, kind, cell):
+        # The frame checks its values when it is built, not after. A tanh
+        # encoder maps an infinite entry to a finite latent, so only the
+        # row's error shows it.
+        frame = frame_of(np.full((3, 2), 0.5))
+        frame.values[1, 0] = cell
+        tanh_model = build_model(2, TrainingConfig(hidden_size=3, partition=LatentPartition(0, 2)))
+        for model in (identity_autoencoder(2), saturating_model(), tanh_model):
+            with pytest.raises(NumericError, match="^input contains non-finite entries$"):
+                self.score(kind, model, frame)
+
+    @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
+    def test_overflowing_reconstruction(self, kind):
+        # A finite latent of 1 decoded to 1e308 + 1e308 overflows to inf.
+        encoder = Mlp([DenseLayer(np.zeros((1, 2)), np.ones(1), Activation.IDENTITY)])
+        decoder = Mlp([DenseLayer(np.full((2, 1), 1e308), np.full(2, 1e308),
+                                  Activation.IDENTITY)])
+        model = HTdcAutoencoder(encoder, decoder, LatentPartition(0, 1))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="^forward pass produced non-finite output$"):
+            self.score(kind, model, frame_of(np.zeros((3, 2))))
 
 
 class TestSmooth:

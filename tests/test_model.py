@@ -5,7 +5,7 @@ import tdcae.model as model_mod
 from conftest import identity_autoencoder
 from oracles import (
     adamax_stepper, backward_matmul, backward_reference, fd_gradient_mlp, forward_matmul,
-    make_triples, rel_error, tdc_loss, total_loss, total_loss_grads,
+    make_triples, rel_error, tdc_loss, total_loss, total_loss_grads, train_unchunked,
 )
 from tdcae.errors import ConfigError, DimensionError, NumericError
 from tdcae.model import (
@@ -357,7 +357,8 @@ class TestTriples:
 
     def test_five_rows_give_three_triples(self, monkeypatch):
         steps = []
-        monkeypatch.setattr(model_mod, "_adamax_update", lambda *a: steps.append(a[4]))
+        # Records the step number t; returning True means a finite gradient.
+        monkeypatch.setattr(model_mod, "_adamax_update", lambda *a: steps.append(a[3]) or True)
         train(TrainingConfig(hidden_size=2, epochs=1, batch_size=1),
               self.frame(0.0, 1.0, 2.0, 3.0, 4.0))
         assert steps == [1, 2, 3]
@@ -406,6 +407,27 @@ class TestTraining:
                                    **overrides})
         model, history = train(config, frame)
         want_params, want_history = reference_train(config, frame)
+        got_params = np.concatenate((model.encoder.params, model.decoder.params))
+        assert got_params.tobytes() == want_params.tobytes()
+        assert history == want_history
+
+    @pytest.mark.parametrize("rows, overrides", [
+        (103, {"batch_size": 32}),  # 101 triples: a tail batch of 5
+        (105, {"batch_size": 3}),  # 35 batches: a chunk of 32, then 3 ending in a tail of 1
+        (203, {"batch_size": 2}),  # 101 batches: chunks of 32, 32, 32 and 5
+        (66, {"batch_size": 2}),  # 32 batches: exactly one chunk
+        (40, {"batch_size": 64}),  # one batch, smaller than batch_size
+        (103, {"alpha": 0.0}),
+        (103, {"partition": LatentPartition(0, 2), "batch_size": 3}),  # n_pairs = 0
+    ])
+    def test_matches_the_unchunked_oracle_bit_for_bit(self, rows, overrides):
+        # The oracle is train before chunked gathers, tanh' buffers and the
+        # work-buffer Adamax step, with a fancy index per batch.
+        frame = small_training_frame(8, rows=rows)
+        config = TrainingConfig(**{"hidden_size": 6, "epochs": 2, "seed": 12, "alpha": 0.3,
+                                   **overrides})
+        model, history = train(config, frame)
+        want_params, want_history = train_unchunked(config, frame)
         got_params = np.concatenate((model.encoder.params, model.decoder.params))
         assert got_params.tobytes() == want_params.tobytes()
         assert history == want_history

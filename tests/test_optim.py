@@ -3,7 +3,7 @@ import pytest
 
 from tdcae.errors import ConfigError
 from tdcae.model import TrainingConfig
-from tdcae.optim import BETA1, BETA2, EPSILON, _adamax_update
+from tdcae.optim import BETA1, BETA2, EPSILON, _AdamaxState, _adamax_update
 
 
 class Adamax:
@@ -11,14 +11,14 @@ class Adamax:
 
     def __init__(self, *theta: float):
         self.params = np.array(theta, dtype=np.float64)
-        self.m = np.zeros_like(self.params)
-        self.u = np.zeros_like(self.params)
+        self.state = _AdamaxState(self.params.size)
+        self.m, self.u = self.state.m, self.state.u
         self.t = 0
 
     def step(self, *grads: float, learning_rate: float = 0.01) -> None:
         self.t += 1
-        _adamax_update(self.params, np.array(grads, dtype=np.float64), self.m, self.u,
-                       self.t, learning_rate)
+        assert _adamax_update(self.params, np.array(grads, dtype=np.float64), self.state,
+                              self.t, learning_rate)
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -92,8 +92,10 @@ def test_kernel_matches_elementwise_rule_bit_for_bit(rng):
 
 def test_kernel_matches_update_rule():
     params, grads = np.array([1.0, -2.0]), np.array([4.0, -0.5])
-    m, u = np.array([0.2, 0.1]), np.array([3.0, 1.0])
-    _adamax_update(params, grads, m, u, 2, 0.01)
+    state = _AdamaxState(2)
+    state.moments[...] = [[0.2, 0.1], [3.0, 1.0]]
+    m, u = state.m, state.u
+    assert _adamax_update(params, grads, state, 2, 0.01)
     want_m = 0.9 * np.array([0.2, 0.1]) + 0.1 * grads
     want_u = np.maximum(0.999 * np.array([3.0, 1.0]), np.abs(grads))
     assert np.allclose(m, want_m, rtol=1e-15)

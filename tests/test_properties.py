@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    adamax_with_temporaries,
     backward_matmul,
+    backward_post,
     forward_matmul,
     polyline_reference,
     reference_load_csv,
     simulate_reference,
     smooth_reference,
     smooth_shifted_reference,
+    tanh_derivatives,
     write_table_reference,
 )
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
@@ -33,6 +36,7 @@ from tdcae.errors import ConfigError, NumericError, TdcaeError
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
 from tdcae.model import LatentPartition, TrainingConfig, _settings, load_model, save_model, train
 from tdcae.nn import Activation, GradientSet, _backward, _forward, init_mlp
+from tdcae.optim import _AdamaxState, _adamax_update
 from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler, load_csv, save_csv, write_table
 from tdcae.svgplot import line_plot
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate, simulate_trace
@@ -661,14 +665,26 @@ def test_line_plot_polylines_match_the_scalar_oracle(tmp_path_factory, series, t
 
 def run_kernels(forward_kernel, backward_kernel, mlp, x, g):
     """One forward and one backward pass into fresh buffers: the network's
-    output, the flat parameter gradient and every layer's input cotangent."""
+    output, the flat parameter gradient and every layer's input cotangent.
+    A backward kernel of nn._backward's signature gets the tanh layers'
+    derivatives as the training step makes them, by one np.multiply and one
+    np.subtract; backward_post makes its own from post."""
     rows = x.shape[0]
     post = [np.empty((rows, layer.out_size)) for layer in mlp.layers]
     forward_kernel(mlp._kernel, x, post)
     output = post[-1].copy()
     grads = GradientSet(np.empty(mlp.params.size), mlp)
     cotangents = [np.empty((rows, layer.in_size)) for layer in mlp.layers]
-    backward_kernel(mlp._kernel, x, post, g, grads, np.ones(rows), cotangents)
+    if backward_kernel is backward_post:
+        backward_kernel(mlp._kernel, x, post, g, grads, np.ones(rows), cotangents)
+    else:
+        deriv = [None if d is None else np.empty_like(d)
+                 for d in tanh_derivatives(mlp._kernel, post)]
+        for p, d in zip(post, deriv):
+            if d is not None:
+                np.multiply(p, p, out=d)
+                np.subtract(1.0, d, out=d)
+        backward_kernel(mlp._kernel, x, post, deriv, g, grads, np.ones(rows), cotangents)
     return [output, grads.flat, *cotangents]
 
 
@@ -681,7 +697,9 @@ def test_dot_kernels_give_the_bits_of_the_matmul_kernels(data, rows, sizes, x_or
                                                           seed):
     # C- or Fortran-order input and output cotangent; the pipeline passes
     # C-order. On a view strided in memory, np.dot and np.matmul choose
-    # different BLAS calls and can round differently in the last bit.
+    # different BLAS calls and can round differently in the last bit. The
+    # derivative-buffer backward kernel must also give the bits of the one
+    # that computes tanh' from post in place.
     acts = data.draw(st.lists(st.sampled_from(list(Activation)),
                               min_size=len(sizes) - 1, max_size=len(sizes) - 1))
     mlp = init_mlp(sizes, acts, seed)
@@ -689,5 +707,41 @@ def test_dot_kernels_give_the_bits_of_the_matmul_kernels(data, rows, sizes, x_or
     x = np.asarray(rng.normal(size=(rows, sizes[0])), order=x_order)
     g = np.asarray(rng.normal(size=(rows, sizes[-1])), order=g_order)
     got = run_kernels(_forward, _backward, mlp, x, g)
-    want = run_kernels(forward_matmul, backward_matmul, mlp, x, g)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    want = [a.tobytes() for a in got]
+    assert [a.tobytes() for a in run_kernels(forward_matmul, backward_matmul, mlp, x, g)] == want
+    assert [a.tobytes() for a in run_kernels(_forward, backward_post, mlp, x, g)] == want
+
+
+# Adamax vectors with the edges of float64: signed zeros, subnormals and
+# magnitudes near the largest float, besides ordinary values.
+adamax_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@relaxed
+@given(data=st.data(), size=st.integers(1, 12), steps=st.integers(1, 4),
+       learning_rate=st.sampled_from([0.01, 0.007, 1.0, 1e-300]))
+def test_adamax_step_gives_the_bits_of_the_step_with_temporaries(data, size, steps,
+                                                                  learning_rate):
+    vector = st.lists(adamax_floats, min_size=size, max_size=size).map(np.array)
+    params, state = data.draw(vector), _AdamaxState(size)
+    state.moments[...] = data.draw(vector), np.abs(data.draw(vector))
+    want_params, want_m, want_u = params.copy(), state.m.copy(), state.u.copy()
+    for t in range(1, steps + 1):
+        grads = data.draw(vector)
+        # Both overflow alike near the largest float.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _adamax_update(params, grads, state, t, learning_rate)
+            adamax_with_temporaries(want_params, grads, want_m, want_u, t, learning_rate)
+        assert params.tobytes() == want_params.tobytes()
+        assert state.moments.tobytes() == np.stack((want_m, want_u)).tobytes()
+
+    # A NaN or an infinity anywhere in the gradient changes nothing.
+    grads = data.draw(vector)
+    grads[data.draw(st.integers(0, size - 1))] = data.draw(
+        st.sampled_from([math.nan, math.inf, -math.inf]))
+    before = params.tobytes(), state.moments.tobytes()
+    assert not _adamax_update(params, grads, state, steps + 1, learning_rate)
+    assert (params.tobytes(), state.moments.tobytes()) == before
