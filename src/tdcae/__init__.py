@@ -45,7 +45,6 @@ from .model import (
     edge_training_config,
     encode,
     load_model,
-    reconstruct,
     save_model,
     train,
 )

@@ -34,6 +34,7 @@ from .detect import (
 )
 from .errors import ConfigError, IngestionError, NumericError, TdcaeError
 from .model import _settings, read_json
+from .nn import forward
 from .svgplot import line_plot
 
 SEED_ENV_VAR = "TDCAE_SEED"
@@ -321,21 +322,21 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    trained, scaler, _ = model_mod.load_model(args.model)
+    trained, scaler, config = model_mod.load_model(args.model)
     scaled = _scaled_csv(args.data, scaler)
     rows = min(args.plot_rows, scaled.n_rows)
     if rows < 3:  # a central difference spans three rows
         raise ConfigError(f"need >= 3 rows to plot, got --plot-rows {args.plot_rows} "
                           f"on {scaled.n_rows} data rows")
 
-    z, zdot, s = model_mod.encode(trained, scaled.values)
+    latent = forward(trained.encoder, scaled.values)
     p = trained.partition
+    z, zdot = latent[:, p.z_slice], latent[:, p.zdot_slice]
     names = (
         [f"z{i + 1}" for i in range(p.n_pairs)]
         + [f"zdot{i + 1}" for i in range(p.n_pairs)]
         + [f"s{i + 1}" for i in range(p.n_stat)]
     )
-    latent = np.hstack([z, zdot, s])
     # Each feature's spread, for the overlay below. A feature whose spread
     # overflows cannot be overlaid, so it is named before anything is written.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,7 +354,7 @@ def cmd_report(args) -> int:
     # partner, both smoothed to tame the noise in the numerical derivative.
     pair_series = []
     for i in range(p.n_pairs):
-        cd = model_mod.central_difference(z[:-2, i], z[2:, i], 1.0)
+        cd = model_mod.central_difference(z[:-2, i], z[2:, i], config.delta_t)
         cd_s = smooth(cd[: rows - 2], args.window)
         node_s = smooth(zdot[1 : rows - 1, i], args.window)
         pair_series.append((f"central diff z{i + 1}", cd_s))

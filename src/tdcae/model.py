@@ -24,9 +24,8 @@ rows of 32 batches at a time with one np.take and gives each batch a
 contiguous slice of them, runs this step, and makes one Adamax step per
 batch, which also checks the gradient. The finite-difference tests run the
 same step, so the gradient they check is the one training uses. `encode`
-runs the checked public `forward`. `reconstruct` checks its input and its
-output around `_reconstruct`, which checks only the latent and which
-`reconstruction_error` in tdcae.detect runs on a frame's values.
+runs the checked public `forward`; scoring a trained model is
+tdcae.detect's.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 from .nn import Activation, GradientSet, Mlp, forward, init_mlp
-from .nn import _as_matrix, _backward, _checked_input, _finite_output, _forward, _share_params
+from .nn import _backward, _forward, _share_params
 from .optim import _AdamaxState, _adamax_update
 from .preprocess import DatasetFrame, RobustScalerParams
 
@@ -223,31 +222,6 @@ def encode(model: HTdcAutoencoder, x) -> tuple[np.ndarray, np.ndarray, np.ndarra
     h = forward(model.encoder, x)
     p = model.partition
     return h[:, p.z_slice], h[:, p.zdot_slice], h[:, p.s_slice]
-
-
-def reconstruct(model: HTdcAutoencoder, x) -> np.ndarray:
-    """Full autoencode of a batch; input, latent and output are checked once."""
-    return _finite_output(_reconstruct(model, _checked_input(model.encoder, x)))
-
-
-def _reconstruct(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
-    """reconstruct for a finite float64 matrix x of the model's width, such
-    as a DatasetFrame's values, with the output left to the caller to check.
-    The latent is still checked, because a saturating decoder can map an
-    infinite latent to a finite output. A non-finite one is named as
-    reconstruct names it, the input first: a frame checks its values when
-    it is built, not after they are changed in place."""
-    if x.shape[0] < 1:
-        raise DimensionError("batch must contain at least one row")
-    post = [None] * len(model.encoder.layers)
-    _forward(model.encoder._kernel, x, post)
-    latent = post[-1]
-    if not np.isfinite(latent).all():
-        _as_matrix(x, "input")
-        _finite_output(latent)
-    post = [None] * len(model.decoder.layers)
-    _forward(model.decoder._kernel, latent, post)
-    return post[-1]
 
 
 def central_difference(z_prev, z_next, delta_t: float) -> np.ndarray:

@@ -8,10 +8,11 @@ it, and a GradientSet views a flat gradient vector laid out the same way.
 An optimizer step is then a few elementwise operations on flat vectors.
 The layer arithmetic lives in two unchecked kernels that write into
 caller-provided buffers: `_forward`, which the checked public `forward`
-wraps for inference, and `_backward`, which only the fused training step
-in `tdcae.model` calls. `_backward` reads each tanh layer's derivative
-1 - post**2 from a buffer of the caller's, which the training step fills
-for every tanh layer at once, and leaves the forward outputs as they are.
+wraps and the training step in `tdcae.model` and the scoring pass in
+`tdcae.detect` run, and `_backward`, which only the training step calls.
+`_backward` reads each tanh layer's derivative 1 - post**2 from a buffer
+of the caller's, which the training step fills for every tanh layer at
+once, and leaves the forward outputs as they are.
 
 The kernels call BLAS through `np.dot`, not `np.matmul`: on the 32x8
 matrices of a training batch the cost of a product is call overhead, and
@@ -238,9 +239,10 @@ def _backward(
             g = cotangents[k]
 
 
-def _checked_input(mlp: Mlp, x) -> np.ndarray:
-    """x as a finite float64 matrix with at least one row and the Mlp's
-    input_size columns."""
+def forward(mlp: Mlp, x) -> np.ndarray:
+    """Evaluate the network on a batch: x has shape (batch, input_size), the
+    result (batch, output_size); both must be finite, with >= 1 row. Pure:
+    does not touch the Mlp."""
     x = _as_matrix(x, "input")
     if x.shape[0] < 1:
         raise DimensionError("batch must contain at least one row")
@@ -248,12 +250,6 @@ def _checked_input(mlp: Mlp, x) -> np.ndarray:
         raise DimensionError(
             f"input has {x.shape[1]} columns, network expects {mlp.input_size}"
         )
-    return x
-
-
-def forward(mlp: Mlp, x) -> np.ndarray:
-    """Evaluate the network on a batch: x has shape (batch, input_size), the
-    result (batch, output_size). Pure: does not touch the Mlp."""
     post = [None] * len(mlp.layers)
-    _forward(mlp._kernel, _checked_input(mlp, x), post)
+    _forward(mlp._kernel, x, post)
     return _finite_output(post[-1])

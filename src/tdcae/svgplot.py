@@ -24,6 +24,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _text(s: str) -> str:
+    """s as XML character data. Only & and < must be escaped there; > is
+    left as it is, so labels such as "L_T1 -> z1" keep their bytes."""
+    return s.replace("&", "&amp;").replace("<", "&lt;")
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         return [lo]
@@ -45,7 +51,7 @@ def line_plot(
     threshold draws a dashed horizontal line; shaded draws grey vertical
     bands over the inclusive index intervals (used for attack windows).
     Non-finite values, or values more than the largest float apart, raise
-    NumericError and write nothing.
+    NumericError and write nothing. Every label is escaped by _text.
     """
     series = [(name, np.asarray(y, dtype=np.float64)) for name, y in series]
     n = max((len(y) for _, y in series), default=0)
@@ -88,7 +94,7 @@ def line_plot(
     if title:
         out.append(
             f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{_text(title)}</text>'
         )
 
     for a, b in shaded or []:
@@ -125,13 +131,13 @@ def line_plot(
     if x_label:
         out.append(
             f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>'
+            f'font-family="sans-serif" font-size="12">{_text(x_label)}</text>'
         )
     if y_label:
         out.append(
             f'<text x="16" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.0f})">{y_label}</text>'
+            f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.0f})">{_text(y_label)}</text>'
         )
 
     if threshold is not None:
@@ -157,7 +163,7 @@ def line_plot(
         )
         out.append(
             f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 16 + 14 * k}" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{name}</text>'
+            f'font-family="sans-serif" font-size="11" fill="{color}">{_text(name)}</text>'
         )
 
     out.append("</svg>")

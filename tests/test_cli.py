@@ -1,18 +1,23 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from batadal_fixture import write_batadal_csv
+from oracles import polyline_reference
 from tdcae import preprocess
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
-from tdcae.detect import load_detection_flags
+from tdcae.detect import load_detection_flags, smooth
 from tdcae.metrics import AttackInterval
-from tdcae.preprocess import DatasetFrame, load_csv, read_table, save_csv
+from tdcae.model import central_difference, load_model
+from tdcae.nn import forward
+from tdcae.preprocess import DatasetFrame, apply_scaler, load_csv, read_table, save_csv
 from tdcae.synth import MAX_HORIZON, AttackKind, AttackScenario, TankSystemConfig, simulate
 
 
@@ -374,6 +379,43 @@ class TestReportCommand:
                    "--data", tmp_path / "d.csv", "--out", tmp_path / "rep") == 0
         rows = (tmp_path / "rep" / "latent_trace.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == stamps
+
+    def test_latent_trace_is_one_encoder_pass(self, pipeline, tmp_path):
+        assert run("report", "--model", pipeline / "model" / "model.json",
+                   "--data", pipeline / "test" / "data.csv", "--out", tmp_path / "rep") == 0
+        model, scaler, _ = load_model(pipeline / "model" / "model.json")
+        scaled = apply_scaler(scaler, load_csv(pipeline / "test" / "data.csv"))
+        latent = forward(model.encoder, scaled.values)
+        rows = (tmp_path / "rep" / "latent_trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows] == [list(map(repr, r)) for r in latent.tolist()]
+
+    def test_latent_pairs_use_the_model_delta_t(self, pipeline, tmp_path):
+        data = pipeline / "train" / "data.csv"
+        assert run("train", "--data", data, "--out", tmp_path / "m", "--epochs", 2,
+                   "--seed", 3, "--delta-t", 4) == 0
+        assert run("report", "--model", tmp_path / "m" / "model.json", "--data", data,
+                   "--out", tmp_path / "rep", "--plot-rows", 50, "--window", 3) == 0
+        model, scaler, _ = load_model(tmp_path / "m" / "model.json")
+        latent = forward(model.encoder, apply_scaler(scaler, load_csv(data)).values)
+        p = model.partition
+        z, zdot = latent[:, p.z_slice], latent[:, p.zdot_slice]
+        series = []
+        for i in range(p.n_pairs):
+            series.append(smooth(central_difference(z[:-2, i], z[2:, i], 4.0)[:48], 3))
+            series.append(smooth(zdot[1:49, i], 3))
+        svg = (tmp_path / "rep" / "latent_pairs.svg").read_text(encoding="utf-8")
+        assert re.findall(r'points="([^"]*)"', svg) == polyline_reference(series)
+
+    def test_svg_text_is_escaped(self, pipeline, tmp_path):
+        frame = load_csv(pipeline / "train" / "data.csv")
+        names = ["a<b", "c&d", *frame.feature_names[2:]]
+        save_csv(DatasetFrame(names, frame.values, frame.labels), tmp_path / "d.csv")
+        assert run("train", "--data", tmp_path / "d.csv", "--out", tmp_path / "m",
+                   "--epochs", 1) == 0
+        assert run("report", "--model", tmp_path / "m" / "model.json",
+                   "--data", tmp_path / "d.csv", "--out", tmp_path / "rep") == 0
+        for svg in ("latent_pairs.svg", "latent_overlay.svg"):
+            ET.parse(tmp_path / "rep" / svg)
 
 
 # synth, then train, detect and report on the data with every feature

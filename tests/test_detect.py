@@ -15,8 +15,10 @@ from tdcae.detect import (
     threshold_from_scores,
 )
 from tdcae.errors import ConfigError, DimensionError, NumericError
-from tdcae.model import HTdcAutoencoder, LatentPartition, TrainingConfig, build_model
-from tdcae.nn import Activation, DenseLayer, Mlp
+from tdcae.model import (
+    HTdcAutoencoder, LatentPartition, TrainingConfig, build_model, edge_training_config,
+)
+from tdcae.nn import Activation, DenseLayer, Mlp, forward
 from tdcae.preprocess import DatasetFrame
 
 
@@ -45,17 +47,22 @@ class TestReconstructionError:
         assert scores[0] == 1.0
 
     def test_matches_brute_force(self, rng):
-        from tdcae.model import build_model, TrainingConfig, reconstruct
-
         model = build_model(4, TrainingConfig(hidden_size=5, partition=LatentPartition(1, 1)))
         frame = frame_of(rng.normal(size=(12, 4)))
         scores = reconstruction_error(model, frame)
-        xhat = reconstruct(model, frame.values)
+        xhat = forward(model.decoder, forward(model.encoder, frame.values))
         brute = np.array(
             [np.mean((frame.values[t] - xhat[t]) ** 2) for t in range(12)]
         )
-        assert np.allclose(scores, brute, atol=1e-15)
+        assert scores.tobytes() == brute.tobytes()
         assert scores.shape == (12,)  # every timestep scored, no trimming
+
+    def test_bytes_match_two_public_forward_passes(self, rng):
+        model = build_model(9, edge_training_config(1, seed=5))
+        x = rng.normal(size=(7, 9))
+        residual = x - forward(model.decoder, forward(model.encoder, x))
+        expected = (residual**2).mean(axis=1)
+        assert reconstruction_error(model, frame_of(x)).tobytes() == expected.tobytes()
 
     def test_feature_mismatch_raises(self, rng):
         model = identity_autoencoder(3)
@@ -74,7 +81,7 @@ def saturating_model() -> HTdcAutoencoder:
 
 class TestNonFiniteScoring:
     """reconstruction_error and detect name a non-finite input, latent or
-    reconstruction with reconstruct's messages and in its order, before an
+    reconstruction with forward's messages and in that order, before an
     overflowing error."""
 
     @staticmethod

@@ -19,7 +19,6 @@ from tdcae.model import (
     edge_training_config,
     encode,
     load_model,
-    reconstruct,
     save_model,
     train,
 )
@@ -75,27 +74,6 @@ class TestPartitionAndEncode:
         dec = init_mlp([5, 4], ["identity"], 0)
         with pytest.raises(DimensionError):
             HTdcAutoencoder(enc, dec, LatentPartition(3, 1))  # width 7 != 5
-
-
-class TestReconstruct:
-    def test_overflowing_latent_raises_even_if_the_decoder_saturates(self):
-        # Identity encoder with huge weights: the latent overflows to +inf,
-        # which a tanh decoder with positive weights would map to 1.0.
-        encoder = Mlp([DenseLayer(np.full((2, 2), 1e300), np.zeros(2), Activation.IDENTITY)])
-        decoder = Mlp([DenseLayer(np.ones((2, 2)), np.zeros(2), Activation.TANH)])
-        model = HTdcAutoencoder(encoder, decoder, LatentPartition(0, 2))
-        x = np.full((1, 2), 1e10)
-        with np.errstate(over="ignore"):
-            assert np.isinf(x @ encoder.layers[0].weights.T).all()
-            assert np.isfinite(np.tanh(np.full((1, 2), np.inf) @ np.ones((2, 2)))).all()
-            with pytest.raises(NumericError):
-                reconstruct(model, x)
-
-    def test_matches_two_public_forward_passes(self, rng):
-        model = edge1_model(5)
-        x = rng.normal(size=(7, 9))
-        twice = forward(model.decoder, forward(model.encoder, x))
-        assert reconstruct(model, x).tobytes() == twice.tobytes()
 
 
 class TestCentralDifference:
@@ -205,7 +183,8 @@ class TestTotalLoss:
         z_prev, _, _ = encode(model, x_prev)
         _, zdot_t, _ = encode(model, x_t)
         z_next, _, _ = encode(model, x_next)
-        want_rec = np.mean((reconstruct(model, x_t) - x_t) ** 2)
+        xhat_t = forward(model.decoder, forward(model.encoder, x_t))
+        want_rec = np.mean((xhat_t - x_t) ** 2)
         want_tdc = tdc_loss(central_difference(z_prev, z_next, delta_t), zdot_t)
         breakdown = total_loss(model, x_prev, x_t, x_next, alpha=0.3, delta_t=delta_t)
         assert breakdown.rec_loss == pytest.approx(want_rec, rel=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import backward_reference, fd_gradient_mlp, rel_error
-from tdcae.errors import ConfigError, DimensionError
+from tdcae.errors import ConfigError, DimensionError, NumericError
 from tdcae.nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
 
 TANH = Activation.TANH
@@ -68,8 +68,22 @@ class TestForward:
 
     def test_shape_mismatch_raises(self):
         mlp = init_mlp([4, 2], [TANH], seed=0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^input has 3 columns, network expects 4$"):
             forward(mlp, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("x, error, message", [
+        (np.zeros(2), DimensionError, r"input must be 2-D, got shape \(2,\)"),
+        (np.zeros((0, 2)), DimensionError, "batch must contain at least one row"),
+        (np.array([[0.0, np.nan]]), NumericError, "input contains non-finite entries"),
+        (np.array([[np.inf, 0.0]]), NumericError, "input contains non-finite entries"),
+        (np.array([[0.0, -np.inf]]), NumericError, "input contains non-finite entries"),
+        # Weights of 1e300 on inputs of 1e10 overflow the output to +inf.
+        (np.full((1, 2), 1e10), NumericError, "forward pass produced non-finite output"),
+    ], ids=["1-D", "no rows", "nan", "+inf", "-inf", "non-finite output"])
+    def test_each_check_names_its_fault(self, x, error, message):
+        mlp = Mlp([DenseLayer(np.full((2, 2), 1e300), np.zeros(2), IDENTITY)])
+        with np.errstate(over="ignore"), pytest.raises(error, match=f"^{message}$"):
+            forward(mlp, x)
 
 
 class TestBackward:

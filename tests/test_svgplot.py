@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -63,3 +64,13 @@ def test_no_finite_y_range_is_an_error(tmp_path, series, threshold):
     assert not path.exists()
     with pytest.raises(NumericError):
         polyline_reference(series, threshold)
+
+
+def test_text_is_escaped_and_parses(tmp_path):
+    path = tmp_path / "p.svg"
+    line_plot(path, [("a<b", np.arange(3.0)), ("c&d -> z1", np.ones(3))],
+              title="<&>", y_label="y&", x_label="x<")
+    texts = {t.text for t in ET.parse(path).getroot() if t.tag.endswith("text")}
+    assert {"<&>", "y&", "x<", "a<b", "c&d -> z1"} <= texts
+    # > needs no escape, so a label with it keeps its bytes.
+    assert "c&amp;d -> z1</text>" in path.read_text(encoding="utf-8")
