@@ -17,7 +17,7 @@ from tdcae.metrics import intervals_from_labels
 from tdcae.svgplot import line_plot
 
 OUT = Path(__file__).parent / "output"
-model, scaler, _ = load_model(OUT / "model.json")
+model, scaler, config = load_model(OUT / "model.json")
 test_frame = load_csv(OUT / "test.csv")
 scaled = apply_scaler(scaler, test_frame)
 
@@ -41,7 +41,7 @@ shaded = [
 
 pair = 0
 cd = central_difference(z[window.start - 1 : window.stop - 1, pair],
-                        z[window.start + 1 : window.stop + 1, pair], 1.0)
+                        z[window.start + 1 : window.stop + 1, pair], config.delta_t)
 line_plot(
     OUT / "latent_pair.svg",
     [

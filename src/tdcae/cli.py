@@ -2,16 +2,13 @@
 
 Every command writes its fully resolved configuration into the output
 directory, never mutates its inputs, and is reproducible from config plus
-seed. The TDCAE_SEED environment variable overrides the seed of any
-command that takes one (handy for CI). Exit codes: 0 success, 1 user
-error, 2 internal error.
+seed. Exit codes: 0 success, 1 user error, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -32,12 +29,11 @@ from .detect import (
     smooth,
     threshold_from_scores,
 )
-from .errors import ConfigError, IngestionError, NumericError, TdcaeError
+from .errors import ConfigError, NumericError, TdcaeError
 from .model import _settings, read_json
 from .nn import forward
 from .svgplot import line_plot
 
-SEED_ENV_VAR = "TDCAE_SEED"
 TRAIN_SCORES_HEADER = ("timestamp", "raw")
 
 
@@ -47,16 +43,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _env_seed(seed: int) -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return seed
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
 def _out_dir(path) -> Path:
@@ -140,7 +126,6 @@ def cmd_synth(args) -> int:
         tanks["horizon"] = args.horizon
     if args.seed is not None:
         tanks["seed"] = args.seed
-    tanks["seed"] = _env_seed(tanks["seed"])
     config = synth_mod.TankSystemConfig(**tanks)
 
     if args.attacks == "none":
@@ -183,7 +168,6 @@ def _resolve_training_config(args, n_features: int) -> model_mod.TrainingConfig:
         config = model_mod.TrainingConfig(hidden_size=n_features)
     fields = _settings(_load_settings(args.config), config.to_dict(), "")
     fields.update({k: getattr(args, k) for k in fields if getattr(args, k) is not None})
-    fields["seed"] = _env_seed(fields["seed"])
     return model_mod.TrainingConfig.from_dict(fields)
 
 
@@ -223,18 +207,8 @@ def cmd_train(args) -> int:
 
 
 def _load_train_scores(path) -> np.ndarray:
-    """The raw column of a train_scores.csv: read by numpy's C text reader,
-    or by read_table and float() per cell when that reader refuses it."""
-    table = pre._read_numbers(Path(path), lambda header: 0)
-    if table is not None and table[0][:2] == list(TRAIN_SCORES_HEADER):
-        return table[1][:, 1]
-    try:
-        return np.array(
-            [pre._parse_cell(cells[1], row_number, "raw")
-             for row_number, cells in pre.read_table(path, TRAIN_SCORES_HEADER)]
-        )
-    except IngestionError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    """The raw column of a train_scores.csv; the timestamp column is text."""
+    return pre.read_numeric_table(path, lambda header: ([1], 0), TRAIN_SCORES_HEADER)[1][:, 1]
 
 
 def cmd_detect(args) -> int:
@@ -248,12 +222,8 @@ def cmd_detect(args) -> int:
         threshold = threshold_from_scores(
             _load_train_scores(args.train_scores), config
         )
-    elif args.train_data is not None:
-        threshold = fit_threshold(trained, _scaled_csv(args.train_data, scaler), config)
     else:
-        raise ConfigError(
-            "a threshold source is required: --threshold, --train-scores or --train-data"
-        )
+        threshold = fit_threshold(trained, _scaled_csv(args.train_data, scaler), config)
 
     result = run_detection(trained, scored_frame, threshold, config)
     out = _out_dir(args.out)
@@ -322,6 +292,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    window = DetectionConfig(window=args.window).window
     trained, scaler, config = model_mod.load_model(args.model)
     scaled = _scaled_csv(args.data, scaler)
     rows = min(args.plot_rows, scaled.n_rows)
@@ -355,15 +326,15 @@ def cmd_report(args) -> int:
     pair_series = []
     for i in range(p.n_pairs):
         cd = model_mod.central_difference(z[:-2, i], z[2:, i], config.delta_t)
-        cd_s = smooth(cd[: rows - 2], args.window)
-        node_s = smooth(zdot[1 : rows - 1, i], args.window)
+        cd_s = smooth(cd[: rows - 2], window)
+        node_s = smooth(zdot[1 : rows - 1, i], window)
         pair_series.append((f"central diff z{i + 1}", cd_s))
         pair_series.append((f"zdot{i + 1}", node_s))
     if pair_series:
         line_plot(
             out / "latent_pairs.svg",
             pair_series,
-            title=f"derivative nodes vs central differences (window {args.window})",
+            title=f"derivative nodes vs central differences (window {window})",
             shaded=shading,
         )
 
@@ -402,7 +373,7 @@ def cmd_report(args) -> int:
             "command": "report",
             "model": str(args.model),
             "data": str(args.data),
-            "window": args.window,
+            "window": window,
             "plot_rows": rows,
         },
     )
@@ -451,9 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=7)
     p.add_argument("--percentile", type=float, default=95.0)
-    p.add_argument("--threshold", type=float, help="explicit threshold override")
-    p.add_argument("--train-scores", help="train_scores.csv from the train command")
-    p.add_argument("--train-data", help="attack-free CSV to fit the threshold on")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--threshold", type=float, help="explicit threshold")
+    source.add_argument("--train-scores", help="train_scores.csv from the train command")
+    source.add_argument("--train-data", help="attack-free CSV to fit the threshold on")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="challenge metrics from detections")

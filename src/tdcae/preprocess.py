@@ -236,30 +236,19 @@ def load_csv(path) -> DatasetFrame:
     Row numbers in error messages are 1-based and include the header.
     Every error message starts with the file's path.
 
-    numpy's C text reader reads the file. A file it refuses, or might read
-    otherwise than csv.reader and float() do, goes to the reference reader,
-    which reads it in one pass, cell by cell in the order above, and
-    raises at the first bad cell; either way the frame is the one the
-    reference gives.
+    The file is read by read_numeric_table.
     """
-    path = Path(path)
+    header, values, datetimes = read_numeric_table(path, _layout)
+    header, feature_idx, label_idx, time_idx = _columns(header)
     try:
-        table = _read_numbers(path, lambda header: _columns(header)[3])
-        if table is None or all(h.strip() == "" for h in table[0]):
-            table = _read_csv_reference(path)
-        header, values, datetimes = table
-        header, feature_idx, label_idx, time_idx = _columns(header)
         return DatasetFrame(
             feature_names=[header[i] for i in feature_idx],
             values=values.take(feature_idx, axis=1),
             labels=(values[:, label_idx] > 0.5).astype(np.int64) if label_idx is not None else None,
             datetimes=datetimes if time_idx is not None else None,
         )
-    except UnicodeDecodeError:
-        message = "not UTF-8 text"
-    except (csv.Error, IngestionError) as exc:
-        message = str(exc)
-    raise IngestionError(f"{path}: {message}") from None
+    except IngestionError as exc:  # duplicate feature names
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 def _columns(header: list[str]) -> tuple[list[str], list[int], int | None, int | None]:
@@ -272,31 +261,55 @@ def _columns(header: list[str]) -> tuple[list[str], list[int], int | None, int |
     return header, feature_idx, label_idx, time_idx
 
 
-def _read_csv_reference(path: Path):
-    """load_csv's reference reader, in one pass: the header by csv.reader,
-    the rows by read_table, and each row's feature cells left to right,
-    then its label cell, by _parse_cell. Returns what _read_numbers
-    returns for the DATETIME column: (header, values, texts), with one
-    float64 column per header cell."""
+def _layout(header: list[str]) -> tuple[list[int], int | None]:
+    """load_csv's columns: the features, then the label; DATETIME as text."""
+    _, feature_idx, label_idx, time_idx = _columns(header)
+    return feature_idx + ([] if label_idx is None else [label_idx]), time_idx
+
+
+def read_numeric_table(path, layout, header=()) -> tuple[list[str], np.ndarray, list[str]]:
+    """(header, values, texts) of a UTF-8 CSV table whose header starts
+    with `header`. `layout(header)` gives the columns to parse, in the order
+    their cells are checked, and the column kept as text (None for none):
+    `texts` holds its stripped cells. `values` has one float64 column per
+    header cell, 0 in the text column and in any column not parsed.
+
+    numpy's C text reader reads the file. A file it refuses, or might read
+    otherwise than csv.reader and float() do, goes to the reference reader,
+    which raises at the first bad cell, rows top to bottom; either way the
+    table is the one the reference gives. Errors are IngestionErrors that
+    start with the path."""
+    path = Path(path)
+    try:
+        return _read_numbers(path, layout, header) or _read_csv_reference(path, layout, header)
+    except UnicodeDecodeError:
+        message = "not UTF-8 text"
+    except (csv.Error, IngestionError) as exc:
+        message = str(exc)
+    raise IngestionError(f"{path}: {message}") from None
+
+
+def _read_csv_reference(path: Path, layout, header):
+    """read_numeric_table's reference reader, in one pass: the header by
+    csv.reader, the rows by read_table and each cell by _parse_cell."""
     with path.open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
+        names = next(csv.reader(fh), None)
+    if names is None:
         raise IngestionError("empty file")
-    header, feature_idx, label_idx, time_idx = _columns(header)
-    if all(h == "" for h in header):
+    names = [h.strip() for h in names]
+    if all(h == "" for h in names):
         raise IngestionError("header row is empty")
-    columns = feature_idx + ([] if label_idx is None else [label_idx])
-    # Rows go into one flat buffer; the DATETIME cell stays 0.
-    row_values, values, texts = [0.0] * len(header), array("d"), []
-    for row_number, row in read_table(path):
+    columns, text_idx = layout(names)
+    row_values, values, texts = [0.0] * len(names), array("d"), []
+    for row_number, row in read_table(path, header):
         for i in columns:
-            row_values[i] = _parse_cell(row[i], row_number, header[i])
+            row_values[i] = _parse_cell(row[i], row_number, names[i])
         values.extend(row_values)
-        if time_idx is not None:
-            texts.append(row[time_idx].strip())
+        if text_idx is not None:
+            texts.append(row[text_idx].strip())
     if not values:
         raise IngestionError("no data rows")
-    return header, np.frombuffer(values).reshape(-1, len(header)), texts
+    return names, np.frombuffer(values).reshape(-1, len(names)), texts
 
 
 # Bytes on which numpy's C text reader, called without quoting, and
@@ -323,17 +336,12 @@ def _c_reader_agrees(path: Path) -> bool:
     return True
 
 
-def _read_numbers(path: Path, text_index):
-    """(header, values, texts) of a CSV table read by numpy's C text reader,
-    or None when that reader refuses the table or might read it otherwise
-    than the reference readers, csv.reader with float(), do.
-
-    The header row is csv.reader's cells of the first line. `values` is
-    the float64 matrix of the data rows, blank lines skipped, one column
-    per header cell. The column `text_index(header)` (None for none) is
-    kept as text: `texts` holds its stripped cells and its `values` are 0.
-    Every other cell is a finite number; a table with a ragged row, with
-    no data row or with no numeric column gives None."""
+def _read_numbers(path: Path, layout, prefix):
+    """read_numeric_table's table as numpy's C text reader reads it, with
+    every cell outside the text column a finite number. None when that
+    reader refuses the table or might read it otherwise than the reference
+    reader does, and for a ragged row, no data row, no numeric column or
+    a header row that is blank or does not start with `prefix`."""
     if not _c_reader_agrees(path):
         return None
     texts = []
@@ -345,10 +353,12 @@ def _read_numbers(path: Path, text_index):
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             header = next(csv.reader([fh.readline()]))
-            text_idx = text_index(header)
-            # No numeric column. For one text column, csv.reader reads a
-            # whitespace-only line as blank, numpy as a cell.
-            if len(header) - (text_idx is not None) < 1:
+            text_idx = layout(header)[1]
+            # No numeric column (for one text column, csv.reader reads a
+            # whitespace-only line as blank, numpy as a cell), or a header
+            # that the reference reader refuses.
+            if (len(header) - (text_idx is not None) < 1 or header[: len(prefix)] != list(prefix)
+                    or all(h.strip() == "" for h in header)):
                 return None
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

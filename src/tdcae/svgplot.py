@@ -4,6 +4,7 @@ inputs, so plots are byte-stable and diff-able in tests."""
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,16 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+# Characters XML 1.0 allows in no document: the C0 controls but tab, LF
+# and CR, and U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def _text(s: str) -> str:
     """s as XML character data. Only & and < must be escaped there; > is
-    left as it is, so labels such as "L_T1 -> z1" keep their bytes."""
-    return s.replace("&", "&amp;").replace("<", "&lt;")
+    left as it is, so labels such as "L_T1 -> z1" keep their bytes. A
+    character XML forbids becomes U+FFFD, the replacement character."""
+    return _NOT_XML.sub("\ufffd", s.replace("&", "&amp;").replace("<", "&lt;"))
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:

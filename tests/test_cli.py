@@ -66,9 +66,10 @@ class TestSynthCommand:
         assert (tmp_path / "a" / "data.csv").read_bytes() == \
                (tmp_path / "b" / "data.csv").read_bytes()
 
-    def test_env_var_overrides_seed(self, tmp_path, monkeypatch):
+    def test_seed_comes_from_the_command_line_not_the_environment(self, tmp_path, monkeypatch):
         assert run("synth", "--out", tmp_path / "plain", "--horizon", 300,
-                   "--seed", 5, "--attacks", "none") == 0
+                   "--seed", 99, "--attacks", "none") == 0
+        # No environment variable sets the seed, not even one named for it.
         monkeypatch.setenv("TDCAE_SEED", "5")
         assert run("synth", "--out", tmp_path / "env", "--horizon", 300,
                    "--seed", 99, "--attacks", "none") == 0
@@ -230,11 +231,30 @@ class TestDetectCommand:
         assert not (tmp_path / "det").exists()
 
     def test_missing_threshold_source_is_user_error(self, pipeline, capsys):
-        code = run("detect", "--model", pipeline / "model" / "model.json",
-                   "--data", pipeline / "test" / "data.csv",
-                   "--out", pipeline / "nope2")
-        assert code == 1
-        assert "threshold" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run("detect", "--model", pipeline / "model" / "model.json",
+                "--data", pipeline / "test" / "data.csv",
+                "--out", pipeline / "nope2")
+        assert info.value.code == 1
+        assert ("one of the arguments --threshold --train-scores --train-data is required"
+                in capsys.readouterr().err)
+        assert not (pipeline / "nope2").exists()
+
+    # Files that do not exist: the conflict is reported before any is read.
+    @pytest.mark.parametrize("sources", [
+        ["--threshold", 0.5, "--train-scores", "missing.csv"],
+        ["--train-scores", "missing.csv", "--train-data", "missing.csv"],
+        ["--threshold", 0.5, "--train-scores", "missing.csv", "--train-data", "missing.csv"],
+    ])
+    def test_more_than_one_threshold_source_is_user_error(self, pipeline, tmp_path, capsys,
+                                                          sources):
+        with pytest.raises(SystemExit) as info:
+            run("detect", "--model", pipeline / "model" / "model.json",
+                "--data", pipeline / "test" / "data.csv", "--out", tmp_path / "det", *sources)
+        assert info.value.code == 1
+        assert f"argument {sources[2]}: not allowed with argument {sources[0]}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "det").exists()
 
     def test_train_data_threshold_source(self, pipeline, tmp_path):
         out = tmp_path / "fit"
@@ -405,6 +425,20 @@ class TestReportCommand:
             series.append(smooth(zdot[1:49, i], 3))
         svg = (tmp_path / "rep" / "latent_pairs.svg").read_text(encoding="utf-8")
         assert re.findall(r'points="([^"]*)"', svg) == polyline_reference(series)
+
+    # Without derivative pairs nothing is smoothed, so the window is
+    # checked on its own, before anything is written.
+    @pytest.mark.parametrize("pairs", [None, 0])
+    def test_a_bad_window_writes_nothing(self, pipeline, tmp_path, capsys, pairs):
+        model = pipeline / "model" / "model.json"
+        if pairs is not None:
+            assert run("train", "--data", pipeline / "train" / "data.csv", "--out", tmp_path / "m",
+                       "--epochs", 1, "--pairs", pairs, "--stat", 3) == 0
+            model = tmp_path / "m" / "model.json"
+        assert run("report", "--model", model, "--data", pipeline / "test" / "data.csv",
+                   "--out", tmp_path / "rep", "--window", 0) == 1
+        assert "window must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_svg_text_is_escaped(self, pipeline, tmp_path):
         frame = load_csv(pipeline / "train" / "data.csv")
@@ -703,10 +737,13 @@ class TestMalformedInput:
                    "--out", tmp_path / "m", "--epochs", 1, *extra)
 
     @pytest.mark.parametrize("command", ["synth", "train"])
-    @pytest.mark.parametrize("flag, env", [(["--seed", -1], None), ([], "-5")])
-    def test_negative_seed(self, pipeline, tmp_path, capsys, monkeypatch, command, flag, env):
-        if env is not None:
-            monkeypatch.setenv("TDCAE_SEED", env)
+    @pytest.mark.parametrize("flag, settings", [(["--seed", -1], None), ([], -1)])
+    def test_negative_seed(self, pipeline, tmp_path, capsys, command, flag, settings):
+        # A seed comes from --seed or from the settings file.
+        if settings is not None:
+            doc = {"tanks": {"seed": settings}} if command == "synth" else {"seed": settings}
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            flag = ["--config", tmp_path / "cfg.json"]
         if command == "synth":
             code = run("synth", "--out", tmp_path / "s", "--horizon", 200, "--attacks", "none", *flag)
         else:
@@ -731,13 +768,6 @@ class TestMalformedInput:
         (tmp_path / "cfg.json").write_bytes(content)
         assert self.train(pipeline, tmp_path, "--config", tmp_path / "cfg.json") == 1
         assert field in capsys.readouterr().err
-
-    def test_seed_variable_does_not_hide_a_bad_config_seed(self, pipeline, tmp_path, capsys,
-                                                          monkeypatch):
-        monkeypatch.setenv("TDCAE_SEED", "3")
-        (tmp_path / "cfg.json").write_text('{"seed": "abc"}')
-        assert self.train(pipeline, tmp_path, "--config", tmp_path / "cfg.json") == 1
-        assert "seed: expected int, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("attack, field", [

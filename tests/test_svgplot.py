@@ -68,9 +68,12 @@ def test_no_finite_y_range_is_an_error(tmp_path, series, threshold):
 
 def test_text_is_escaped_and_parses(tmp_path):
     path = tmp_path / "p.svg"
-    line_plot(path, [("a<b", np.arange(3.0)), ("c&d -> z1", np.ones(3))],
-              title="<&>", y_label="y&", x_label="x<")
+    line_plot(path, [("a<b", np.arange(3.0)), ("c&d -> z1", np.ones(3)),
+                     ("L\x01T1\x1f", np.zeros(3)), ("\x00\ufffe\uffff\t\u00e9", np.zeros(3))],
+              title="<&>\x08", y_label="y&\x0b", x_label="x<\x0c")
     texts = {t.text for t in ET.parse(path).getroot() if t.tag.endswith("text")}
-    assert {"<&>", "y&", "x<", "a<b", "c&d -> z1"} <= texts
+    # Characters XML forbids become U+FFFD; tab and the rest are kept.
+    assert {"<&>\ufffd", "y&\ufffd", "x<\ufffd", "a<b", "c&d -> z1", "L\ufffdT1\ufffd",
+            "\ufffd\ufffd\ufffd\t\u00e9"} <= texts
     # > needs no escape, so a label with it keeps its bytes.
     assert "c&amp;d -> z1</text>" in path.read_text(encoding="utf-8")
