@@ -147,10 +147,7 @@ def cmd_synth(args) -> int:
         out,
         {
             "command": "synth",
-            "tanks": {
-                k: list(v) if isinstance(v, tuple) else v
-                for k, v in vars(config).items()
-            },
+            "tanks": vars(config),
             "attacks": _attacks_to_doc(attacks),
         },
     )
@@ -420,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=7)
-    p.add_argument("--percentile", type=float, default=95.0)
+    p.add_argument("--window", type=int, default=DetectionConfig.window)
+    p.add_argument("--percentile", type=float, default=DetectionConfig.percentile)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--threshold", type=float, help="explicit threshold")
     source.add_argument("--train-scores", help="train_scores.csv from the train command")
@@ -439,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=7, help="plot smoothing window")
+    p.add_argument("--window", type=int, default=DetectionConfig.window,
+                   help="plot smoothing window")
     p.add_argument("--plot-rows", type=int, default=500)
     p.set_defaults(func=cmd_report)
 

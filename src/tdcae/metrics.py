@@ -170,10 +170,12 @@ def ranking_score(s_ttd: float, s_clf: float) -> float:
 
 def evaluate_flags(flags, labels) -> MetricsReport:
     """Full report from fused flags and binary labels; attack intervals
-    are the contiguous runs of 1-labels."""
+    are the contiguous runs of 1-labels. Without any attack, S_TTD is
+    undefined like TPR, so it and S are NaN."""
     counts = confusion(flags, labels)
     scores = clf_scores(counts)
-    s_ttd = ttd_score(flags, intervals_from_labels(labels))
+    intervals = intervals_from_labels(labels)
+    s_ttd = ttd_score(flags, intervals) if intervals else math.nan
     s = ranking_score(s_ttd, scores.s_clf)
     return MetricsReport(**vars(scores), counts=counts, s_ttd=s_ttd, s=s)
 

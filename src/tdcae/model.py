@@ -595,9 +595,11 @@ def load_model(path) -> tuple[HTdcAutoencoder, RobustScalerParams, TrainingConfi
             _field(doc, key, dict, "")
         scaler = _scaler_from_doc(doc["scaler"])
         config = TrainingConfig.from_dict(doc["config"], "config.")
-        # Checked before build_model allocates what a damaged config asks for.
+        # Checked before the Mlps allocate what a damaged config asks for.
         _check_architecture(doc, len(scaler.feature_names), config)
-        model = build_model(len(scaler.feature_names), config)
+        networks = _architecture(len(scaler.feature_names), config)
+        model = HTdcAutoencoder(Mlp(**networks["encoder"]), Mlp(**networks["decoder"]),
+                                config.partition)
         for name in ("encoder", "decoder"):
             layers = getattr(model, name).layers
             payloads = _field(doc[name], "layers", list, f"{name}.")

@@ -27,8 +27,8 @@ differ in the last bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,35 +55,18 @@ def _finite_output(out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class DenseLayer:
-    """One affine layer: y = act(dot(x, weights.T) + bias).
+class DenseLayer(NamedTuple):
+    """One affine layer of an Mlp: y = act(dot(x, weights.T) + bias).
 
-    weights has shape (out, in); bias has shape (out,).
+    weights has shape (out, in) and bias shape (out,); both view into the
+    Mlp's `params`.
     """
 
     weights: np.ndarray
     bias: np.ndarray
     activation: Activation
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.ndim != 1:
-            raise DimensionError("weights must be 2-D and bias 1-D")
-        if self.bias.shape[0] != self.weights.shape[0]:
-            raise DimensionError(
-                f"bias length {self.bias.shape[0]} != weight rows {self.weights.shape[0]}"
-            )
-        self.activation = Activation(self.activation)
-
-    @property
-    def in_size(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_size(self) -> int:
-        return self.weights.shape[0]
+    in_size: int
+    out_size: int
 
 
 def _views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -98,37 +81,33 @@ def _views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]
     return weights, biases
 
 
-@dataclass
 class Mlp:
-    """An ordered stack of shape-compatible dense layers.
+    """A stack of dense layers with the given sizes and activations. All
+    parameters live in one flat vector, `params`, which starts at zero; the
+    layers' weights and biases view into it."""
 
-    The Mlp copies the given layers' parameters into its own `params`
-    vector and holds new layers whose weights and biases view into it.
-    """
-
-    layers: list[DenseLayer]
-    params: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ConfigError("an Mlp needs at least one layer")
-        for k in range(len(self.layers) - 1):
-            if self.layers[k].out_size != self.layers[k + 1].in_size:
-                raise DimensionError(
-                    f"layer {k} outputs {self.layers[k].out_size} values but "
-                    f"layer {k + 1} expects {self.layers[k + 1].in_size}"
-                )
-        self._shapes = [l.weights.shape for l in self.layers]
-        params = np.concatenate([a.ravel() for l in self.layers for a in (l.weights, l.bias)])
-        self.layers = [DenseLayer(l.weights, l.bias, l.activation) for l in self.layers]
-        self._bind(params)
+    def __init__(self, layer_sizes: list[int], activations: list[Activation]):
+        if len(layer_sizes) < 2:
+            raise ConfigError("layer_sizes needs at least an input and an output size")
+        if len(activations) != len(layer_sizes) - 1:
+            raise ConfigError(
+                f"expected {len(layer_sizes) - 1} activations, got {len(activations)}"
+            )
+        if any(int(s) < 1 for s in layer_sizes):
+            raise ConfigError("every layer size must be >= 1")
+        self._shapes = [(int(o), int(i)) for i, o in zip(layer_sizes, layer_sizes[1:])]
+        self._activations = [Activation(a) for a in activations]
+        self._bind(np.zeros(sum(o * i + o for o, i in self._shapes)))
 
     def _bind(self, params: np.ndarray) -> None:
         """Adopt `params`, a vector laid out like this Mlp's parameters, and
         point the layer views at it."""
         self.params = params
-        for layer, w, b in zip(self.layers, *_views(params, self._shapes)):
-            layer.weights, layer.bias = w, b
+        weights, biases = _views(params, self._shapes)
+        self.layers = [
+            DenseLayer(w, b, act, w.shape[1], w.shape[0])
+            for w, b, act in zip(weights, biases, self._activations)
+        ]
         # What the kernels read, per layer: (weights, weights.T, bias, is_tanh).
         self._kernel = [
             (l.weights, l.weights.T, l.bias, l.activation is Activation.TANH)
@@ -176,22 +155,12 @@ def init_mlp(layer_sizes: list[int], activations: list[Activation], seed: int) -
     uniformly from [-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))].
     The same seed always yields bit-identical parameters.
     """
-    if len(layer_sizes) < 2:
-        raise ConfigError("layer_sizes needs at least an input and an output size")
-    if len(activations) != len(layer_sizes) - 1:
-        raise ConfigError(
-            f"expected {len(layer_sizes) - 1} activations, got {len(activations)}"
-        )
-    if any(int(s) < 1 for s in layer_sizes):
-        raise ConfigError("every layer size must be >= 1")
-
+    mlp = Mlp(layer_sizes, activations)
     rng = np.random.default_rng(int(seed))
-    layers = []
-    for fan_in, fan_out, act in zip(layer_sizes, layer_sizes[1:], activations):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(weights, np.zeros(fan_out), Activation(act)))
-    return Mlp(layers)
+    for layer in mlp.layers:
+        limit = np.sqrt(6.0 / (layer.in_size + layer.out_size))
+        layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
+    return mlp
 
 
 def _forward(layers: list[tuple], x: np.ndarray, post: list) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tdcae.model import HTdcAutoencoder, LatentPartition
-from tdcae.nn import Activation, DenseLayer, Mlp
+from tdcae.nn import Activation, Mlp
 
 try:
     from hypothesis import settings
@@ -19,12 +19,22 @@ else:
         settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
+def one_layer_mlp(weights, bias, activation: Activation) -> Mlp:
+    """An Mlp of one layer with the given (out, in) weights and bias, set
+    through its views."""
+    weights = np.asarray(weights, dtype=np.float64)
+    mlp = Mlp([weights.shape[1], weights.shape[0]], [activation])
+    mlp.layers[0].weights[...] = weights
+    mlp.layers[0].bias[...] = bias
+    return mlp
+
+
 def identity_autoencoder(n_features: int) -> HTdcAutoencoder:
     """A model that reconstructs its input exactly: single identity layers
     and an all-statistical latent space."""
     eye = np.eye(n_features)
-    encoder = Mlp([DenseLayer(eye.copy(), np.zeros(n_features), Activation.IDENTITY)])
-    decoder = Mlp([DenseLayer(eye.copy(), np.zeros(n_features), Activation.IDENTITY)])
+    encoder = one_layer_mlp(eye, 0.0, Activation.IDENTITY)
+    decoder = one_layer_mlp(eye, 0.0, Activation.IDENTITY)
     return HTdcAutoencoder(encoder, decoder, LatentPartition(0, n_features))
 
 

@@ -12,14 +12,15 @@ runs, `model._LossStep`, so the finite-difference gate checks the gradient
 training uses. `reference_load_csv` is load_csv without numpy's C text
 reader. `write_table_reference` is write_table by csv.writer, and
 `polyline_reference` the points of line_plot's polylines mapped and
-formatted one point at a time. `forward_matmul` and `backward_matmul` are
-nn's `_forward` and `_backward` kernels with their products by
-`np.matmul`: on C- and Fortran-order inputs, the bits the np.dot kernels
-must reproduce. `backward_post`, `loss_step_post`, `adamax_with_temporaries`
-and `train_unchunked` are the backward kernel, the fused step, the Adamax
-step and the training loop as they were before the tanh' buffers, the
-work-buffer Adamax step and the chunked gathers: the bits those must
-reproduce.
+formatted one point at a time. `init_params_reference` is init_mlp's
+draw into per-layer arrays that are then concatenated. `forward_matmul`
+and `backward_matmul` are nn's `_forward` and `_backward` kernels with
+their products by `np.matmul`: on C- and Fortran-order inputs, the bits
+the np.dot kernels must reproduce. `backward_post`, `loss_step_post`,
+`adamax_with_temporaries` and `train_unchunked` are the backward kernel,
+the fused step, the Adamax step and the training loop as they were before
+the tanh' buffers, the work-buffer Adamax step and the chunked gathers:
+the bits those must reproduce.
 """
 
 import csv
@@ -71,6 +72,18 @@ def fd_gradient_mlp(loss_fn, mlp, h: float = 1e-5):
         weight_grads.append(gw)
         bias_grads.append(gb)
     return weight_grads, bias_grads
+
+
+def init_params_reference(layer_sizes, seed: int) -> np.ndarray:
+    """init_mlp's parameter vector as it was drawn when each layer owned its
+    arrays: per layer, Glorot-uniform weights of shape (out, in) and zero
+    biases, concatenated weights then bias, layer by layer."""
+    rng = np.random.default_rng(int(seed))
+    parts = []
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        parts += [rng.uniform(-limit, limit, size=(fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+    return np.concatenate(parts)
 
 
 def tanh_derivatives(layers, post) -> list:

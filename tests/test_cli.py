@@ -326,6 +326,19 @@ class TestEvaluateCommand:
         doc = json.loads((tmp_path / "ev" / "metrics.json").read_text())
         assert doc["s"] == 1.0
 
+    def test_an_attack_free_run_has_undefined_attack_scores(self, pipeline, tmp_path):
+        data = pipeline / "train" / "data.csv"
+        assert run("detect", "--model", pipeline / "model" / "model.json", "--data", data,
+                   "--train-scores", pipeline / "model" / "train_scores.csv",
+                   "--out", tmp_path / "det") == 0
+        assert run("evaluate", "--detections", tmp_path / "det" / "detection.csv",
+                   "--labels", data, "--out", tmp_path / "ev") == 0
+        doc = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+        assert [doc[k] for k in ("s", "s_ttd", "s_clf", "tpr", "f1")] == [None] * 5
+        assert doc["tp"] == doc["fn"] == 0 and doc["tnr"] is not None
+        row = (tmp_path / "ev" / "metrics.txt").read_text().splitlines()[1].split()
+        assert row[1:4] == ["undefined"] * 3
+
     def test_fusion_rule_selectable(self, tmp_path):
         labels_csv = tmp_path / "labels.csv"
         with labels_csv.open("w") as fh:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import identity_autoencoder
+from conftest import identity_autoencoder, one_layer_mlp
 from oracles import smooth_reference
 from tdcae.detect import (
     DetectionConfig,
@@ -18,7 +18,7 @@ from tdcae.errors import ConfigError, DimensionError, NumericError
 from tdcae.model import (
     HTdcAutoencoder, LatentPartition, TrainingConfig, build_model, edge_training_config,
 )
-from tdcae.nn import Activation, DenseLayer, Mlp, forward
+from tdcae.nn import Activation, forward
 from tdcae.preprocess import DatasetFrame
 
 
@@ -30,8 +30,8 @@ def frame_of(values: np.ndarray, labels=None) -> DatasetFrame:
 
 def constant_output_model(value: float) -> HTdcAutoencoder:
     """Single-feature model that reconstructs everything to `value`."""
-    encoder = Mlp([DenseLayer(np.zeros((1, 1)), np.zeros(1), Activation.IDENTITY)])
-    decoder = Mlp([DenseLayer(np.zeros((1, 1)), np.array([value]), Activation.IDENTITY)])
+    encoder = one_layer_mlp(np.zeros((1, 1)), 0.0, Activation.IDENTITY)
+    decoder = one_layer_mlp(np.zeros((1, 1)), value, Activation.IDENTITY)
     return HTdcAutoencoder(encoder, decoder, LatentPartition(0, 1))
 
 
@@ -74,8 +74,8 @@ def saturating_model() -> HTdcAutoencoder:
     """Identity encoder with huge weights, whose latent overflows to +inf on
     inputs of 1e10, and a tanh decoder with positive weights, which maps
     that latent to a finite 1.0."""
-    encoder = Mlp([DenseLayer(np.full((2, 2), 1e300), np.zeros(2), Activation.IDENTITY)])
-    decoder = Mlp([DenseLayer(np.ones((2, 2)), np.zeros(2), Activation.TANH)])
+    encoder = one_layer_mlp(np.full((2, 2), 1e300), 0.0, Activation.IDENTITY)
+    decoder = one_layer_mlp(np.ones((2, 2)), 0.0, Activation.TANH)
     return HTdcAutoencoder(encoder, decoder, LatentPartition(0, 2))
 
 
@@ -113,9 +113,8 @@ class TestNonFiniteScoring:
     @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
     def test_overflowing_reconstruction(self, kind):
         # A finite latent of 1 decoded to 1e308 + 1e308 overflows to inf.
-        encoder = Mlp([DenseLayer(np.zeros((1, 2)), np.ones(1), Activation.IDENTITY)])
-        decoder = Mlp([DenseLayer(np.full((2, 1), 1e308), np.full(2, 1e308),
-                                  Activation.IDENTITY)])
+        encoder = one_layer_mlp(np.zeros((1, 2)), 1.0, Activation.IDENTITY)
+        decoder = one_layer_mlp(np.full((2, 1), 1e308), 1e308, Activation.IDENTITY)
         model = HTdcAutoencoder(encoder, decoder, LatentPartition(0, 1))
         with np.errstate(over="ignore"), pytest.raises(
                 NumericError, match="^forward pass produced non-finite output$"):

@@ -235,6 +235,15 @@ class TestReports:
         assert doc["tnr"] is None
         assert doc["tpr"] == 1.0
 
+    def test_no_attack_leaves_the_attack_scores_undefined(self):
+        flags = np.zeros(6, bool)
+        flags[2] = True
+        report = evaluate_flags(flags, np.zeros(6, int))
+        assert math.isnan(report.s) and math.isnan(report.s_ttd) and math.isnan(report.s_clf)
+        assert math.isnan(report.tpr) and report.tnr == 5 / 6
+        with pytest.raises(ConfigError, match="^ttd_score needs at least one attack interval$"):
+            ttd_score(flags, [])
+
     def test_table_columns_in_challenge_order(self):
         flags, labels = flags_and_labels_for_counts(388, 5, 1677, 19)
         report = evaluate_flags(flags, labels)

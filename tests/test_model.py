@@ -22,7 +22,7 @@ from tdcae.model import (
     save_model,
     train,
 )
-from tdcae.nn import Activation, DenseLayer, Mlp, forward, init_mlp
+from tdcae.nn import forward, init_mlp
 from tdcae.preprocess import DatasetFrame, fit_scaler, apply_scaler
 from tdcae.synth import TankSystemConfig, simulate
 
@@ -550,6 +550,20 @@ class TestDefaultsAndPersistence:
         assert np.array_equal(loaded_scaler.median, scaler.median)
         assert np.array_equal(loaded_scaler.iqr, scaler.iqr)
         assert loaded_config.to_dict() == config.to_dict()
+
+    def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        frame = small_training_frame(7, rows=40)
+        config = TrainingConfig(hidden_size=8, epochs=1, seed=3)
+        model, _ = train(config, frame)
+        save_model(tmp_path / "m.json", model, fit_scaler(frame), config)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded, _, _ = load_model(tmp_path / "m.json")
+        for mine, theirs in ((model.encoder, loaded.encoder), (model.decoder, loaded.decoder)):
+            assert theirs.params.tobytes() == mine.params.tobytes()
 
     def test_training_config_validation(self):
         with pytest.raises(ConfigError):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import one_layer_mlp
 from oracles import backward_reference, fd_gradient_mlp, rel_error
 from tdcae.errors import ConfigError, DimensionError, NumericError
-from tdcae.nn import Activation, DenseLayer, GradientSet, Mlp, forward, init_mlp
+from tdcae.nn import Activation, GradientSet, Mlp, forward, init_mlp
 
 TANH = Activation.TANH
 IDENTITY = Activation.IDENTITY
@@ -35,22 +36,26 @@ class TestInit:
             assert np.all(layer.bias == 0.0)
 
     def test_bad_configurations_raise(self):
-        with pytest.raises(ConfigError):
-            init_mlp([3], [], seed=0)
-        with pytest.raises(ConfigError):
-            init_mlp([3, 2], [TANH, TANH], seed=0)
-        with pytest.raises(ConfigError):
-            init_mlp([], [], seed=0)
+        for sizes, acts, message in [
+            ([3], [], "layer_sizes needs at least an input and an output size"),
+            ([], [], "layer_sizes needs at least an input and an output size"),
+            ([3, 2], [TANH, TANH], "expected 1 activations, got 2"),
+            ([3, 0, 2], [TANH, TANH], "every layer size must be >= 1"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                Mlp(sizes, acts)
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                init_mlp(sizes, acts, seed=0)
 
 
 class TestForward:
     def test_zero_parameters_tanh_gives_zero(self):
-        mlp = Mlp([DenseLayer(np.zeros((3, 2)), np.zeros(3), TANH)])
+        mlp = Mlp([2, 3], [TANH])
         out = forward(mlp, np.array([[5.0, -2.0], [1.0, 1.0]]))
         assert np.all(out == 0.0)
 
     def test_identity_affine_arithmetic(self):
-        mlp = Mlp([DenseLayer(np.array([[0.5]]), np.array([0.1]), IDENTITY)])
+        mlp = one_layer_mlp([[0.5]], 0.1, IDENTITY)
         out = forward(mlp, np.array([[2.0]]))
         assert out == pytest.approx(1.1)
 
@@ -81,7 +86,7 @@ class TestForward:
         (np.full((1, 2), 1e10), NumericError, "forward pass produced non-finite output"),
     ], ids=["1-D", "no rows", "nan", "+inf", "-inf", "non-finite output"])
     def test_each_check_names_its_fault(self, x, error, message):
-        mlp = Mlp([DenseLayer(np.full((2, 2), 1e300), np.zeros(2), IDENTITY)])
+        mlp = one_layer_mlp(np.full((2, 2), 1e300), 0.0, IDENTITY)
         with np.errstate(over="ignore"), pytest.raises(error, match=f"^{message}$"):
             forward(mlp, x)
 
@@ -98,7 +103,7 @@ class TestBackward:
         assert np.all(g_in == 0)
 
     def test_identity_layer_weight_gradient_is_outer_product(self):
-        mlp = Mlp([DenseLayer(np.array([[0.3, -0.7]]), np.zeros(1), IDENTITY)])
+        mlp = one_layer_mlp([[0.3, -0.7]], 0.0, IDENTITY)
         x = np.array([[2.0, 5.0]])
         c = np.array([[3.0]])
         grads, g_in = backward_reference(mlp, x, c)
@@ -150,15 +155,14 @@ class TestBackward:
 
 
 class TestStructures:
-    def test_incompatible_layer_chain_raises(self):
-        good = DenseLayer(np.zeros((3, 2)), np.zeros(3), TANH)
-        bad = DenseLayer(np.zeros((2, 4)), np.zeros(2), TANH)
-        with pytest.raises(DimensionError):
-            Mlp([good, bad])
-
-    def test_bias_length_must_match(self):
-        with pytest.raises(DimensionError):
-            DenseLayer(np.zeros((3, 2)), np.zeros(2), TANH)
+    def test_a_new_mlp_has_zero_parameters_seen_through_its_views(self):
+        mlp = Mlp([4, 3, 2], [TANH, IDENTITY])
+        assert mlp.params.shape == (4 * 3 + 3 + 3 * 2 + 2,)
+        assert not mlp.params.any()
+        assert [l.activation for l in mlp.layers] == [TANH, IDENTITY]
+        assert [(l.in_size, l.out_size) for l in mlp.layers] == [(4, 3), (3, 2)]
+        views = [a for l in mlp.layers for a in (l.weights, l.bias)]
+        assert all(np.shares_memory(v, mlp.params) for v in views)
 
     def test_layer_sizes_and_parameter_count(self):
         mlp = init_mlp([9, 9, 7], [TANH, TANH], seed=0)
@@ -180,16 +184,6 @@ class TestFlatParameters:
         mlp = init_mlp([3, 2], [TANH], seed=4)
         mlp.layers[0].weights[1, 2] = 7.5
         assert mlp.params[5] == 7.5
-
-    def test_building_from_another_mlps_layers_copies(self):
-        first = init_mlp([3, 4, 2], [TANH, IDENTITY], seed=6)
-        before = first.params.copy()
-        second = Mlp(first.layers)
-        second.params[:] = 0.0
-        second.layers[1].weights[:] = 1.0
-        assert np.array_equal(first.params, before)
-        assert np.array_equal(first.layers[0].weights.ravel(), before[:12])
-        assert not np.shares_memory(first.params, second.params)
 
     def test_gradient_set_matches_layout(self, rng):
         mlp = init_mlp([3, 4, 2], [TANH, IDENTITY], seed=2)

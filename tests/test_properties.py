@@ -22,6 +22,7 @@ from oracles import (
     backward_matmul,
     backward_post,
     forward_matmul,
+    init_params_reference,
     polyline_reference,
     reference_load_csv,
     simulate_reference,
@@ -710,6 +711,16 @@ def test_dot_kernels_give_the_bits_of_the_matmul_kernels(data, rows, sizes, x_or
     want = [a.tobytes() for a in got]
     assert [a.tobytes() for a in run_kernels(forward_matmul, backward_matmul, mlp, x, g)] == want
     assert [a.tobytes() for a in run_kernels(_forward, backward_post, mlp, x, g)] == want
+
+
+@relaxed
+@given(sizes=st.lists(st.integers(1, 20), min_size=2, max_size=5),
+       seed=st.integers(0, 2**64 - 1))
+def test_init_mlp_draws_the_bits_of_per_layer_arrays(sizes, seed):
+    # Drawn into the views of a zero Mlp, the parameters have the bits of
+    # the same draws into per-layer arrays, concatenated.
+    mlp = init_mlp(sizes, [Activation.TANH] * (len(sizes) - 1), seed)
+    assert mlp.params.tobytes() == init_params_reference(sizes, seed).tobytes()
 
 
 # Adamax vectors with the edges of float64: signed zeros, subnormals and
