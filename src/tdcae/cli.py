@@ -1,7 +1,8 @@
 """Command-line pipeline: synth, train, detect, evaluate, report.
 
-Every command writes its fully resolved configuration into the output
-directory, never mutates its inputs, and is reproducible from config plus
+Every command returns the settings it resolved, and `main` writes them,
+with the command's name, to config.json in the output directory. No
+command mutates its inputs, and each is reproducible from config plus
 seed. Exit codes: 0 success, 1 user error, 2 internal error.
 """
 
@@ -49,12 +50,6 @@ def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _echo_config(out: Path, payload: dict) -> None:
-    (out / "config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _load_settings(path) -> dict:
@@ -115,7 +110,7 @@ def _attacks_to_doc(attacks) -> list[dict]:
     ]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     doc = _settings(
         _load_settings(args.config),
         {"tanks": vars(synth_mod.TankSystemConfig()), "attacks": []},
@@ -140,19 +135,15 @@ def cmd_synth(args) -> int:
     frame = synth_mod.simulate(config, attacks)
     out = _out_dir(args.out)
     pre.save_csv(frame, out / "data.csv")
+    attacks_doc = _attacks_to_doc(attacks)
     (out / "attacks.json").write_text(
-        json.dumps(_attacks_to_doc(attacks), indent=2) + "\n", encoding="utf-8"
-    )
-    _echo_config(
-        out,
-        {
-            "command": "synth",
-            "tanks": vars(config),
-            "attacks": _attacks_to_doc(attacks),
-        },
+        json.dumps(attacks_doc, indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote {out / 'data.csv'} ({frame.n_rows} rows, {frame.n_features} features)")
-    return 0
+    return {
+        "tanks": vars(config),
+        "attacks": attacks_doc,
+    }
 
 
 # ----------------------------------------------------------------- train
@@ -168,7 +159,7 @@ def _resolve_training_config(args, n_features: int) -> model_mod.TrainingConfig:
     return model_mod.TrainingConfig.from_dict(fields)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     frame = pre.load_csv(args.data)
     if args.edge is not None:
         frame = frame.select(pre.EDGE_FEATURES[args.edge])
@@ -184,20 +175,15 @@ def cmd_train(args) -> int:
     rows = [(k, e.rec_loss, e.tdc_loss, e.total) for k, e in enumerate(history, start=1)]
     pre.write_table(out / "loss_history.csv", ["epoch", "rec_loss", "tdc_loss", "total"], zip(*rows))
     pre.write_table(out / "train_scores.csv", TRAIN_SCORES_HEADER, [scaled.stamps, scores])
-    _echo_config(
-        out,
-        {
-            "command": "train",
-            "data": str(args.data),
-            "edge": args.edge,
-            "training": config.to_dict(),
-        },
-    )
     print(
         f"trained {config.epochs} epochs on {frame.n_rows} rows; "
         f"final rec={history[-1].rec_loss:.6f} tdc={history[-1].tdc_loss:.6f}"
     )
-    return 0
+    return {
+        "data": str(args.data),
+        "edge": args.edge,
+        "training": config.to_dict(),
+    }
 
 
 # ---------------------------------------------------------------- detect
@@ -208,7 +194,7 @@ def _load_train_scores(path) -> np.ndarray:
     return pre.read_numeric_table(path, lambda header: ([1], 0), TRAIN_SCORES_HEADER)[1][:, 1]
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> dict:
     trained, scaler, _ = model_mod.load_model(args.model)
     config = DetectionConfig(window=args.window, percentile=args.percentile)
     scored_frame = _scaled_csv(args.data, scaler)
@@ -234,28 +220,23 @@ def cmd_detect(args) -> int:
         y_label="mse",
     )
     save_detection_csv(result, scored_frame, out / "detection.csv")
-    _echo_config(
-        out,
-        {
-            "command": "detect",
-            "model": str(args.model),
-            "data": str(args.data),
-            "window": config.window,
-            "percentile": config.percentile,
-            "threshold": threshold,
-        },
-    )
     print(
         f"flagged {int(result.flags.sum())} of {len(result.flags)} timesteps "
         f"(threshold {threshold:.6g})"
     )
-    return 0
+    return {
+        "model": str(args.model),
+        "data": str(args.data),
+        "window": config.window,
+        "percentile": config.percentile,
+        "threshold": threshold,
+    }
 
 
 # -------------------------------------------------------------- evaluate
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict:
     flag_arrays = [load_detection_flags(p) for p in args.detections]
     labels_frame = pre.load_csv(args.labels)
     if labels_frame.labels is None:
@@ -272,23 +253,18 @@ def cmd_evaluate(args) -> int:
     (out / "metrics.json").write_text(metrics_mod.report_to_json(report) + "\n", encoding="utf-8")
     table = metrics_mod.format_table({"system": report})
     (out / "metrics.txt").write_text(table + "\n", encoding="utf-8")
-    _echo_config(
-        out,
-        {
-            "command": "evaluate",
-            "detections": [str(p) for p in args.detections],
-            "labels": str(args.labels),
-            "fuse": args.fuse,
-        },
-    )
     print(table)
-    return 0
+    return {
+        "detections": [str(p) for p in args.detections],
+        "labels": str(args.labels),
+        "fuse": args.fuse,
+    }
 
 
 # ---------------------------------------------------------------- report
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> dict:
     window = DetectionConfig(window=args.window).window
     trained, scaler, config = model_mod.load_model(args.model)
     scaled = _scaled_csv(args.data, scaler)
@@ -364,18 +340,13 @@ def cmd_report(args) -> int:
         title="latent nodes with their most correlated features (rescaled)",
         shaded=shading,
     )
-    _echo_config(
-        out,
-        {
-            "command": "report",
-            "model": str(args.model),
-            "data": str(args.data),
-            "window": window,
-            "plot_rows": rows,
-        },
-    )
     print(f"wrote latent trace with {len(names)} nodes over {scaled.n_rows} timesteps")
-    return 0
+    return {
+        "model": str(args.model),
+        "data": str(args.data),
+        "window": window,
+        "plot_rows": rows,
+    }
 
 
 # ------------------------------------------------------------------ main
@@ -448,7 +419,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        settings = args.func(args)
+        (Path(args.out) / "config.json").write_text(
+            json.dumps({"command": args.command, **settings}, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        return 0
     except TdcaeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

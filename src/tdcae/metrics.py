@@ -24,10 +24,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ConfigError("confusion counts must be >= 0")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class AttackInterval:
@@ -184,27 +180,18 @@ def _cell(v: float) -> float | None:
     return None if isinstance(v, float) and math.isnan(v) else v
 
 
+_TABLE_COLUMNS = ("S", "S_TTD", "S_CLF", "F1", "TPR", "TNR", "PPV", "TP", "FP", "TN", "FN")
+
+
 def report_to_dict(report: MetricsReport) -> dict:
-    return {
-        "s": _cell(report.s),
-        "s_ttd": _cell(report.s_ttd),
-        "s_clf": _cell(report.s_clf),
-        "f1": _cell(report.f1),
-        "tpr": _cell(report.tpr),
-        "tnr": _cell(report.tnr),
-        "ppv": _cell(report.ppv),
-        "tp": report.counts.tp,
-        "fp": report.counts.fp,
-        "tn": report.counts.tn,
-        "fn": report.counts.fn,
-    }
+    """The report's scores and counts, keyed and ordered as _TABLE_COLUMNS
+    in lower case; an undefined score is None."""
+    fields = {**vars(report), **vars(report.counts)}
+    return {col.lower(): _cell(fields[col.lower()]) for col in _TABLE_COLUMNS}
 
 
 def report_to_json(report: MetricsReport) -> str:
     return json.dumps(report_to_dict(report), indent=2)
-
-
-_TABLE_COLUMNS = ("S", "S_TTD", "S_CLF", "F1", "TPR", "TNR", "PPV", "TP", "FP", "TN", "FN")
 
 
 def format_table(reports: dict[str, MetricsReport]) -> str:

@@ -253,10 +253,19 @@ def load_csv(path) -> DatasetFrame:
 
 def _columns(header: list[str]) -> tuple[list[str], list[int], int | None, int | None]:
     """The stripped header cells, the feature columns, and the label and
-    DATETIME columns (None when absent), named in any case."""
+    DATETIME columns (None when absent), named in any case. A second cell
+    naming either raises IngestionError."""
     header = [h.strip() for h in header]
-    label_idx = next((i for i, h in enumerate(header) if h.upper() == LABEL_COLUMN), None)
-    time_idx = next((i for i, h in enumerate(header) if h.upper() == DATETIME_COLUMN), None)
+    found = []
+    for name in (LABEL_COLUMN, DATETIME_COLUMN):
+        cols = [i for i, h in enumerate(header) if h.upper() == name]
+        if len(cols) > 1:
+            raise IngestionError(
+                f"header names the {name} column twice: columns {cols[0] + 1} "
+                f"({header[cols[0]]!r}) and {cols[1] + 1} ({header[cols[1]]!r})"
+            )
+        found.append(cols[0] if cols else None)
+    label_idx, time_idx = found
     feature_idx = [i for i in range(len(header)) if i not in (label_idx, time_idx)]
     return header, feature_idx, label_idx, time_idx
 
@@ -379,7 +388,13 @@ def _read_numbers(path: Path, layout, prefix):
 
 def save_csv(frame: DatasetFrame, path) -> None:
     """Write a frame in the same schema load_csv reads (shortest float
-    representation that round-trips, so output is byte-deterministic)."""
+    representation that round-trips, so output is byte-deterministic).
+    A feature that load_csv would read back as the label or DATETIME
+    column raises ConfigError before the file is opened."""
+    for name in frame.feature_names:
+        column = name.strip().upper()
+        if column in (LABEL_COLUMN, DATETIME_COLUMN):
+            raise ConfigError(f"feature {name!r} would be read back as the {column} column")
     named = [(DATETIME_COLUMN, frame.datetimes), *zip(frame.feature_names, frame.values.T),
              (LABEL_COLUMN, frame.labels)]
     named = [(name, column) for name, column in named if column is not None]

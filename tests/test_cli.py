@@ -489,6 +489,31 @@ run("report", "--model", "m/model.json", "--data", "s/data.csv", "--out", "r")
 """
 
 
+class TestConfigJson:
+    """main writes each command's config.json from the settings it returns."""
+
+    @pytest.mark.parametrize("command, keys", [
+        ("synth", ["tanks", "attacks"]),
+        ("train", ["data", "edge", "training"]),
+        ("detect", ["model", "data", "window", "percentile", "threshold"]),
+        ("evaluate", ["detections", "labels", "fuse"]),
+        ("report", ["model", "data", "window", "plot_rows"]),
+    ])
+    def test_keys_and_command(self, pipeline, tmp_path, command, keys):
+        model, test = pipeline / "model" / "model.json", pipeline / "test" / "data.csv"
+        argv = {
+            "synth": ["--horizon", 200, "--attacks", "none"],
+            "train": ["--data", pipeline / "train" / "data.csv", "--epochs", 1],
+            "detect": ["--model", model, "--data", test, "--threshold", 1.0],
+            "evaluate": ["--detections", pipeline / "det" / "detection.csv", "--labels", test],
+            "report": ["--model", model, "--data", test],
+        }[command]
+        assert run(command, *argv, "--out", tmp_path / "o") == 0
+        doc = json.loads((tmp_path / "o" / "config.json").read_text())
+        assert sorted(doc) == sorted(["command", *keys])
+        assert doc["command"] == command
+
+
 class TestLocale:
     @staticmethod
     def chain(cwd: Path, **env) -> dict:
@@ -738,6 +763,7 @@ class TestOverflow:
         assert code == 1
         assert "detection.svg: no finite y range to plot" in capsys.readouterr().err
         assert not (tmp_path / "o" / "detection.svg").exists()
+        assert not (tmp_path / "o" / "config.json").exists()
 
 
 class TestMalformedInput:

@@ -84,7 +84,7 @@ class TestConfusion:
         flags, labels = flags_and_labels_for_counts(tp, fp, tn, fn)
         counts = confusion(flags, labels)
         assert (counts.tp, counts.fp, counts.tn, counts.fn) == (tp, fp, tn, fn)
-        assert counts.total == len(flags)
+        assert counts.tp + counts.fp + counts.tn + counts.fn == len(flags)
 
     def test_all_false_flags_count_positives_as_misses(self):
         labels = np.array([0, 1, 1, 0, 1])

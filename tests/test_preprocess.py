@@ -332,6 +332,30 @@ class TestCsv:
         path.write_text(text)
         assert load_outcome(path) == load_outcome(path, reference_load_csv)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,att_flag,ATT_FLAG\n1,2,0,1\n",
+         "header names the ATT_FLAG column twice: columns 3 ('att_flag') and 4 ('ATT_FLAG')"),
+        ("DATETIME,a, DateTime\nx,1,y\n",
+         "header names the DATETIME column twice: columns 1 ('DATETIME') and 3 ('DateTime')"),
+    ])
+    def test_a_second_label_or_datetime_column_is_rejected(self, tmp_path, text, message):
+        # Both readers refuse it; neither reads the second one as a feature.
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        assert load_outcome(path) == f"{path}: {message}"
+        assert load_outcome(path, reference_load_csv) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name, column", [("att_flag", "ATT_FLAG"),
+                                              (" DateTime ", "DATETIME")])
+    def test_save_refuses_a_feature_that_would_load_as_a_reserved_column(
+        self, tmp_path, name, column
+    ):
+        frame = DatasetFrame([name, "b"], np.zeros((2, 2)))
+        with pytest.raises(ConfigError) as info:
+            save_csv(frame, tmp_path / "d.csv")
+        assert str(info.value) == f"feature {name!r} would be read back as the {column} column"
+        assert not (tmp_path / "d.csv").exists()
+
     def test_save_load_round_trip(self, tmp_path, rng):
         frame = DatasetFrame(
             feature_names=["x", "y"],
