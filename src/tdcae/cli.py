@@ -33,7 +33,7 @@ from .detect import (
 from .errors import ConfigError, NumericError, TdcaeError
 from .model import _settings, read_json
 from .nn import forward
-from .svgplot import line_plot
+from .svgplot import _render, line_plot
 
 TRAIN_SCORES_HEADER = ("timestamp", "raw")
 
@@ -209,16 +209,19 @@ def cmd_detect(args) -> dict:
         threshold = fit_threshold(trained, _scaled_csv(args.train_data, scaler), config)
 
     result = run_detection(trained, scored_frame, threshold, config)
-    out = _out_dir(args.out)
-    # The plot goes first: it refuses scores it cannot place.
-    line_plot(
-        out / "detection.svg",
+    plot = Path(args.out) / "detection.svg"
+    # The plot is drawn before anything is created: it refuses scores it
+    # cannot place.
+    svg = _render(
+        plot,
         [("smoothed error", result.smoothed_scores)],
         title=f"reconstruction error (window {config.window})",
         threshold=result.threshold,
         shaded=_label_shading(scored_frame.labels),
         y_label="mse",
     )
+    out = _out_dir(args.out)
+    plot.write_text(svg, encoding="utf-8")
     save_detection_csv(result, scored_frame, out / "detection.csv")
     print(
         f"flagged {int(result.flags.sum())} of {len(result.flags)} timesteps "

@@ -1,6 +1,7 @@
 """Reconstruction-error scoring, moving-average smoothing, percentile
 thresholding and binary anomaly flagging. This is the one module that runs
-a trained model on data, through `_reconstruct`."""
+a trained model on data, through `_reconstruct`. The latent and the errors
+are tested by `errors._all_finite`, the package's one finiteness test."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IngestionError, NumericError
+from .errors import ConfigError, DimensionError, IngestionError, NumericError, _all_finite
 from .model import HTdcAutoencoder
 from .nn import _as_matrix, _finite_output, _forward
 from .preprocess import DatasetFrame, read_table, write_table
@@ -61,7 +62,7 @@ def _reconstruct(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
     post = [None] * len(model.encoder.layers)
     _forward(model.encoder._kernel, x, post)
     latent = post[-1]
-    if not np.isfinite(latent).all():
+    if not _all_finite(latent):
         _as_matrix(x, "input")
         _finite_output(latent)
     post = [None] * len(model.decoder.layers)
@@ -90,7 +91,7 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
         residual *= residual
         # np.mean's own arithmetic: one row sum, then a division by the count.
         errors = np.add.reduce(residual, axis=1) / residual.shape[1]
-    if not np.isfinite(errors).all():
+    if not _all_finite(errors):
         # In forward's order: values changed in place, then the output.
         _as_matrix(values, "input")
         _finite_output(reconstruction)

@@ -75,8 +75,13 @@ def fuse_edges(flags, rule: str = "or") -> np.ndarray:
         raise ConfigError("edge flag sequences have mismatched lengths")
     stacked = np.vstack(flag_arrays)
     if rule == "or":
-        return stacked.any(axis=0)
+        return np.logical_or.reduce(stacked, axis=0)
     return stacked.sum(axis=0) * 2 > len(flag_arrays)
+
+
+def _check_binary(labels: np.ndarray) -> None:
+    if np.count_nonzero((labels == 0) | (labels == 1)) != labels.size:
+        raise ConfigError("labels must be binary")
 
 
 def confusion(flags, labels) -> ConfusionCounts:
@@ -87,8 +92,7 @@ def confusion(flags, labels) -> ConfusionCounts:
         raise DimensionError(
             f"flags length {flags.shape} != labels length {labels.shape}"
         )
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ConfigError("labels must be binary")
+    _check_binary(labels)
     positive = labels == 1
     return ConfusionCounts(
         tp=int(np.sum(flags & positive)),
@@ -119,8 +123,7 @@ def clf_scores(counts: ConfusionCounts) -> ClfScores:
 def intervals_from_labels(labels) -> list[AttackInterval]:
     """Contiguous runs of 1-labels as inclusive intervals, sorted."""
     labels = np.asarray(labels)
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ConfigError("labels must be binary")
+    _check_binary(labels)
     padded = np.concatenate([[0], labels, [0]])
     edges = np.diff(padded)
     starts = np.where(edges == 1)[0]

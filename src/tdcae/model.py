@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError, _all_finite
 from .nn import Activation, GradientSet, Mlp, forward, init_mlp
 from .nn import _backward, _forward, _share_params
 from .optim import _AdamaxState, _adamax_update
@@ -390,7 +390,7 @@ def train(
         raise ConfigError(f"need >= 3 rows to build triples, got {train_frame.n_rows}")
     n = train_frame.n_rows - 2
     values = train_frame.values
-    if not np.isfinite(values).all():
+    if not _all_finite(values):
         raise NumericError("training frame contains non-finite entries")
     model = build_model(train_frame.n_features, config)
     _, _, shuffle_seed = _seed_triple(config.seed)

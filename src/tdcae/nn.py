@@ -10,6 +10,8 @@ The layer arithmetic lives in two unchecked kernels that write into
 caller-provided buffers: `_forward`, which the checked public `forward`
 wraps and the training step in `tdcae.model` and the scoring pass in
 `tdcae.detect` run, and `_backward`, which only the training step calls.
+`forward` tests its input and output with `errors._all_finite`, the
+package's one finiteness test.
 `_backward` reads each tanh layer's derivative 1 - post**2 from a buffer
 of the caller's, which the training step fills for every tanh layer at
 once, and leaves the forward outputs as they are.
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError, _all_finite
 
 
 class Activation(str, Enum):
@@ -44,13 +46,13 @@ def _as_matrix(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise NumericError(f"{name} contains non-finite entries")
     return x
 
 
 def _finite_output(out: np.ndarray) -> np.ndarray:
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise NumericError("forward pass produced non-finite output")
     return out
 

@@ -1,6 +1,10 @@
 """Hourly SCADA-style sensor matrices: the DatasetFrame, CSV ingestion
 and writing, and robust scaling. EDGE_FEATURES names the columns of each
-edge area; `DatasetFrame.select` cuts an edge's frame out of a full one."""
+edge area; `DatasetFrame.select` cuts an edge's frame out of a full one.
+Finiteness, of a frame's values, of the scaler's median and IQR and of
+what the C reader read, is tested by `errors._all_finite`, the package's
+one finiteness test; the time spacing and the IQR's sign are counted with
+`np.count_nonzero` too."""
 
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IngestionError, NumericError
+from .errors import ConfigError, DimensionError, IngestionError, NumericError, _all_finite
 
 LABEL_COLUMN = "ATT_FLAG"
 DATETIME_COLUMN = "DATETIME"
@@ -62,7 +66,7 @@ class DatasetFrame:
                 raise DimensionError("timestamps length must equal row count")
             if self.values.shape[0] > 1:
                 steps = self.timestamps[1:] - self.timestamps[:-1]
-                if steps[0] <= 0 or (steps != steps[0]).any():
+                if steps[0] <= 0 or np.count_nonzero(steps != steps[0]):
                     raise ConfigError(
                         "timestamps must be strictly increasing with uniform spacing"
                     )
@@ -127,7 +131,7 @@ def _checked_values(values, names, unique: bool) -> np.ndarray:
         raise DimensionError(f"{len(names)} feature names for {values.shape[1]} columns")
     if unique and len(set(names)) != len(names):
         raise IngestionError("duplicate feature names")
-    if not np.isfinite(values).all():
+    if not _all_finite(values):
         raise NumericError("values contain non-finite entries")
     return values
 
@@ -152,9 +156,9 @@ class RobustScalerParams:
         n = len(self.feature_names)
         if median.shape != (n,) or iqr.shape != (n,):
             raise DimensionError("median/iqr must have one entry per feature")
-        if not (np.isfinite(median).all() and np.isfinite(iqr).all()):
+        if not (_all_finite(median) and _all_finite(iqr)):
             raise ConfigError("median/iqr entries must be finite")
-        if (iqr < 0).any():
+        if np.count_nonzero(iqr < 0):
             raise ConfigError("iqr entries must be >= 0")
         object.__setattr__(self, "feature_names", list(self.feature_names))
         object.__setattr__(self, "median", median)
@@ -381,7 +385,7 @@ def _read_numbers(path: Path, layout, prefix):
                 )
     except ValueError:  # UnicodeDecodeError included
         return None
-    if values.shape[0] == 0 or values.shape[1] != len(header) or not np.isfinite(values).all():
+    if values.shape[0] == 0 or values.shape[1] != len(header) or not _all_finite(values):
         return None
     return header, values, texts
 

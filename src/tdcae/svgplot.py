@@ -60,6 +60,15 @@ def line_plot(
     Non-finite values, or values more than the largest float apart, raise
     NumericError and write nothing. Every label is escaped by _text.
     """
+    text = _render(path, series, title, threshold, shaded, y_label, x_label)
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _render(path, series, title="", threshold=None, shaded=None, y_label="",
+            x_label="time step") -> str:
+    """The text line_plot writes to path, which only its NumericError names.
+    A caller that must refuse a plot before it creates path's directory
+    renders first."""
     series = [(name, np.asarray(y, dtype=np.float64)) for name, y in series]
     n = max((len(y) for _, y in series), default=0)
     ys = np.concatenate([y for _, y in series]) if series else np.array([0.0])
@@ -174,4 +183,4 @@ def line_plot(
         )
 
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    return "\n".join(out) + "\n"

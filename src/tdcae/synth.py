@@ -21,6 +21,7 @@ hour-by-hour computation, so every value is bit-identical to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -237,7 +238,8 @@ def _demand_table(config: TankSystemConfig, rng) -> np.ndarray:
     if config.demand_noise_std > 0:
         wander = rng.normal(0.0, 1.0, (T, n))
         rho = 0.9
-        scale = np.sqrt(1.0 - rho * rho)
+        # A Python float, so the loop below does no numpy-scalar arithmetic.
+        scale = math.sqrt(1.0 - rho * rho)
         w = _flat(wander)
         for k in range(n, T * n):
             w[k] = rho * w[k - n] + scale * w[k]

@@ -20,7 +20,10 @@ the np.dot kernels must reproduce. `backward_post`, `loss_step_post`,
 `adamax_with_temporaries` and `train_unchunked` are the backward kernel,
 the fused step, the Adamax step and the training loop as they were before
 the tanh' buffers, the work-buffer Adamax step and the chunked gathers:
-the bits those must reproduce.
+the bits those must reproduce. `all_finite_reference` and
+`uniform_steps_reference` are the finiteness and time-spacing checks as
+they were written before `errors._all_finite` and the counted spacing
+check: the verdicts those must reproduce.
 """
 
 import csv
@@ -491,3 +494,18 @@ def polyline_reference(series, threshold=None) -> list[str]:
 
     return [" ".join(f"{s._fmt(sx(i))},{s._fmt(sy(v))}" for i, v in enumerate(y.tolist()))
             for y in series]
+
+
+def all_finite_reference(a) -> bool:
+    """Whether every entry of a is finite, by numpy's `all` reduction."""
+    return bool(np.isfinite(a).all())
+
+
+def uniform_steps_reference(timestamps) -> bool:
+    """Whether DatasetFrame accepts these int64 stamps: strictly
+    increasing with one step between all neighbours."""
+    timestamps = np.asarray(timestamps, dtype=np.int64)
+    if timestamps.shape[0] <= 1:
+        return True
+    steps = timestamps[1:] - timestamps[:-1]
+    return not (steps[0] <= 0 or (steps != steps[0]).any())

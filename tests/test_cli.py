@@ -762,8 +762,7 @@ class TestOverflow:
                    "--out", tmp_path / "o")
         assert code == 1
         assert "detection.svg: no finite y range to plot" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "detection.svg").exists()
-        assert not (tmp_path / "o" / "config.json").exists()
+        assert not (tmp_path / "o").exists()
 
 
 class TestMalformedInput:

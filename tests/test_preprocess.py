@@ -481,6 +481,17 @@ class TestFrameInvariants:
                 timestamps=np.array([0, 1, 3]),
             )
 
+    @pytest.mark.parametrize("stamps", [[0, 0, 1], [2, 1, 0], [0, 2, 4, 5]],
+                             ids=["repeated", "decreasing", "late-nonuniform"])
+    def test_timestamps_that_are_not_one_uniform_increasing_step_are_rejected(self, stamps):
+        with pytest.raises(ConfigError, match="strictly increasing with uniform spacing"):
+            DatasetFrame(["a"], np.zeros((len(stamps), 1)), timestamps=stamps)
+
+    @pytest.mark.parametrize("stamps", [[4, 6, 8, 10], [7]], ids=["step-2", "one-row"])
+    def test_any_uniform_increasing_step_and_a_single_row_are_accepted(self, stamps):
+        frame = DatasetFrame(["a"], np.zeros((len(stamps), 1)), timestamps=stamps)
+        assert frame.timestamps.tolist() == stamps
+
     def test_select_preserves_order_and_errors(self):
         frame = frame_from_columns(a=[1, 2, 3, 4], b=[5, 6, 7, 8], c=[9, 10, 11, 12])
         sub = frame.select(["c", "a"])

@@ -15,10 +15,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import (
     adamax_with_temporaries,
+    all_finite_reference,
     backward_matmul,
     backward_post,
     forward_matmul,
@@ -29,11 +30,12 @@ from oracles import (
     smooth_reference,
     smooth_shifted_reference,
     tanh_derivatives,
+    uniform_steps_reference,
     write_table_reference,
 )
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
-from tdcae.errors import ConfigError, NumericError, TdcaeError
+from tdcae.errors import ConfigError, NumericError, TdcaeError, _all_finite
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
 from tdcae.model import LatentPartition, TrainingConfig, _settings, load_model, save_model, train
 from tdcae.nn import Activation, GradientSet, _backward, _forward, init_mlp
@@ -233,6 +235,51 @@ def test_a_derived_frame_equals_the_constructor_built_one(frame, data):
         timestamps=frame.timestamps, datetimes=frame.datetimes,
     ))
     assert _built(lambda: frame.with_values(values, names)) == built
+
+
+@st.composite
+def stamp_vectors(draw):
+    """int64 stamps: arbitrary ones, which include wrapping differences, and
+    arithmetic progressions of any step, one stamp of which may be moved."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        return draw(arrays(np.int64, n))
+    start = draw(st.integers(-(2**40), 2**40))
+    step = draw(st.integers(-3, 2**20))
+    stamps = [start + step * k for k in range(n)]
+    if n and draw(st.booleans()):
+        stamps[draw(st.integers(0, n - 1))] += draw(st.integers(-2, 2))
+    return np.array(stamps, dtype=np.int64)
+
+
+@relaxed
+@given(stamps=stamp_vectors())
+def test_frame_accepts_exactly_the_stamps_the_any_form_accepts(stamps):
+    try:
+        DatasetFrame(["a"], np.zeros((len(stamps), 1)), timestamps=stamps)
+        accepted = True
+    except ConfigError as exc:
+        assert str(exc) == "timestamps must be strictly increasing with uniform spacing"
+        accepted = False
+    assert accepted == uniform_steps_reference(stamps)
+
+
+float64_edges = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+    np.finfo(np.float64).max, -np.finfo(np.float64).max,
+])
+
+
+@relaxed
+@given(a=arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                elements=float64_edges | st.floats()),
+       layout=st.sampled_from(["C", "F", "strided"]), step=st.sampled_from([-2, -1, 2]))
+def test_all_finite_agrees_with_the_all_reduction(a, layout, step):
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "strided":
+        a = a[(slice(None, None, step),) * a.ndim]
+    assert bool(_all_finite(a)) is all_finite_reference(a)
 
 
 @relaxed
