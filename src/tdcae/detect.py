@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, IngestionError, NumericError, _all_finite
 from .model import HTdcAutoencoder
 from .nn import _as_matrix, _finite_output, _forward
-from .preprocess import DatasetFrame, read_table, write_table
+from .preprocess import DatasetFrame, _check_attack_free, read_table, write_table
 
 
 @dataclass
@@ -144,9 +144,11 @@ def fit_threshold(
     model: HTdcAutoencoder, train_frame: DatasetFrame, config: DetectionConfig
 ) -> float:
     """Percentile of the smoothed training reconstruction errors, linear
-    interpolation between order statistics."""
+    interpolation between order statistics. A frame whose labels mark an
+    hour as attacked raises ConfigError."""
     if train_frame.n_rows == 0:
         raise ConfigError("cannot fit a threshold on an empty frame")
+    _check_attack_free(train_frame)
     scores = reconstruction_error(model, train_frame)
     return threshold_from_scores(scores, config)
 

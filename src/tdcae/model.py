@@ -20,7 +20,7 @@ writing the gradients into one flat vector laid out like the shared
 encoder-then-decoder parameter vector. The outputs of all three tanh layers
 view one flat buffer, so one np.multiply and one np.subtract give every
 tanh' = 1 - post**2 that the backward kernel reads. `train` gathers the
-rows of 32 batches at a time with one np.take and gives each batch a
+rows of 32 batches at a time with one `values.take` and gives each batch a
 contiguous slice of them, runs this step, and makes one Adamax step per
 batch, which also checks the gradient. The finite-difference tests run the
 same step, so the gradient they check is the one training uses. `encode`
@@ -41,7 +41,7 @@ from .errors import ConfigError, DimensionError, NumericError, _all_finite
 from .nn import Activation, GradientSet, Mlp, forward, init_mlp
 from .nn import _backward, _forward, _share_params
 from .optim import _AdamaxState, _adamax_update
-from .preprocess import DatasetFrame, RobustScalerParams
+from .preprocess import DatasetFrame, RobustScalerParams, _check_attack_free
 
 MODEL_FORMAT = "tdcae-model-v1"
 
@@ -236,9 +236,10 @@ def central_difference(z_prev, z_next, delta_t: float) -> np.ndarray:
 
 
 def _mean_square(flat: np.ndarray) -> float:
-    """np.mean(flat**2) of a 1-D array as one dot product, a few times
-    faster at batch size."""
-    return float(np.dot(flat, flat)) / flat.size
+    """np.mean(flat**2) of a 1-D array as one BLAS dot product by the
+    ndarray method, a few times faster at batch size; the method skips the
+    dispatcher that the function np.dot calls first and gives its bits."""
+    return float(flat.dot(flat)) / flat.size
 
 
 class _LossStep:
@@ -354,7 +355,7 @@ class _LossStep:
 _TRIPLE_OFFSETS = np.array([[1], [0], [2]])
 
 
-# train gathers the rows of this many batches at a time, with one np.take,
+# train gathers the rows of this many batches at a time, with one take,
 # and hands each batch a contiguous slice of them. At b=32 and 8 features a
 # chunk is 3*32*32 rows, 196 KB. A whole epoch at once would hold three
 # copies of the training frame, which raised the peak memory of the
@@ -374,20 +375,21 @@ def _batch_rows(order: np.ndarray, b: int) -> np.ndarray:
 def train(
     config: TrainingConfig, train_frame: DatasetFrame
 ) -> tuple[HTdcAutoencoder, list[LossBreakdown]]:
-    """Fit the autoencoder on an attack-free, already-scaled frame.
+    """Fit the autoencoder on an attack-free, already-scaled frame; a frame
+    whose labels mark an hour as attacked raises ConfigError.
 
     Triples are shuffled each epoch with a generator derived from
     config.seed (the last partial batch is kept), so a fixed seed yields a
-    bit-identical model. Labels on the frame are ignored. The history
-    holds per-epoch mean losses, one entry per epoch. The rows of every
-    _CHUNK_BATCHES batches are gathered at once, and each batch reads a
-    contiguous slice of them. The encoder and decoder parameters share one
+    bit-identical model. The history holds per-epoch mean losses, one
+    entry per epoch. The rows of every _CHUNK_BATCHES batches are gathered
+    at once, and each batch reads a contiguous slice of them. The encoder and decoder parameters share one
     flat vector, which each batch updates in place with one Adamax step on
     the gradient of the fused loss step; that step also finds a non-finite
     gradient, which raises NumericError.
     """
     if train_frame.n_rows < 3:
         raise ConfigError(f"need >= 3 rows to build triples, got {train_frame.n_rows}")
+    _check_attack_free(train_frame)
     n = train_frame.n_rows - 2
     values = train_frame.values
     if not _all_finite(values):
@@ -414,9 +416,9 @@ def train(
         tdc_sum = 0.0
         for batch_index, start in enumerate(range(0, n, b)):
             if batch_index % _CHUNK_BATCHES == 0:
-                # np.take copies many rows several times faster than values[...].
+                # take copies many rows several times faster than values[...].
                 chunk_rows = rows[3 * start : 3 * (start + _CHUNK_BATCHES * b)]
-                chunk, chunk_start = np.take(values, chunk_rows, axis=0), start
+                chunk, chunk_start = values.take(chunk_rows, axis=0), start
             size = min(b, n - start)
             step = steps[size]
             offset = 3 * (start - chunk_start)

@@ -16,15 +16,18 @@ package's one finiteness test.
 of the caller's, which the training step fills for every tanh layer at
 once, and leaves the forward outputs as they are.
 
-The kernels call BLAS through `np.dot`, not `np.matmul`: on the 32x8
-matrices of a training batch the cost of a product is call overhead, and
-`np.dot` goes straight to `dgemm`/`dgemv`, skipping matmul's gufunc
-dispatch (about 0.5 to 1.3 us a call). Its `out` buffers must be
-C-contiguous float64 of the result's exact shape, which every kernel
-buffer is. On C- and Fortran-order inputs the results are bit-identical
-to the `np.matmul` form of the kernels that `tests/oracles.py` keeps; on
-views strided in memory the two can choose different BLAS calls and
-differ in the last bit.
+The kernels call BLAS through the ndarray method `a.dot(b, out=o)`, not
+`np.matmul` and not the function `np.dot`: on the 32x8 matrices of a
+training batch the cost of a product is call overhead. The method goes
+straight to `dgemm`/`dgemv`, skipping matmul's gufunc dispatch (about 0.5 to
+1.3 us a call) and the Python-level `__array_function__` dispatcher that the
+function `np.dot` calls first in numpy 2 (about 0.1 to 0.2 us a call). The
+method and the function run the same C routine, so they give the same bits.
+Its `out` buffers must be C-contiguous float64 of the result's exact shape,
+which every kernel buffer is. On C- and Fortran-order inputs the results
+are bit-identical to the `np.matmul` form of the kernels that
+`tests/oracles.py` keeps; on views strided in memory the two can choose
+different BLAS calls and differ in the last bit.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ def _forward(layers: list[tuple], x: np.ndarray, post: list) -> None:
     post-activation output for the finite float64 matrix x goes into the
     buffer post[k], or into a new array stored there if post[k] is None."""
     for k, (_, weights_t, bias, tanh) in enumerate(layers):
-        x = post[k] = np.dot(x, weights_t, out=post[k])
+        x = post[k] = x.dot(weights_t, out=post[k])
         x += bias
         if tanh:
             np.tanh(x, out=x)
@@ -202,11 +205,11 @@ def _backward(
             d = deriv[k]
             d *= g
             g = d
-        np.dot(g.T, post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
-        # bias gradients as dot(ones, g): a BLAS call, unlike sum(axis=0)
-        np.dot(ones, g, out=grads.bias_grads[k])
+        g.T.dot(post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
+        # bias gradients as ones.dot(g): a BLAS call, unlike sum(axis=0)
+        ones.dot(g, out=grads.bias_grads[k])
         if cotangents[k] is not None:
-            np.dot(g, weights, out=cotangents[k])
+            g.dot(weights, out=cotangents[k])
             g = cotangents[k]
 
 

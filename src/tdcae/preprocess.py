@@ -121,6 +121,24 @@ class DatasetFrame:
         return out
 
 
+def _check_attack_free(frame: DatasetFrame) -> None:
+    """Raise ConfigError when the frame's labels mark an hour as attacked
+    (a label of 1), naming the count of such hours and the first one's row
+    and stamp: a model or threshold fitted on attacked hours learns the
+    attacks as normal. A frame without labels passes, and so do BATADAL's
+    negative sentinels, which load_csv reads as 0."""
+    if frame.labels is None:
+        return
+    attacked = np.flatnonzero(frame.labels == 1)
+    if attacked.size:
+        first = int(attacked[0])
+        raise ConfigError(
+            f"training data has {attacked.size} of {frame.n_rows} hours labelled as "
+            f"attacked ({LABEL_COLUMN} = 1), the first at row {first} "
+            f"(stamp {frame.stamps[first]}); train on attack-free data"
+        )
+
+
 def _checked_values(values, names, unique: bool) -> np.ndarray:
     """values as a float64 matrix with one finite column per name; names
     must be unique when `unique` is set."""

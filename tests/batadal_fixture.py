@@ -2,9 +2,10 @@
 al. 2018): a DATETIME column of `dd/mm/yy HH` stamps, the 43 sensor columns
 of EDGE_FEATURES, and an ATT_FLAG column that marks unlabelled hours with
 the -999 sentinel. Header cells after the first carry a leading space, as
-in the published test file. Values are synthetic.
+in the published test file. Values are synthetic. With --attack-free no
+hour is labelled as attacked, so the file can be trained on.
 
-    python tests/batadal_fixture.py OUT.csv [ROWS] [SEED]
+    python tests/batadal_fixture.py OUT.csv [ROWS] [SEED] [--attack-free]
 """
 
 import sys
@@ -25,11 +26,11 @@ BATADAL_COLUMNS = (
 START = datetime(2014, 1, 6)
 
 
-def batadal_rows(rows: int = 48, seed: int = 0) -> list[list[str]]:
+def batadal_rows(rows: int = 48, seed: int = 0, attacks: bool = True) -> list[list[str]]:
     """The header and `rows` data rows as cells. Levels, flows and
     pressures are rounded uniform draws; each S_ status is 0 or 1 and its
-    flow is 0 while the status is 0. Rows in the middle tenth carry
-    ATT_FLAG 1, the others -999."""
+    flow is 0 while the status is 0. When attacks is true, rows in the
+    middle tenth carry ATT_FLAG 1; the others carry -999."""
     rng = np.random.default_rng(seed)
     columns = {}
     for name in BATADAL_COLUMNS:
@@ -43,7 +44,8 @@ def batadal_rows(rows: int = 48, seed: int = 0) -> list[list[str]]:
         if name.startswith("S_"):
             columns["F_" + name[2:]] = columns["F_" + name[2:]] * columns[name]
     flags = np.full(rows, -999)
-    flags[rows // 2 : rows // 2 + max(rows // 10, 1)] = 1
+    if attacks:
+        flags[rows // 2 : rows // 2 + max(rows // 10, 1)] = 1
     out = [["DATETIME", *(" " + n for n in BATADAL_COLUMNS), " ATT_FLAG"]]
     cells = [columns[n].tolist() for n in BATADAL_COLUMNS]
     for t in range(rows):
@@ -52,13 +54,15 @@ def batadal_rows(rows: int = 48, seed: int = 0) -> list[list[str]]:
     return out
 
 
-def write_batadal_csv(path, rows: int = 48, seed: int = 0) -> Path:
-    """Write batadal_rows(rows, seed) to path, one line per row."""
+def write_batadal_csv(path, rows: int = 48, seed: int = 0, attacks: bool = True) -> Path:
+    """Write batadal_rows(rows, seed, attacks) to path, one line per row."""
     path = Path(path)
-    path.write_text("".join(",".join(r) + "\n" for r in batadal_rows(rows, seed)),
+    path.write_text("".join(",".join(r) + "\n" for r in batadal_rows(rows, seed, attacks)),
                     encoding="utf-8")
     return path
 
 
 if __name__ == "__main__":
-    write_batadal_csv(sys.argv[1], *(int(a) for a in sys.argv[2:4]))
+    args = [a for a in sys.argv[1:] if a != "--attack-free"]
+    write_batadal_csv(args[0], *(int(a) for a in args[1:3]),
+                      attacks="--attack-free" not in sys.argv)

@@ -16,11 +16,15 @@ formatted one point at a time. `init_params_reference` is init_mlp's
 draw into per-layer arrays that are then concatenated. `forward_matmul`
 and `backward_matmul` are nn's `_forward` and `_backward` kernels with
 their products by `np.matmul`: on C- and Fortran-order inputs, the bits
-the np.dot kernels must reproduce. `backward_post`, `loss_step_post`,
-`adamax_with_temporaries` and `train_unchunked` are the backward kernel,
-the fused step, the Adamax step and the training loop as they were before
-the tanh' buffers, the work-buffer Adamax step and the chunked gathers:
-the bits those must reproduce. `all_finite_reference` and
+the dot kernels must reproduce. `forward_np_dot`, `backward_np_dot` and
+`mean_square_np_dot` are the two kernels and model._mean_square with their
+products by the function np.dot, as they were before they called the
+ndarray method `.dot`: the bits the method must reproduce on every layout.
+`backward_post`, `loss_step_post`, `adamax_with_temporaries` and
+`train_unchunked` are the backward kernel, the fused step, the Adamax step
+and the training loop as they were before the tanh' buffers, the
+work-buffer Adamax step and the chunked gathers: the bits those must
+reproduce. `all_finite_reference` and
 `uniform_steps_reference` are the finiteness and time-spacing checks as
 they were written before `errors._all_finite` and the counted spacing
 check: the verdicts those must reproduce.
@@ -135,6 +139,35 @@ def backward_matmul(layers, x, post, deriv, g, grads, ones, cotangents) -> None:
         if cotangents[k] is not None:
             np.matmul(g, weights, out=cotangents[k])
             g = cotangents[k]
+
+
+def forward_np_dot(layers, x, post) -> None:
+    """nn._forward with its product by the function np.dot."""
+    for k, (_, weights_t, bias, tanh) in enumerate(layers):
+        x = post[k] = np.dot(x, weights_t, out=post[k])
+        x += bias
+        if tanh:
+            np.tanh(x, out=x)
+
+
+def backward_np_dot(layers, x, post, deriv, g, grads, ones, cotangents) -> None:
+    """nn._backward with its three products by the function np.dot."""
+    for k in range(len(layers) - 1, -1, -1):
+        weights, _, _, tanh = layers[k]
+        if tanh:
+            d = deriv[k]
+            d *= g
+            g = d
+        np.dot(g.T, post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
+        np.dot(ones, g, out=grads.bias_grads[k])
+        if cotangents[k] is not None:
+            np.dot(g, weights, out=cotangents[k])
+            g = cotangents[k]
+
+
+def mean_square_np_dot(flat) -> float:
+    """model._mean_square with its product by the function np.dot."""
+    return float(np.dot(flat, flat)) / flat.size
 
 
 def backward_post(layers, x, post, g, grads, ones, cotangents) -> None:

@@ -195,6 +195,17 @@ class TestThreshold:
         with pytest.raises(ConfigError):
             threshold_from_scores(np.array([]), DetectionConfig())
 
+    def test_fit_threshold_refuses_a_frame_labelled_as_attacked(self):
+        # A threshold fitted on attacked hours sits above their scores.
+        model = constant_output_model(0.0)
+        values = np.arange(20.0)[:, None]
+        labels = np.zeros(20, dtype=int)
+        assert fit_threshold(model, frame_of(values, labels), DetectionConfig()) > 0
+        labels[12:] = 1
+        with pytest.raises(ConfigError, match=r"8 of 20 hours labelled as attacked .* "
+                                              r"the first at row 12 \(stamp 12\)"):
+            fit_threshold(model, frame_of(values, labels), DetectionConfig())
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             DetectionConfig(window=0)

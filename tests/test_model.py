@@ -500,11 +500,13 @@ class TestTraining:
                 train(config, frame)
 
     def test_labels_do_not_influence_training(self):
+        # Attack-free labels: an all-zero label vector trains the model of
+        # a frame without one.
         frame = small_training_frame(6)
         labeled = DatasetFrame(
             frame.feature_names,
             frame.values,
-            labels=np.ones(frame.n_rows, dtype=int),
+            labels=np.zeros(frame.n_rows, dtype=int),
         )
         config = TrainingConfig(hidden_size=8, epochs=2, seed=9)
         model_a, _ = train(config, frame)
@@ -512,6 +514,20 @@ class TestTraining:
         for la, lb in zip(model_a.encoder.layers, model_b.encoder.layers):
             assert np.array_equal(la.weights, lb.weights)
 
+
+    @pytest.mark.parametrize("datetimes, stamp", [(False, "7"), (True, "01/01/16 07")])
+    def test_training_frame_labelled_as_attacked_is_refused(self, datetimes, stamp):
+        # A model trained on attacked hours learns the attacks as normal.
+        frame = small_training_frame(6)
+        labels = np.zeros(frame.n_rows, dtype=int)
+        labels[[7, 8, 100]] = 1
+        stamps = [f"{1 + t // 24:02d}/01/16 {t % 24:02d}" for t in range(frame.n_rows)]
+        attacked = DatasetFrame(frame.feature_names, frame.values, labels,
+                                datetimes=stamps if datetimes else None)
+        with pytest.raises(ConfigError, match=rf"3 of 240 hours labelled as attacked "
+                                              rf"\(ATT_FLAG = 1\), the first at row 7 "
+                                              rf"\(stamp {stamp}\)"):
+            train(TrainingConfig(hidden_size=8, epochs=1, seed=9), attacked)
 
 class TestDefaultsAndPersistence:
     def test_edge_defaults_match_recipe(self):

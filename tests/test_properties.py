@@ -21,9 +21,12 @@ from oracles import (
     adamax_with_temporaries,
     all_finite_reference,
     backward_matmul,
+    backward_np_dot,
     backward_post,
     forward_matmul,
+    forward_np_dot,
     init_params_reference,
+    mean_square_np_dot,
     polyline_reference,
     reference_load_csv,
     simulate_reference,
@@ -37,7 +40,8 @@ from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
 from tdcae.errors import ConfigError, NumericError, TdcaeError, _all_finite
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
-from tdcae.model import LatentPartition, TrainingConfig, _settings, load_model, save_model, train
+from tdcae.model import (LatentPartition, TrainingConfig, _mean_square, _settings, load_model,
+                         save_model, train)
 from tdcae.nn import Activation, GradientSet, _backward, _forward, init_mlp
 from tdcae.optim import _AdamaxState, _adamax_update
 from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler, load_csv, save_csv, write_table
@@ -758,6 +762,41 @@ def test_dot_kernels_give_the_bits_of_the_matmul_kernels(data, rows, sizes, x_or
     want = [a.tobytes() for a in got]
     assert [a.tobytes() for a in run_kernels(forward_matmul, backward_matmul, mlp, x, g)] == want
     assert [a.tobytes() for a in run_kernels(_forward, backward_post, mlp, x, g)] == want
+
+
+def laid_out(rng, shape, layout: str) -> np.ndarray:
+    """Standard-normal draws of the given shape in C or Fortran order, or
+    as a view that takes every other row or every other column of a larger
+    C-order array, so strided in memory."""
+    rows, cols = shape
+    if layout == "rows":
+        return rng.normal(size=(2 * rows, cols))[::2]
+    if layout == "cols":
+        return rng.normal(size=(rows, 2 * cols))[:, ::2]
+    return np.asarray(rng.normal(size=shape), order=layout)
+
+
+@relaxed
+@given(data=st.data(), rows=st.integers(1, 100),
+       sizes=st.lists(st.integers(1, 20), min_size=2, max_size=4),
+       x_layout=st.sampled_from(["C", "F", "rows", "cols"]),
+       g_layout=st.sampled_from(["C", "F", "rows", "cols"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dot_methods_give_the_bits_of_the_np_dot_kernels(data, rows, sizes, x_layout, g_layout,
+                                                         seed):
+    # The ndarray method and the function np.dot run the same C routine,
+    # so they agree on every layout, strided views included: outputs,
+    # gradients, cotangents and the mean square of the loss.
+    acts = data.draw(st.lists(st.sampled_from(list(Activation)),
+                              min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    mlp = init_mlp(sizes, acts, seed)
+    rng = np.random.default_rng(seed)
+    x = laid_out(rng, (rows, sizes[0]), x_layout)
+    g = laid_out(rng, (rows, sizes[-1]), g_layout)
+    got = [a.tobytes() for a in run_kernels(_forward, _backward, mlp, x, g)]
+    assert [a.tobytes() for a in run_kernels(forward_np_dot, backward_np_dot, mlp, x, g)] == got
+    flat = x.ravel() if x_layout == "C" else x[:, 0]
+    assert _mean_square(flat) == mean_square_np_dot(flat)
 
 
 @relaxed
