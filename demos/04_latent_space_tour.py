@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tdcae import apply_scaler, central_difference, encode, load_csv, load_model
+from tdcae import apply_scaler, central_difference, forward, load_csv, load_model
 from tdcae.detect import smooth
 from tdcae.metrics import intervals_from_labels
 from tdcae.svgplot import line_plot
@@ -21,7 +21,9 @@ model, scaler, config = load_model(OUT / "model.json")
 test_frame = load_csv(OUT / "test.csv")
 scaled = apply_scaler(scaler, test_frame)
 
-z, zdot, s = encode(model, scaled.values)
+latent = forward(model.encoder, scaled.values)
+p = model.partition
+z, zdot, s = latent[:, p.z_slice], latent[:, p.zdot_slice], latent[:, p.s_slice]
 print(f"latent layout: {z.shape[1]} static + {zdot.shape[1]} derivative + {s.shape[1]} statistical")
 
 """

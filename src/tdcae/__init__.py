@@ -43,7 +43,6 @@ from .model import (
     build_model,
     central_difference,
     edge_training_config,
-    encode,
     load_model,
     save_model,
     train,

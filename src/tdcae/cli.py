@@ -22,6 +22,7 @@ from . import preprocess as pre
 from . import synth as synth_mod
 from .detect import (
     DetectionConfig,
+    _latent,
     detect as run_detection,
     fit_threshold,
     load_detection_flags,
@@ -32,7 +33,6 @@ from .detect import (
 )
 from .errors import ConfigError, NumericError, TdcaeError
 from .model import _settings, read_json
-from .nn import forward
 from .svgplot import _render, line_plot
 
 TRAIN_SCORES_HEADER = ("timestamp", "raw")
@@ -276,7 +276,7 @@ def cmd_report(args) -> dict:
         raise ConfigError(f"need >= 3 rows to plot, got --plot-rows {args.plot_rows} "
                           f"on {scaled.n_rows} data rows")
 
-    latent = forward(trained.encoder, scaled.values)
+    latent = _latent(trained, scaled.values)
     p = trained.partition
     z, zdot = latent[:, p.z_slice], latent[:, p.zdot_slice]
     names = (
@@ -428,12 +428,10 @@ def main(argv=None) -> int:
             encoding="utf-8",
         )
         return 0
-    except TdcaeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, MemoryError) as exc:
-        # A path the system refuses, or a size too large to allocate;
-        # numpy's MemoryError names the size and the shape.
+    except (TdcaeError, OSError, MemoryError) as exc:
+        # Besides the package's own errors: a path the system refuses, or a
+        # size too large to allocate; numpy's MemoryError names the size
+        # and the shape.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

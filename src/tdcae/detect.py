@@ -1,7 +1,8 @@
 """Reconstruction-error scoring, moving-average smoothing, percentile
-thresholding and binary anomaly flagging. This is the one module that runs
-a trained model on data, through `_reconstruct`. The latent and the errors
-are tested by `errors._all_finite`, the package's one finiteness test."""
+thresholding and binary anomaly flagging. The one module that runs a
+trained model on data: `_latent`, the encoder pass that `report` also
+reads, and `_reconstruct`, the decoder pass over it. The latent and the
+errors are tested by `errors._all_finite`, the package's one finiteness test."""
 
 from __future__ import annotations
 
@@ -49,14 +50,12 @@ class DetectionResult:
             raise DimensionError("score and flag sequences must share one length")
 
 
-def _reconstruct(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
-    """The model's reconstruction of x, a finite float64 matrix of its
-    width such as a frame's values; the caller checks the output. The
-    latent is checked, as a saturating decoder can map an infinite one to a
-    finite output, and named as forward would, the input first: a frame
-    checks its values when built, not after an in-place change. A function
-    of its own, so the encoder's activations are freed before the caller
-    forms the residual: inlined, `cli` peak memory rose by 5%."""
+def _latent(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
+    """The encoder's output for x, a finite float64 matrix of the model's
+    width such as a frame's values. It is checked, as a saturating decoder
+    can map an infinite latent to a finite output, and named as forward
+    would, the input first: a frame checks its values when built, not after
+    an in-place change."""
     if x.shape[0] < 1:
         raise DimensionError("batch must contain at least one row")
     post = [None] * len(model.encoder.layers)
@@ -65,8 +64,15 @@ def _reconstruct(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
     if not _all_finite(latent):
         _as_matrix(x, "input")
         _finite_output(latent)
+    return latent
+
+
+def _reconstruct(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
+    """The decoder's output for `_latent(model, x)`; the caller checks it.
+    Kept apart so the encoder's activations are freed before the residual
+    is formed: inlined, `cli` peak memory rose by 5%."""
     post = [None] * len(model.decoder.layers)
-    _forward(model.decoder._kernel, latent, post)
+    _forward(model.decoder._kernel, _latent(model, x), post)
     return post[-1]
 
 

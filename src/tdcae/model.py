@@ -23,9 +23,8 @@ tanh' = 1 - post**2 that the backward kernel reads. `train` gathers the
 rows of 32 batches at a time with one `values.take` and gives each batch a
 contiguous slice of them, runs this step, and makes one Adamax step per
 batch, which also checks the gradient. The finite-difference tests run the
-same step, so the gradient they check is the one training uses. `encode`
-runs the checked public `forward`; scoring a trained model is
-tdcae.detect's.
+same step, so the gradient they check is the one training uses. Running a
+trained model on data is tdcae.detect's.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, _all_finite
-from .nn import Activation, GradientSet, Mlp, forward, init_mlp
+from .nn import Activation, GradientSet, Mlp, init_mlp
 from .nn import _backward, _forward, _share_params
 from .optim import _AdamaxState, _adamax_update
 from .preprocess import DatasetFrame, RobustScalerParams, _check_attack_free
@@ -215,13 +214,6 @@ def build_model(n_features: int, config: TrainingConfig) -> HTdcAutoencoder:
     networks = _architecture(n_features, config)
     return HTdcAutoencoder(init_mlp(**networks["encoder"], seed=enc_seed),
                            init_mlp(**networks["decoder"], seed=dec_seed), config.partition)
-
-
-def encode(model: HTdcAutoencoder, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encoder output split into (z, zdot, s) column views."""
-    h = forward(model.encoder, x)
-    p = model.partition
-    return h[:, p.z_slice], h[:, p.zdot_slice], h[:, p.s_slice]
 
 
 def central_difference(z_prev, z_next, delta_t: float) -> np.ndarray:

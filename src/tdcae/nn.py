@@ -8,10 +8,11 @@ it, and a GradientSet views a flat gradient vector laid out the same way.
 An optimizer step is then a few elementwise operations on flat vectors.
 The layer arithmetic lives in two unchecked kernels that write into
 caller-provided buffers: `_forward`, which the checked public `forward`
-wraps and the training step in `tdcae.model` and the scoring pass in
-`tdcae.detect` run, and `_backward`, which only the training step calls.
-`forward` tests its input and output with `errors._all_finite`, the
-package's one finiteness test.
+wraps and the training step in `tdcae.model` and the encoder and decoder
+passes in `tdcae.detect` run, and `_backward`, which only the training
+step calls. `forward` tests its input and output with
+`errors._all_finite`, the package's one finiteness test; it is the checked
+array API and the tests' reference, and no module in the package calls it.
 `_backward` reads each tanh layer's derivative 1 - post**2 from a buffer
 of the caller's, which the training step fills for every tanh layer at
 once, and leaves the forward outputs as they are.

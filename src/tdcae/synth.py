@@ -165,17 +165,20 @@ def _validate_attacks(config: TankSystemConfig, attacks) -> list[AttackScenario]
 def default_attacks(horizon: int = 4000) -> list[AttackScenario]:
     """Four mixed attacks spread over the horizon: a low spoof driving an
     overflow, a frozen level sensor, a forced pump outage, and a high
-    spoof starving the tank."""
+    spoof starving the tank. Short horizons shorten the attacks: each ends
+    with at least one unlabelled hour before the next starts, so the labels
+    keep the four apart, and the last ends by the end of the horizon."""
+    starts = [int(horizon * frac) for frac in (0.20, 0.42, 0.62, 0.84)]
+    ends = [start - 2 for start in starts[1:]] + [horizon - 1]
 
-    def at(frac: float, length: int) -> AttackInterval:
-        start = int(horizon * frac)
-        return AttackInterval(start, min(start + length - 1, horizon - 1))
+    def at(k: int, length: int) -> AttackInterval:
+        return AttackInterval(starts[k], min(starts[k] + length - 1, ends[k]))
 
     return [
-        AttackScenario(AttackKind.LEVEL_SPOOF_OFFSET, 0, at(0.20, 60), -4.0),
-        AttackScenario(AttackKind.SENSOR_FREEZE, 1, at(0.42, 70)),
-        AttackScenario(AttackKind.PUMP_FORCE_OFF, 1, at(0.62, 70)),
-        AttackScenario(AttackKind.LEVEL_SPOOF_OFFSET, 1, at(0.84, 80), 2.8),
+        AttackScenario(AttackKind.LEVEL_SPOOF_OFFSET, 0, at(0, 60), -4.0),
+        AttackScenario(AttackKind.SENSOR_FREEZE, 1, at(1, 70)),
+        AttackScenario(AttackKind.PUMP_FORCE_OFF, 1, at(2, 70)),
+        AttackScenario(AttackKind.LEVEL_SPOOF_OFFSET, 1, at(3, 80), 2.8),
     ]
 
 
@@ -289,7 +292,6 @@ def _run_hours(config: TankSystemConfig, demand_table, offset, forced_off):
         # Pump i+1 draws from tank i; nothing draws from the last tank.
         # Outflows shrink if a tank would run dry.
         realized_in = pump_flow * pump[0]
-        spilled = False
         for i in tanks:
             want_draw = pump_flow * pump[i + 1] if i + 1 < n else 0.0
             realized_demand = demand[k + i]
@@ -302,21 +304,16 @@ def _run_hours(config: TankSystemConfig, demand_table, offset, forced_off):
                 clamped = True
             realized_out = realized_demand + want_draw
             new[i] = level[i] + (realized_in - realized_out) / area[i]
-            spilled = spilled or new[i] > height[i]
+            if new[i] > height[i]:
+                # Overflow drains over the rim and counts as outflow.
+                spill = spills[k // n, i] = (new[i] - height[i]) * area[i]
+                new[i] = height[i]
+                realized_out += spill
+                clamped = True
             in_out[k + i] = realized_in
             out_out[k + i] = realized_out
             demand_out[k + i] = realized_demand
             realized_in = want_draw
-
-        if spilled:
-            # Overflow drains over the rim and counts as outflow.
-            for i in tanks:
-                spill = 0.0
-                if new[i] > height[i]:
-                    spill = spills[k // n, i] = (new[i] - height[i]) * area[i]
-                    new[i] = height[i]
-                out_out[k + i] += spill
-            clamped = True
         level, new = new, level
     levels[T] = level
     return levels, pumps, inflows, outflows, demands, spills, clamped

@@ -17,7 +17,6 @@ from tdcae.model import (
     build_model,
     central_difference,
     edge_training_config,
-    encode,
     load_model,
     save_model,
     train,
@@ -40,28 +39,8 @@ def random_triple(rng, rows: int, features: int):
 
 
 class TestPartitionAndEncode:
-    def test_edge1_partition_shapes(self, rng):
-        model = edge1_model()
-        assert model.partition.width == 7
-        z, zdot, s = encode(model, rng.normal(size=(5, 9)))
-        assert z.shape == (5, 3)
-        assert zdot.shape == (5, 3)
-        assert s.shape == (5, 1)
-
-    def test_zero_weight_encoder_gives_zero_latent(self):
-        config = edge_training_config(1)
-        model = build_model(9, config)
-        for layer in model.encoder.layers:
-            layer.weights[:] = 0.0
-        z, zdot, s = encode(model, np.ones((2, 9)))
-        assert np.all(z == 0) and np.all(zdot == 0) and np.all(s == 0)
-
-    def test_slices_concatenate_to_raw_output(self, rng):
-        model = edge1_model(3)
-        x = rng.normal(size=(4, 9))
-        z, zdot, s = encode(model, x)
-        raw = forward(model.encoder, x)
-        assert np.array_equal(np.hstack([z, zdot, s]), raw)
+    def test_edge1_partition_shapes(self):
+        assert edge1_model().partition.width == 7
 
     def test_partition_layout_indices(self):
         p = LatentPartition(3, 2)
@@ -139,9 +118,10 @@ class TestTdcLoss:
     def test_matches_brute_force(self, rng):
         model = edge1_model(4)
         x_prev, x_t, x_next = random_triple(rng, 8, 9)
-        z_prev, _, _ = encode(model, x_prev)
-        _, zdot, _ = encode(model, x_t)
-        z_next, _, _ = encode(model, x_next)
+        p = model.partition
+        z_prev = forward(model.encoder, x_prev)[:, p.z_slice]
+        zdot = forward(model.encoder, x_t)[:, p.zdot_slice]
+        z_next = forward(model.encoder, x_next)[:, p.z_slice]
         brute = sum(
             ((z_next[i, j] - z_prev[i, j]) / 2.0 - zdot[i, j]) ** 2
             for i in range(8) for j in range(3)
@@ -180,9 +160,10 @@ class TestTotalLoss:
         model = build_model(5, TrainingConfig(hidden_size=6, partition=partition, seed=6))
         x_prev, x_t, x_next = random_triple(rng, 7, 5)
         delta_t = 0.5
-        z_prev, _, _ = encode(model, x_prev)
-        _, zdot_t, _ = encode(model, x_t)
-        z_next, _, _ = encode(model, x_next)
+        p = model.partition
+        z_prev = forward(model.encoder, x_prev)[:, p.z_slice]
+        zdot_t = forward(model.encoder, x_t)[:, p.zdot_slice]
+        z_next = forward(model.encoder, x_next)[:, p.z_slice]
         xhat_t = forward(model.decoder, forward(model.encoder, x_t))
         want_rec = np.mean((xhat_t - x_t) ** 2)
         want_tdc = tdc_loss(central_difference(z_prev, z_next, delta_t), zdot_t)

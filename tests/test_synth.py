@@ -5,7 +5,7 @@ import pytest
 
 from oracles import simulate_reference
 from tdcae.errors import ConfigError
-from tdcae.metrics import AttackInterval
+from tdcae.metrics import AttackInterval, intervals_from_labels
 from tdcae.preprocess import load_csv, save_csv
 from tdcae.synth import (
     AttackKind,
@@ -133,6 +133,13 @@ class TestAttacks:
         for a in attacks:
             expected[a.interval.start : a.interval.end + 1] = 1
         assert np.array_equal(frame.labels, expected)
+
+    def test_default_attacks_stay_four_at_short_horizons(self):
+        # S_TTD scores each attack, so touching intervals must not merge.
+        for horizon in range(100, 401):
+            attacks = default_attacks(horizon)
+            frame = simulate(TankSystemConfig(horizon=horizon, seed=9), attacks)
+            assert intervals_from_labels(frame.labels) == [a.interval for a in attacks], horizon
 
     def test_attack_validation(self):
         config = TankSystemConfig(horizon=200, seed=0)
