@@ -7,6 +7,7 @@ from oracles import (
     adamax_stepper, backward_matmul, backward_reference, fd_gradient_mlp, forward_matmul,
     make_triples, rel_error, tdc_loss, total_loss, total_loss_grads, train_unchunked,
 )
+from tdcae.detect import _latent
 from tdcae.errors import ConfigError, DimensionError, NumericError
 from tdcae.model import (
     HTdcAutoencoder,
@@ -41,6 +42,25 @@ def random_triple(rng, rows: int, features: int):
 class TestPartitionAndEncode:
     def test_edge1_partition_shapes(self):
         assert edge1_model().partition.width == 7
+
+    def test_zero_weight_encoder_gives_zero_latent(self):
+        # Biases start at zero, so the latent report reads is zero in every slice.
+        model = build_model(9, edge_training_config(1))
+        for layer in model.encoder.layers:
+            layer.weights[:] = 0.0
+        latent = _latent(model, np.ones((2, 9)))
+        p = model.partition
+        assert latent.shape == (2, p.width)
+        for part in (p.z_slice, p.zdot_slice, p.s_slice):
+            assert np.all(latent[:, part] == 0)
+
+    def test_slices_concatenate_to_raw_output(self, rng):
+        model = edge1_model(3)
+        raw = forward(model.encoder, rng.normal(size=(4, 9)))
+        p = model.partition
+        parts = [raw[:, p.z_slice], raw[:, p.zdot_slice], raw[:, p.s_slice]]
+        assert [part.shape[1] for part in parts] == [3, 3, 1]
+        assert np.array_equal(np.hstack(parts), raw)
 
     def test_partition_layout_indices(self):
         p = LatentPartition(3, 2)
