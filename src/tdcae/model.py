@@ -170,11 +170,11 @@ _EDGE_CONFIGS = {
 }
 
 
-def edge_training_config(edge_id: int, seed: int = 0, epochs: int = 40) -> TrainingConfig:
-    """Default training configuration for one edge area."""
+def edge_training_config(edge_id: int) -> TrainingConfig:
+    """Default training configuration for one edge area, as a new object."""
     if edge_id not in _EDGE_CONFIGS:
         raise ConfigError(f"unknown edge id {edge_id}; expected 1, 2 or 3")
-    return replace(_EDGE_CONFIGS[edge_id], seed=seed, epochs=epochs)
+    return replace(_EDGE_CONFIGS[edge_id])
 
 
 @dataclass
@@ -552,10 +552,10 @@ def _scaler_from_doc(doc: dict) -> RobustScalerParams:
 
 
 def read_json(path):
-    """The parsed JSON document in a file; invalid JSON or text that is not
-    UTF-8 raises ConfigError."""
+    """The parsed JSON document in a UTF-8 file, BOM or not; invalid JSON
+    or text that is not UTF-8 raises ConfigError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 

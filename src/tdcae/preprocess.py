@@ -323,7 +323,7 @@ def read_numeric_table(path, layout, header=()) -> tuple[list[str], np.ndarray, 
 def _read_csv_reference(path: Path, layout, header):
     """read_numeric_table's reference reader, in one pass: the header by
     csv.reader, the rows by read_table and each cell by _parse_cell."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         names = next(csv.reader(fh), None)
     if names is None:
         raise IngestionError("empty file")
@@ -382,7 +382,7 @@ def _read_numbers(path: Path, layout, prefix):
         return 0.0
 
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader([fh.readline()]))
             text_idx = layout(header)[1]
             # No numeric column (for one text column, csv.reader reads a
@@ -490,7 +490,7 @@ def read_table(path, header=()):
     cells meets the first bad row in file order. Errors are IngestionErrors
     relative to the file ("row 3: ...", "not UTF-8 text"): the caller names it."""
     try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             first = next(reader, [])
             if first[: len(header)] != list(header):

@@ -96,10 +96,10 @@ def _render(path, series, title="", threshold=None, shaded=None, y_label="",
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(i: float) -> float:
+    def sx(i):
         return _MARGIN_L + (i / max(n - 1, 1)) * plot_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _MARGIN_T + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
 
     out = [
@@ -169,11 +169,10 @@ def _render(path, series, title="", threshold=None, shaded=None, y_label="",
 
     for k, (name, y) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
-        # sx and sy over the whole series, as the same float64 operations,
-        # formatted by one % call with a "%.2f,%.2f" per point.
-        xs = _MARGIN_L + (np.arange(y.size) / max(n - 1, 1)) * plot_w
-        ys = _MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
-        pts = " ".join(["%.2f,%.2f"] * y.size) % tuple(np.column_stack((xs, ys)).ravel().tolist())
+        # sx and sy over the whole series, formatted by one % call with a
+        # "%.2f,%.2f" per point.
+        xy = np.column_stack((sx(np.arange(y.size)), sy(y)))
+        pts = " ".join(["%.2f,%.2f"] * y.size) % tuple(xy.ravel().tolist())
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

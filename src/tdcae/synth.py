@@ -69,11 +69,10 @@ class AttackScenario:
 
 @dataclass
 class TankSystemConfig:
-    """Two coupled tanks by default; every per-tank field must have
-    n_tanks entries. Levels in metres, areas in square metres, flows in
-    cubic metres per hour, horizon in hours."""
+    """Two coupled tanks by default: one per entry of each per-tank field.
+    Levels in metres, areas in square metres, flows in cubic metres per
+    hour, horizon in hours; float settings and entries must be finite."""
 
-    n_tanks: int = 2
     tank_area: tuple[float, ...] = (140.0, 110.0)
     pump_on_level: tuple[float, ...] = (3.0, 2.2)
     pump_off_level: tuple[float, ...] = (5.5, 4.8)
@@ -89,14 +88,23 @@ class TankSystemConfig:
     seed: int = 0
     initial_levels: tuple[float, ...] | None = None
 
+    @property
+    def n_tanks(self) -> int:
+        return len(self.tank_area)
+
     def __post_init__(self):
-        if self.n_tanks < 1:
-            raise ConfigError("n_tanks must be >= 1")
-        for name in ("tank_area", "pump_on_level", "pump_off_level", "tank_height"):
+        for name in ("tank_area", "pump_on_level", "pump_off_level", "tank_height", "initial_levels"):
+            if getattr(self, name) is None:
+                continue
             vals = tuple(float(v) for v in getattr(self, name))
+            setattr(self, name, vals)
             if len(vals) != self.n_tanks:
                 raise ConfigError(f"{name} needs one entry per tank")
-            setattr(self, name, vals)
+            if not vals:
+                raise ConfigError("a tank system needs at least one tank")
+            for i, v in enumerate(vals):
+                if not math.isfinite(v):
+                    raise ConfigError(f"{name}[{i}] must be finite, got {v}")
         for a in self.tank_area:
             if a <= 0:
                 raise ConfigError("tank areas must be > 0")
@@ -111,6 +119,9 @@ class TankSystemConfig:
                 )
             if height <= off:
                 raise ConfigError("tank_height must exceed pump_off_level")
+        for name in ("pump_flow", "demand_amplitude", "demand_period", "demand_noise_std", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pump_flow <= 0:
             raise ConfigError("pump_flow must be > 0")
         if self.demand_amplitude < 0:
@@ -125,14 +136,9 @@ class TankSystemConfig:
             raise ConfigError(f"horizon must be in [100, {MAX_HORIZON}], got {self.horizon}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.initial_levels is not None:
-            vals = tuple(float(v) for v in self.initial_levels)
-            if len(vals) != self.n_tanks:
-                raise ConfigError("initial_levels needs one entry per tank")
-            for lv, height in zip(vals, self.tank_height):
-                if not 0 <= lv <= height:
-                    raise ConfigError("initial levels must lie within the tank")
-            self.initial_levels = vals
+        for lv, height in zip(self.initial_levels or (), self.tank_height):
+            if not 0 <= lv <= height:
+                raise ConfigError("initial levels must lie within the tank")
 
     def feature_names(self) -> list[str]:
         names = [f"L_T{i + 1}" for i in range(self.n_tanks)]
@@ -197,12 +203,11 @@ class SimulationTrace:
 
 def _schedule(config: TankSystemConfig, attacks):
     """The attacks as per-hour arrays over the horizon: the spoof offset
-    added to each tank's level (0 where no spoof is active), where spoofs
-    and forced pump outages are active, the labels (1 in hours with any
-    attack active) and the frozen (tank, start, end) spans."""
+    added to each tank's level (0 where no spoof is active), where forced
+    pump outages are active, the labels (1 in hours with any attack
+    active) and the frozen (tank, start, end) spans."""
     T, n = config.horizon, config.n_tanks
     offset = np.zeros((T, n))
-    spoofed = np.zeros((T, n), dtype=bool)
     forced_off = np.zeros((T, n), dtype=bool)
     labels = np.zeros(T, dtype=np.int64)
     frozen = []
@@ -212,12 +217,11 @@ def _schedule(config: TankSystemConfig, attacks):
         labels[span] = 1
         if attack.kind is AttackKind.LEVEL_SPOOF_OFFSET:
             offset[span, i] = attack.magnitude
-            spoofed[span, i] = True
         elif attack.kind is AttackKind.PUMP_FORCE_OFF:
             forced_off[span, i] = True
         else:
             frozen.append((i, start, end))
-    return offset, spoofed, forced_off, labels, frozen
+    return offset, forced_off, labels, frozen
 
 
 def _flat(a: np.ndarray) -> memoryview:
@@ -330,7 +334,7 @@ def simulate_trace(
     noise_level = rng.normal(0.0, config.noise_std * _LEVEL_NOISE, (T, n))
     noise_flow = rng.normal(0.0, config.noise_std * _FLOW_NOISE, (T, n))
     noise_pressure = rng.normal(0.0, config.noise_std * _PRESSURE_NOISE, (T, n))
-    offset, spoofed, forced_off, labels, frozen = _schedule(config, attacks)
+    offset, forced_off, labels, frozen = _schedule(config, attacks)
     levels, pumps, inflows, outflows, demands, spills, clamped = _run_hours(
         config, _demand_table(config, rng), offset, forced_off
     )
@@ -338,10 +342,11 @@ def simulate_trace(
 
     # Reported sensor values: physics plus noise plus telemetry attacks,
     # written in place into the frame so that no (T, n) temporaries pile up.
+    # Outside a spoof the offset is +0.0, which moves no bit: noise is never -0.0.
     values = np.empty((T, 3 * n + n))
     reported_level = values[:, :n]
-    np.add(hidden, noise_level, out=reported_level)
-    reported_level[spoofed] = (hidden[spoofed] + offset[spoofed]) + noise_level[spoofed]
+    np.add(hidden, offset, out=reported_level)
+    reported_level += noise_level
     for i, start, end in frozen:
         reported_level[start : end + 1, i] = reported_level[start, i]
     np.add(inflows, noise_flow, out=values[:, n : 3 * n : 2])

@@ -3,6 +3,7 @@ PASS/FAIL line that survives pytest's output capture."""
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_criterion_2_score_arithmetic():
 def test_criterion_3_gradient_correctness():
     started = time.perf_counter()
     rng = np.random.default_rng(42)
-    config = edge_training_config(1, seed=7)
+    config = replace(edge_training_config(1), seed=7)
     model = build_model(9, config)
     x_prev = rng.normal(size=(3, 9))
     x_t = rng.normal(size=(3, 9))
@@ -195,7 +196,7 @@ def test_criterion_7_batadal_reproduction():
         scaler = fit_scaler(edge_train)
         scaled_train = apply_scaler(scaler, edge_train)
         scaled_test = apply_scaler(scaler, edge_test)
-        config = edge_training_config(edge_id, seed=0)
+        config = edge_training_config(edge_id)
         model, _ = train(config, scaled_train)
         detection_config = DetectionConfig(window=7, percentile=95.0)
         threshold = fit_threshold(model, scaled_train, detection_config)

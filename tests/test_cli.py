@@ -102,6 +102,14 @@ class TestSynthCommand:
             assert all(name in err for name in names), err
         assert not (tmp_path / "s").exists()
 
+    def test_settings_file_with_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "bom.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"tanks": {"horizon": 150}}).encode())
+        assert run("synth", "--out", tmp_path / "s", "--config", cfg, "--attacks", "none") == 0
+        assert load_csv(tmp_path / "s" / "data.csv").n_rows == 150
+        # The tank count is the length of the per-tank lists, not a setting.
+        assert "n_tanks" not in json.loads((tmp_path / "s" / "config.json").read_text())["tanks"]
+
     def test_attacks_from_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -864,7 +872,8 @@ class TestMalformedInput:
         ({"horizon": "abc"}, "tanks.horizon"),
         ({"horizon": 300.0}, "tanks.horizon"),
         ({"seed": "x"}, "tanks.seed"),
-        ({"n_tanks": True}, "tanks.n_tanks"),
+        ({"seed": True}, "tanks.seed"),
+        ({"n_tanks": 2}, "unknown settings: tanks.n_tanks"),
         ({"pump_flow": "fast"}, "tanks.pump_flow"),
         ({"noise_std": None}, "tanks.noise_std"),
         ({"demand_period": 1e999}, "tanks.demand_period"),
@@ -882,7 +891,7 @@ class TestMalformedInput:
     def test_tank_settings_of_every_type_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"tanks": {
-            "n_tanks": 1, "horizon": 150, "seed": 3, "pump_flow": 150,
+            "horizon": 150, "seed": 3, "pump_flow": 150,
             "noise_std": 0.01, "tank_area": [100], "pump_on_level": [2.0],
             "pump_off_level": [5.0], "tank_height": [7.0], "initial_levels": None,
         }}))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ class TestReconstructionError:
         assert scores.shape == (12,)  # every timestep scored, no trimming
 
     def test_bytes_match_two_public_forward_passes(self, rng):
-        model = build_model(9, edge_training_config(1, seed=5))
+        model = build_model(9, replace(edge_training_config(1), seed=5))
         x = rng.normal(size=(7, 9))
         residual = x - forward(model.decoder, forward(model.encoder, x))
         expected = (residual**2).mean(axis=1)

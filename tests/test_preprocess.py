@@ -293,6 +293,31 @@ class TestCsv:
         assert frame.values.tolist() == [[1.5, -0.002], [7.0, 10.0]]
         assert frame.labels.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("layout", ["batadal", "synth"])
+    def test_a_byte_order_mark_is_skipped_by_both_readers(self, tmp_path, monkeypatch, layout):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF; the BATADAL
+        # layout has DATETIME first, the synth layout a feature.
+        path = tmp_path / "d.csv"
+        if layout == "batadal":
+            write_batadal_csv(path, rows=60, seed=3)
+        else:
+            save_csv(simulate(TankSystemConfig(horizon=150, seed=3)), path)
+        expected = frame_bits(load_csv(path))
+        head, rest = path.read_bytes().split(b",", 1)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + head + b"," + rest)
+        # A quoted header cell sends the file to the reference reader.
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(b'\xef\xbb\xbf"' + head + b'",' + rest)
+        assert frame_bits(reference_load_csv(quoted)) == expected
+        assert frame_bits(load_csv(quoted)) == expected
+
+        def refuse(path):
+            raise AssertionError("the reference reader ran")
+
+        monkeypatch.setattr(preprocess, "_read_csv_reference", refuse)
+        assert frame_bits(load_csv(bom)) == expected
+
     def test_text_that_is_not_utf8_is_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,b\n1,\xff\n")

@@ -377,7 +377,6 @@ def tank_runs(draw):
     off = [a + b for a, b in zip(on, draw(per_tank(0.5, 3.0)))]
     height = [a + b for a, b in zip(off, draw(per_tank(0.1, 2.0)))]
     config = TankSystemConfig(
-        n_tanks=n,
         tank_area=draw(per_tank(20.0, 200.0)),
         pump_on_level=on,
         pump_off_level=off,

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from tdcae.synth import (
 def quiet_config(**overrides) -> TankSystemConfig:
     """One tank, no demand, no noise: nothing should ever move."""
     defaults = dict(
-        n_tanks=1,
         tank_area=(100.0,),
         pump_on_level=(2.0,),
         pump_off_level=(5.0,),
@@ -173,6 +174,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TankSystemConfig(pump_on_level=(0.0, 2.0))
 
+    def test_tank_count_is_the_length_of_the_per_tank_lists(self):
+        config = TankSystemConfig(**{k: list(v) for k, v in THREE_TANKS.items()}, horizon=150)
+        assert config.n_tanks == 3
+        assert config.tank_area == (140.0, 110.0, 90.0)
+        frame = simulate(config)
+        assert frame.values.shape == (150, 12)
+        assert frame.feature_names[:3] == ["L_T1", "L_T2", "L_T3"]
+
+    def test_tank_count_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            TankSystemConfig(n_tanks=2)
+        with pytest.raises(ConfigError, match="at least one tank"):
+            TankSystemConfig(tank_area=(), pump_on_level=(), pump_off_level=(), tank_height=())
+
+    def test_initial_levels_checked_with_the_other_per_tank_lists(self):
+        # Its length is checked in the per-tank loop, before the areas.
+        with pytest.raises(ConfigError, match="initial_levels needs one entry per tank"):
+            TankSystemConfig(tank_area=(-1.0, 110.0), initial_levels=(4.0,))
+        with pytest.raises(ConfigError, match="initial levels must lie within the tank"):
+            TankSystemConfig(initial_levels=(4.0, 7.0))
+        assert TankSystemConfig(initial_levels=[4, 3]).initial_levels == (4.0, 3.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "tank_area", "pump_on_level", "pump_off_level", "tank_height", "initial_levels",
+        "pump_flow", "demand_amplitude", "demand_period", "demand_noise_std", "noise_std",
+    ])
+    def test_non_finite_settings_named(self, field, bad):
+        per_tank = field in ("tank_area", "pump_on_level", "pump_off_level", "tank_height",
+                             "initial_levels")
+        value = (4.0, bad) if per_tank else bad
+        name = re.escape(f"{field}[1]" if per_tank else field)
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got {bad}$"):
+            TankSystemConfig(**{field: value})
+
 
 class TestSchema:
     def test_feature_names_and_shape(self):
@@ -206,14 +242,12 @@ def attack(kind, target, start, end, magnitude=0.0) -> AttackScenario:
 
 
 THREE_TANKS = dict(
-    n_tanks=3,
     tank_area=(140.0, 110.0, 90.0),
     pump_on_level=(3.0, 2.2, 2.0),
     pump_off_level=(5.5, 4.8, 4.0),
     tank_height=(7.5, 6.8, 6.0),
 )
 ONE_TANK = dict(
-    n_tanks=1,
     tank_area=(120.0,),
     pump_on_level=(2.5,),
     pump_off_level=(5.0,),
