@@ -167,6 +167,7 @@ def cmd_train(args) -> dict:
 
     scaler = pre.fit_scaler(frame)
     scaled = pre.apply_scaler(scaler, frame)
+    del frame  # train and score over one frame, not two
     trained, history = model_mod.train(config, scaled)
     scores = reconstruction_error(trained, scaled)
 
@@ -176,7 +177,7 @@ def cmd_train(args) -> dict:
     pre.write_table(out / "loss_history.csv", ["epoch", "rec_loss", "tdc_loss", "total"], zip(*rows))
     pre.write_table(out / "train_scores.csv", TRAIN_SCORES_HEADER, [scaled.stamps, scores])
     print(
-        f"trained {config.epochs} epochs on {frame.n_rows} rows; "
+        f"trained {config.epochs} epochs on {scaled.n_rows} rows; "
         f"final rec={history[-1].rec_loss:.6f} tdc={history[-1].tdc_loss:.6f}"
     )
     return {

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by all tdcae modules, and `_all_finite`, the
-one finiteness test that every checking module uses."""
+"""Exception hierarchy shared by all tdcae modules, `_all_finite`, the
+one finiteness test that every checking module uses, and `_check_seed`."""
+
+import operator
 
 import numpy as np
 
@@ -30,3 +32,17 @@ def _all_finite(a: np.ndarray) -> bool:
     `all` goes through numpy's Python-level reduction wrapper and costs
     about twice as much."""
     return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _check_seed(seed) -> int:
+    """seed as an int; a ConfigError if it is not an integer >= 0, such as
+    a float or a bool. numpy integers pass."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if value < 0:
+        raise ConfigError("seed must be >= 0")
+    return value

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, _all_finite
+from .errors import ConfigError, DimensionError, NumericError, _all_finite, _check_seed
 from .nn import Activation, GradientSet, Mlp, init_mlp
 from .nn import _backward, _forward, _share_params
 from .optim import _AdamaxState, _adamax_update
@@ -122,8 +122,7 @@ class TrainingConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        self.seed = _check_seed(self.seed)
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):

@@ -423,6 +423,11 @@ def save_csv(frame: DatasetFrame, path) -> None:
     write_table(path, [name for name, _ in named], [column for _, column in named])
 
 
+# Rows per write_table write: the per-call cost is spread thin, and a
+# block's floats and text stay small beside a long table's arrays.
+_BLOCK_ROWS = 1024
+
+
 def write_table(path, header, columns) -> None:
     """Write a UTF-8 CSV table (excel dialect, CRLF line ends): the header
     row, then one row per index of the columns, which must be equally long
@@ -433,34 +438,32 @@ def write_table(path, header, columns) -> None:
     entry: floats as their shortest round-tripping repr, integers as
     decimals, booleans as True/False. Every other cell (the header, text
     such as DATETIME stamps, the entries of any other column) is quoted
-    as the excel dialect quotes it, by _excel_cell. Each row is joined in
-    one str.join call and the rows are streamed to the file, so the table
-    is never held as one string."""
-    cells = [_column_cells(column) for column in columns]
-    lengths = {len(values) for values, _ in cells}
+    as the excel dialect quotes it, by _excel_cell. Rows are written in
+    blocks of _BLOCK_ROWS, one write call each, so beyond the columns the
+    memory used is bounded by a block."""
+    columns = [c if isinstance(c, (np.ndarray, list)) else list(c) for c in columns]
+    lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise DimensionError(f"columns of unequal length {sorted(lengths)}")
     head = ",".join(map(_excel_cell, header))
-    rows = map(",".join, zip(*(text for _, text in cells)))
     if len(header) == 1:
         head = _lone_cell(head)
-    if len(cells) == 1:
-        rows = map(_lone_cell, rows)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(head + "\r\n")
-        fh.writelines(map("{}\r\n".format, rows))
+        for start in range(0, lengths.pop() if lengths else 0, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = map(",".join, zip(*(_cells(column[block]) for column in columns)))
+            if len(columns) == 1:
+                rows = map(_lone_cell, rows)
+            fh.write("\r\n".join(rows) + "\r\n")
 
 
-def _column_cells(column):
-    """(entries, cells) of one write_table column: its entries as a list,
-    and an iterator over their cell texts."""
+def _cells(column):
+    """The cell texts of a block of one write_table column."""
     if not isinstance(column, np.ndarray):
-        values = list(column)
-    else:
-        values = column.tolist()
-        if column.ndim == 1 and column.dtype.kind in "biuf":
-            return values, map(repr, values)
-    return values, map(_excel_cell, values)
+        return map(_excel_cell, column)
+    numeric = column.ndim == 1 and column.dtype.kind in "biuf"
+    return map(repr if numeric else _excel_cell, column.tolist())
 
 
 # A cell holding any of these is quoted by csv.writer's excel dialect.

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_seed
 from .metrics import AttackInterval
 from .preprocess import DatasetFrame
 
@@ -134,8 +134,7 @@ class TankSystemConfig:
             raise ConfigError("noise_std must be >= 0")
         if not 100 <= self.horizon <= MAX_HORIZON:
             raise ConfigError(f"horizon must be in [100, {MAX_HORIZON}], got {self.horizon}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        self.seed = _check_seed(self.seed)
         for lv, height in zip(self.initial_levels or (), self.tank_height):
             if not 0 <= lv <= height:
                 raise ConfigError("initial levels must lie within the tank")

@@ -600,6 +600,16 @@ class TestDefaultsAndPersistence:
         with pytest.raises(ConfigError):
             TrainingConfig(seed=-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5, 2.0, True])
+    def test_seed_that_is_not_an_integer_named(self, bad):
+        with pytest.raises(ConfigError, match=f"^seed must be an integer, got {bad!r}$"):
+            TrainingConfig(seed=bad)
+
+    def test_numpy_integer_seed_is_kept_as_an_int(self):
+        config = TrainingConfig(seed=np.int64(3))
+        assert type(config.seed) is int
+        assert config == TrainingConfig(seed=3)
+
 
 NON_FINITE = [float("inf"), float("nan")]
 

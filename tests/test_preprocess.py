@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from batadal_fixture import BATADAL_COLUMNS, write_batadal_csv
-from oracles import reference_load_csv
+from oracles import reference_load_csv, write_table_reference
 from tdcae import preprocess
 from tdcae.errors import ConfigError, DimensionError, IngestionError, NumericError
 from tdcae.preprocess import (
@@ -442,6 +443,9 @@ class TestBatadalLayout:
         assert datetimes == expected
 
 
+BLOCK = preprocess._BLOCK_ROWS
+
+
 class TestTableCodec:
     def test_write_table_golden_bytes_read_back(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -460,6 +464,43 @@ class TestTableCodec:
             (4, ["0", 's"t', "1e-300"]),
         ]
         assert np.array([float(r[2]) for _, r in rows]).tobytes() == floats.tobytes()
+
+    @pytest.mark.parametrize("rows", [0, BLOCK, 2 * BLOCK + 3])
+    def test_blocks_of_rows_keep_the_bytes_of_csv_writer(self, tmp_path, rows):
+        # Around repr's switches to exponent notation at 1e16 and 1e-4.
+        floats = [-0.0, np.nan, np.inf, -np.inf, 1e16, 9999999999999998.0, 1e-4,
+                  9.999999999999999e-05, 0.1 + 0.2, 5e-324, -1.7976931348623157e308]
+        texts = ['"', ",", "\r", "\n", 'a"b,c\r\nd', "", "plain"]
+        int64 = np.iinfo(np.int64)
+        ints = np.resize(np.array([int64.min, -1, 0, int64.max]), rows)
+        epochs, losses = zip(*[(k, k / 3) for k in range(rows)]) if rows else ((), ())
+        columns = [np.resize(np.array(floats), rows), ints, np.arange(rows) % 3 == 0,
+                   [texts[k % len(texts)] for k in range(rows)], epochs, losses]
+        header = ["f", 'i"', "b,", "t", "epoch", "loss"]
+        write_table(tmp_path / "fast.csv", header, columns)
+        write_table_reference(tmp_path / "reference.csv", header, columns)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_a_lone_empty_cell_opening_a_block_is_quoted(self, tmp_path):
+        column = ["x"] * BLOCK + ["", "y", ""]
+        write_table(tmp_path / "fast.csv", [""], [column])
+        write_table_reference(tmp_path / "reference.csv", [""], [column])
+        data = (tmp_path / "fast.csv").read_bytes()
+        assert data == (tmp_path / "reference.csv").read_bytes()
+        assert data.endswith(b'x\r\n""\r\ny\r\n""\r\n')
+
+    def test_memory_is_bounded_by_a_block(self, tmp_path):
+        rows = 50_000
+        values = np.random.default_rng(0).standard_normal((rows, 8))
+        columns = [np.arange(rows, dtype=np.int64), *values.T]
+        table_bytes = sum(column.nbytes for column in columns)
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "t.csv", [f"c{k}" for k in range(9)], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes
 
     @pytest.mark.parametrize("columns", [
         [np.arange(3), np.zeros(2)],

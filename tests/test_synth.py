@@ -209,6 +209,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{name} must be finite, got {bad}$"):
             TankSystemConfig(**{field: value})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, 2.0, True])
+    def test_seed_that_is_not_an_integer_named(self, bad):
+        with pytest.raises(ConfigError, match=f"^seed must be an integer, got {bad!r}$"):
+            TankSystemConfig(seed=bad)
+
+    def test_numpy_integer_seed_is_kept_as_an_int(self):
+        config = TankSystemConfig(horizon=150, seed=np.int64(3))
+        assert type(config.seed) is int
+        assert simulate(config).values.tobytes() == simulate(
+            TankSystemConfig(horizon=150, seed=3)).values.tobytes()
+
 
 class TestSchema:
     def test_feature_names_and_shape(self):
