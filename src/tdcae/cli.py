@@ -80,20 +80,17 @@ def _attacks_from_doc(doc) -> list[synth_mod.AttackScenario]:
     """Attack scenarios from a JSON list, checked entry by entry."""
     if not isinstance(doc, list):
         raise ConfigError(f"attacks: expected a list, got {doc!r:.40}")
-    kinds = [k.value for k in synth_mod.AttackKind]
     defaults = {"kind": "", "target": 0, "start": 0, "end": 0, "magnitude": 0.0}
     out = []
     for k, entry in enumerate(doc):
         where = f"attacks[{k}]."
         fields = _settings(entry, defaults, where, required=("kind", "target", "start", "end"))
-        if fields["kind"] not in kinds:
-            raise ConfigError(f"{where}kind: expected one of {kinds}")
-        out.append(
-            synth_mod.AttackScenario(
-                synth_mod.AttackKind(fields["kind"]), fields["target"],
-                metrics_mod.AttackInterval(fields["start"], fields["end"]), fields["magnitude"],
-            )
-        )
+        try:
+            interval = metrics_mod.AttackInterval(fields["start"], fields["end"])
+            out.append(synth_mod.AttackScenario(fields["kind"], fields["target"], interval,
+                                                fields["magnitude"]))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{exc}") from None
     return out
 
 

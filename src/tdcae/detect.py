@@ -6,13 +6,12 @@ errors are tested by `errors._all_finite`, the package's one finiteness test."""
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IngestionError, NumericError, _all_finite
+from .errors import (ConfigError, DimensionError, IngestionError, NumericError, _all_finite,
+                     _check_int, _check_number)
 from .model import HTdcAutoencoder
 from .nn import _as_matrix, _finite_output, _forward
 from .preprocess import DatasetFrame, _check_attack_free, read_table, write_table
@@ -32,7 +31,8 @@ class DetectionConfig:
     percentile: float = 95.0
 
     def __post_init__(self):
-        self.window = _check_window(self.window)
+        self.window = _check_int(self.window, "window", 1)
+        self.percentile = _check_number(self.percentile, "percentile")
         if not 0.0 < self.percentile < 100.0:
             raise ConfigError("percentile must lie strictly between 0 and 100")
 
@@ -108,27 +108,17 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
     return errors
 
 
-def _check_window(window) -> int:
-    """The moving-average window as an int. A window that is not an
-    integer >= 1, such as a float or a bool, is a ConfigError; numpy
-    integers pass."""
-    try:
-        value = operator.index(window)
-    except TypeError:
-        value = 0
-    if isinstance(window, bool) or value < 1:
-        raise ConfigError("window must be an integer >= 1")
-    return value
-
-
 def smooth(scores, window: int) -> np.ndarray:
     """Trailing moving average: entry t is the mean of the min(window,
     t+1) most recent scores, so it never reads a later score, which would
     raise flags early and inflate S_TTD. Output length equals input
     length. Each window is summed left to right from +0.0, in
-    O(n * min(window, n)) work."""
-    window = _check_window(window)
+    O(n * min(window, n)) work. Scores that are not 1-D raise
+    DimensionError."""
+    window = _check_int(window, "window", 1)
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise DimensionError(f"scores must be 1-D, got shape {scores.shape}")
     n = len(scores)
     if n == 0 or window == 1:
         return scores.copy()
@@ -161,10 +151,12 @@ def fit_threshold(
 
 def threshold_from_scores(scores, config: DetectionConfig) -> float:
     """Threshold from precomputed raw training scores: the percentile of
-    their trailing moving average."""
+    their trailing moving average. The scores must be finite."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ConfigError("cannot fit a threshold on empty scores")
+    if not _all_finite(scores):
+        raise NumericError("training scores contain non-finite entries")
     return float(np.percentile(smooth(scores, config.window), config.percentile))
 
 
@@ -176,12 +168,11 @@ def detect(
 ) -> DetectionResult:
     """Flag timesteps whose smoothed reconstruction error strictly exceeds
     the threshold; scores equal to the threshold stay normal."""
-    if not math.isfinite(threshold):
-        raise ConfigError("threshold must be finite")
+    threshold = _check_number(threshold, "threshold")
     raw = reconstruction_error(model, frame)
     smoothed = smooth(raw, config.window)
     flags = smoothed > threshold
-    return DetectionResult(raw, smoothed, float(threshold), flags)
+    return DetectionResult(raw, smoothed, threshold, flags)
 
 
 DETECTION_HEADER = ("timestamp", "raw", "smoothed", "flag")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _check_binary, _check_int
 
 
 @dataclass
@@ -21,8 +21,8 @@ class ConfusionCounts:
     fn: int
 
     def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ConfigError("confusion counts must be >= 0")
+        for name in ("tp", "fp", "tn", "fn"):
+            setattr(self, name, _check_int(getattr(self, name), name, 0))
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class AttackInterval:
     end: int
 
     def __post_init__(self):
-        if self.start > self.end:
-            raise ConfigError(f"interval start {self.start} > end {self.end}")
+        object.__setattr__(self, "start", _check_int(self.start, "start", 0))
+        object.__setattr__(self, "end", _check_int(self.end, "end", self.start))
 
     @property
     def duration(self) -> int:
@@ -77,11 +77,6 @@ def fuse_edges(flags, rule: str = "or") -> np.ndarray:
     if rule == "or":
         return np.logical_or.reduce(stacked, axis=0)
     return stacked.sum(axis=0) * 2 > len(flag_arrays)
-
-
-def _check_binary(labels: np.ndarray) -> None:
-    if np.count_nonzero((labels == 0) | (labels == 1)) != labels.size:
-        raise ConfigError("labels must be binary")
 
 
 def confusion(flags, labels) -> ConfusionCounts:
@@ -149,7 +144,7 @@ def ttd_score(flags, intervals: list[AttackInterval]) -> float:
             raise ConfigError("attack intervals must not overlap")
     ratios = []
     for iv in ordered:
-        if iv.start < 0 or iv.end >= len(flags):
+        if iv.end >= len(flags):
             raise ConfigError(
                 f"interval [{iv.start}, {iv.end}] outside sequence of length {len(flags)}"
             )

@@ -6,10 +6,9 @@ term to the reconstruction loss: the derivative nodes at time t must match
 the central-difference estimate built from the static nodes at t-1 and
 t+1. This module owns the triple layout: triple k is frame rows
 (k, k+1, k+2), which `train` gathers through the row offsets
-`_TRIPLE_OFFSETS`. It also owns the check of the time step delta_t
-between rows, and model.json: its config and its scaler's feature count fix
-the architecture, and its `partition`, `layer_sizes` and `activations` are
-checked against what `build_model` gives for them.
+`_TRIPLE_OFFSETS`. It also owns model.json: its config and its scaler's
+feature count fix the architecture, and its `partition`, `layer_sizes` and
+`activations` are checked against what `build_model` gives for them.
 
 The loss and its exact gradient come from one fused step, `_LossStep`,
 built once per model and batch size with every buffer preallocated: it runs
@@ -36,22 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, _all_finite, _check_seed
+from .errors import (ConfigError, DimensionError, NumericError, _all_finite, _check_int,
+                     _check_number)
 from .nn import Activation, GradientSet, Mlp, init_mlp
 from .nn import _backward, _forward, _share_params
 from .optim import _AdamaxState, _adamax_update
 from .preprocess import DatasetFrame, RobustScalerParams, _check_attack_free
 
 MODEL_FORMAT = "tdcae-model-v1"
-
-
-def _check_delta_t(delta_t) -> float:
-    """The time step between consecutive rows as a float. It must be finite
-    and > 0: an infinite step would turn every central difference, and with
-    it the consistency gradient, into 0."""
-    if not (math.isfinite(delta_t) and delta_t > 0):
-        raise ConfigError(f"delta_t must be finite and > 0, got {delta_t}")
-    return float(delta_t)
 
 
 @dataclass(frozen=True)
@@ -65,8 +56,8 @@ class LatentPartition:
     n_stat: int
 
     def __post_init__(self):
-        if self.n_pairs < 0 or self.n_stat < 0:
-            raise ConfigError("partition counts must be >= 0")
+        object.__setattr__(self, "n_pairs", _check_int(self.n_pairs, "n_pairs", 0))
+        object.__setattr__(self, "n_stat", _check_int(self.n_stat, "n_stat", 0))
         if self.width < 1:
             raise ConfigError("latent space must contain at least one node")
 
@@ -120,18 +111,15 @@ class TrainingConfig:
     delta_t: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        self.seed = _check_seed(self.seed)
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.hidden_size < 1:
-            raise ConfigError("hidden_size must be >= 1")
-        _check_delta_t(self.delta_t)
+        self.learning_rate = _check_number(self.learning_rate, "learning_rate", 0.0, strict=True)
+        self.seed = _check_int(self.seed, "seed", 0)
+        self.batch_size = _check_int(self.batch_size, "batch_size", 1)
+        self.alpha = _check_number(self.alpha, "alpha", 0.0)
+        self.epochs = _check_int(self.epochs, "epochs", 1)
+        self.hidden_size = _check_int(self.hidden_size, "hidden_size", 1)
+        # An infinite delta_t would turn every central difference, and with
+        # it the consistency gradient, into 0.
+        self.delta_t = _check_number(self.delta_t, "delta_t", 0.0, strict=True)
 
     def to_dict(self) -> dict:
         return {
@@ -171,7 +159,7 @@ _EDGE_CONFIGS = {
 
 def edge_training_config(edge_id: int) -> TrainingConfig:
     """Default training configuration for one edge area, as a new object."""
-    if edge_id not in _EDGE_CONFIGS:
+    if _check_int(edge_id, "edge_id", 1) not in _EDGE_CONFIGS:
         raise ConfigError(f"unknown edge id {edge_id}; expected 1, 2 or 3")
     return replace(_EDGE_CONFIGS[edge_id])
 
@@ -207,8 +195,7 @@ def _architecture(n_features: int, config: TrainingConfig) -> dict:
 
 def build_model(n_features: int, config: TrainingConfig) -> HTdcAutoencoder:
     """Fresh model with the architecture of _architecture(n_features, config)."""
-    if n_features < 1:
-        raise ConfigError("n_features must be >= 1")
+    _check_int(n_features, "n_features", 1)
     enc_seed, dec_seed, _ = _seed_triple(config.seed)
     networks = _architecture(n_features, config)
     return HTdcAutoencoder(init_mlp(**networks["encoder"], seed=enc_seed),
@@ -218,7 +205,7 @@ def build_model(n_features: int, config: TrainingConfig) -> HTdcAutoencoder:
 def central_difference(z_prev, z_next, delta_t: float) -> np.ndarray:
     """(z_next - z_prev) / (2*delta_t), the second-order first-derivative
     estimate; exact for quadratic trajectories."""
-    delta_t = _check_delta_t(delta_t)
+    delta_t = _check_number(delta_t, "delta_t", 0.0, strict=True)
     z_prev = np.asarray(z_prev, dtype=np.float64)
     z_next = np.asarray(z_next, dtype=np.float64)
     if z_prev.shape != z_next.shape:
@@ -251,9 +238,8 @@ class _LossStep:
     """
 
     def __init__(self, model: HTdcAutoencoder, b: int, alpha: float, delta_t: float):
-        if not (math.isfinite(alpha) and alpha >= 0):
-            raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
-        _check_delta_t(delta_t)
+        alpha = _check_number(alpha, "alpha", 0.0)
+        delta_t = _check_number(delta_t, "delta_t", 0.0, strict=True)
         enc, dec, p = model.encoder, model.decoder, model.partition
         self.b, self.alpha = b, alpha
         self.enc, self.dec = enc._kernel, dec._kernel

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, _all_finite
+from .errors import ConfigError, DimensionError, NumericError, _all_finite, _check_int
 
 
 class Activation(str, Enum):
@@ -99,9 +99,8 @@ class Mlp:
             raise ConfigError(
                 f"expected {len(layer_sizes) - 1} activations, got {len(activations)}"
             )
-        if any(int(s) < 1 for s in layer_sizes):
-            raise ConfigError("every layer size must be >= 1")
-        self._shapes = [(int(o), int(i)) for i, o in zip(layer_sizes, layer_sizes[1:])]
+        sizes = [_check_int(s, "every layer size", 1) for s in layer_sizes]
+        self._shapes = [(o, i) for i, o in zip(sizes, sizes[1:])]
         self._activations = [Activation(a) for a in activations]
         self._bind(np.zeros(sum(o * i + o for o, i in self._shapes)))
 
@@ -162,7 +161,7 @@ def init_mlp(layer_sizes: list[int], activations: list[Activation], seed: int) -
     The same seed always yields bit-identical parameters.
     """
     mlp = Mlp(layer_sizes, activations)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     for layer in mlp.layers:
         limit = np.sqrt(6.0 / (layer.in_size + layer.out_size))
         layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IngestionError, NumericError, _all_finite
+from .errors import (ConfigError, DimensionError, IngestionError, NumericError, _all_finite,
+                     _check_binary)
 
 LABEL_COLUMN = "ATT_FLAG"
 DATETIME_COLUMN = "DATETIME"
@@ -47,7 +48,7 @@ class DatasetFrame:
     """A time-indexed matrix of sensor features with optional attack labels.
 
     values has shape (T, F); timestamps are integer hour indices, strictly
-    increasing with uniform spacing; labels (if present) are 0/1 per row.
+    increasing with uniform spacing; labels, if present, must be 0 or 1 per row.
     """
 
     feature_names: list[str]
@@ -71,9 +72,11 @@ class DatasetFrame:
                         "timestamps must be strictly increasing with uniform spacing"
                     )
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.values.shape[0],):
+            labels = np.asarray(self.labels)
+            if labels.shape != (self.values.shape[0],):
                 raise DimensionError("labels length must equal row count")
+            _check_binary(labels)
+            self.labels = labels.astype(np.int64, copy=False)
         if self.datetimes is not None and len(self.datetimes) != self.values.shape[0]:
             raise DimensionError("datetimes length must equal row count")
 

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, _check_seed
+from .errors import ConfigError, _check_int, _check_number
 from .metrics import AttackInterval
 from .preprocess import DatasetFrame
 
@@ -47,6 +47,14 @@ _P_DEMAND = 0.04
 # front rejects a horizon too large for memory before anything is allocated.
 MAX_HORIZON = 1_000_000
 
+# The float settings of TankSystemConfig, each >= 0, and > 0 where marked
+# strict: the per-tank lists, whose entries are checked one by one, and the
+# scalars.
+_PER_TANK = {"tank_area": True, "pump_on_level": True, "pump_off_level": True,
+             "tank_height": True, "initial_levels": False}
+_SCALARS = {"pump_flow": True, "demand_amplitude": False, "demand_period": True,
+            "demand_noise_std": False, "noise_std": False}
+
 
 class AttackKind(str, Enum):
     SENSOR_FREEZE = "sensor_freeze"
@@ -62,16 +70,19 @@ class AttackScenario:
     magnitude: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in tuple(AttackKind):
+            raise ConfigError(f"kind must be one of {', '.join(AttackKind)}, got {self.kind!r:.40}")
         object.__setattr__(self, "kind", AttackKind(self.kind))
-        if not np.isfinite(self.magnitude):
-            raise ConfigError("attack magnitude must be finite")
+        object.__setattr__(self, "target", _check_int(self.target, "target", 0))
+        object.__setattr__(self, "magnitude", _check_number(self.magnitude, "magnitude"))
 
 
 @dataclass
 class TankSystemConfig:
     """Two coupled tanks by default: one per entry of each per-tank field.
     Levels in metres, areas in square metres, flows in cubic metres per
-    hour, horizon in hours; float settings and entries must be finite."""
+    hour, horizon in hours; float settings and entries must be finite and
+    within the bounds of _PER_TANK and _SCALARS."""
 
     tank_area: tuple[float, ...] = (140.0, 110.0)
     pump_on_level: tuple[float, ...] = (3.0, 2.2)
@@ -93,50 +104,35 @@ class TankSystemConfig:
         return len(self.tank_area)
 
     def __post_init__(self):
-        for name in ("tank_area", "pump_on_level", "pump_off_level", "tank_height", "initial_levels"):
-            if getattr(self, name) is None:
-                continue
-            vals = tuple(float(v) for v in getattr(self, name))
-            setattr(self, name, vals)
-            if len(vals) != self.n_tanks:
-                raise ConfigError(f"{name} needs one entry per tank")
-            if not vals:
-                raise ConfigError("a tank system needs at least one tank")
-            for i, v in enumerate(vals):
-                if not math.isfinite(v):
-                    raise ConfigError(f"{name}[{i}] must be finite, got {v}")
-        for a in self.tank_area:
-            if a <= 0:
-                raise ConfigError("tank areas must be > 0")
+        # Every list's length is checked before any entry.
+        for name in _PER_TANK:
+            if getattr(self, name) is not None:
+                setattr(self, name, tuple(getattr(self, name)))
+                if len(getattr(self, name)) != self.n_tanks:
+                    raise ConfigError(f"{name} needs one entry per tank")
+        if not self.n_tanks:
+            raise ConfigError("a tank system needs at least one tank")
+        for name, strict in _PER_TANK.items():
+            if getattr(self, name) is not None:
+                setattr(self, name, tuple(_check_number(v, f"{name}[{i}]", 0.0, strict)
+                                          for i, v in enumerate(getattr(self, name))))
+        for name, strict in _SCALARS.items():
+            setattr(self, name, _check_number(getattr(self, name), name, 0.0, strict))
         for on, off, height in zip(
             self.pump_on_level, self.pump_off_level, self.tank_height
         ):
-            if on <= 0 or off <= 0:
-                raise ConfigError("pump switching levels must be > 0")
             if off <= on:
                 raise ConfigError(
                     f"pump_off_level ({off}) must exceed pump_on_level ({on})"
                 )
             if height <= off:
                 raise ConfigError("tank_height must exceed pump_off_level")
-        for name in ("pump_flow", "demand_amplitude", "demand_period", "demand_noise_std", "noise_std"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.pump_flow <= 0:
-            raise ConfigError("pump_flow must be > 0")
-        if self.demand_amplitude < 0:
-            raise ConfigError("demand_amplitude must be >= 0")
-        if self.demand_period <= 0:
-            raise ConfigError("demand_period must be > 0")
-        if self.demand_noise_std < 0:
-            raise ConfigError("demand_noise_std must be >= 0")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
-        if not 100 <= self.horizon <= MAX_HORIZON:
+        self.horizon = _check_int(self.horizon, "horizon", 100)
+        if self.horizon > MAX_HORIZON:
             raise ConfigError(f"horizon must be in [100, {MAX_HORIZON}], got {self.horizon}")
-        self.seed = _check_seed(self.seed)
+        self.seed = _check_int(self.seed, "seed", 0)
         for lv, height in zip(self.initial_levels or (), self.tank_height):
-            if not 0 <= lv <= height:
+            if lv > height:
                 raise ConfigError("initial levels must lie within the tank")
 
     def feature_names(self) -> list[str]:
@@ -151,10 +147,10 @@ def _validate_attacks(config: TankSystemConfig, attacks) -> list[AttackScenario]
     attacks = list(attacks)
     per_target: dict[tuple[AttackKind, int], list[AttackInterval]] = {}
     for attack in attacks:
-        if not 0 <= attack.target < config.n_tanks:
+        if attack.target >= config.n_tanks:
             raise ConfigError(f"attack target {attack.target} is not a tank index")
         iv = attack.interval
-        if iv.start < 0 or iv.end >= config.horizon:
+        if iv.end >= config.horizon:
             raise ConfigError(
                 f"attack interval [{iv.start}, {iv.end}] outside horizon {config.horizon}"
             )
@@ -263,7 +259,7 @@ def _run_hours(config: TankSystemConfig, demand_table, offset, forced_off):
     T, n = config.horizon, config.n_tanks
     area, height = config.tank_area, config.tank_height
     on, off = config.pump_on_level, config.pump_off_level
-    pump_flow = float(config.pump_flow)
+    pump_flow = config.pump_flow
     levels = np.empty((T + 1, n))
     pumps, inflows, outflows, demands = (np.empty((T, n)) for _ in range(4))
     spills = np.zeros((T, n))

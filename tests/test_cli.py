@@ -486,7 +486,7 @@ class TestReportCommand:
             model = tmp_path / "m" / "model.json"
         assert run("report", "--model", model, "--data", pipeline / "test" / "data.csv",
                    "--out", tmp_path / "rep", "--window", 0) == 1
-        assert "window must be an integer >= 1" in capsys.readouterr().err
+        assert "window must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
     def test_svg_text_is_escaped(self, pipeline, tmp_path):
@@ -855,6 +855,12 @@ class TestMalformedInput:
         # A misspelt magnitude would otherwise label hours that no spoof touched.
         ({"kind": "level_spoof_offset", "target": 0, "start": 10, "end": 20, "magnitud": 3.0},
          "attacks[0].magnitud"),
+        ({"kind": "bogus", "target": 0, "start": 10, "end": 20},
+         "attacks[0].kind must be one of sensor_freeze, pump_force_off, level_spoof_offset"),
+        ({"kind": "sensor_freeze", "target": -1, "start": 10, "end": 20},
+         "attacks[0].target must be >= 0"),
+        ({"kind": "sensor_freeze", "target": 0, "start": 20, "end": 10},
+         "attacks[0].end must be >= 20"),
     ])
     @pytest.mark.parametrize("source", ["attacks", "config"])
     def test_attacks_file(self, tmp_path, capsys, attack, field, source):

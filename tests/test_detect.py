@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -163,10 +164,17 @@ class TestSmooth:
 
     @pytest.mark.parametrize("window", [2.5, 7.0, True, False, "7", None])
     def test_non_integer_window_is_a_named_error(self, window):
-        with pytest.raises(ConfigError, match="window must be an integer >= 1"):
+        with pytest.raises(ConfigError, match="window must be an integer, got "):
             smooth(np.arange(4.0), window)
-        with pytest.raises(ConfigError, match="window must be an integer >= 1"):
+        with pytest.raises(ConfigError, match="window must be an integer, got "):
             DetectionConfig(window=window)
+
+    @pytest.mark.parametrize("window", [1, 3])
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 1), ()])
+    def test_scores_that_are_not_one_dimensional_rejected(self, window, shape):
+        message = f"^scores must be 1-D, got shape {re.escape(str(shape))}$"
+        with pytest.raises(DimensionError, match=message):
+            smooth(np.zeros(shape), window)
 
     def test_numpy_integer_window_is_accepted(self, rng):
         scores = rng.exponential(size=20)
@@ -192,6 +200,11 @@ class TestThreshold:
         assert threshold_from_scores(scores, config) == pytest.approx(
             np.percentile(smoothed, 95.0)
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_raise(self, bad):
+        with pytest.raises(NumericError, match="^training scores contain non-finite entries$"):
+            threshold_from_scores(np.array([1.0, bad, 2.0]), DetectionConfig())
 
     def test_empty_scores_raise(self):
         with pytest.raises(ConfigError):

@@ -531,6 +531,13 @@ class TestFrameInvariants:
         with pytest.raises(NumericError):
             DatasetFrame(feature_names=["a"], values=np.array([[np.inf]]))
 
+    # Today's labels of 2 would pass the attack-free check of training, and
+    # a float label would be truncated to an integer.
+    @pytest.mark.parametrize("labels", [[0, 2, 0], [0.7, 0, 1], [0, -1, 0], ["0", "1", "0"]])
+    def test_labels_that_are_not_binary_rejected(self, labels):
+        with pytest.raises(ConfigError, match="^labels must be binary$"):
+            DatasetFrame(["a"], np.zeros((3, 1)), labels=labels)
+
     def test_label_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             DatasetFrame(

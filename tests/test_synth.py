@@ -158,6 +158,13 @@ class TestAttacks:
 
 
 class TestConfigValidation:
+    def test_unknown_attack_kind_names_the_kinds(self):
+        with pytest.raises(ConfigError, match="^kind must be one of sensor_freeze, "
+                                              "pump_force_off, level_spoof_offset, got 'spoof'$"):
+            AttackScenario("spoof", 0, AttackInterval(10, 20))
+        attack = AttackScenario("sensor_freeze", 0, AttackInterval(10, 20))
+        assert attack.kind is AttackKind.SENSOR_FREEZE
+
     def test_hysteresis_band_must_be_nonempty(self):
         with pytest.raises(ConfigError):
             TankSystemConfig(pump_on_level=(5.0, 2.0), pump_off_level=(5.0, 4.8))
