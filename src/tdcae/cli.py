@@ -242,7 +242,7 @@ def cmd_evaluate(args) -> dict:
     labels_frame = pre.load_csv(args.labels)
     if labels_frame.labels is None:
         raise ConfigError(f"{args.labels}: no {pre.LABEL_COLUMN} column")
-    fused = metrics_mod.fuse_edges(flag_arrays, rule=args.fuse)
+    fused = metrics_mod.fuse_edges(flag_arrays)
     if len(fused) != labels_frame.n_rows:
         raise ConfigError(
             f"detections cover {len(fused)} timesteps but labels cover "
@@ -258,7 +258,6 @@ def cmd_evaluate(args) -> dict:
     return {
         "detections": [str(p) for p in args.detections],
         "labels": str(args.labels),
-        "fuse": args.fuse,
     }
 
 
@@ -398,10 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="challenge metrics from detections")
-    p.add_argument("--detections", nargs="+", required=True, help="detection CSVs")
+    p.add_argument("--detections", nargs="+", required=True, help="detection CSVs, OR-fused")
     p.add_argument("--labels", required=True, help="CSV with the label column")
     p.add_argument("--out", required=True)
-    p.add_argument("--fuse", choices=("or", "majority"), default="or")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="latent-space traces and overlays")

@@ -151,13 +151,20 @@ def fit_threshold(
 
 def threshold_from_scores(scores, config: DetectionConfig) -> float:
     """Threshold from precomputed raw training scores: the percentile of
-    their trailing moving average. The scores must be finite."""
+    their trailing moving average. The scores, and their windowed sums,
+    must be finite."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ConfigError("cannot fit a threshold on empty scores")
     if not _all_finite(scores):
         raise NumericError("training scores contain non-finite entries")
-    return float(np.percentile(smooth(scores, config.window), config.percentile))
+    # smooth itself checks no sum: stream calls it on every hour.
+    with np.errstate(over="ignore", invalid="ignore"):
+        smoothed = smooth(scores, config.window)
+    if not _all_finite(smoothed):
+        row = int(np.argmin(np.isfinite(smoothed)))
+        raise NumericError(f"smoothed training score overflows at row {row}")
+    return float(np.percentile(smoothed, config.percentile))
 
 
 def detect(

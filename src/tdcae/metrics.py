@@ -60,13 +60,9 @@ class MetricsReport(ClfScores):
     s: float
 
 
-def fuse_edges(flags, rule: str = "or") -> np.ndarray:
-    """Combine per-edge flag sequences into one system-level alarm.
-
-    "or": any edge alarms; "majority": strictly more than half do.
-    """
-    if rule not in ("or", "majority"):
-        raise ConfigError(f"unknown fusion rule {rule!r}")
+def fuse_edges(flags) -> np.ndarray:
+    """Combine per-edge flag sequences into one system-level alarm, raised
+    when any edge alarms."""
     flag_arrays = [np.asarray(f, dtype=bool) for f in flags]
     if not flag_arrays:
         raise ConfigError("fuse_edges needs at least one flag sequence")
@@ -74,9 +70,7 @@ def fuse_edges(flags, rule: str = "or") -> np.ndarray:
     if any(len(f) != n for f in flag_arrays):
         raise ConfigError("edge flag sequences have mismatched lengths")
     stacked = np.vstack(flag_arrays)
-    if rule == "or":
-        return np.logical_or.reduce(stacked, axis=0)
-    return stacked.sum(axis=0) * 2 > len(flag_arrays)
+    return np.logical_or.reduce(stacked, axis=0)
 
 
 def confusion(flags, labels) -> ConfusionCounts:
@@ -119,6 +113,11 @@ def intervals_from_labels(labels) -> list[AttackInterval]:
     """Contiguous runs of 1-labels as inclusive intervals, sorted."""
     labels = np.asarray(labels)
     _check_binary(labels)
+    return _intervals(labels)
+
+
+def _intervals(labels) -> list[AttackInterval]:
+    # intervals_from_labels on labels already checked to be 0 or 1.
     padded = np.concatenate([[0], labels, [0]])
     edges = np.diff(padded)
     starts = np.where(edges == 1)[0]
@@ -168,7 +167,8 @@ def evaluate_flags(flags, labels) -> MetricsReport:
     undefined like TPR, so it and S are NaN."""
     counts = confusion(flags, labels)
     scores = clf_scores(counts)
-    intervals = intervals_from_labels(labels)
+    # confusion has checked that the labels are 0 or 1.
+    intervals = _intervals(labels)
     s_ttd = ttd_score(flags, intervals) if intervals else math.nan
     s = ranking_score(s_ttd, scores.s_clf)
     return MetricsReport(**vars(scores), counts=counts, s_ttd=s_ttd, s=s)

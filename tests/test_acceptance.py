@@ -202,7 +202,7 @@ def test_criterion_7_batadal_reproduction():
         threshold = fit_threshold(model, scaled_train, detection_config)
         per_edge_flags.append(detect(model, scaled_test, threshold, detection_config).flags)
 
-    fused = fuse_edges(per_edge_flags, rule="or")
+    fused = fuse_edges(per_edge_flags)
     report = evaluate_flags(fused, test_frame.labels)
     ok = report.s_clf >= 0.92 and report.s_ttd >= 0.96
     announce(

@@ -244,18 +244,23 @@ class TestDetectCommand:
         assert echoed["threshold"] == 0.5
         assert sorted(echoed) == ["command", "data", "model", "percentile", "threshold", "window"]
 
-    @pytest.mark.parametrize("option", [["--smoothing", "centered"], ["--threshold-source", "raw"]])
+    @pytest.mark.parametrize("option", [["--smoothing", "centered"], ["--threshold-source", "raw"],
+                                        ["--fuse", "or"]])
     def test_retired_options_are_usage_errors(self, pipeline, tmp_path, capsys, option):
-        # Smoothing is trailing only and the threshold always comes from
-        # smoothed training scores; neither has an option any more.
+        # Smoothing is trailing only, the threshold always comes from
+        # smoothed training scores and evaluate always OR-fuses its
+        # detections; none of them has an option any more.
+        test = pipeline / "test" / "data.csv"
+        if option[0] == "--fuse":
+            argv = ["evaluate", "--detections", pipeline / "det" / "detection.csv", "--labels", test]
+        else:
+            argv = ["detect", "--model", pipeline / "model" / "model.json", "--data", test,
+                    "--train-scores", pipeline / "model" / "train_scores.csv"]
         with pytest.raises(SystemExit) as info:
-            run("detect", "--model", pipeline / "model" / "model.json",
-                "--data", pipeline / "test" / "data.csv",
-                "--train-scores", pipeline / "model" / "train_scores.csv",
-                "--out", tmp_path / "det", *option)
+            run(*argv, "--out", tmp_path / "out", *option)
         assert info.value.code == 1
         assert f"error: unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
-        assert not (tmp_path / "det").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_train_data_labelled_as_attacked_is_user_error(self, pipeline, tmp_path, capsys):
         assert run("detect", "--model", pipeline / "model" / "model.json",
@@ -373,14 +378,16 @@ class TestEvaluateCommand:
         row = (tmp_path / "ev" / "metrics.txt").read_text().splitlines()[1].split()
         assert row[1:4] == ["undefined"] * 3
 
-    def test_fusion_rule_selectable(self, tmp_path):
+    def test_several_detections_are_or_fused(self, tmp_path):
+        # Edge 0 alone flags the attack hours, so majority fusion would
+        # miss every attack hour.
         labels_csv = tmp_path / "labels.csv"
         with labels_csv.open("w") as fh:
             fh.write("x,ATT_FLAG\n")
             for t in range(10):
                 fh.write(f"0.0,{1 if t < 5 else 0}\n")
         dets = []
-        for k, pattern in enumerate([(1, 0), (1, 0), (0, 0)]):
+        for k, pattern in enumerate([(1, 0), (0, 0), (0, 0)]):
             det = tmp_path / f"d{k}.csv"
             with det.open("w") as fh:
                 fh.write("timestamp,raw,smoothed,flag\n")
@@ -388,7 +395,7 @@ class TestEvaluateCommand:
                     fh.write(f"{t},0.0,0.0,{pattern[0] if t < 5 else pattern[1]}\n")
             dets.append(det)
         assert run("evaluate", "--detections", *dets, "--labels", labels_csv,
-                   "--fuse", "majority", "--out", tmp_path / "ev") == 0
+                   "--out", tmp_path / "ev") == 0
         doc = json.loads((tmp_path / "ev" / "metrics.json").read_text())
         assert doc["tpr"] == 1.0 and doc["tnr"] == 1.0
 
@@ -408,7 +415,7 @@ class TestEvaluateCommand:
                            "--out", out / f"det{e}") == 0
             detections = [out / f"det{e}" / "detection.csv" for e in (1, 2, 3)]
             assert run("evaluate", "--detections", *detections, "--labels", data,
-                       "--fuse", "or", "--out", out / "eval") == 0
+                       "--out", out / "eval") == 0
             return [(out / d / name).read_bytes() for e in (1, 2, 3)
                     for d, name in ((f"model{e}", "model.json"), (f"det{e}", "detection.csv"))]
 
@@ -533,7 +540,7 @@ class TestConfigJson:
         ("synth", ["tanks", "attacks"]),
         ("train", ["data", "edge", "training"]),
         ("detect", ["model", "data", "window", "percentile", "threshold"]),
-        ("evaluate", ["detections", "labels", "fuse"]),
+        ("evaluate", ["detections", "labels"]),
         ("report", ["model", "data", "window", "plot_rows"]),
     ])
     def test_keys_and_command(self, pipeline, tmp_path, command, keys):

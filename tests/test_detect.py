@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +210,20 @@ class TestThreshold:
     def test_empty_scores_raise(self):
         with pytest.raises(ConfigError):
             threshold_from_scores(np.array([]), DetectionConfig())
+
+    @pytest.mark.parametrize("scores, window, row", [
+        ([1e308, 1e308, 1.0], 2, 1),
+        ([1.0, 1e308, 1e308, -1e308, -1e308], 3, 2),
+        ([1.0] * 5 + [1e308] * 2, 7, 6),
+    ])
+    def test_overflowing_smoothed_scores_raise_without_a_warning(self, scores, window, row):
+        # Finite scores whose windowed sum overflows; the second case's
+        # later rows would add -inf to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=f"^smoothed training score overflows at row {row}$"):
+                threshold_from_scores(np.array(scores), DetectionConfig(window=window))
 
     def test_fit_threshold_refuses_a_frame_labelled_as_attacked(self):
         # A threshold fitted on attacked hours sits above their scores.

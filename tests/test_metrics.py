@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tdcae import metrics
 from tdcae.errors import ConfigError, DimensionError
 from tdcae.metrics import (
     AttackInterval,
@@ -59,13 +60,6 @@ class TestFusion:
         assert three.sum() >= two.sum()
         for e in edges:
             assert fuse_edges(edges).sum() >= e.sum()
-
-    def test_majority_rule(self):
-        a = np.array([True, True, False])
-        b = np.array([True, False, False])
-        c = np.array([False, False, False])
-        assert np.array_equal(fuse_edges([a, b, c], rule="majority"),
-                              np.array([True, False, False]))
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ConfigError):
@@ -227,6 +221,22 @@ class TestReports:
         assert report.s_ttd == 1.0
         assert report.s_clf == 1.0
         assert report.counts.tp == 10
+
+    def test_evaluate_flags_checks_its_labels_once(self, monkeypatch):
+        calls = []
+        check = metrics._check_binary
+        monkeypatch.setattr(metrics, "_check_binary", lambda a: calls.append(1) or check(a))
+        flags, labels = flags_and_labels_for_counts(3, 1, 4, 2)
+        evaluate_flags(flags, labels)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags, labels, error, message", [
+        ([1, 0], [0, 2, 1], DimensionError, r"^flags length \(2,\) != labels length \(3,\)$"),
+        ([1, 0, 1], [0, 2, 1], ConfigError, "^labels must be binary$"),
+    ])
+    def test_evaluate_flags_refuses_bad_labels(self, flags, labels, error, message):
+        with pytest.raises(error, match=message):
+            evaluate_flags(flags, labels)
 
     def test_json_serializes_nan_as_null(self):
         labels = np.ones(5, int)  # no negatives: tnr undefined

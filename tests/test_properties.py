@@ -69,10 +69,10 @@ def test_ttd_score_lies_in_unit_interval(data, labels):
         lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=7)
     )
 )
-def test_or_fusion_flags_everything_majority_flags(edges):
-    either = fuse_edges(edges, "or")
-    majority = fuse_edges(edges, "majority")
-    assert not np.any(majority & ~either)
+def test_or_fusion_flags_an_hour_exactly_when_some_edge_does(edges):
+    fused = fuse_edges(edges)
+    assert fused.dtype == bool
+    assert fused.tolist() == [any(edge[t] for edge in edges) for t in range(len(edges[0]))]
 
 
 scores = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=50)
@@ -595,7 +595,7 @@ def command_flags(command, base, work) -> dict:
                    "--train-scores": base / "model" / "train_scores.csv", "--window": None,
                    "--percentile": None, "--threshold": None, "--train-data": None},
         "evaluate": {"--detections": base / "det" / "detection.csv", "--labels": test,
-                     "--out": work / "out", "--fuse": None},
+                     "--out": work / "out"},
         "report": {"--model": model, "--data": test, "--out": work / "out", "--window": None,
                    "--plot-rows": None},
         "train": {"--data": base / "train" / "data.csv", "--out": work / "out", "--epochs": 1,
