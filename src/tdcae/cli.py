@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .detect import (
     threshold_from_scores,
 )
 from .errors import ConfigError, NumericError, TdcaeError
-from .model import _settings, read_json
+from .model import _at, _settings, read_json
 from .svgplot import _render, line_plot
 
 TRAIN_SCORES_HEADER = ("timestamp", "raw")
@@ -50,14 +51,6 @@ def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _load_settings(path) -> dict:
-    """The JSON object in a --config file, or {} without one."""
-    doc = read_json(path) if path else {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object, got {doc!r:.40}")
-    return doc
 
 
 def _scaled_csv(path, scaler) -> pre.DatasetFrame:
@@ -85,12 +78,10 @@ def _attacks_from_doc(doc) -> list[synth_mod.AttackScenario]:
     for k, entry in enumerate(doc):
         where = f"attacks[{k}]."
         fields = _settings(entry, defaults, where, required=("kind", "target", "start", "end"))
-        try:
+        with _at(where):
             interval = metrics_mod.AttackInterval(fields["start"], fields["end"])
             out.append(synth_mod.AttackScenario(fields["kind"], fields["target"], interval,
                                                 fields["magnitude"]))
-        except ConfigError as exc:
-            raise ConfigError(f"{where}{exc}") from None
     return out
 
 
@@ -109,24 +100,22 @@ def _attacks_to_doc(attacks) -> list[dict]:
 
 def cmd_synth(args) -> dict:
     doc = _settings(
-        _load_settings(args.config),
+        read_json(args.config) if args.config else {},
         {"tanks": vars(synth_mod.TankSystemConfig()), "attacks": []},
         "",
     )
-    tanks = doc["tanks"]
-    if args.horizon is not None:
-        tanks["horizon"] = args.horizon
-    if args.seed is not None:
-        tanks["seed"] = args.seed
-    config = synth_mod.TankSystemConfig(**tanks)
+    # The file's values are checked even where a flag overrides them.
+    with _at("tanks."):
+        config = synth_mod.TankSystemConfig(**doc["tanks"])
+    flags = {"horizon": args.horizon, "seed": args.seed}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+    attacks = _attacks_from_doc(doc["attacks"])
 
     if args.attacks == "none":
         attacks = []
     elif args.attacks == "default":
         attacks = synth_mod.default_attacks(config.horizon)
-    elif args.attacks == "config":
-        attacks = _attacks_from_doc(doc["attacks"])
-    else:
+    elif args.attacks != "config":
         attacks = _attacks_from_doc(read_json(args.attacks))
 
     frame = synth_mod.simulate(config, attacks)
@@ -151,7 +140,9 @@ def _resolve_training_config(args, n_features: int) -> model_mod.TrainingConfig:
         config = model_mod.edge_training_config(args.edge)
     else:
         config = model_mod.TrainingConfig(hidden_size=n_features)
-    fields = _settings(_load_settings(args.config), config.to_dict(), "")
+    fields = _settings(read_json(args.config) if args.config else {}, config.to_dict(), "")
+    # The file's values are checked even where a flag overrides them.
+    fields = model_mod.TrainingConfig.from_dict(fields).to_dict()
     fields.update({k: getattr(args, k) for k in fields if getattr(args, k) is not None})
     return model_mod.TrainingConfig.from_dict(fields)
 

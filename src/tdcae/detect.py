@@ -152,7 +152,7 @@ def fit_threshold(
 def threshold_from_scores(scores, config: DetectionConfig) -> float:
     """Threshold from precomputed raw training scores: the percentile of
     their trailing moving average. The scores, and their windowed sums,
-    must be finite."""
+    must be finite, and no score, a mean of squares, may be negative."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ConfigError("cannot fit a threshold on empty scores")
@@ -164,6 +164,10 @@ def threshold_from_scores(scores, config: DetectionConfig) -> float:
     if not _all_finite(smoothed):
         row = int(np.argmin(np.isfinite(smoothed)))
         raise NumericError(f"smoothed training score overflows at row {row}")
+    negative = np.flatnonzero(scores < 0)
+    if negative.size:
+        row = int(negative[0])
+        raise NumericError(f"training score at row {row} is negative: {scores[row]:g}")
     return float(np.percentile(smoothed, config.percentile))
 
 

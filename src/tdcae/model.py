@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -59,7 +60,7 @@ class LatentPartition:
         object.__setattr__(self, "n_pairs", _check_int(self.n_pairs, "n_pairs", 0))
         object.__setattr__(self, "n_stat", _check_int(self.n_stat, "n_stat", 0))
         if self.width < 1:
-            raise ConfigError("latent space must contain at least one node")
+            raise ConfigError("n_stat must be >= 1 when n_pairs is 0")
 
     @property
     def width(self) -> int:
@@ -111,6 +112,9 @@ class TrainingConfig:
     delta_t: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.partition, LatentPartition):
+            raise ConfigError(
+                f"partition must be a LatentPartition, got {type(self.partition).__name__}")
         self.learning_rate = _check_number(self.learning_rate, "learning_rate", 0.0, strict=True)
         self.seed = _check_int(self.seed, "seed", 0)
         self.batch_size = _check_int(self.batch_size, "batch_size", 1)
@@ -136,13 +140,14 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "") -> "TrainingConfig":
-        """Inverse of to_dict, checked by _settings: every field must be
-        present and of its default's kind. `where` is the JSON path that
-        error messages put before a field name."""
+        """Inverse of to_dict: every field must be present, and each value
+        is checked by LatentPartition or TrainingConfig. `where` is the JSON
+        path that error messages put before a field name."""
         defaults = cls().to_dict()
         fields = _settings(doc, defaults, where, required=defaults)
-        pairs, stat = fields.pop("n_pairs"), fields.pop("n_stat")
-        return cls(partition=LatentPartition(pairs, stat), **fields)
+        with _at(where):
+            pairs, stat = fields.pop("n_pairs"), fields.pop("n_stat")
+            return cls(partition=LatentPartition(pairs, stat), **fields)
 
 
 # Per-edge defaults for the C-Town models: hidden width, latent layout,
@@ -475,16 +480,12 @@ def _number(doc, key: str, where: str) -> float:
 
 
 def _settings(doc, defaults: dict, where: str, required=()) -> dict:
-    """`defaults` updated with the fields of the JSON object `doc`, each
-    checked against the kind of its default:
-    - int: a JSON integer, not a bool;
-    - float: a finite number, read as float;
-    - tuple: a list of finite numbers, read as a tuple of floats;
-    - None: null, or such a list;
-    - dict: an object, checked by _settings against that dict;
-    - str or list: a JSON string or list.
-    A key that is not in `defaults`, or a key of `required` that is not
-    in `doc`, raises ConfigError naming it."""
+    """`defaults` updated with the fields of the JSON object `doc`, whose
+    values are passed on as they are: the config type they are given to
+    checks them. A field whose default is a dict is an object, read by
+    _settings against that dict. A `doc` that is not an object, a key that
+    is not in `defaults`, or a key of `required` that is not in `doc`
+    raises ConfigError naming it."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where[:-1] or 'settings'}: expected a JSON object, got {doc!r:.40}")
     unknown = sorted(set(doc) - set(defaults))
@@ -494,21 +495,20 @@ def _settings(doc, defaults: dict, where: str, required=()) -> dict:
         _field(doc, key, None, where)
     out = dict(defaults)
     for key, value in doc.items():
-        default = defaults[key]
-        if default is None and value is None:
-            continue
-        if isinstance(default, float):
-            out[key] = float(_number(doc, key, where))
-        elif isinstance(default, (tuple, type(None))):
-            out[key] = tuple(
-                float(_finite(v, f"{where}{key}[{i}]"))
-                for i, v in enumerate(_field(doc, key, list, where))
-            )
-        elif isinstance(default, dict):
-            out[key] = _settings(value, default, f"{where}{key}.")
-        else:
-            out[key] = _field(doc, key, type(default), where)
+        if isinstance(defaults[key], dict):
+            value = _settings(value, defaults[key], f"{where}{key}.")
+        out[key] = value
     return out
+
+
+@contextmanager
+def _at(where: str):
+    """Put `where`, the JSON path of the settings being built, before the
+    message of a ConfigError raised inside the block."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def _numbers(doc, key: str, n: int, where: str) -> np.ndarray:
@@ -569,7 +569,7 @@ def load_model(path) -> tuple[HTdcAutoencoder, RobustScalerParams, TrainingConfi
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} document")
-    try:
+    with _at(f"{path}: "):
         for key in ("partition", "encoder", "decoder", "scaler", "config"):
             _field(doc, key, dict, "")
         scaler = _scaler_from_doc(doc["scaler"])
@@ -589,7 +589,5 @@ def load_model(path) -> tuple[HTdcAutoencoder, RobustScalerParams, TrainingConfi
                 here = f"{name}.layers[{k}]."
                 for key, out in (("weights", layer.weights), ("bias", layer.bias)):
                     out[...] = _numbers(payload, key, out.size, here).reshape(out.shape)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
     return model, scaler, config
 

@@ -74,6 +74,9 @@ class AttackScenario:
             raise ConfigError(f"kind must be one of {', '.join(AttackKind)}, got {self.kind!r:.40}")
         object.__setattr__(self, "kind", AttackKind(self.kind))
         object.__setattr__(self, "target", _check_int(self.target, "target", 0))
+        if not isinstance(self.interval, AttackInterval):
+            raise ConfigError(
+                f"interval must be an AttackInterval, got {type(self.interval).__name__}")
         object.__setattr__(self, "magnitude", _check_number(self.magnitude, "magnitude"))
 
 
@@ -104,18 +107,25 @@ class TankSystemConfig:
         return len(self.tank_area)
 
     def __post_init__(self):
-        # Every list's length is checked before any entry.
-        for name in _PER_TANK:
-            if getattr(self, name) is not None:
-                setattr(self, name, tuple(getattr(self, name)))
-                if len(getattr(self, name)) != self.n_tanks:
-                    raise ConfigError(f"{name} needs one entry per tank")
-        if not self.n_tanks:
-            raise ConfigError("a tank system needs at least one tank")
+        # Each list's entries are checked before the lists' lengths are
+        # compared, so a bad entry is named even in a list of another length.
         for name, strict in _PER_TANK.items():
-            if getattr(self, name) is not None:
-                setattr(self, name, tuple(_check_number(v, f"{name}[{i}]", 0.0, strict)
-                                          for i, v in enumerate(getattr(self, name))))
+            value = getattr(self, name)
+            if value is None and name == "initial_levels":
+                continue
+            try:
+                entries = None if isinstance(value, (str, dict)) else tuple(value)
+            except TypeError:
+                entries = None
+            if entries is None:
+                raise ConfigError(f"{name} must be a list of numbers, got {type(value).__name__}")
+            setattr(self, name, tuple(_check_number(v, f"{name}[{i}]", 0.0, strict)
+                                      for i, v in enumerate(entries)))
+        if not self.n_tanks:
+            raise ConfigError("tank_area needs at least one entry")
+        for name in _PER_TANK:
+            if getattr(self, name) is not None and len(getattr(self, name)) != self.n_tanks:
+                raise ConfigError(f"{name} needs one entry per tank")
         for name, strict in _SCALARS.items():
             setattr(self, name, _check_number(getattr(self, name), name, 0.0, strict))
         for on, off, height in zip(
@@ -131,9 +141,10 @@ class TankSystemConfig:
         if self.horizon > MAX_HORIZON:
             raise ConfigError(f"horizon must be in [100, {MAX_HORIZON}], got {self.horizon}")
         self.seed = _check_int(self.seed, "seed", 0)
-        for lv, height in zip(self.initial_levels or (), self.tank_height):
+        for i, (lv, height) in enumerate(zip(self.initial_levels or (), self.tank_height)):
             if lv > height:
-                raise ConfigError("initial levels must lie within the tank")
+                raise ConfigError(f"initial_levels[{i}] must be <= tank_height[{i}], "
+                                  f"got {lv} > {height}")
 
     def feature_names(self) -> list[str]:
         names = [f"L_T{i + 1}" for i in range(self.n_tanks)]

@@ -836,7 +836,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("content, field", [
         (b'{"batch_size": "abc"}', "batch_size"),
         # self.train's --epochs 1 must not hide the file's bad value.
-        (b'{"epochs": "abc"}', "epochs: expected int, got 'abc'"),
+        pytest.param(b'{"epochs": "abc"}', "epochs must be an integer, got 'abc'",
+                     id="epochs-abc"),
         (b'{"hidden_size": 2.5}', "hidden_size"),
         (b'{"seed": -1}', "seed"),
         (b'{"seed": "abc"}', "seed"),
@@ -894,12 +895,32 @@ class TestMalformedInput:
         ({"tank_height": [7.5, "6.8"]}, "tanks.tank_height[1]"),
         ({"initial_levels": [1.0, None]}, "tanks.initial_levels[1]"),
         (5, "tanks: expected a JSON object"),
+        # Entries are checked before lengths: a one-entry list names its entry.
+        ({"tank_area": [None]}, "tanks.tank_area[0] must be a number, got None"),
     ])
     def test_tank_settings(self, tmp_path, capsys, tanks, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"tanks": tanks}))
         assert run("synth", "--out", tmp_path / "s", "--config", path) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, flags, message", [
+        ({"attacks": 5}, ["--attacks", "none"], "attacks: expected a list, got 5"),
+        ({"attacks": 5}, ["--attacks", "default"], "attacks: expected a list, got 5"),
+        ({"attacks": [{"kind": "bogus", "target": 0, "start": 10, "end": 20}]},
+         ["--attacks", "none"], "attacks[0].kind must be one of"),
+        ({"tanks": {"horizon": "abc"}}, ["--horizon", 150],
+         "tanks.horizon must be an integer, got 'abc'"),
+        ({"tanks": {"seed": 2.5}}, ["--seed", 1], "tanks.seed must be an integer, got 2.5"),
+    ])
+    def test_a_flag_does_not_hide_a_bad_value_in_the_file(
+        self, tmp_path, capsys, doc, flags, message
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert run("synth", "--out", tmp_path / "s", "--config", path, *flags) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_tank_settings_of_every_type_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -937,6 +958,19 @@ class TestMalformedInput:
         assert code == 1
         where = "not UTF-8 text" if isinstance(cell, bytes) else "row 3"
         assert f"scores.csv: {where}" in capsys.readouterr().err
+
+    def test_negative_train_score(self, pipeline, tmp_path, capsys):
+        # A reconstruction error is a mean of squares, so a negative score
+        # is an edited or corrupt file.
+        lines = (pipeline / "model" / "train_scores.csv").read_text().splitlines()
+        lines[1:3] = ["0,-1e308", "1,1e308"]
+        (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
+        code = run("detect", "--model", pipeline / "model" / "model.json",
+                   "--data", pipeline / "test" / "data.csv",
+                   "--train-scores", tmp_path / "scores.csv", "--out", tmp_path / "o")
+        assert code == 1
+        assert "training score at row 0 is negative: -1e+308" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("plot_rows, data_rows", [(1, 600), (2, 600), (500, 2)])
     def test_report_needs_three_plot_rows(self, pipeline, tmp_path, capsys, plot_rows, data_rows):

@@ -207,6 +207,19 @@ class TestThreshold:
         with pytest.raises(NumericError, match="^training scores contain non-finite entries$"):
             threshold_from_scores(np.array([1.0, bad, 2.0]), DetectionConfig())
 
+    @pytest.mark.parametrize("scores, row, value", [
+        ([-1e308, 1e308], 0, "-1e+308"),
+        ([1.0, -2.0, -3.0, 4.0], 1, "-2"),
+    ])
+    def test_negative_scores_raise_naming_the_first(self, scores, row, value):
+        # A reconstruction error is a mean of squares. The first case's
+        # percentile would interpolate across the whole float range.
+        message = f"^training score at row {row} is negative: {re.escape(value)}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=message):
+                threshold_from_scores(np.array(scores), DetectionConfig(window=1, percentile=50))
+
     def test_empty_scores_raise(self):
         with pytest.raises(ConfigError):
             threshold_from_scores(np.array([]), DetectionConfig())

@@ -1,7 +1,7 @@
 """The two setting checks of tdcae.errors, `_check_int` and
 `_check_number`, as every config type and entry point applies them: a bad
-value of any numeric setting is a ConfigError whose message starts with
-the setting's name, and a numpy number is stored as a Python int or float."""
+value of any setting is a ConfigError whose message starts with the
+setting's name, and a numpy number is stored as a Python int or float."""
 
 import math
 
@@ -90,6 +90,15 @@ CASES = [
     for bad in (math.nan, math.inf, True, "0.1") + (() if below is None else (below,))
 ] + [
     pytest.param(name, call, 10**5000, id=f"{name}-10**5000") for name, call, _ in NUMBER_SETTINGS
+] + [
+    # A per-tank setting must be a list; only initial_levels may be None.
+    pytest.param(name, lambda v, name=name: TankSystemConfig(**{name: v}), bad,
+                 id=f"{name}-{bad!r}")
+    for name in ("tank_area", "pump_on_level", "pump_off_level", "tank_height", "initial_levels")
+    for bad in (140, 3.0, "abc", {"a": 1.0}) + (() if name == "initial_levels" else (None,))
+] + [
+    pytest.param("partition", lambda v: TrainingConfig(partition=v), (3, 1), id="partition"),
+    pytest.param("interval", lambda v: AttackScenario(FREEZE, 0, v), (10, 20), id="interval"),
 ]
 
 

@@ -192,14 +192,17 @@ class TestConfigValidation:
     def test_tank_count_is_not_a_setting(self):
         with pytest.raises(TypeError):
             TankSystemConfig(n_tanks=2)
-        with pytest.raises(ConfigError, match="at least one tank"):
+        with pytest.raises(ConfigError, match="^tank_area needs at least one entry$"):
             TankSystemConfig(tank_area=(), pump_on_level=(), pump_off_level=(), tank_height=())
 
     def test_initial_levels_checked_with_the_other_per_tank_lists(self):
-        # Its length is checked in the per-tank loop, before the areas.
-        with pytest.raises(ConfigError, match="initial_levels needs one entry per tank"):
+        # Every list's entries are checked before any list's length.
+        with pytest.raises(ConfigError, match=r"^tank_area\[0\] must be > 0$"):
             TankSystemConfig(tank_area=(-1.0, 110.0), initial_levels=(4.0,))
-        with pytest.raises(ConfigError, match="initial levels must lie within the tank"):
+        with pytest.raises(ConfigError, match="^initial_levels needs one entry per tank$"):
+            TankSystemConfig(initial_levels=(4.0,))
+        message = r"^initial_levels\[1\] must be <= tank_height\[1\], got 7.0 > 6.8$"
+        with pytest.raises(ConfigError, match=message):
             TankSystemConfig(initial_levels=(4.0, 7.0))
         assert TankSystemConfig(initial_levels=[4, 3]).initial_levels == (4.0, 3.0)
 
