@@ -98,25 +98,32 @@ def _attacks_to_doc(attacks) -> list[dict]:
     ]
 
 
+def _in_file(path):
+    """_at for the settings read from the file at `path`, if one was given:
+    its errors start with the path, as load_model's and the CSV readers' do."""
+    return _at(f"{path}: " if path else "")
+
+
 def cmd_synth(args) -> dict:
-    doc = _settings(
-        read_json(args.config) if args.config else {},
-        {"tanks": vars(synth_mod.TankSystemConfig()), "attacks": []},
-        "",
-    )
+    doc = read_json(args.config) if args.config else {}
     # The file's values are checked even where a flag overrides them.
-    with _at("tanks."):
-        config = synth_mod.TankSystemConfig(**doc["tanks"])
+    with _in_file(args.config):
+        doc = _settings(doc, {"tanks": vars(synth_mod.TankSystemConfig()), "attacks": []}, "")
+        with _at("tanks."):
+            config = synth_mod.TankSystemConfig(**doc["tanks"])
     flags = {"horizon": args.horizon, "seed": args.seed}
     config = replace(config, **{k: v for k, v in flags.items() if v is not None})
-    attacks = _attacks_from_doc(doc["attacks"])
+    with _in_file(args.config):
+        attacks = _attacks_from_doc(doc["attacks"])
 
     if args.attacks == "none":
         attacks = []
     elif args.attacks == "default":
         attacks = synth_mod.default_attacks(config.horizon)
     elif args.attacks != "config":
-        attacks = _attacks_from_doc(read_json(args.attacks))
+        listed = read_json(args.attacks)
+        with _in_file(args.attacks):
+            attacks = _attacks_from_doc(listed)
 
     frame = synth_mod.simulate(config, attacks)
     out = _out_dir(args.out)
@@ -140,9 +147,11 @@ def _resolve_training_config(args, n_features: int) -> model_mod.TrainingConfig:
         config = model_mod.edge_training_config(args.edge)
     else:
         config = model_mod.TrainingConfig(hidden_size=n_features)
-    fields = _settings(read_json(args.config) if args.config else {}, config.to_dict(), "")
+    doc = read_json(args.config) if args.config else {}
     # The file's values are checked even where a flag overrides them.
-    fields = model_mod.TrainingConfig.from_dict(fields).to_dict()
+    with _in_file(args.config):
+        fields = _settings(doc, config.to_dict(), "")
+        fields = model_mod.TrainingConfig.from_dict(fields).to_dict()
     fields.update({k: getattr(args, k) for k in fields if getattr(args, k) is not None})
     return model_mod.TrainingConfig.from_dict(fields)
 

@@ -1,8 +1,11 @@
 """Reconstruction-error scoring, moving-average smoothing, percentile
 thresholding and binary anomaly flagging. The one module that runs a
-trained model on data: `_latent`, the encoder pass that `report` also
-reads, and `_reconstruct`, the decoder pass over it. The latent and the
-errors are tested by `errors._all_finite`, the package's one finiteness test."""
+trained model on data: `_run` walks an Mlp's `_kernel` layers with at
+most two activations alive, `_latent` is the checked encoder pass that
+`report` also reads, and `reconstruction_error` runs the decoder over it
+and squares the residual in the reconstruction's buffer. The latent and
+the errors are tested by `errors._all_finite`, the package's one
+finiteness test."""
 
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, IngestionError, NumericError, _all_finite,
                      _check_int, _check_number)
 from .model import HTdcAutoencoder
-from .nn import _as_matrix, _finite_output, _forward
+from .nn import _as_matrix, _finite_output
 from .preprocess import DatasetFrame, _check_attack_free, read_table, write_table
 
 
@@ -50,30 +53,32 @@ class DetectionResult:
             raise DimensionError("score and flag sequences must share one length")
 
 
+def _run(layers: list[tuple], x: np.ndarray) -> np.ndarray:
+    """The output of an Mlp's `_kernel` layers for the finite float64
+    matrix x, unchecked. Each activation is dropped once the next one
+    exists, so at most two are alive."""
+    for _, weights_t, bias, tanh in layers:
+        x = x.dot(weights_t)
+        x += bias
+        if tanh:
+            np.tanh(x, out=x)
+    return x
+
+
 def _latent(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
     """The encoder's output for x, a finite float64 matrix of the model's
-    width such as a frame's values. It is checked, as a saturating decoder
-    can map an infinite latent to a finite output, and named as forward
-    would, the input first: a frame checks its values when built, not after
-    an in-place change."""
+    width such as a frame's values, from `_run`, so only the latent
+    outlives the pass. It is checked, as a saturating decoder can map an
+    infinite latent to a finite output, and named as forward would, the
+    input first: a frame checks its values when built, not after an
+    in-place change."""
     if x.shape[0] < 1:
         raise DimensionError("batch must contain at least one row")
-    post = [None] * len(model.encoder.layers)
-    _forward(model.encoder._kernel, x, post)
-    latent = post[-1]
+    latent = _run(model.encoder._kernel, x)
     if not _all_finite(latent):
         _as_matrix(x, "input")
         _finite_output(latent)
     return latent
-
-
-def _reconstruct(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
-    """The decoder's output for `_latent(model, x)`; the caller checks it.
-    Kept apart so the encoder's activations are freed before the residual
-    is formed: inlined, `cli` peak memory rose by 5%."""
-    post = [None] * len(model.decoder.layers)
-    _forward(model.decoder._kernel, _latent(model, x), post)
-    return post[-1]
 
 
 def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndarray:
@@ -92,14 +97,18 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
     # not warned about. A non-finite reconstruction makes its row's error
     # non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        reconstruction = _reconstruct(model, values)
-        residual = values - reconstruction
+        # The residual and its square overwrite the reconstruction.
+        residual = _run(model.decoder._kernel, _latent(model, values))
+        np.subtract(values, residual, out=residual)
         residual *= residual
         # np.mean's own arithmetic: one row sum, then a division by the count.
         errors = np.add.reduce(residual, axis=1) / residual.shape[1]
     if not _all_finite(errors):
-        # In forward's order: values changed in place, then the output.
+        # In forward's order: values changed in place, then the output,
+        # which is computed again as the residual took its place.
         _as_matrix(values, "input")
+        with np.errstate(over="ignore", invalid="ignore"):
+            reconstruction = _run(model.decoder._kernel, _latent(model, values))
         _finite_output(reconstruction)
         row = int(np.argmin(np.isfinite(errors)))
         raise NumericError(
@@ -122,18 +131,29 @@ def smooth(scores, window: int) -> np.ndarray:
     n = len(scores)
     if n == 0 or window == 1:
         return scores.copy()
-    # Pad no further than some row reads: row t sums padded[t : t + front + 1].
-    front = min(window - 1, n - 1)
-    padded = np.zeros(front + n)
-    padded[front:] = scores
-    padded.flags.writeable = False
-    # Row j of this read-only view is padded[j : j + n]. Reducing over
-    # axis 0 adds the rows in order, so no pairwise summation reorders a window.
-    shifted = np.ndarray((front + 1, n), np.float64, padded, 0, padded.strides * 2)
-    total = np.add.reduce(shifted, axis=0, initial=0.0)
-    # min(t + 1, window), with front + 1 = min(window, n) standing in for a
-    # window too large for numpy's integers.
-    return total / np.minimum(np.arange(1, n + 1), front + 1)
+    out = np.empty(n)
+    # Rows whose window is not full are running sums, and so is a lone full
+    # one: a one-column view below would be reduced as one vector, pairwise.
+    # accumulate starts from scores[0], not from +0.0: adding +0.0 turns a
+    # leading run of -0.0 into +0.0 and leaves every other sum as it is.
+    full = n - window + 1
+    head = n if full < 2 else window - 1
+    sums = out[:head]
+    np.add.accumulate(scores[:head], out=sums)
+    sums += 0.0
+    sums /= np.arange(1, head + 1)
+    if full >= 2:
+        # Row j of this read-only view is scores[j : j + full], so column
+        # t - head holds row t's window. Reducing over axis 0 adds the rows
+        # in order, so no pairwise summation reorders a window.
+        scores = np.ascontiguousarray(scores)
+        step = scores.itemsize
+        shifted = np.ndarray((window, full), np.float64, scores, 0, (step, step))
+        shifted.flags.writeable = False
+        tail = out[head:]
+        np.add.reduce(shifted, axis=0, out=tail, initial=0.0)
+        tail /= window
+    return out
 
 
 def fit_threshold(

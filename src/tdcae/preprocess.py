@@ -220,7 +220,9 @@ def apply_scaler(params: RobustScalerParams, frame: DatasetFrame) -> DatasetFram
             "frame features do not match the fitted scaler"
             + (f" (unknown: {', '.join(unknown)})" if unknown else " (order differs)")
         )
-    return frame.with_values((frame.values - params.median) / params.divisors)
+    values = frame.values - params.median
+    values /= params.divisors
+    return frame.with_values(values)
 
 
 # The whitespace float() ignores around a number: what str.strip() removes

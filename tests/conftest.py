@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,17 @@ def identity_autoencoder(n_features: int) -> HTdcAutoencoder:
     encoder = one_layer_mlp(eye, 0.0, Activation.IDENTITY)
     decoder = one_layer_mlp(eye, 0.0, Activation.IDENTITY)
     return HTdcAutoencoder(encoder, decoder, LatentPartition(0, n_features))
+
+
+def traced_peak(call) -> int:
+    """The most bytes that Python's allocators held at once during call(),
+    counted from its start."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

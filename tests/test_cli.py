@@ -848,9 +848,11 @@ class TestMalformedInput:
         (b"\xff\xfe{}", "invalid JSON"),
     ])
     def test_training_config_file(self, pipeline, tmp_path, capsys, content, field):
-        (tmp_path / "cfg.json").write_bytes(content)
-        assert self.train(pipeline, tmp_path, "--config", tmp_path / "cfg.json") == 1
-        assert field in capsys.readouterr().err
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert self.train(pipeline, tmp_path, "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and field in err
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("attack, field", [
@@ -870,17 +872,19 @@ class TestMalformedInput:
         ({"kind": "sensor_freeze", "target": 0, "start": 20, "end": 10},
          "attacks[0].end must be >= 20"),
     ])
-    @pytest.mark.parametrize("source", ["attacks", "config"])
+    # With two files, the first holds the bad attack and the second a good one.
+    @pytest.mark.parametrize("source", ["attacks", "config", "attacks+config", "config+attacks"])
     def test_attacks_file(self, tmp_path, capsys, attack, field, source):
-        path = tmp_path / "attacks.json"
-        if source == "attacks":
-            path.write_text(json.dumps([attack]))
-            code = run("synth", "--out", tmp_path / "s", "--horizon", 200, "--attacks", path)
-        else:
-            path.write_text(json.dumps({"attacks": [attack]}))
-            code = run("synth", "--out", tmp_path / "s", "--horizon", 200, "--config", path)
+        good = {"kind": "sensor_freeze", "target": 0, "start": 10, "end": 20}
+        files = []
+        for name, entry in zip(source.split("+"), [attack, good]):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps([entry] if name == "attacks" else {"attacks": [entry]}))
+            files += [f"--{name}", path]
+        code = run("synth", "--out", tmp_path / "s", "--horizon", 200, *files)
         assert code == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[1]}: ") and field in err
 
     @pytest.mark.parametrize("tanks, field", [
         ({"horizon": "abc"}, "tanks.horizon"),
@@ -902,7 +906,8 @@ class TestMalformedInput:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"tanks": tanks}))
         assert run("synth", "--out", tmp_path / "s", "--config", path) == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and field in err
 
     @pytest.mark.parametrize("doc, flags, message", [
         ({"attacks": 5}, ["--attacks", "none"], "attacks: expected a list, got 5"),

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import identity_autoencoder, one_layer_mlp
+from conftest import identity_autoencoder, one_layer_mlp, traced_peak
 from oracles import smooth_reference
 from tdcae.detect import (
     DetectionConfig,
@@ -67,6 +67,16 @@ class TestReconstructionError:
         residual = x - forward(model.decoder, forward(model.encoder, x))
         expected = (residual**2).mean(axis=1)
         assert reconstruction_error(model, frame_of(x)).tobytes() == expected.tobytes()
+
+    def test_memory_holds_at_most_two_activations(self, rng):
+        # Two 8-wide activations take twice the values' bytes. A third
+        # alive at once, or a residual apart from the reconstruction, takes
+        # more.
+        model = build_model(8, TrainingConfig(hidden_size=8, partition=LatentPartition(3, 1)))
+        assert model.encoder.layer_sizes == [8, 8, 7]
+        frame = frame_of(rng.normal(size=(20_000, 8)))
+        peak = traced_peak(lambda: reconstruction_error(model, frame))
+        assert peak <= 2.1 * frame.values.nbytes
 
     def test_feature_mismatch_raises(self, rng):
         model = identity_autoencoder(3)
@@ -148,6 +158,10 @@ class TestSmooth:
         scores = rng.exponential(size=51)
         for window in (1, 2, 3, 7, 10, 51, 80):
             assert np.allclose(smooth(scores, window), smooth_reference(scores, window), atol=1e-12)
+
+    def test_memory_is_about_one_output(self, rng):
+        scores = rng.exponential(size=20_000)
+        assert traced_peak(lambda: smooth(scores, 7)) < 2 * scores.nbytes
 
     def test_output_length_and_empty(self):
         assert smooth(np.array([]), 7).shape == (0,)

@@ -1,11 +1,11 @@
 import dataclasses
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from batadal_fixture import BATADAL_COLUMNS, write_batadal_csv
+from conftest import traced_peak
 from oracles import reference_load_csv, write_table_reference
 from tdcae import preprocess
 from tdcae.errors import ConfigError, DimensionError, IngestionError, NumericError
@@ -60,6 +60,12 @@ class TestScaler:
     def test_symmetric_data_has_zero_median(self):
         params = fit_scaler(frame_from_columns(a=[-3.0, 0.0, 3.0, -3.0, 3.0, 0.0]))
         assert params.median[0] == 0.0
+
+    def test_memory_is_about_one_scaled_matrix(self):
+        values = np.random.default_rng(0).standard_normal((20_000, 8))
+        frame = DatasetFrame([f"c{k}" for k in range(8)], values)
+        params = fit_scaler(frame)
+        assert traced_peak(lambda: apply_scaler(params, frame)) < 1.5 * values.nbytes
 
     def test_needs_at_least_four_rows(self):
         with pytest.raises(ConfigError):
@@ -494,12 +500,8 @@ class TestTableCodec:
         values = np.random.default_rng(0).standard_normal((rows, 8))
         columns = [np.arange(rows, dtype=np.int64), *values.T]
         table_bytes = sum(column.nbytes for column in columns)
-        tracemalloc.start()
-        try:
-            write_table(tmp_path / "t.csv", [f"c{k}" for k in range(9)], columns)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        header = [f"c{k}" for k in range(9)]
+        peak = traced_peak(lambda: write_table(tmp_path / "t.csv", header, columns))
         assert peak < table_bytes
 
     @pytest.mark.parametrize("columns", [

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -142,8 +142,17 @@ def test_smooth_matches_the_reference_bit_for_bit_up_to_window_7(values, window)
 
 @relaxed
 @given(values=signed, window=st.integers(1, 100))
+# Where the running sums meet the windowed sums: n = window, and
+# n = window + 1 with a 9-score window that a pairwise sum would round
+# otherwise.
+@example(values=[1e16] + [1.0] * 8, window=9)
+@example(values=[0.0, 1e16] + [1.0] * 8, window=9)
+# A leading run of -0.0 sums to +0.0 from +0.0.
+@example(values=[-0.0, -0.0, 2.0], window=2)
+# Scores that are not contiguous in memory.
+@example(values=(np.arange(20.0) / 3)[::2], window=3)
 def test_smooth_matches_the_shifted_slice_loop_bit_for_bit(values, window):
-    values = np.array(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     expected = smooth_shifted_reference(values, window)
     assert smooth(values, window).tobytes() == expected.tobytes()
 
