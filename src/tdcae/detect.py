@@ -1,11 +1,11 @@
 """Reconstruction-error scoring, moving-average smoothing, percentile
 thresholding and binary anomaly flagging. The one module that runs a
-trained model on data: `_run` walks an Mlp's `_kernel` layers with at
-most two activations alive, `_latent` is the checked encoder pass that
-`report` also reads, and `reconstruction_error` runs the decoder over it
-and squares the residual in the reconstruction's buffer. The latent and
-the errors are tested by `errors._all_finite`, the package's one
-finiteness test."""
+trained model on data, one `nn._layer` call per layer with at most two
+activations alive: `_latent` is the checked encoder pass that `report`
+also reads, `_reconstruction` runs the decoder over it, and
+`reconstruction_error` squares the residual in the reconstruction's
+buffer. The latent and the errors are tested by `errors._all_finite`, the
+package's one finiteness test."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, IngestionError, NumericError, _all_finite,
                      _check_int, _check_number)
 from .model import HTdcAutoencoder
-from .nn import _as_matrix, _finite_output
+from .nn import _as_matrix, _finite_output, _layer
 from .preprocess import DatasetFrame, _check_attack_free, read_table, write_table
 
 
@@ -53,32 +53,31 @@ class DetectionResult:
             raise DimensionError("score and flag sequences must share one length")
 
 
-def _run(layers: list[tuple], x: np.ndarray) -> np.ndarray:
-    """The output of an Mlp's `_kernel` layers for the finite float64
-    matrix x, unchecked. Each activation is dropped once the next one
-    exists, so at most two are alive."""
-    for _, weights_t, bias, tanh in layers:
-        x = x.dot(weights_t)
-        x += bias
-        if tanh:
-            np.tanh(x, out=x)
-    return x
-
-
 def _latent(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
     """The encoder's output for x, a finite float64 matrix of the model's
-    width such as a frame's values, from `_run`, so only the latent
-    outlives the pass. It is checked, as a saturating decoder can map an
-    infinite latent to a finite output, and named as forward would, the
-    input first: a frame checks its values when built, not after an
-    in-place change."""
+    width such as a frame's values, so only the latent outlives the pass.
+    It is checked, as a saturating decoder can map an infinite latent to a
+    finite output, and named as forward would, the input first: a frame
+    checks its values when built, not after an in-place change."""
     if x.shape[0] < 1:
         raise DimensionError("batch must contain at least one row")
-    latent = _run(model.encoder._kernel, x)
+    latent = x
+    for layer in model.encoder._kernel:
+        latent = _layer(layer, latent)
     if not _all_finite(latent):
         _as_matrix(x, "input")
         _finite_output(latent)
     return latent
+
+
+def _reconstruction(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
+    """The decoder's output for `_latent(model, x)`, unchecked. The latent
+    is bound only to this frame's local, which each layer's output replaces,
+    so no caller keeps it alive while the decoder runs."""
+    out = _latent(model, x)
+    for layer in model.decoder._kernel:
+        out = _layer(layer, out)
+    return out
 
 
 def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndarray:
@@ -98,7 +97,7 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
     # non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
         # The residual and its square overwrite the reconstruction.
-        residual = _run(model.decoder._kernel, _latent(model, values))
+        residual = _reconstruction(model, values)
         np.subtract(values, residual, out=residual)
         residual *= residual
         # np.mean's own arithmetic: one row sum, then a division by the count.
@@ -108,7 +107,7 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
         # which is computed again as the residual took its place.
         _as_matrix(values, "input")
         with np.errstate(over="ignore", invalid="ignore"):
-            reconstruction = _run(model.decoder._kernel, _latent(model, values))
+            reconstruction = _reconstruction(model, values)
         _finite_output(reconstruction)
         row = int(np.argmin(np.isfinite(errors)))
         raise NumericError(

@@ -6,19 +6,19 @@ Everything is float64. Each Mlp keeps all of its parameters in one
 contiguous vector, `params`; the layers' weights and biases are views into
 it, and a GradientSet views a flat gradient vector laid out the same way.
 An optimizer step is then a few elementwise operations on flat vectors.
-The layer arithmetic lives in two unchecked kernels that write into
-caller-provided buffers: `_forward`, which the checked public `forward`
-wraps and the training step in `tdcae.model` runs, and `_backward`, which
-only the training step calls. Scoring in `tdcae.detect` walks the same
-`_kernel` layers with the same `.dot` method, into new arrays. `forward`
-tests its input and output with `errors._all_finite`, the package's one
-finiteness test; it is the checked array API and the tests' reference,
-and no module in the package calls it.
+The layer arithmetic lives here, in three unchecked kernels: `_layer`,
+one layer's output in a new array, which the checked public `forward` and
+the scorer in `tdcae.detect` call once per layer, and two that write into
+caller-provided buffers for the training step in `tdcae.model`,
+`_forward` and `_backward`. `forward` tests its input and output with
+`errors._all_finite`, the package's one finiteness test; it is the checked
+array API and the tests' reference, and no module in the package calls it.
 `_backward` reads each tanh layer's derivative 1 - post**2 from a buffer
 of the caller's, which the training step fills for every tanh layer at
 once, and leaves the forward outputs as they are.
 
-The kernels call BLAS through the ndarray method `a.dot(b, out=o)`, not
+The kernels call BLAS through the ndarray method `a.dot(b, out=o)` (`_layer`
+without `out`, which gives the same bits as `out=None`), not
 `np.matmul` and not the function `np.dot`: on the 32x8 matrices of a
 training batch the cost of a product is call overhead. The method goes
 straight to `dgemm`/`dgemv`, skipping matmul's gufunc dispatch (about 0.5 to
@@ -169,6 +169,20 @@ def init_mlp(layer_sizes: list[int], activations: list[Activation], seed: int) -
     return mlp
 
 
+def _layer(layer: tuple, x: np.ndarray) -> np.ndarray:
+    """Unchecked output of one of an Mlp's `_kernel` layers for the finite
+    float64 matrix x, in a new array. A loop that rebinds one local to each
+    layer's output keeps at most two activations alive on every CPython:
+    while a call runs, only x and the output exist, even where the caller
+    keeps its arguments until the call returns, as CPython 3.10 does."""
+    _, weights_t, bias, tanh = layer
+    x = x.dot(weights_t)
+    x += bias
+    if tanh:
+        np.tanh(x, out=x)
+    return x
+
+
 def _forward(layers: list[tuple], x: np.ndarray, post: list) -> None:
     """Unchecked forward kernel over an Mlp's `_kernel` layers: layer k's
     post-activation output for the finite float64 matrix x goes into the
@@ -225,6 +239,6 @@ def forward(mlp: Mlp, x) -> np.ndarray:
         raise DimensionError(
             f"input has {x.shape[1]} columns, network expects {mlp.input_size}"
         )
-    post = [None] * len(mlp.layers)
-    _forward(mlp._kernel, x, post)
-    return _finite_output(post[-1])
+    for layer in mlp._kernel:
+        x = _layer(layer, x)
+    return _finite_output(x)

@@ -7,7 +7,10 @@ meant to move bytes rewrites the manifest with
 
     PYTHONPATH=src python tests/test_golden_chain.py
 
-and says which files moved and why.
+and says which files moved and why. With `--print` the script writes the
+digests to stdout and leaves the manifest as it is, so that runs of one
+tree under different settings, such as BLAS thread counts, can be compared
+on a machine whose kernels differ from the recording build's.
 """
 
 import contextlib
@@ -91,6 +94,10 @@ def test_chain_writes_the_recorded_bytes(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         digests = chain_digests(Path(work))
-    MANIFEST.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {MANIFEST}; kernel digest {kernel_digest()}",
-          file=sys.stderr)
+    text = json.dumps(digests, indent=2, sort_keys=True) + "\n"
+    if sys.argv[1:] == ["--print"]:
+        sys.stdout.write(text)
+    else:
+        MANIFEST.write_text(text, encoding="utf-8")
+        print(f"wrote {len(digests)} digests to {MANIFEST}; kernel digest {kernel_digest()}",
+              file=sys.stderr)
