@@ -11,19 +11,20 @@ feature count fix the architecture, and its `partition`, `layer_sizes` and
 `activations` are checked against what `build_model` gives for them.
 
 The loss and its exact gradient come from one fused step, `_LossStep`,
-built once per model and batch size with every buffer preallocated: it runs
-nn's forward kernel once over the stacked rows [x_t; x_prev; x_next] through
-the encoder and once over the x_t rows through the decoder, then nn's
-backward kernel once per network, with one combined encoder cotangent,
+built once per model and batch size with every buffer preallocated, its
+stacked input rows [x_t; x_prev; x_next] among them. The step also builds,
+once, two flat lists of numpy calls on those buffers: the loss list runs
+nn's forward calls once over the stacked rows through the encoder and once
+over the x_t rows through the decoder, and the gradient list runs nn's
+backward calls once per network, with one combined encoder cotangent,
 writing the gradients into one flat vector laid out like the shared
 encoder-then-decoder parameter vector. The outputs of all three tanh layers
 view one flat buffer, so one np.multiply and one np.subtract give every
-tanh' = 1 - post**2 that the backward kernel reads. `train` gathers the
-rows of 32 batches at a time with one `values.take` and gives each batch a
-contiguous slice of them, runs this step, and makes one Adamax step per
-batch, which also checks the gradient. The finite-difference tests run the
-same step, so the gradient they check is the one training uses. Running a
-trained model on data is tdcae.detect's.
+tanh' = 1 - post**2 that the backward calls read. `train` gathers each
+batch's rows into its step's input buffer with one `values.take`, runs the
+step, and makes one Adamax step per batch, which also checks the gradient.
+The finite-difference tests run the same step, so the gradient they check is
+the one training uses. Running a trained model on data is tdcae.detect's.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, NumericError, _all_finite, _check_int,
                      _check_number)
 from .nn import Activation, GradientSet, Mlp, init_mlp
-from .nn import _backward, _forward, _share_params
+from .nn import _backward_calls, _forward_calls, _share_params
 from .optim import _AdamaxState, _adamax_update
 from .preprocess import DatasetFrame, RobustScalerParams, _check_attack_free
 
@@ -230,16 +231,20 @@ class _LossStep:
 
     Built once per model and batch size. It keeps views of the model's
     parameters, so it follows in-place updates of them, and preallocates
-    every buffer a batch needs. The gradients land in `grads`, one flat
-    vector laid out like `_share_params(model.encoder, model.decoder)`;
-    `enc_grads` and `dec_grads` view into it.
+    every buffer a batch needs: the caller writes the batch, stacked as
+    [x_t; x_prev; x_next], into `x`, of shape (3b, F). The gradients land in
+    `grads`, one flat vector laid out like
+    `_share_params(model.encoder, model.decoder)`; `enc_grads` and
+    `dec_grads` view into it.
 
-    The encoder runs once over the stacked [x_t; x_prev; x_next], so one
-    backward pass takes one combined cotangent: the x_t rows get the
-    decoder's latent cotangent plus the consistency term on the derivative
-    nodes, and the x_prev and x_next rows get the consistency term on the
-    static nodes, with opposite signs and scaled by 1/(2*delta_t). The
-    cotangent's other entries are never written and stay zero.
+    The encoder runs once over the stacked rows, so one backward pass takes
+    one combined cotangent: the x_t rows get the decoder's latent cotangent
+    plus the consistency term on the derivative nodes, and the x_prev and
+    x_next rows get the consistency term on the static nodes, with opposite
+    signs and scaled by 1/(2*delta_t). The cotangent's other entries are
+    never written and stay zero. Every operation of a batch is in one of two
+    lists of (function, args) pairs, built here: `loss_calls` and
+    `grad_calls`.
     """
 
     def __init__(self, model: HTdcAutoencoder, b: int, alpha: float, delta_t: float):
@@ -248,11 +253,11 @@ class _LossStep:
         enc, dec, p = model.encoder, model.decoder, model.partition
         self.b, self.alpha = b, alpha
         self.enc, self.dec = enc._kernel, dec._kernel
+        self.x = np.empty((3 * b, model.n_features))
         self.grads = np.empty(enc.params.size + dec.params.size)
         self.enc_grads = GradientSet(self.grads[: enc.params.size], enc)
         self.dec_grads = GradientSet(self.grads[enc.params.size :], dec)
         self.ones = np.ones(3 * b)  # bias gradients as dot(ones, g)
-        self.ones_t = self.ones[:b]
 
         # The outputs of every tanh layer (both of the encoder's and the
         # decoder's hidden layer) view one flat buffer, so that one pass
@@ -273,76 +278,77 @@ class _LossStep:
                 deriv.append(None)
         n_enc = len(enc.layers)
         self.enc_post, self.dec_post = post[:n_enc], post[n_enc:]
-        self.enc_deriv, self.dec_deriv = deriv[:n_enc], deriv[n_enc:]
         h = self.enc_post[-1]
         self.h_t = h[:b]
         self.residual = np.empty((b, model.n_features))
         self.diff = np.empty((b, p.n_pairs))
         self.residual_flat, self.diff_flat = self.residual.reshape(-1), self.diff.reshape(-1)
-        self.z_prev, self.z_next = h[b : 2 * b, p.z_slice], h[2 * b :, p.z_slice]
-        self.zdot_t = h[:b, p.zdot_slice]
 
         self.g_latent = np.zeros((3 * b, p.width))
         self.g_zdot_t = self.g_latent[:b, p.zdot_slice]
-        self.g_z_prev = self.g_latent[b : 2 * b, p.z_slice]
-        self.g_z_next = self.g_latent[2 * b :, p.z_slice]
+        # The z_prev and z_next cotangents, in this order, as one view.
+        self.g_z_sides = self.g_latent[b:].reshape(2, b, p.width)[:, :, p.z_slice]
         self.dec_cotangents = [self.g_latent[:b]] + [
             np.empty((b, l.in_size)) for l in dec.layers[1:]
         ]
         self.enc_cotangents = [None] + [np.empty((3 * b, l.in_size)) for l in enc.layers[1:]]
 
-        self.two_delta_t = 2.0 * delta_t
         self.rec_scale = 2.0 / self.residual.size
         self.consistency = self.diff.size > 0 and alpha != 0.0
+        self.loss_calls = [
+            *_forward_calls(self.enc, self.x, self.enc_post),
+            *_forward_calls(self.dec, self.h_t, self.dec_post),
+            (np.subtract, (self.dec_post[-1], self.x[:b], self.residual)),
+            (np.subtract, (h[2 * b :, p.z_slice], h[b : 2 * b, p.z_slice], self.diff)),
+            (np.true_divide, (self.diff, 2.0 * delta_t, self.diff)),
+            (np.subtract, (self.diff, h[:b, p.zdot_slice], self.diff)),
+        ]
+        self.grad_calls = [
+            (np.multiply, (self.tanh_post, self.tanh_post, self.tanh_deriv)),
+            (np.subtract, (1.0, self.tanh_deriv, self.tanh_deriv)),
+            (np.multiply, (self.residual, self.rec_scale, self.residual)),
+            *_backward_calls(self.dec, self.h_t, self.dec_post, deriv[n_enc:], self.residual,
+                             self.dec_grads, self.ones[:b], self.dec_cotangents),
+        ]
         if self.consistency:
             self.zdot_scale = -2.0 * alpha / self.diff.size
             self.side_scale = alpha / (self.diff.size * delta_t)
+            # Negation is exact, so diff * -s has the bits of -(diff * s).
+            sides = np.array([-self.side_scale, self.side_scale])[:, None, None]
+            zdot_term = np.empty_like(self.diff)
+            self.grad_calls += [
+                (np.multiply, (self.diff, self.zdot_scale, zdot_term)),
+                (np.add, (self.g_zdot_t, zdot_term, self.g_zdot_t)),
+                (np.multiply, (self.diff, sides, self.g_z_sides)),
+            ]
+        self.grad_calls += _backward_calls(self.enc, self.x, self.enc_post, deriv[:n_enc],
+                                           self.g_latent, self.enc_grads, self.ones,
+                                           self.enc_cotangents)
 
-    def loss(self, x: np.ndarray) -> LossBreakdown:
-        """Forward passes on the stacked (3b, F) batch x, which must be
-        finite; raises NumericError if the loss is not."""
-        b = self.b
-        _forward(self.enc, x, self.enc_post)
-        _forward(self.dec, self.h_t, self.dec_post)
-        np.subtract(self.dec_post[-1], x[:b], out=self.residual)
-        np.subtract(self.z_next, self.z_prev, out=self.diff)
-        self.diff /= self.two_delta_t
-        self.diff -= self.zdot_t
+    def loss(self) -> tuple[float, float]:
+        """The forward passes on the batch in `x`, which must be finite, and
+        its (reconstruction, consistency) losses; raises NumericError if the
+        total loss is not finite."""
+        for function, args in self.loss_calls:
+            function(*args)
         rec = _mean_square(self.residual_flat)
         tdc = _mean_square(self.diff_flat) if self.diff.size else 0.0
-        breakdown = LossBreakdown.from_parts(rec, tdc, self.alpha)
-        if not math.isfinite(breakdown.total):
+        if not math.isfinite(rec + self.alpha * tdc):
             raise NumericError("non-finite loss")
-        return breakdown
+        return rec, tdc
 
-    def __call__(self, x: np.ndarray) -> LossBreakdown:
-        """The loss on x plus its gradient, written into `grads`."""
-        breakdown = self.loss(x)
-        np.multiply(self.tanh_post, self.tanh_post, out=self.tanh_deriv)
-        np.subtract(1.0, self.tanh_deriv, out=self.tanh_deriv)
-        self.residual *= self.rec_scale
-        _backward(self.dec, self.h_t, self.dec_post, self.dec_deriv, self.residual,
-                  self.dec_grads, self.ones_t, self.dec_cotangents)
-        if self.consistency:
-            self.g_zdot_t += self.zdot_scale * self.diff
-            np.multiply(self.diff, self.side_scale, out=self.g_z_next)
-            np.negative(self.g_z_next, out=self.g_z_prev)
-        _backward(self.enc, x, self.enc_post, self.enc_deriv, self.g_latent, self.enc_grads,
-                  self.ones, self.enc_cotangents)
-        return breakdown
+    def __call__(self) -> tuple[float, float]:
+        """The losses of the batch in `x`, with their gradient written
+        into `grads`."""
+        losses = self.loss()
+        for function, args in self.grad_calls:
+            function(*args)
+        return losses
 
 
 # Row offsets of x_t, x_prev and x_next in the frame, relative to triple k's
 # first row k: triple k is frame rows (k, k+1, k+2).
 _TRIPLE_OFFSETS = np.array([[1], [0], [2]])
-
-
-# train gathers the rows of this many batches at a time, with one take,
-# and hands each batch a contiguous slice of them. At b=32 and 8 features a
-# chunk is 3*32*32 rows, 196 KB. A whole epoch at once would hold three
-# copies of the training frame, which raised the peak memory of the
-# in-process synth-to-report CLI chain on 20,000 hours by 8.8%.
-_CHUNK_BATCHES = 32
 
 
 def _batch_rows(order: np.ndarray, b: int) -> np.ndarray:
@@ -363,11 +369,11 @@ def train(
     Triples are shuffled each epoch with a generator derived from
     config.seed (the last partial batch is kept), so a fixed seed yields a
     bit-identical model. The history holds per-epoch mean losses, one
-    entry per epoch. The rows of every _CHUNK_BATCHES batches are gathered
-    at once, and each batch reads a contiguous slice of them. The encoder and decoder parameters share one
-    flat vector, which each batch updates in place with one Adamax step on
-    the gradient of the fused loss step; that step also finds a non-finite
-    gradient, which raises NumericError.
+    entry per epoch. Each batch's rows are gathered with one take into the
+    input buffer of its loss step. The encoder and decoder parameters share
+    one flat vector, which each batch updates in place with one Adamax step
+    on the gradient of the fused loss step; that step also finds a
+    non-finite gradient, which raises NumericError.
     """
     if train_frame.n_rows < 3:
         raise ConfigError(f"need >= 3 rows to build triples, got {train_frame.n_rows}")
@@ -397,15 +403,11 @@ def train(
         rec_sum = 0.0
         tdc_sum = 0.0
         for batch_index, start in enumerate(range(0, n, b)):
-            if batch_index % _CHUNK_BATCHES == 0:
-                # take copies many rows several times faster than values[...].
-                chunk_rows = rows[3 * start : 3 * (start + _CHUNK_BATCHES * b)]
-                chunk, chunk_start = values.take(chunk_rows, axis=0), start
             size = min(b, n - start)
             step = steps[size]
-            offset = 3 * (start - chunk_start)
+            values.take(rows[3 * start : 3 * (start + size)], axis=0, out=step.x)
             try:
-                breakdown = step(chunk[offset : offset + 3 * size])
+                rec, tdc = step()
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch + 1}, batch {batch_index + 1}: {exc}"
@@ -415,8 +417,8 @@ def train(
                 raise NumericError(
                     f"non-finite gradient at epoch {epoch + 1}, batch {batch_index + 1}"
                 )
-            rec_sum += breakdown.rec_loss * size
-            tdc_sum += breakdown.tdc_loss * size
+            rec_sum += rec * size
+            tdc_sum += tdc * size
         history.append(LossBreakdown.from_parts(rec_sum / n, tdc_sum / n, config.alpha))
 
     return model, history

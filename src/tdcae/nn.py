@@ -6,30 +6,36 @@ Everything is float64. Each Mlp keeps all of its parameters in one
 contiguous vector, `params`; the layers' weights and biases are views into
 it, and a GradientSet views a flat gradient vector laid out the same way.
 An optimizer step is then a few elementwise operations on flat vectors.
-The layer arithmetic lives here, in three unchecked kernels: `_layer`,
-one layer's output in a new array, which the checked public `forward` and
-the scorer in `tdcae.detect` call once per layer, and two that write into
-caller-provided buffers for the training step in `tdcae.model`,
-`_forward` and `_backward`. `forward` tests its input and output with
+The layer arithmetic lives here. `_layer`, one layer's output in a new
+array, is the unchecked kernel that the checked public `forward` and the
+scorer in `tdcae.detect` call once per layer. The training step in
+`tdcae.model` instead builds its passes once, with `_forward_calls` and
+`_backward_calls`: each returns a flat list of (function, args) pairs, the
+products, bias adds, tanh and derivative multiplies of one pass over fixed
+buffers of the caller's, in order, which the step replays for every batch
+with no loop over layers. `forward` tests its input and output with
 `errors._all_finite`, the package's one finiteness test; it is the checked
 array API and the tests' reference, and no module in the package calls it.
-`_backward` reads each tanh layer's derivative 1 - post**2 from a buffer
-of the caller's, which the training step fills for every tanh layer at
-once, and leaves the forward outputs as they are.
+The backward list reads each tanh layer's derivative 1 - post**2 from a
+buffer of the caller's, which the training step fills for every tanh layer
+at once, and leaves the forward outputs as they are.
 
-The kernels call BLAS through the ndarray method `a.dot(b, out=o)` (`_layer`
-without `out`, which gives the same bits as `out=None`), not
-`np.matmul` and not the function `np.dot`: on the 32x8 matrices of a
-training batch the cost of a product is call overhead. The method goes
-straight to `dgemm`/`dgemv`, skipping matmul's gufunc dispatch (about 0.5 to
-1.3 us a call) and the Python-level `__array_function__` dispatcher that the
-function `np.dot` calls first in numpy 2 (about 0.1 to 0.2 us a call). The
-method and the function run the same C routine, so they give the same bits.
-Its `out` buffers must be C-contiguous float64 of the result's exact shape,
-which every kernel buffer is. On C- and Fortran-order inputs the results
-are bit-identical to the `np.matmul` form of the kernels that
+The products call BLAS through the ndarray method `a.dot(b, out)` (`_layer`
+without `out`, which gives the same bits as `out=None`), bound on the
+buffer it reads, not `np.matmul` and not the function `np.dot`: on the
+32x8 matrices of a training batch the cost of a product is call overhead.
+The method goes straight to `dgemm`/`dgemv`, skipping matmul's gufunc
+dispatch (about 0.5 to 1.3 us a call) and the Python-level
+`__array_function__` dispatcher that the function `np.dot` calls first in
+numpy 2 (about 0.1 to 0.2 us a call). The method and the function run the
+same C routine, so they give the same bits. Its `out` buffers must be
+C-contiguous float64 of the result's exact shape, which every buffer of the
+training step is. On C- and Fortran-order inputs the results are
+bit-identical to the `np.matmul` form of the builders that
 `tests/oracles.py` keeps; on views strided in memory the two can choose
-different BLAS calls and differ in the last bit.
+different BLAS calls and differ in the last bit. The ufuncs take their
+`out` positionally, as the same in-place operation written `x += bias`
+does.
 """
 
 from __future__ import annotations
@@ -114,7 +120,8 @@ class Mlp:
             DenseLayer(w, b, act, w.shape[1], w.shape[0])
             for w, b, act in zip(weights, biases, self._activations)
         ]
-        # What the kernels read, per layer: (weights, weights.T, bias, is_tanh).
+        # What `_layer` and the call-list builders read, per layer:
+        # (weights, weights.T, bias, is_tanh).
         self._kernel = [
             (l.weights, l.weights.T, l.bias, l.activation is Activation.TANH)
             for l in self.layers
@@ -183,18 +190,20 @@ def _layer(layer: tuple, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(layers: list[tuple], x: np.ndarray, post: list) -> None:
-    """Unchecked forward kernel over an Mlp's `_kernel` layers: layer k's
-    post-activation output for the finite float64 matrix x goes into the
-    buffer post[k], or into a new array stored there if post[k] is None."""
-    for k, (_, weights_t, bias, tanh) in enumerate(layers):
-        x = post[k] = x.dot(weights_t, out=post[k])
-        x += bias
+def _forward_calls(layers: list[tuple], x: np.ndarray, post: list[np.ndarray]) -> list:
+    """The forward pass over an Mlp's `_kernel` layers as (function, args)
+    pairs that, run in order, write layer k's post-activation output for
+    the finite float64 matrix in x into the buffer post[k]."""
+    calls = []
+    for (_, weights_t, bias, tanh), out in zip(layers, post):
+        calls += [(x.dot, (weights_t, out)), (np.add, (out, bias, out))]
         if tanh:
-            np.tanh(x, out=x)
+            calls.append((np.tanh, (out, out)))
+        x = out
+    return calls
 
 
-def _backward(
+def _backward_calls(
     layers: list[tuple],
     x: np.ndarray,
     post: list[np.ndarray],
@@ -203,29 +212,32 @@ def _backward(
     grads: GradientSet,
     ones: np.ndarray,
     cotangents: list,
-) -> None:
-    """Unchecked backward kernel over an Mlp's `_kernel` layers, from the
-    output cotangent g.
+) -> list:
+    """The backward pass over an Mlp's `_kernel` layers, from the output
+    cotangent in g, as (function, args) pairs to run in order after the
+    forward pass.
 
-    deriv[k] holds tanh'(layer k) = 1 - post[k]**2 for every tanh layer k,
-    and the kernel overwrites it with the cotangent of that layer's
-    pre-activation; post itself is only read. Writes the parameter gradients
-    into grads and the cotangent of layer k's input into cotangents[k];
-    cotangents[0] may be None when the caller does not need the input
-    cotangent. ones is a vector of ones, one per row.
+    deriv[k] holds tanh'(layer k) = 1 - post[k]**2 for every tanh layer k
+    when the calls run, and they overwrite it with the cotangent of that
+    layer's pre-activation; post itself is only read. They write the
+    parameter gradients into grads and the cotangent of layer k's input into
+    cotangents[k]; cotangents[0] may be None when the caller does not need
+    the input cotangent. ones is a vector of ones, one per row.
     """
+    calls = []
+    inputs = [x] + post[:-1]
     for k in range(len(layers) - 1, -1, -1):
         weights, _, _, tanh = layers[k]
         if tanh:
-            d = deriv[k]
-            d *= g
-            g = d
-        g.T.dot(post[k - 1] if k > 0 else x, out=grads.weight_grads[k])
+            calls.append((np.multiply, (deriv[k], g, deriv[k])))
+            g = deriv[k]
         # bias gradients as ones.dot(g): a BLAS call, unlike sum(axis=0)
-        ones.dot(g, out=grads.bias_grads[k])
+        calls += [(g.T.dot, (inputs[k], grads.weight_grads[k])),
+                  (ones.dot, (g, grads.bias_grads[k]))]
         if cotangents[k] is not None:
-            g.dot(weights, out=cotangents[k])
+            calls.append((g.dot, (weights, cotangents[k])))
             g = cotangents[k]
+    return calls
 
 
 def forward(mlp: Mlp, x) -> np.ndarray:

@@ -1,30 +1,33 @@
 """Independent numerical oracles shared by the tests.
 
 The finite-difference gradient here is the reference the analytic backward
-kernel is checked against; it never calls the kernel itself.
+pass is checked against; it never runs that pass itself.
 `backward_reference` and `adamax_stepper` are the per-call forms of the
 nn and optim kernels that the fused training step does without, and
 `make_triples` and `tdc_loss` the per-call forms of its triple layout and
 consistency term: the reference trainers in test_model.py are built from
 them. `total_loss` and `total_loss_grads` are not oracles but the code under
-test: they stack one batch of triples and run the fused step that `train`
-runs, `model._LossStep`, so the finite-difference gate checks the gradient
-training uses. `reference_load_csv` is load_csv without numpy's C text
-reader. `write_table_reference` is write_table by csv.writer, and
+test: they stack one batch of triples into the input buffer of the fused
+step that `train` runs, `model._LossStep`, and run its call lists, so the
+finite-difference gate checks the gradient training uses.
+`reference_load_csv` is load_csv without numpy's C text reader.
+`write_table_reference` is write_table by csv.writer, and
 `polyline_reference` the points of line_plot's polylines mapped and
 formatted one point at a time. `init_params_reference` is init_mlp's
 draw into per-layer arrays that are then concatenated. `forward_matmul`
-and `backward_matmul` are nn's `_forward` and `_backward` kernels with
-their products by `np.matmul`: on C- and Fortran-order inputs, the bits
-the dot kernels must reproduce. `forward_np_dot`, `backward_np_dot` and
-`mean_square_np_dot` are the two kernels and model._mean_square with their
-products by the function np.dot, as they were before they called the
-ndarray method `.dot`: the bits the method must reproduce on every layout.
-`backward_post`, `loss_step_post`, `adamax_with_temporaries` and
-`train_unchunked` are the backward kernel, the fused step, the Adamax step
-and the training loop as they were before the tanh' buffers, the
-work-buffer Adamax step and the chunked gathers: the bits those must
-reproduce. `all_finite_reference` and
+and `backward_matmul` are the passes that nn's `_forward_calls` and
+`_backward_calls` build, run directly with their products by `np.matmul`:
+on C- and Fortran-order inputs, the bits the call lists must reproduce;
+`matmul_builders` wraps them as call lists for the training step.
+`forward_np_dot`, `backward_np_dot` and `mean_square_np_dot` are the two
+passes and model._mean_square with their products by the function np.dot,
+as they were before they called the ndarray method `.dot`: the bits the
+method must reproduce on every layout. `backward_post`, `loss_step_post`,
+`adamax_with_temporaries` and `train_unchunked` are the backward pass, the
+fused step, the Adamax step and the training loop as they were before the
+tanh' buffers, the work-buffer Adamax step, the call lists and the per-batch
+gathers into the step's buffer: the bits those must reproduce. `run_calls`
+runs a call list. `all_finite_reference` and
 `uniform_steps_reference` are the finiteness and time-spacing checks as
 they were written before `errors._all_finite` and the counted spacing
 check: the verdicts those must reproduce.
@@ -96,29 +99,38 @@ def init_params_reference(layer_sizes, seed: int) -> np.ndarray:
 def tanh_derivatives(layers, post) -> list:
     """tanh' = 1 - post**2 of every tanh layer among an Mlp's `_kernel`
     layers, in new arrays, and None for the others: the `deriv` argument of
-    nn._backward."""
+    nn._backward_calls."""
     return [1.0 - p * p if tanh else None for (*_, tanh), p in zip(layers, post)]
 
 
+def run_calls(calls) -> None:
+    """Run a list of (function, args) pairs in order, as the training step
+    does."""
+    for function, args in calls:
+        function(*args)
+
+
 def backward_reference(mlp, x, cotangent):
-    """Gradients of sum(forward(mlp, x) * cotangent) by nn's kernels, run
-    into fresh buffers: a GradientSet over a new flat vector, and the
+    """Gradients of sum(forward(mlp, x) * cotangent) by nn's call lists,
+    built on fresh buffers: a GradientSet over a new flat vector, and the
     cotangent of the input x."""
-    from tdcae.nn import GradientSet, _backward, _forward
+    from tdcae.nn import GradientSet, _backward_calls, _forward_calls
 
     x = np.asarray(x, dtype=np.float64)
     rows = x.shape[0]
-    post = [None] * len(mlp.layers)
-    _forward(mlp._kernel, x, post)
+    post = [np.empty((rows, layer.out_size)) for layer in mlp.layers]
+    run_calls(_forward_calls(mlp._kernel, x, post))
     grads = GradientSet(np.zeros(mlp.params.size), mlp)
     cotangents = [np.empty((rows, layer.in_size)) for layer in mlp.layers]
-    _backward(mlp._kernel, x, post, tanh_derivatives(mlp._kernel, post),
-              np.asarray(cotangent, dtype=np.float64), grads, np.ones(rows), cotangents)
+    run_calls(_backward_calls(mlp._kernel, x, post, tanh_derivatives(mlp._kernel, post),
+                              np.asarray(cotangent, dtype=np.float64), grads, np.ones(rows),
+                              cotangents))
     return grads, cotangents[0]
 
 
 def forward_matmul(layers, x, post) -> None:
-    """nn._forward with its product by np.matmul."""
+    """The pass of nn._forward_calls, run directly, with its product by
+    np.matmul."""
     for k, (_, weights_t, bias, tanh) in enumerate(layers):
         x = post[k] = np.matmul(x, weights_t, out=post[k])
         x += bias
@@ -127,7 +139,8 @@ def forward_matmul(layers, x, post) -> None:
 
 
 def backward_matmul(layers, x, post, deriv, g, grads, ones, cotangents) -> None:
-    """nn._backward with its three products by np.matmul."""
+    """The pass of nn._backward_calls, run directly, with its three products
+    by np.matmul."""
     for k in range(len(layers) - 1, -1, -1):
         weights, _, _, tanh = layers[k]
         if tanh:
@@ -141,8 +154,24 @@ def backward_matmul(layers, x, post, deriv, g, grads, ones, cotangents) -> None:
             g = cotangents[k]
 
 
+def matmul_builders(ran: list):
+    """Stand-ins for nn's `_forward_calls` and `_backward_calls` whose call
+    list is one call of forward_matmul or backward_matmul on the same
+    buffers; each stand-in appends its name to `ran` when it builds."""
+    def forward_calls(*args):
+        ran.append("forward")
+        return [(forward_matmul, args)]
+
+    def backward_calls(*args):
+        ran.append("backward")
+        return [(backward_matmul, args)]
+
+    return forward_calls, backward_calls
+
+
 def forward_np_dot(layers, x, post) -> None:
-    """nn._forward with its product by the function np.dot."""
+    """The pass of nn._forward_calls, run directly, with its product by the
+    function np.dot."""
     for k, (_, weights_t, bias, tanh) in enumerate(layers):
         x = post[k] = np.dot(x, weights_t, out=post[k])
         x += bias
@@ -151,7 +180,8 @@ def forward_np_dot(layers, x, post) -> None:
 
 
 def backward_np_dot(layers, x, post, deriv, g, grads, ones, cotangents) -> None:
-    """nn._backward with its three products by the function np.dot."""
+    """The pass of nn._backward_calls, run directly, with its three products
+    by the function np.dot."""
     for k in range(len(layers) - 1, -1, -1):
         weights, _, _, tanh = layers[k]
         if tanh:
@@ -171,9 +201,9 @@ def mean_square_np_dot(flat) -> float:
 
 
 def backward_post(layers, x, post, g, grads, ones, cotangents) -> None:
-    """nn._backward as it was before the derivative buffers: each tanh
-    layer's tanh' is computed from post[k] in place, by three calls, which
-    overwrites post."""
+    """The backward pass as it was before the derivative buffers and the
+    call lists: each tanh layer's tanh' is computed from post[k] in place,
+    by three calls, which overwrites post."""
     for k in range(len(layers) - 1, -1, -1):
         weights, _, _, tanh = layers[k]
         if tanh:
@@ -191,17 +221,21 @@ def backward_post(layers, x, post, g, grads, ones, cotangents) -> None:
 
 def loss_step_post(step, x):
     """model._LossStep.__call__ through backward_post: the loss on the
-    stacked batch x and its gradient, written into step.grads, with no
-    tanh' pass of its own."""
-    breakdown = step.loss(x)
+    stacked batch x, in a LossBreakdown, and its gradient, written into
+    step.grads, with no tanh' pass of its own."""
+    from tdcae.model import LossBreakdown
+
+    step.x[...] = x
+    breakdown = LossBreakdown.from_parts(*step.loss(), step.alpha)
     step.residual *= step.rec_scale
     backward_post(step.dec, step.h_t, step.dec_post, step.residual, step.dec_grads,
                   step.ones[: step.b], step.dec_cotangents)
     if step.consistency:
+        g_z_prev, g_z_next = step.g_z_sides
         step.g_zdot_t += step.zdot_scale * step.diff
-        np.multiply(step.diff, step.side_scale, out=step.g_z_next)
-        np.negative(step.g_z_next, out=step.g_z_prev)
-    backward_post(step.enc, x, step.enc_post, step.g_latent, step.enc_grads,
+        np.multiply(step.diff, step.side_scale, out=g_z_next)
+        np.negative(g_z_next, out=g_z_prev)
+    backward_post(step.enc, step.x, step.enc_post, step.g_latent, step.enc_grads,
                   step.ones, step.enc_cotangents)
     return breakdown
 
@@ -239,11 +273,12 @@ def adamax_stepper(mlps, learning_rate: float):
 
 
 def train_unchunked(config, frame):
-    """model.train as it was before its chunked gathers, derivative buffers
-    and work-buffer Adamax step: one fancy index per batch, loss_step_post,
-    a separate np.isfinite check of the gradient, and
-    adamax_with_temporaries on separate m and u vectors. Returns the
-    shared encoder-then-decoder parameter vector and the loss history."""
+    """model.train as it was before its gathers into the step's buffer,
+    derivative buffers, call lists and work-buffer Adamax step: one fancy
+    index per batch, loss_step_post, a separate np.isfinite check of the
+    gradient, and adamax_with_temporaries on separate m and u vectors.
+    Returns the shared encoder-then-decoder parameter vector and the loss
+    history."""
     from tdcae import model as model_mod
 
     n = frame.n_rows - 2
@@ -287,26 +322,34 @@ def tdc_loss(delta_z, zdot_t) -> float:
 
 
 def _loss_step(model, x_prev, x_t, x_next, alpha, delta_t):
-    """The fused training step for one batch of triples, and the batch
-    stacked as [x_t; x_prev; x_next], the layout the step reads."""
+    """The fused training step for one batch of triples, with the batch
+    stacked as [x_t; x_prev; x_next], the layout the step reads, in its
+    input buffer."""
     from tdcae.model import _LossStep
 
-    x = np.concatenate([np.asarray(v, dtype=np.float64) for v in (x_t, x_prev, x_next)])
-    return _LossStep(model, x.shape[0] // 3, alpha, delta_t), x
+    step = _LossStep(model, len(x_t), alpha, delta_t)
+    step.x[...] = np.concatenate([np.asarray(v, dtype=np.float64)
+                                  for v in (x_t, x_prev, x_next)])
+    return step
 
 
 def total_loss(model, x_prev, x_t, x_next, alpha: float, delta_t: float = 1.0):
     """Reconstruction MSE of x_t plus alpha times the consistency loss, as
     the fused training step computes it, in a LossBreakdown."""
-    step, x = _loss_step(model, x_prev, x_t, x_next, alpha, delta_t)
-    return step.loss(x)
+    from tdcae.model import LossBreakdown
+
+    step = _loss_step(model, x_prev, x_t, x_next, alpha, delta_t)
+    return LossBreakdown.from_parts(*step.loss(), step.alpha)
 
 
 def total_loss_grads(model, x_prev, x_t, x_next, alpha: float, delta_t: float = 1.0):
     """The loss plus the fused training step's exact gradients, as
     (LossBreakdown, encoder GradientSet, decoder GradientSet)."""
-    step, x = _loss_step(model, x_prev, x_t, x_next, alpha, delta_t)
-    return step(x), step.enc_grads, step.dec_grads
+    from tdcae.model import LossBreakdown
+
+    step = _loss_step(model, x_prev, x_t, x_next, alpha, delta_t)
+    breakdown = LossBreakdown.from_parts(*step(), step.alpha)
+    return breakdown, step.enc_grads, step.dec_grads
 
 
 def smooth_reference(scores, window: int) -> np.ndarray:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import tdcae.model as model_mod
-from conftest import identity_autoencoder
+from conftest import identity_autoencoder, traced_peak
 from oracles import (
-    adamax_stepper, backward_matmul, backward_reference, fd_gradient_mlp, forward_matmul,
-    make_triples, rel_error, tdc_loss, total_loss, total_loss_grads, train_unchunked,
+    adamax_stepper, backward_reference, fd_gradient_mlp, make_triples, matmul_builders,
+    rel_error, tdc_loss, total_loss, total_loss_grads, train_unchunked,
 )
 from tdcae.detect import _latent
 from tdcae.errors import ConfigError, DimensionError, NumericError
@@ -416,30 +416,55 @@ class TestTraining:
         assert history == want_history
 
     def test_one_fused_step_per_batch(self, monkeypatch):
-        # Every batch, full or tail, runs each kernel once per network: the
-        # encoder forward over the 3B stacked triple rows, the decoder over
-        # the B x_t rows, then the two backward passes on the same rows.
-        calls = []
+        # Every batch, full or tail, gathers its 3b stacked triple rows with
+        # one take into its step's input buffer and runs that step once. The
+        # step's first encoder product reads those 3b rows, and its first
+        # decoder product the b x_t rows of the encoder's output.
+        events = []
 
-        def spy(kind, kernel):
-            def counted(layers, x, *rest):
-                calls.append((kind, layers, x.shape[0]))
-                return kernel(layers, x, *rest)
-            return counted
+        class Values(np.ndarray):
+            def take(self, indices, axis=None, out=None, mode="raise"):
+                events.append(("take", out))
+                return super().take(indices, axis=axis, out=out, mode=mode)
 
-        monkeypatch.setattr(model_mod, "_forward", spy("forward", model_mod._forward))
-        monkeypatch.setattr(model_mod, "_backward", spy("backward", model_mod._backward))
+        def counted(step):
+            events.append(("step", step))
+            return run(step)
+
+        run = model_mod._LossStep.__call__
+        monkeypatch.setattr(model_mod._LossStep, "__call__", counted)
         frame = small_training_frame(8, rows=103)  # 101 triples: 32, 32, 32 and a tail of 5
+        frame.values = frame.values.view(Values)
         model, _ = train(TrainingConfig(hidden_size=6, epochs=1, seed=12), frame)
-        nets = {id(model.encoder._kernel): "encoder", id(model.decoder._kernel): "decoder"}
-        got = [(kind, nets.get(id(layers)), rows) for kind, layers, rows in calls]
-        want = []
-        for b in (32, 32, 32, 5):
-            want += [("forward", "encoder", 3 * b), ("forward", "decoder", b),
-                     ("backward", "decoder", b), ("backward", "encoder", 3 * b)]
-        assert got == want
-        encoder_rows = sum(r for kind, net, r in got if (kind, net) == ("forward", "encoder"))
+        assert [kind for kind, _ in events] == ["take", "step"] * 4
+        steps = [step for _, step in events[1::2]]
+        assert [step.b for step in steps] == [32, 32, 32, 5]
+        encoder_rows = 0
+        for (_, out), step in zip(events[::2], steps):
+            assert out is step.x
+            reads = [f.__self__ for f, _ in step.loss_calls if getattr(f, "__name__", "") == "dot"]
+            encoder_in, decoder_in = reads[0], reads[len(model.encoder.layers)]
+            assert encoder_in is step.x and encoder_in.shape[0] == 3 * step.b
+            assert decoder_in is step.h_t and decoder_in.shape[0] == step.b
+            encoder_rows += encoder_in.shape[0]
         assert encoder_rows / 101 == 3.0
+
+    def test_a_step_allocates_no_array(self, rng):
+        # At b = 512 and 3 pairs, one array of the consistency term,
+        # b * n_pairs * 8 bytes, is 12 KB, three times the bound. A ufunc
+        # over broadcast or strided operands allocates iterator buffers of
+        # up to numpy's buffer size per operand, 64 KB by default; at the
+        # smallest buffer size they cannot hide an array.
+        model = build_model(8, TrainingConfig(hidden_size=6))
+        step = model_mod._LossStep(model, 512, 0.3, 1.0)
+        step.x[...] = rng.normal(size=step.x.shape)
+        step()  # warm numpy's own caches
+        bufsize = np.setbufsize(16)
+        try:
+            peak = traced_peak(step)
+        finally:
+            np.setbufsize(bufsize)
+        assert peak < 4096
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -449,9 +474,14 @@ class TestTraining:
         frame = small_training_frame(8, rows=103)  # 101 triples, with a tail batch
         config = TrainingConfig(**{"hidden_size": 6, "epochs": 3, "seed": 12, **overrides})
         model, history = train(config, frame)
-        monkeypatch.setattr(model_mod, "_forward", forward_matmul)
-        monkeypatch.setattr(model_mod, "_backward", backward_matmul)
+        ran = []
+        forward_calls, backward_calls = matmul_builders(ran)
+        monkeypatch.setattr(model_mod, "_forward_calls", forward_calls)
+        monkeypatch.setattr(model_mod, "_backward_calls", backward_calls)
         oracle, oracle_history = train(config, frame)
+        # Two steps, one for the full batches and one for the tail, each
+        # with two forward and two backward passes.
+        assert ran == ["forward", "forward", "backward", "backward"] * 2
         assert history == oracle_history
         for got, want in ((model.encoder, oracle.encoder), (model.decoder, oracle.decoder)):
             assert got.params.tobytes() == want.params.tobytes()

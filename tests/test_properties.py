@@ -29,6 +29,7 @@ from oracles import (
     mean_square_np_dot,
     polyline_reference,
     reference_load_csv,
+    run_calls,
     simulate_reference,
     smooth_reference,
     smooth_shifted_reference,
@@ -42,7 +43,7 @@ from tdcae.errors import ConfigError, NumericError, TdcaeError, _all_finite
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
 from tdcae.model import (LatentPartition, TrainingConfig, _mean_square, _settings, load_model,
                          save_model, train)
-from tdcae.nn import Activation, GradientSet, _backward, _forward, init_mlp
+from tdcae.nn import Activation, GradientSet, _backward_calls, _forward_calls, init_mlp
 from tdcae.optim import _AdamaxState, _adamax_update
 from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler, load_csv, save_csv, write_table
 from tdcae.svgplot import line_plot
@@ -723,10 +724,20 @@ def test_line_plot_polylines_match_the_scalar_oracle(tmp_path_factory, series, t
     assert re.findall(r'points="([^"]*)"', svg) == expected
 
 
+def forward_lists(layers, x, post) -> None:
+    """The forward pass by the call list that nn._forward_calls builds."""
+    run_calls(_forward_calls(layers, x, post))
+
+
+def backward_lists(*args) -> None:
+    """The backward pass by the call list that nn._backward_calls builds."""
+    run_calls(_backward_calls(*args))
+
+
 def run_kernels(forward_kernel, backward_kernel, mlp, x, g):
     """One forward and one backward pass into fresh buffers: the network's
     output, the flat parameter gradient and every layer's input cotangent.
-    A backward kernel of nn._backward's signature gets the tanh layers'
+    A backward pass of nn._backward_calls's signature gets the tanh layers'
     derivatives as the training step makes them, by one np.multiply and one
     np.subtract; backward_post makes its own from post."""
     rows = x.shape[0]
@@ -766,10 +777,10 @@ def test_dot_kernels_give_the_bits_of_the_matmul_kernels(data, rows, sizes, x_or
     rng = np.random.default_rng(seed)
     x = np.asarray(rng.normal(size=(rows, sizes[0])), order=x_order)
     g = np.asarray(rng.normal(size=(rows, sizes[-1])), order=g_order)
-    got = run_kernels(_forward, _backward, mlp, x, g)
+    got = run_kernels(forward_lists, backward_lists, mlp, x, g)
     want = [a.tobytes() for a in got]
     assert [a.tobytes() for a in run_kernels(forward_matmul, backward_matmul, mlp, x, g)] == want
-    assert [a.tobytes() for a in run_kernels(_forward, backward_post, mlp, x, g)] == want
+    assert [a.tobytes() for a in run_kernels(forward_lists, backward_post, mlp, x, g)] == want
 
 
 def laid_out(rng, shape, layout: str) -> np.ndarray:
@@ -801,7 +812,7 @@ def test_dot_methods_give_the_bits_of_the_np_dot_kernels(data, rows, sizes, x_la
     rng = np.random.default_rng(seed)
     x = laid_out(rng, (rows, sizes[0]), x_layout)
     g = laid_out(rng, (rows, sizes[-1]), g_layout)
-    got = [a.tobytes() for a in run_kernels(_forward, _backward, mlp, x, g)]
+    got = [a.tobytes() for a in run_kernels(forward_lists, backward_lists, mlp, x, g)]
     assert [a.tobytes() for a in run_kernels(forward_np_dot, backward_np_dot, mlp, x, g)] == got
     flat = x.ravel() if x_layout == "C" else x[:, 0]
     assert _mean_square(flat) == mean_square_np_dot(flat)
