@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit an autoencoder on attack-free data")
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--edge", type=int, choices=(1, 2, 3), help="edge-area subset")
+    p.add_argument("--edge", type=int, choices=tuple(pre.EDGE_FEATURES), help="edge-area subset")
     p.add_argument("--config", help="JSON file with training settings")
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)

@@ -86,6 +86,12 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
     scaler. A non-finite input, latent or reconstruction raises
     NumericError with forward's message, and an error beyond the largest
     float one naming the first such row."""
+    return _scores(model, frame, None)[0]
+
+
+def _scores(model: HTdcAutoencoder, frame: DatasetFrame, window: int | None) -> tuple:
+    """reconstruction_error's checked errors and, for a window, their smooth
+    under the same np.errstate; an overflowing window sum raises NumericError."""
     if frame.n_features != model.n_features:
         raise DimensionError(
             f"frame has {frame.n_features} features, model expects {model.n_features}"
@@ -94,7 +100,7 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
     # A non-finite input, latent or reconstruction, or finite rows and
     # reconstructions more than the largest float apart, are named below,
     # not warned about. A non-finite reconstruction makes its row's error
-    # non-finite.
+    # non-finite, and a non-finite error its smoothed score.
     with np.errstate(over="ignore", invalid="ignore"):
         # The residual and its square overwrite the reconstruction.
         residual = _reconstruction(model, values)
@@ -102,18 +108,21 @@ def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndar
         residual *= residual
         # np.mean's own arithmetic: one row sum, then a division by the count.
         errors = np.add.reduce(residual, axis=1) / residual.shape[1]
-    if not _all_finite(errors):
-        # In forward's order: values changed in place, then the output,
-        # which is computed again as the residual took its place.
-        _as_matrix(values, "input")
-        with np.errstate(over="ignore", invalid="ignore"):
-            reconstruction = _reconstruction(model, values)
-        _finite_output(reconstruction)
-        row = int(np.argmin(np.isfinite(errors)))
-        raise NumericError(
-            f"row {row} (timestamp {frame.stamps[row]}): reconstruction error overflows"
-        )
-    return errors
+        smoothed = errors if window is None else smooth(errors, window)
+    if not _all_finite(smoothed):
+        if not _all_finite(errors):
+            # In forward's order: values changed in place, then the output,
+            # which is computed again as the residual took its place.
+            _as_matrix(values, "input")
+            with np.errstate(over="ignore", invalid="ignore"):
+                reconstruction = _reconstruction(model, values)
+            _finite_output(reconstruction)
+            row = int(np.argmin(np.isfinite(errors)))
+            raise NumericError(
+                f"row {row} (timestamp {frame.stamps[row]}): reconstruction error overflows"
+            )
+        _name_overflow(smoothed, "smoothed score")
+    return errors, smoothed
 
 
 def smooth(scores, window: int) -> np.ndarray:
@@ -155,6 +164,13 @@ def smooth(scores, window: int) -> np.ndarray:
     return out
 
 
+def _name_overflow(smoothed: np.ndarray, what: str) -> None:
+    """Raise NumericError naming `what` and the first row of smoothed finite
+    scores whose window sum overflowed; smooth itself checks no sum."""
+    row = int(np.argmin(np.isfinite(smoothed)))
+    raise NumericError(f"{what} overflows at row {row}")
+
+
 def fit_threshold(
     model: HTdcAutoencoder, train_frame: DatasetFrame, config: DetectionConfig
 ) -> float:
@@ -177,12 +193,10 @@ def threshold_from_scores(scores, config: DetectionConfig) -> float:
         raise ConfigError("cannot fit a threshold on empty scores")
     if not _all_finite(scores):
         raise NumericError("training scores contain non-finite entries")
-    # smooth itself checks no sum: stream calls it on every hour.
     with np.errstate(over="ignore", invalid="ignore"):
         smoothed = smooth(scores, config.window)
     if not _all_finite(smoothed):
-        row = int(np.argmin(np.isfinite(smoothed)))
-        raise NumericError(f"smoothed training score overflows at row {row}")
+        _name_overflow(smoothed, "smoothed training score")
     negative = np.flatnonzero(scores < 0)
     if negative.size:
         row = int(negative[0])
@@ -197,10 +211,10 @@ def detect(
     config: DetectionConfig,
 ) -> DetectionResult:
     """Flag timesteps whose smoothed reconstruction error strictly exceeds
-    the threshold; scores equal to the threshold stay normal."""
+    the threshold; scores equal to the threshold stay normal. A window sum
+    that overflows raises NumericError naming its row."""
     threshold = _check_number(threshold, "threshold")
-    raw = reconstruction_error(model, frame)
-    smoothed = smooth(raw, config.window)
+    raw, smoothed = _scores(model, frame, config.window)
     flags = smoothed > threshold
     return DetectionResult(raw, smoothed, threshold, flags)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .errors import (ConfigError, DimensionError, NumericError, _all_finite, _ch
 from .nn import Activation, GradientSet, Mlp, init_mlp
 from .nn import _backward_calls, _forward_calls, _share_params
 from .optim import _AdamaxState, _adamax_update
-from .preprocess import DatasetFrame, RobustScalerParams, _check_attack_free
+from .preprocess import EDGE_FEATURES, DatasetFrame, RobustScalerParams, _check_attack_free
 
 MODEL_FORMAT = "tdcae-model-v1"
 
@@ -151,23 +151,20 @@ class TrainingConfig:
             return cls(partition=LatentPartition(pairs, stat), **fields)
 
 
-# Per-edge defaults for the C-Town models: hidden width, latent layout,
-# learning rate and consistency weight.
-_EDGE_CONFIGS = {
-    1: TrainingConfig(learning_rate=0.01, alpha=0.002, hidden_size=9,
-                      partition=LatentPartition(3, 1)),
-    2: TrainingConfig(learning_rate=0.007, alpha=0.003, hidden_size=19,
-                      partition=LatentPartition(3, 2)),
-    3: TrainingConfig(learning_rate=0.01, alpha=0.002, hidden_size=15,
-                      partition=LatentPartition(3, 2)),
+# C-Town per-edge learning rate, consistency weight and latent layout.
+_EDGE_SETTINGS = {
+    1: {"learning_rate": 0.01, "alpha": 0.002, "partition": LatentPartition(3, 1)},
+    2: {"learning_rate": 0.007, "alpha": 0.003, "partition": LatentPartition(3, 2)},
+    3: {"learning_rate": 0.01, "alpha": 0.002, "partition": LatentPartition(3, 2)},
 }
 
 
 def edge_training_config(edge_id: int) -> TrainingConfig:
-    """Default training configuration for one edge area, as a new object."""
-    if _check_int(edge_id, "edge_id", 1) not in _EDGE_CONFIGS:
-        raise ConfigError(f"unknown edge id {edge_id}; expected 1, 2 or 3")
-    return replace(_EDGE_CONFIGS[edge_id])
+    """Default training configuration for one edge area, as a new object;
+    its hidden width is the edge's feature count, as for a run without one."""
+    if _check_int(edge_id, "edge_id", 1) not in EDGE_FEATURES:
+        raise ConfigError(f"unknown edge id {edge_id}; expected one of {list(EDGE_FEATURES)}")
+    return TrainingConfig(hidden_size=len(EDGE_FEATURES[edge_id]), **_EDGE_SETTINGS[edge_id])
 
 
 @dataclass
@@ -467,20 +464,6 @@ def _field(doc, key: str, kind: type | None, where: str):
     return value
 
 
-def _finite(value, where: str) -> float:
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"{where}: expected a finite number, got {value!r:.40}")
-    return value
-
-
-def _number(doc, key: str, where: str) -> float:
-    return _finite(_field(doc, key, None, where), f"{where}{key}")
-
-
 def _settings(doc, defaults: dict, where: str, required=()) -> dict:
     """`defaults` updated with the fields of the JSON object `doc`, whose
     values are passed on as they are: the config type they are given to
@@ -514,11 +497,11 @@ def _at(where: str):
 
 
 def _numbers(doc, key: str, n: int, where: str) -> np.ndarray:
-    """doc[key] as a float64 vector; it must be a list of n finite numbers."""
+    """doc[key] as a float64 vector: a list of n entries, each checked by _check_number."""
     values = _field(doc, key, list, where)
     if len(values) != n:
         raise ConfigError(f"{where}{key}: expected {n} values, got {len(values)}")
-    return np.array([_finite(v, f"{where}{key}[{i}]") for i, v in enumerate(values)])
+    return np.array([_check_number(v, f"{where}{key}[{i}]") for i, v in enumerate(values)])
 
 
 def _scaler_to_doc(params: RobustScalerParams) -> dict:
@@ -529,13 +512,15 @@ def _scaler_to_doc(params: RobustScalerParams) -> dict:
 
 
 def _scaler_from_doc(doc: dict) -> RobustScalerParams:
-    """Inverse of _scaler_to_doc, checked entry by entry."""
+    """Inverse of _scaler_to_doc. RobustScalerParams checks and names each
+    entry, passed in vectors of objects so that a list stays one entry."""
     names = list(doc)
-    return RobustScalerParams(
-        names,
-        np.array([_number(doc[n], "median", f"scaler.{n}.") for n in names]),
-        np.array([_number(doc[n], "iqr", f"scaler.{n}.") for n in names]),
+    median, iqr = (
+        np.fromiter((_field(doc[n], key, None, f"scaler.{n}.") for n in names), object, len(names))
+        for key in ("median", "iqr")
     )
+    with _at("scaler."):
+        return RobustScalerParams(names, median, iqr)
 
 
 def read_json(path):

@@ -1,10 +1,9 @@
 """Hourly SCADA-style sensor matrices: the DatasetFrame, CSV ingestion
 and writing, and robust scaling. EDGE_FEATURES names the columns of each
 edge area; `DatasetFrame.select` cuts an edge's frame out of a full one.
-Finiteness, of a frame's values, of the scaler's median and IQR and of
-what the C reader read, is tested by `errors._all_finite`, the package's
-one finiteness test; the time spacing and the IQR's sign are counted with
-`np.count_nonzero` too."""
+Finiteness, of a frame's values and of what the C reader read, is tested
+by `errors._all_finite`, the package's one finiteness test; the time
+spacing is counted with `np.count_nonzero` too."""
 
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, DimensionError, IngestionError, NumericError, _all_finite,
-                     _check_binary)
+                     _check_binary, _check_number)
 
 LABEL_COLUMN = "ATT_FLAG"
 DATETIME_COLUMN = "DATETIME"
@@ -161,10 +160,12 @@ def _checked_values(values, names, unique: bool) -> np.ndarray:
 class RobustScalerParams:
     """Per-feature median and interquartile range fitted on training data.
 
-    Frozen, over read-only float64 copies of `median` and `iqr`, which must
-    be finite with iqr >= 0. Division uses `divisors`, fixed at
-    construction: the IQR, with a zero IQR replaced by 1.0 so that
-    constant features are centred but not rescaled.
+    Frozen, over read-only float64 copies of `median` and `iqr`, one entry
+    per feature. The one check of a scaler, fitted, loaded or built by hand:
+    `errors._check_number` checks each feature's median and then its IQR,
+    >= 0, named `<feature>.median` and `<feature>.iqr`. Division uses
+    `divisors`, fixed at construction: the IQR, with a zero IQR replaced
+    by 1.0 so that constant features are centred but not rescaled.
     """
 
     feature_names: list[str]
@@ -173,15 +174,17 @@ class RobustScalerParams:
     divisors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        median, iqr = _read_only(self.median), _read_only(self.iqr)
-        n = len(self.feature_names)
-        if median.shape != (n,) or iqr.shape != (n,):
+        names = list(self.feature_names)
+        # Each entry reaches its check as it was given: a list's as objects.
+        entries = [v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
+                   for v in (self.median, self.iqr)]
+        if any(e.shape != (len(names),) for e in entries):
             raise DimensionError("median/iqr must have one entry per feature")
-        if not (_all_finite(median) and _all_finite(iqr)):
-            raise ConfigError("median/iqr entries must be finite")
-        if np.count_nonzero(iqr < 0):
-            raise ConfigError("iqr entries must be >= 0")
-        object.__setattr__(self, "feature_names", list(self.feature_names))
+        for name, m, q in zip(names, *(e.tolist() for e in entries)):
+            _check_number(m, f"{name}.median")
+            _check_number(q, f"{name}.iqr", 0.0)
+        median, iqr = _read_only(self.median), _read_only(self.iqr)
+        object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "median", median)
         object.__setattr__(self, "iqr", iqr)
         object.__setattr__(self, "divisors", _read_only(np.where(iqr > 0.0, iqr, 1.0)))

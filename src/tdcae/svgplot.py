@@ -37,11 +37,8 @@ def _text(s: str) -> str:
     return _NOT_XML.sub("\ufffd", s.replace("&", "&amp;").replace("<", "&lt;"))
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + k * step for k in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + k * ((hi - lo) / 4) for k in range(5)]
 
 
 def line_plot(

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -151,6 +152,13 @@ class TestTrainCommand:
                    "--out", pipeline / "nope", "--edge", 1)
         assert code == 1
         assert "missing features" in capsys.readouterr().err
+
+    def test_repeated_feature_name_is_user_error(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        data.write_text("a,b,a\n" + "1.0,2.0,3.0\n" * 8)
+        assert run("train", "--data", data, "--out", tmp_path / "o", "--epochs", 1) == 1
+        assert capsys.readouterr().err == f"error: {data}: duplicate feature names\n"
+        assert not (tmp_path / "o").exists()
 
     def test_train_scores_carry_the_datetime_cells(self, pipeline, tmp_path):
         frame = load_csv(pipeline / "train" / "data.csv")
@@ -398,6 +406,33 @@ class TestEvaluateCommand:
                    "--out", tmp_path / "ev") == 0
         doc = json.loads((tmp_path / "ev" / "metrics.json").read_text())
         assert doc["tpr"] == 1.0 and doc["tnr"] == 1.0
+
+    @staticmethod
+    def detections(path, rows):
+        with path.open("w") as fh:
+            fh.write("timestamp,raw,smoothed,flag\n")
+            for t in range(rows):
+                fh.write(f"{t},0.0,0.0,0\n")
+        return path
+
+    def test_labels_without_a_label_column(self, tmp_path, capsys):
+        det = self.detections(tmp_path / "det.csv", 3)
+        labels_csv = tmp_path / "labels.csv"
+        labels_csv.write_text("x\n0.0\n0.0\n0.0\n")
+        assert run("evaluate", "--detections", det, "--labels", labels_csv,
+                   "--out", tmp_path / "ev") == 1
+        assert capsys.readouterr().err == f"error: {labels_csv}: no ATT_FLAG column\n"
+        assert not (tmp_path / "ev").exists()
+
+    def test_detections_and_labels_of_different_lengths(self, tmp_path, capsys):
+        det = self.detections(tmp_path / "det.csv", 200)
+        labels_csv = tmp_path / "labels.csv"
+        labels_csv.write_text("x,ATT_FLAG\n" + "0.0,0\n" * 50)
+        assert run("evaluate", "--detections", det, "--labels", labels_csv,
+                   "--out", tmp_path / "ev") == 1
+        assert (capsys.readouterr().err
+                == "error: detections cover 200 timesteps but labels cover 50\n")
+        assert not (tmp_path / "ev").exists()
 
     def test_edge_pipeline_on_the_batadal_fixture(self, tmp_path):
         """Criterion 7's three-edge pipeline through the CLI, on the in-repo
@@ -715,12 +750,30 @@ class TestMalformedModel:
         (lambda d: d["config"].pop("alpha"), "config"),
         (lambda d: d["config"].update(seed=-1), "seed must be >= 0"),
         (lambda d: d["config"].update(alpa=0.1), "unknown settings: config.alpa"),
+        pytest.param(lambda d: d["encoder"]["layers"].pop(),
+                     "encoder.layers: expected 2 layers, got 1", id="encoder-layer-dropped"),
+        pytest.param(lambda d: d["decoder"]["layers"][1]["bias"].__setitem__(0, float("nan")),
+                     "decoder.layers[1].bias[0] must be finite, got nan", id="bias-nan"),
+        pytest.param(lambda d: d["scaler"]["L_T1"].update(median=[1.0]),
+                     "scaler.L_T1.median must be a number, got [1.0]", id="scaler-median-list"),
+        # Every median a list of one length: still one entry per feature.
+        pytest.param(lambda d: [e.update(median=[1.0]) for e in d["scaler"].values()],
+                     "scaler.L_T1.median must be a number, got [1.0]",
+                     id="scaler-medians-lists"),
     ])
     def test_each_field_is_checked(self, doc, tmp_path, capsys, mutate, field):
         mutate(doc)
         code, err = self.detect_with(doc, tmp_path, capsys)
         assert code == 1
         assert field in err
+
+    def test_negative_iqr_is_named(self, doc, tmp_path, capsys):
+        # The scaler would divide by it and flip the feature's sign.
+        doc["scaler"]["L_T1"]["iqr"] = -1
+        code, err = self.detect_with(doc, tmp_path, capsys)
+        assert code == 1
+        assert err == f"error: {tmp_path / 'model.json'}: scaler.L_T1.iqr must be >= 0\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", [
         "batch_size", "epochs", "seed", "hidden_size", "n_pairs", "n_stat",
@@ -798,6 +851,26 @@ class TestOverflow:
         assert code == 1
         assert (capsys.readouterr().err
                 == f"error: {data}: feature {feature}: standard deviation overflows\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_detect_names_the_first_window_sum_that_overflows(self, pipeline, tmp_path,
+                                                                capsys):
+        # Scaled values of 4.5e153 give errors of about 2.0e307, and nine
+        # of them sum beyond the largest float.
+        _, scaler, _ = load_model(pipeline / "model" / "model.json")
+        frame = load_csv(pipeline / "test" / "data.csv")
+        values = frame.values.copy()
+        values[100:130] = scaler.median + 4.5e153 * scaler.divisors
+        save_csv(frame.with_values(values), tmp_path / "d.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("detect", "--model", pipeline / "model" / "model.json",
+                       "--data", tmp_path / "d.csv", "--window", 20,
+                       "--train-scores", pipeline / "model" / "train_scores.csv",
+                       "--out", tmp_path / "o")
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: smoothed score overflows at row 108\n")
         assert not (tmp_path / "o").exists()
 
     def test_plot_range_beyond_the_largest_float(self, pipeline, tmp_path, capsys):

@@ -328,6 +328,20 @@ class TestDetect:
         result = detect(model, frame, threshold, config)
         assert result.flags.mean() <= 0.05 + 1.0 / 400
 
+    def test_overflowing_window_sum_raises_naming_the_row_without_a_warning(self):
+        # Errors of 4.5e153**2 = 2.025e307: nine of them sum beyond the largest float.
+        values = np.zeros((200, 1))
+        values[100:130] = 4.5e153
+        frame, model = frame_of(values), constant_output_model(0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^smoothed score overflows at row 108$"):
+                detect(model, frame, 1.0, DetectionConfig(window=20))
+            # Five of them sum to about 1.0e308, which is finite.
+            result = detect(model, frame, 1.0, DetectionConfig(window=5))
+        assert result.smoothed_scores.tobytes() == smooth(result.raw_scores, 5).tobytes()
+        assert result.smoothed_scores.max() == pytest.approx(2.025e307)
+
     def test_nonfinite_threshold_rejected(self, rng):
         model = identity_autoencoder(1)
         with pytest.raises(ConfigError):

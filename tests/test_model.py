@@ -16,6 +16,7 @@ from tdcae.model import (
     LatentPartition,
     LossBreakdown,
     TrainingConfig,
+    _EDGE_SETTINGS,
     _seed_triple,
     build_model,
     central_difference,
@@ -26,7 +27,7 @@ from tdcae.model import (
     train,
 )
 from tdcae.nn import forward, init_mlp
-from tdcae.preprocess import DatasetFrame, fit_scaler, apply_scaler
+from tdcae.preprocess import EDGE_FEATURES, DatasetFrame, fit_scaler, apply_scaler
 from tdcae.synth import TankSystemConfig, simulate
 
 
@@ -577,8 +578,16 @@ class TestDefaultsAndPersistence:
         assert edge_training_config(1) is not edge_training_config(1)
 
     def test_unknown_edge_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^unknown edge id 4; expected one of \[1, 2, 3\]$"):
             edge_training_config(4)
+
+    def test_edge_table_is_keyed_by_the_edge_areas(self):
+        # Each edge's hidden width is its feature count.
+        assert list(_EDGE_SETTINGS) == list(EDGE_FEATURES)
+        for edge, names in EDGE_FEATURES.items():
+            config = edge_training_config(edge)
+            assert config == edge_training_config(edge)
+            assert config.hidden_size == len(names)
 
     def test_model_json_round_trip_is_bit_exact(self, tmp_path):
         frame = small_training_frame(7, rows=120)

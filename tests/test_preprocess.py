@@ -121,6 +121,29 @@ class TestScaler:
         with pytest.raises(ConfigError, match="finite"):
             RobustScalerParams(["a"], median, iqr)
 
+    @pytest.mark.parametrize("median, iqr, message", [
+        ([np.nan], [1.0], "a.median must be finite, got nan"),
+        ([0.0], [-1.0], "a.iqr must be >= 0"),
+        # Within one feature the median is checked first, and features in order.
+        ([np.inf], [-1.0], "a.median must be finite, got inf"),
+        ([0.0, np.nan], [-1.0, 1.0], "a.iqr must be >= 0"),
+        (["1.0"], [1.0], "a.median must be a number, got '1.0'"),
+        ([0.0], [True], "a.iqr must be a number, got True"),
+        ([[1.0, 2.0], 0.0], [1.0, 1.0], "a.median must be a number, got [1.0, 2.0]"),
+        ([10**400], [1.0], "a.median must be finite, got an int beyond float range"),
+        (np.zeros(2), np.array([1.0, -2.0]), "b.iqr must be >= 0"),
+    ])
+    def test_each_entry_is_checked_and_named(self, median, iqr, message):
+        names = ["a", "b"][: len(median)]
+        with pytest.raises(ConfigError) as info:
+            RobustScalerParams(names, median, iqr)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("median", [np.zeros((2, 1)), [[1.0], [2.0]], [1.0], 1.0])
+    def test_median_of_another_shape_is_a_dimension_error(self, median):
+        with pytest.raises(DimensionError, match="^median/iqr must have one entry per feature$"):
+            RobustScalerParams(["a", "b"], median, [1.0, 1.0])
+
     def test_iqr_that_overflows_is_rejected_at_fit(self):
         # p75 - p25 = 2e308 is not a float64: a scaler over it would map the feature to 0.
         with np.errstate(over="ignore"), pytest.raises(ConfigError, match="finite"):
