@@ -106,9 +106,11 @@ def _scores(model: HTdcAutoencoder, frame: DatasetFrame, window: int | None) -> 
         residual = _reconstruction(model, values)
         np.subtract(values, residual, out=residual)
         residual *= residual
-        # np.mean's own arithmetic: one row sum, then a division by the count.
-        errors = np.add.reduce(residual, axis=1) / residual.shape[1]
-        smoothed = errors if window is None else smooth(errors, window)
+        # np.mean's own arithmetic: one row sum, then a division by the count,
+        # here in place and by a float, which numpy would convert it to.
+        errors = np.add.reduce(residual, axis=1)
+        errors /= float(residual.shape[1])
+        smoothed = errors if window is None else _smooth(errors, window)
     if not _all_finite(smoothed):
         if not _all_finite(errors):
             # In forward's order: values changed in place, then the output,
@@ -136,31 +138,40 @@ def smooth(scores, window: int) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise DimensionError(f"scores must be 1-D, got shape {scores.shape}")
+    return _smooth(scores, window)
+
+
+def _smooth(scores: np.ndarray, window: int) -> np.ndarray:
+    """smooth's kernel, unchecked: scores a 1-D float64 array and window
+    an int >= 1, such as `_scores`' fresh errors and a DetectionConfig's
+    checked window."""
     n = len(scores)
     if n == 0 or window == 1:
         return scores.copy()
-    out = np.empty(n)
     # Rows whose window is not full are running sums, and so is a lone full
     # one: a one-column view below would be reduced as one vector, pairwise.
     # accumulate starts from scores[0], not from +0.0: adding +0.0 turns a
     # leading run of -0.0 into +0.0 and leaves every other sum as it is.
+    # The counts are floats, as numpy would convert int64 ones.
     full = n - window + 1
     head = n if full < 2 else window - 1
-    sums = out[:head]
-    np.add.accumulate(scores[:head], out=sums)
+    sums = np.add.accumulate(scores[:head])
     sums += 0.0
-    sums /= np.arange(1, head + 1)
-    if full >= 2:
-        # Row j of this read-only view is scores[j : j + full], so column
-        # t - head holds row t's window. Reducing over axis 0 adds the rows
-        # in order, so no pairwise summation reorders a window.
-        scores = np.ascontiguousarray(scores)
-        step = scores.itemsize
-        shifted = np.ndarray((window, full), np.float64, scores, 0, (step, step))
-        shifted.flags.writeable = False
-        tail = out[head:]
-        np.add.reduce(shifted, axis=0, out=tail, initial=0.0)
-        tail /= window
+    sums /= np.arange(1.0, head + 1.0)
+    if full < 2:
+        return sums
+    out = np.empty(n)
+    out[:head] = sums
+    # Row j of this read-only view is scores[j : j + full], so column
+    # t - head holds row t's window. Reducing over axis 0 adds the rows
+    # in order, so no pairwise summation reorders a window.
+    scores = np.ascontiguousarray(scores)
+    step = scores.itemsize
+    shifted = np.ndarray((window, full), np.float64, scores, 0, (step, step))
+    shifted.flags.writeable = False
+    tail = out[head:]
+    np.add.reduce(shifted, axis=0, out=tail, initial=0.0)
+    tail /= float(window)
     return out
 
 

@@ -46,8 +46,10 @@ EDGE_FEATURES: dict[int, tuple[str, ...]] = {
 class DatasetFrame:
     """A time-indexed matrix of sensor features with optional attack labels.
 
-    values has shape (T, F); timestamps are integer hour indices, strictly
-    increasing with uniform spacing; labels, if present, must be 0 or 1 per row.
+    values has shape (T, F); timestamps are integer hour indices, of an
+    integer dtype that fits int64 (not converted from floats, strings or
+    bools), strictly increasing with uniform spacing; labels, if present,
+    must be 0 or 1 per row.
     """
 
     feature_names: list[str]
@@ -61,7 +63,8 @@ class DatasetFrame:
         if self.timestamps is None:
             self.timestamps = np.arange(self.values.shape[0], dtype=np.int64)
         else:
-            self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
+            stamps = np.asarray(self.timestamps)
+            self.timestamps = stamps if stamps.dtype == _INT64 else _int64_stamps(stamps)
             if self.timestamps.shape != (self.values.shape[0],):
                 raise DimensionError("timestamps length must equal row count")
             if self.values.shape[0] > 1:
@@ -141,6 +144,19 @@ def _check_attack_free(frame: DatasetFrame) -> None:
         )
 
 
+_INT64 = np.dtype(np.int64)
+
+
+def _int64_stamps(stamps: np.ndarray) -> np.ndarray:
+    """Timestamps that are not int64 as int64, or a ConfigError naming them
+    unless their dtype is an integer type that fits int64: floats, strings,
+    objects, uint64 and bools (as errors._check_int refuses a bool) are not
+    converted. An empty list, which numpy reads as float64, holds none."""
+    if stamps.size and (stamps.dtype.kind not in "iu" or not np.can_cast(stamps.dtype, _INT64)):
+        raise ConfigError(f"timestamps must be integers that fit int64, got dtype {stamps.dtype}")
+    return stamps.astype(_INT64)
+
+
 def _checked_values(values, names, unique: bool) -> np.ndarray:
     """values as a float64 matrix with one finite column per name; names
     must be unique when `unique` is set."""
@@ -217,7 +233,7 @@ def apply_scaler(params: RobustScalerParams, frame: DatasetFrame) -> DatasetFram
     rescales again. Scale exactly once, with parameters fitted on the
     training slice.
     """
-    if list(frame.feature_names) != list(params.feature_names):
+    if list(frame.feature_names) != params.feature_names:
         unknown = [n for n in frame.feature_names if n not in params.feature_names]
         raise ConfigError(
             "frame features do not match the fitted scaler"

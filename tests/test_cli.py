@@ -238,6 +238,20 @@ class TestDetectCommand:
         assert "threshold" in svg
         assert 'fill="#bbbbbb"' in svg  # shaded attack intervals from labels
 
+    # Without an ATT_FLAG column there are no attack intervals to shade.
+    def test_detect_and_report_shade_no_band_without_labels(self, pipeline, tmp_path):
+        frame = load_csv(pipeline / "test" / "data.csv")
+        save_csv(DatasetFrame(frame.feature_names, frame.values), tmp_path / "d.csv")
+        assert "ATT_FLAG" not in (tmp_path / "d.csv").read_text()
+        assert run("detect", "--model", pipeline / "model" / "model.json",
+                   "--data", tmp_path / "d.csv",
+                   "--train-scores", pipeline / "model" / "train_scores.csv",
+                   "--out", tmp_path / "det") == 0
+        assert run("report", "--model", pipeline / "model" / "model.json",
+                   "--data", tmp_path / "d.csv", "--out", tmp_path / "rep") == 0
+        for svg in ("det/detection.svg", "rep/latent_pairs.svg", "rep/latent_overlay.svg"):
+            assert "#bbbbbb" not in (tmp_path / svg).read_text(encoding="utf-8"), svg
+
     def test_flags_in_labeled_window(self, pipeline):
         flags = load_detection_flags(pipeline / "det" / "detection.csv")
         labels = load_csv(pipeline / "test" / "data.csv").labels
@@ -530,6 +544,19 @@ class TestReportCommand:
                    "--out", tmp_path / "rep", "--window", 0) == 1
         assert "window must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+    def test_a_constant_feature_is_overlaid_on_no_node(self, pipeline, tmp_path):
+        frame = load_csv(pipeline / "train" / "data.csv")
+        values = frame.values.copy()
+        values[:, 1] = 2.5
+        constant = frame.feature_names[1]
+        save_csv(frame.with_values(values), tmp_path / "d.csv")
+        assert run("train", "--data", tmp_path / "d.csv", "--out", tmp_path / "m",
+                   "--epochs", 1) == 0
+        assert run("report", "--model", tmp_path / "m" / "model.json",
+                   "--data", tmp_path / "d.csv", "--out", tmp_path / "rep") == 0
+        svg = (tmp_path / "rep" / "latent_overlay.svg").read_text(encoding="utf-8")
+        assert " -> z1 (r=" in svg and f"{constant} -> " not in svg
 
     def test_svg_text_is_escaped(self, pipeline, tmp_path):
         frame = load_csv(pipeline / "train" / "data.csv")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_autoencoder, one_layer_mlp, traced_peak
-from oracles import smooth_reference
+from oracles import smooth_reference, smooth_shifted_reference
 from tdcae.detect import (
     DetectionConfig,
     DetectionResult,
@@ -341,6 +341,20 @@ class TestDetect:
             result = detect(model, frame, 1.0, DetectionConfig(window=5))
         assert result.smoothed_scores.tobytes() == smooth(result.raw_scores, 5).tobytes()
         assert result.smoothed_scores.max() == pytest.approx(2.025e307)
+
+    # detect smooths its errors through smooth's unchecked kernel. Fewer
+    # rows than the window take only the running sums, as many take the
+    # lone full window of a streamed hour, and more take the full windows.
+    @pytest.mark.parametrize("rows", [1, 6, 7, 8, 40])
+    @pytest.mark.parametrize("window", [1, 2, 7, 12])
+    def test_smoothed_scores_have_the_bits_of_public_smooth(self, rng, window, rows):
+        model = build_model(9, replace(edge_training_config(1), seed=5))
+        frame = frame_of(rng.normal(size=(rows, 9)))
+        result = detect(model, frame, 1.0, DetectionConfig(window=window))
+        assert result.raw_scores.tobytes() == reconstruction_error(model, frame).tobytes()
+        assert result.smoothed_scores.tobytes() == smooth(result.raw_scores, window).tobytes()
+        assert result.smoothed_scores.tobytes() == \
+            smooth_shifted_reference(result.raw_scores, window).tobytes()
 
     def test_nonfinite_threshold_rejected(self, rng):
         model = identity_autoencoder(1)

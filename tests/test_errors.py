@@ -1,19 +1,22 @@
 """The two setting checks of tdcae.errors, `_check_int` and
 `_check_number`, as every config type and entry point applies them: a bad
 value of any setting is a ConfigError whose message starts with the
-setting's name, and a numpy number is stored as a Python int or float."""
+setting's name, and a numpy number is stored as a Python int or float.
+Then the library's other user errors, each pinned by type and message."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from tdcae.detect import DetectionConfig, smooth
-from tdcae.errors import ConfigError
-from tdcae.metrics import AttackInterval, ConfusionCounts
+from tdcae.detect import DetectionConfig, DetectionResult, detect, fit_threshold, smooth
+from tdcae.errors import ConfigError, DimensionError, NumericError
+from tdcae.metrics import AttackInterval, ConfusionCounts, fuse_edges
 from tdcae.model import (
-    LatentPartition, TrainingConfig, _LossStep, build_model, central_difference,
-    edge_training_config, load_model, save_model, train,
+    HTdcAutoencoder, LatentPartition, TrainingConfig, _LossStep, build_model,
+    central_difference, edge_training_config, load_model, save_model, train,
 )
 from tdcae.nn import Activation, Mlp, init_mlp
 from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler
@@ -141,3 +144,77 @@ def test_numpy_settings_are_stored_as_python_numbers(tmp_path):
     assert loaded_config.to_dict() == settings
     assert np.array_equal(loaded.encoder.params, model.encoder.params)
     assert np.array_equal(loaded.decoder.params, model.decoder.params)
+
+
+IDENTITY = Activation.IDENTITY
+
+
+def identity_model() -> HTdcAutoencoder:
+    """One feature through one identity latent node."""
+    return HTdcAutoencoder(Mlp([1, 1], [IDENTITY]), Mlp([1, 1], [IDENTITY]),
+                           LatentPartition(0, 1))
+
+
+def empty_frame() -> DatasetFrame:
+    return DatasetFrame(["a"], np.zeros((0, 1)))
+
+
+def made_nan_in_place() -> DatasetFrame:
+    frame = DatasetFrame(["a"], np.arange(6.0).reshape(6, 1))
+    frame.values[2, 0] = math.nan
+    return frame
+
+
+# (error type, its whole message, a call that raises it).
+USER_ERRORS = {
+    "unequal-result-lengths": (
+        DimensionError, "score and flag sequences must share one length",
+        lambda: DetectionResult(np.zeros(3), np.zeros(3), 1.0, np.zeros(2, dtype=bool))),
+    "detect-no-rows": (
+        DimensionError, "batch must contain at least one row",
+        lambda: detect(identity_model(), empty_frame(), 1.0, DetectionConfig())),
+    "threshold-no-rows": (
+        ConfigError, "cannot fit a threshold on an empty frame",
+        lambda: fit_threshold(identity_model(), empty_frame(), DetectionConfig())),
+    "scaler-no-rows": (
+        ConfigError, "cannot fit a scaler on an empty dataset",
+        lambda: fit_scaler(empty_frame())),
+    "fuse-nothing": (
+        ConfigError, "fuse_edges needs at least one flag sequence", lambda: fuse_edges([])),
+    "empty-latent": (
+        ConfigError, "n_stat must be >= 1 when n_pairs is 0", lambda: LatentPartition(0, 0)),
+    "encoder-input-decoder-output": (
+        DimensionError, "encoder input size must equal decoder output size",
+        lambda: HTdcAutoencoder(Mlp([3, 1], [IDENTITY]), Mlp([1, 2], [IDENTITY]),
+                                LatentPartition(0, 1))),
+    "central-difference-shapes": (
+        DimensionError, "z_prev and z_next must share one shape",
+        lambda: central_difference(np.zeros(3), np.zeros(4), 1.0)),
+    "train-values-made-nan": (
+        NumericError, "training frame contains non-finite entries",
+        lambda: train(TrainingConfig(epochs=1), made_nan_in_place())),
+    "datetimes-length": (
+        DimensionError, "datetimes length must equal row count",
+        lambda: DatasetFrame(["a"], np.zeros((3, 1)), datetimes=["x", "y"])),
+    "tank-below-its-pump-off-level": (
+        ConfigError, "tank_height must exceed pump_off_level",
+        lambda: TankSystemConfig(tank_height=(5.5, 6.8))),
+}
+
+
+@pytest.mark.parametrize("kind, message, call", USER_ERRORS.values(), ids=USER_ERRORS)
+def test_a_user_error_is_named(kind, message, call):
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_gradient_beyond_float_range_is_named():
+    # An alpha of 1e308 keeps a batch's loss finite but not its gradient.
+    # The backward pass leaks one warning on the way, recorded as FOUND in
+    # CHANGES.md. Only that warning is ignored, by its message; the filter
+    # goes once train stops leaking it. The raise after it is pinned here.
+    frame = DatasetFrame(["a", "b", "c"], np.random.default_rng(0).normal(size=(40, 3)))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "invalid value encountered in dot", RuntimeWarning)
+        with pytest.raises(NumericError, match="^non-finite gradient at epoch 1, batch 1$"):
+            train(TrainingConfig(epochs=1, alpha=1e308, hidden_size=3, seed=0), frame)

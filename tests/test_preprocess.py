@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 import warnings
 
 import numpy as np
@@ -360,6 +362,13 @@ class TestCsv:
         with pytest.raises(IngestionError):
             load_csv(path)
 
+    def test_a_header_of_empty_cells_is_named_by_the_reference_reader(self, tmp_path):
+        # The C reader hands such a header to the reference reader.
+        path = tmp_path / "d.csv"
+        path.write_text(",,\n1,2,3\n")
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: header row is empty$"):
+            load_csv(path)
+
     @pytest.mark.parametrize("text", ["a,b\n", "a,b", "DATETIME,a\r\n\r\n", "a\n\n\n"])
     def test_header_only_file_has_no_data_rows_and_warns_nothing(self, tmp_path, text):
         path = tmp_path / "d.csv"
@@ -589,6 +598,37 @@ class TestFrameInvariants:
     def test_any_uniform_increasing_step_and_a_single_row_are_accepted(self, stamps):
         frame = DatasetFrame(["a"], np.zeros((len(stamps), 1)), timestamps=stamps)
         assert frame.timestamps.tolist() == stamps
+
+    # Parsed stamps are checked, not coerced: a float, string, NaN or a
+    # stamp beyond int64 is a named error, not a truncation, a parse, a
+    # ValueError or an OverflowError.
+    @pytest.mark.parametrize("stamps, dtype", [
+        ([0.5, 1.5, 2.5], "float64"),
+        (["0", "1", "2"], "<U1"),
+        ([0, 1, math.nan], "float64"),
+        ([0, 2**63, 2**64], "object"),
+        (np.array([0, 1, 2], dtype=np.uint64), "uint64"),
+        ([True, False, True], "bool"),
+        (np.array([0, 1, 2], dtype=object), "object"),
+    ], ids=["float", "string", "nan", "beyond-int64", "uint64", "bool", "object"])
+    def test_timestamps_that_are_not_integers_within_int64_are_refused(self, stamps, dtype):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"timestamps must be integers that fit int64, got dtype {dtype}")):
+            DatasetFrame(["a"], np.zeros((3, 1)), timestamps=stamps)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, ">i8"])
+    def test_timestamps_of_a_narrower_integer_type_are_stored_as_int64(self, dtype):
+        frame = DatasetFrame(["a"], np.zeros((3, 1)), timestamps=np.array([4, 6, 8], dtype=dtype))
+        assert frame.timestamps.dtype == np.int64 and frame.timestamps.tolist() == [4, 6, 8]
+
+    def test_an_empty_list_of_timestamps_is_accepted_for_no_rows(self):
+        # numpy reads [] as float64, but it holds no stamp to refuse.
+        frame = DatasetFrame(["a"], np.zeros((0, 1)), timestamps=[])
+        assert frame.timestamps.dtype == np.int64 and frame.timestamps.shape == (0,)
+
+    def test_int64_timestamps_are_kept_without_a_copy(self):
+        stamps = np.arange(10, dtype=np.int64)[3:7]
+        assert DatasetFrame(["a"], np.zeros((4, 1)), timestamps=stamps).timestamps is stamps
 
     def test_select_preserves_order_and_errors(self):
         frame = frame_from_columns(a=[1, 2, 3, 4], b=[5, 6, 7, 8], c=[9, 10, 11, 12])
