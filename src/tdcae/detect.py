@@ -62,7 +62,7 @@ def _latent(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
     if x.shape[0] < 1:
         raise DimensionError("batch must contain at least one row")
     latent = x
-    for layer in model.encoder._kernel:
+    for layer in model.encoder.layers:
         latent = _layer(layer, latent)
     if not _all_finite(latent):
         _as_matrix(x, "input")
@@ -75,7 +75,7 @@ def _reconstruction(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
     is bound only to this frame's local, which each layer's output replaces,
     so no caller keeps it alive while the decoder runs."""
     out = _latent(model, x)
-    for layer in model.decoder._kernel:
+    for layer in model.decoder.layers:
         out = _layer(layer, out)
     return out
 

@@ -249,7 +249,7 @@ class _LossStep:
         delta_t = _check_number(delta_t, "delta_t", 0.0, strict=True)
         enc, dec, p = model.encoder, model.decoder, model.partition
         self.b, self.alpha = b, alpha
-        self.enc, self.dec = enc._kernel, dec._kernel
+        self.enc, self.dec = enc.layers, dec.layers
         self.x = np.empty((3 * b, model.n_features))
         self.grads = np.empty(enc.params.size + dec.params.size)
         self.enc_grads = GradientSet(self.grads[: enc.params.size], enc)
@@ -261,17 +261,17 @@ class _LossStep:
         # after the forward passes writes each one's tanh' = 1 - post**2 into
         # the same view of `tanh_deriv`.
         layers = [(3 * b, l) for l in enc.layers] + [(b, l) for l in dec.layers]
-        size = sum(rows * l.out_size for rows, l in layers if l.activation is Activation.TANH)
+        size = sum(rows * l.bias.size for rows, l in layers if l.activation is Activation.TANH)
         self.tanh_post, self.tanh_deriv = np.empty(size), np.empty(size)
         post, deriv, start = [], [], 0
         for rows, l in layers:
             if l.activation is Activation.TANH:
-                end = start + rows * l.out_size
-                post.append(self.tanh_post[start:end].reshape(rows, l.out_size))
-                deriv.append(self.tanh_deriv[start:end].reshape(rows, l.out_size))
+                end = start + rows * l.bias.size
+                post.append(self.tanh_post[start:end].reshape(rows, -1))
+                deriv.append(self.tanh_deriv[start:end].reshape(rows, -1))
                 start = end
             else:
-                post.append(np.empty((rows, l.out_size)))
+                post.append(np.empty((rows, l.bias.size)))
                 deriv.append(None)
         n_enc = len(enc.layers)
         self.enc_post, self.dec_post = post[:n_enc], post[n_enc:]
@@ -286,9 +286,9 @@ class _LossStep:
         # The z_prev and z_next cotangents, in this order, as one view.
         self.g_z_sides = self.g_latent[b:].reshape(2, b, p.width)[:, :, p.z_slice]
         self.dec_cotangents = [self.g_latent[:b]] + [
-            np.empty((b, l.in_size)) for l in dec.layers[1:]
+            np.empty((b, i)) for _, i in dec._shapes[1:]
         ]
-        self.enc_cotangents = [None] + [np.empty((3 * b, l.in_size)) for l in enc.layers[1:]]
+        self.enc_cotangents = [None] + [np.empty((3 * b, i)) for _, i in enc._shapes[1:]]
 
         self.rec_scale = 2.0 / self.residual.size
         self.consistency = self.diff.size > 0 and alpha != 0.0

@@ -6,9 +6,10 @@ Everything is float64. Each Mlp keeps all of its parameters in one
 contiguous vector, `params`; the layers' weights and biases are views into
 it, and a GradientSet views a flat gradient vector laid out the same way.
 An optimizer step is then a few elementwise operations on flat vectors.
-The layer arithmetic lives here. `_layer`, one layer's output in a new
-array, is the unchecked kernel that the checked public `forward` and the
-scorer in `tdcae.detect` call once per layer. The training step in
+Each layer is one `DenseLayer` record, in `Mlp.layers`, which every pass
+reads. The layer arithmetic lives here. `_layer`, one layer's output in a
+new array, is the unchecked kernel that the checked public `forward` and
+the scorer in `tdcae.detect` call once per record. The training step in
 `tdcae.model` instead builds its passes once, with `_forward_calls` and
 `_backward_calls`: each returns a flat list of (function, args) pairs, the
 products, bias adds, tanh and derivative multiplies of one pass over fixed
@@ -53,6 +54,9 @@ class Activation(str, Enum):
     IDENTITY = "identity"
 
 
+_TANH = Activation.TANH
+
+
 def _as_matrix(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -69,28 +73,27 @@ def _finite_output(out: np.ndarray) -> np.ndarray:
 
 
 class DenseLayer(NamedTuple):
-    """One affine layer of an Mlp: y = act(dot(x, weights.T) + bias).
+    """One affine layer of an Mlp: y = act(dot(x, weights_t) + bias).
 
     weights has shape (out, in) and bias shape (out,); both view into the
-    Mlp's `params`.
+    Mlp's `params`, and weights_t is the transposed view weights.T.
     """
 
     weights: np.ndarray
+    weights_t: np.ndarray
     bias: np.ndarray
     activation: Activation
-    in_size: int
-    out_size: int
 
 
 def _views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weight and bias views into a flat vector that holds, layer
     by layer, the (out, in) weights in row-major order and then the bias."""
     weights, biases, start = [], [], 0
-    for out_size, in_size in shapes:
-        end = start + out_size * in_size
-        weights.append(flat[start:end].reshape(out_size, in_size))
-        biases.append(flat[end : end + out_size])
-        start = end + out_size
+    for o, i in shapes:
+        end = start + o * i
+        weights.append(flat[start:end].reshape(o, i))
+        biases.append(flat[end : end + o])
+        start = end + o
     return weights, biases
 
 
@@ -117,27 +120,20 @@ class Mlp:
         self.params = params
         weights, biases = _views(params, self._shapes)
         self.layers = [
-            DenseLayer(w, b, act, w.shape[1], w.shape[0])
-            for w, b, act in zip(weights, biases, self._activations)
-        ]
-        # What `_layer` and the call-list builders read, per layer:
-        # (weights, weights.T, bias, is_tanh).
-        self._kernel = [
-            (l.weights, l.weights.T, l.bias, l.activation is Activation.TANH)
-            for l in self.layers
+            DenseLayer(w, w.T, b, act) for w, b, act in zip(weights, biases, self._activations)
         ]
 
     @property
     def input_size(self) -> int:
-        return self.layers[0].in_size
+        return self._shapes[0][1]
 
     @property
     def output_size(self) -> int:
-        return self.layers[-1].out_size
+        return self._shapes[-1][0]
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.input_size] + [layer.out_size for layer in self.layers]
+        return [self.input_size] + [o for o, _ in self._shapes]
 
 
 def _share_params(*mlps: Mlp) -> np.ndarray:
@@ -171,40 +167,40 @@ def init_mlp(layer_sizes: list[int], activations: list[Activation], seed: int) -
     mlp = Mlp(layer_sizes, activations)
     rng = np.random.default_rng(_check_int(seed, "seed", 0))
     for layer in mlp.layers:
-        limit = np.sqrt(6.0 / (layer.in_size + layer.out_size))
+        limit = np.sqrt(6.0 / sum(layer.weights.shape))
         layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
     return mlp
 
 
-def _layer(layer: tuple, x: np.ndarray) -> np.ndarray:
-    """Unchecked output of one of an Mlp's `_kernel` layers for the finite
-    float64 matrix x, in a new array. A loop that rebinds one local to each
+def _layer(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
+    """Unchecked output of one of an Mlp's layers for the finite float64
+    matrix x, in a new array. A loop that rebinds one local to each
     layer's output keeps at most two activations alive on every CPython:
     while a call runs, only x and the output exist, even where the caller
     keeps its arguments until the call returns, as CPython 3.10 does."""
-    _, weights_t, bias, tanh = layer
+    _, weights_t, bias, activation = layer
     x = x.dot(weights_t)
     x += bias
-    if tanh:
+    if activation is _TANH:
         np.tanh(x, out=x)
     return x
 
 
-def _forward_calls(layers: list[tuple], x: np.ndarray, post: list[np.ndarray]) -> list:
-    """The forward pass over an Mlp's `_kernel` layers as (function, args)
-    pairs that, run in order, write layer k's post-activation output for
-    the finite float64 matrix in x into the buffer post[k]."""
+def _forward_calls(layers: list[DenseLayer], x: np.ndarray, post: list[np.ndarray]) -> list:
+    """The forward pass over an Mlp's layers as (function, args) pairs
+    that, run in order, write layer k's post-activation output for the
+    finite float64 matrix in x into the buffer post[k]."""
     calls = []
-    for (_, weights_t, bias, tanh), out in zip(layers, post):
+    for (_, weights_t, bias, activation), out in zip(layers, post):
         calls += [(x.dot, (weights_t, out)), (np.add, (out, bias, out))]
-        if tanh:
+        if activation is _TANH:
             calls.append((np.tanh, (out, out)))
         x = out
     return calls
 
 
 def _backward_calls(
-    layers: list[tuple],
+    layers: list[DenseLayer],
     x: np.ndarray,
     post: list[np.ndarray],
     deriv: list,
@@ -213,9 +209,9 @@ def _backward_calls(
     ones: np.ndarray,
     cotangents: list,
 ) -> list:
-    """The backward pass over an Mlp's `_kernel` layers, from the output
-    cotangent in g, as (function, args) pairs to run in order after the
-    forward pass.
+    """The backward pass over an Mlp's layers, from the output cotangent
+    in g, as (function, args) pairs to run in order after the forward
+    pass.
 
     deriv[k] holds tanh'(layer k) = 1 - post[k]**2 for every tanh layer k
     when the calls run, and they overwrite it with the cotangent of that
@@ -227,8 +223,8 @@ def _backward_calls(
     calls = []
     inputs = [x] + post[:-1]
     for k in range(len(layers) - 1, -1, -1):
-        weights, _, _, tanh = layers[k]
-        if tanh:
+        weights, _, _, activation = layers[k]
+        if activation is _TANH:
             calls.append((np.multiply, (deriv[k], g, deriv[k])))
             g = deriv[k]
         # bias gradients as ones.dot(g): a BLAS call, unlike sum(axis=0)
@@ -251,6 +247,6 @@ def forward(mlp: Mlp, x) -> np.ndarray:
         raise DimensionError(
             f"input has {x.shape[1]} columns, network expects {mlp.input_size}"
         )
-    for layer in mlp._kernel:
+    for layer in mlp.layers:
         x = _layer(layer, x)
     return _finite_output(x)

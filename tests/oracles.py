@@ -97,10 +97,10 @@ def init_params_reference(layer_sizes, seed: int) -> np.ndarray:
 
 
 def tanh_derivatives(layers, post) -> list:
-    """tanh' = 1 - post**2 of every tanh layer among an Mlp's `_kernel`
-    layers, in new arrays, and None for the others: the `deriv` argument of
+    """tanh' = 1 - post**2 of every tanh layer among an Mlp's layers, in
+    new arrays, and None for the others: the `deriv` argument of
     nn._backward_calls."""
-    return [1.0 - p * p if tanh else None for (*_, tanh), p in zip(layers, post)]
+    return [1.0 - p * p if l.activation == "tanh" else None for l, p in zip(layers, post)]
 
 
 def run_calls(calls) -> None:
@@ -118,11 +118,11 @@ def backward_reference(mlp, x, cotangent):
 
     x = np.asarray(x, dtype=np.float64)
     rows = x.shape[0]
-    post = [np.empty((rows, layer.out_size)) for layer in mlp.layers]
-    run_calls(_forward_calls(mlp._kernel, x, post))
+    post = [np.empty((rows, layer.weights.shape[0])) for layer in mlp.layers]
+    run_calls(_forward_calls(mlp.layers, x, post))
     grads = GradientSet(np.zeros(mlp.params.size), mlp)
-    cotangents = [np.empty((rows, layer.in_size)) for layer in mlp.layers]
-    run_calls(_backward_calls(mlp._kernel, x, post, tanh_derivatives(mlp._kernel, post),
+    cotangents = [np.empty((rows, layer.weights.shape[1])) for layer in mlp.layers]
+    run_calls(_backward_calls(mlp.layers, x, post, tanh_derivatives(mlp.layers, post),
                               np.asarray(cotangent, dtype=np.float64), grads, np.ones(rows),
                               cotangents))
     return grads, cotangents[0]
@@ -131,10 +131,10 @@ def backward_reference(mlp, x, cotangent):
 def forward_matmul(layers, x, post) -> None:
     """The pass of nn._forward_calls, run directly, with its product by
     np.matmul."""
-    for k, (_, weights_t, bias, tanh) in enumerate(layers):
+    for k, (_, weights_t, bias, activation) in enumerate(layers):
         x = post[k] = np.matmul(x, weights_t, out=post[k])
         x += bias
-        if tanh:
+        if activation == "tanh":
             np.tanh(x, out=x)
 
 
@@ -142,8 +142,8 @@ def backward_matmul(layers, x, post, deriv, g, grads, ones, cotangents) -> None:
     """The pass of nn._backward_calls, run directly, with its three products
     by np.matmul."""
     for k in range(len(layers) - 1, -1, -1):
-        weights, _, _, tanh = layers[k]
-        if tanh:
+        weights, _, _, activation = layers[k]
+        if activation == "tanh":
             d = deriv[k]
             d *= g
             g = d
@@ -172,10 +172,10 @@ def matmul_builders(ran: list):
 def forward_np_dot(layers, x, post) -> None:
     """The pass of nn._forward_calls, run directly, with its product by the
     function np.dot."""
-    for k, (_, weights_t, bias, tanh) in enumerate(layers):
+    for k, (_, weights_t, bias, activation) in enumerate(layers):
         x = post[k] = np.dot(x, weights_t, out=post[k])
         x += bias
-        if tanh:
+        if activation == "tanh":
             np.tanh(x, out=x)
 
 
@@ -183,8 +183,8 @@ def backward_np_dot(layers, x, post, deriv, g, grads, ones, cotangents) -> None:
     """The pass of nn._backward_calls, run directly, with its three products
     by the function np.dot."""
     for k in range(len(layers) - 1, -1, -1):
-        weights, _, _, tanh = layers[k]
-        if tanh:
+        weights, _, _, activation = layers[k]
+        if activation == "tanh":
             d = deriv[k]
             d *= g
             g = d
@@ -205,8 +205,8 @@ def backward_post(layers, x, post, g, grads, ones, cotangents) -> None:
     call lists: each tanh layer's tanh' is computed from post[k] in place,
     by three calls, which overwrites post."""
     for k in range(len(layers) - 1, -1, -1):
-        weights, _, _, tanh = layers[k]
-        if tanh:
+        weights, _, _, activation = layers[k]
+        if activation == "tanh":
             d = post[k]
             np.multiply(d, d, out=d)
             np.subtract(1.0, d, out=d)

@@ -160,8 +160,9 @@ class TestStructures:
         assert mlp.params.shape == (4 * 3 + 3 + 3 * 2 + 2,)
         assert not mlp.params.any()
         assert [l.activation for l in mlp.layers] == [TANH, IDENTITY]
-        assert [(l.in_size, l.out_size) for l in mlp.layers] == [(4, 3), (3, 2)]
-        views = [a for l in mlp.layers for a in (l.weights, l.bias)]
+        assert [l.weights.shape for l in mlp.layers] == [(3, 4), (2, 3)]
+        assert all(np.array_equal(l.weights_t, l.weights.T) for l in mlp.layers)
+        views = [a for l in mlp.layers for a in (l.weights, l.weights_t, l.bias)]
         assert all(np.shares_memory(v, mlp.params) for v in views)
 
     def test_layer_sizes_and_parameter_count(self):

@@ -741,21 +741,21 @@ def run_kernels(forward_kernel, backward_kernel, mlp, x, g):
     derivatives as the training step makes them, by one np.multiply and one
     np.subtract; backward_post makes its own from post."""
     rows = x.shape[0]
-    post = [np.empty((rows, layer.out_size)) for layer in mlp.layers]
-    forward_kernel(mlp._kernel, x, post)
+    post = [np.empty((rows, layer.weights.shape[0])) for layer in mlp.layers]
+    forward_kernel(mlp.layers, x, post)
     output = post[-1].copy()
     grads = GradientSet(np.empty(mlp.params.size), mlp)
-    cotangents = [np.empty((rows, layer.in_size)) for layer in mlp.layers]
+    cotangents = [np.empty((rows, layer.weights.shape[1])) for layer in mlp.layers]
     if backward_kernel is backward_post:
-        backward_kernel(mlp._kernel, x, post, g, grads, np.ones(rows), cotangents)
+        backward_kernel(mlp.layers, x, post, g, grads, np.ones(rows), cotangents)
     else:
         deriv = [None if d is None else np.empty_like(d)
-                 for d in tanh_derivatives(mlp._kernel, post)]
+                 for d in tanh_derivatives(mlp.layers, post)]
         for p, d in zip(post, deriv):
             if d is not None:
                 np.multiply(p, p, out=d)
                 np.subtract(1.0, d, out=d)
-        backward_kernel(mlp._kernel, x, post, deriv, g, grads, np.ones(rows), cotangents)
+        backward_kernel(mlp.layers, x, post, deriv, g, grads, np.ones(rows), cotangents)
     return [output, grads.flat, *cotangents]
 
 
