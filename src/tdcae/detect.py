@@ -20,7 +20,7 @@ from .nn import _as_matrix, _finite_output, _layer
 from .preprocess import DatasetFrame, _check_attack_free, read_table, write_table
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionConfig:
     """window/percentile defaults follow the deployment recipe: a 7-sample
     trailing moving average, flagged against the 95th percentile of the
@@ -34,8 +34,8 @@ class DetectionConfig:
     percentile: float = 95.0
 
     def __post_init__(self):
-        self.window = _check_int(self.window, "window", 1)
-        self.percentile = _check_number(self.percentile, "percentile")
+        object.__setattr__(self, "window", _check_int(self.window, "window", 1))
+        object.__setattr__(self, "percentile", _check_number(self.percentile, "percentile"))
         if not 0.0 < self.percentile < 100.0:
             raise ConfigError("percentile must lie strictly between 0 and 100")
 

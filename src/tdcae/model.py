@@ -101,7 +101,7 @@ class HTdcAutoencoder:
         return self.encoder.input_size
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     learning_rate: float = 0.01
     batch_size: int = 32
@@ -116,15 +116,19 @@ class TrainingConfig:
         if not isinstance(self.partition, LatentPartition):
             raise ConfigError(
                 f"partition must be a LatentPartition, got {type(self.partition).__name__}")
-        self.learning_rate = _check_number(self.learning_rate, "learning_rate", 0.0, strict=True)
-        self.seed = _check_int(self.seed, "seed", 0)
-        self.batch_size = _check_int(self.batch_size, "batch_size", 1)
-        self.alpha = _check_number(self.alpha, "alpha", 0.0)
-        self.epochs = _check_int(self.epochs, "epochs", 1)
-        self.hidden_size = _check_int(self.hidden_size, "hidden_size", 1)
-        # An infinite delta_t would turn every central difference, and with
-        # it the consistency gradient, into 0.
-        self.delta_t = _check_number(self.delta_t, "delta_t", 0.0, strict=True)
+        checked = {
+            "learning_rate": _check_number(self.learning_rate, "learning_rate", 0.0, strict=True),
+            "seed": _check_int(self.seed, "seed", 0),
+            "batch_size": _check_int(self.batch_size, "batch_size", 1),
+            "alpha": _check_number(self.alpha, "alpha", 0.0),
+            "epochs": _check_int(self.epochs, "epochs", 1),
+            "hidden_size": _check_int(self.hidden_size, "hidden_size", 1),
+            # An infinite delta_t would turn every central difference, and
+            # with it the consistency gradient, into 0.
+            "delta_t": _check_number(self.delta_t, "delta_t", 0.0, strict=True),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {
@@ -395,28 +399,30 @@ def train(
 
     history: list[LossBreakdown] = []
     step_count = 0
-    for epoch in range(config.epochs):
-        rows = _batch_rows(shuffle_rng.permutation(n), b)
-        rec_sum = 0.0
-        tdc_sum = 0.0
-        for batch_index, start in enumerate(range(0, n, b)):
-            size = min(b, n - start)
-            step = steps[size]
-            values.take(rows[3 * start : 3 * (start + size)], axis=0, out=step.x)
-            try:
-                rec, tdc = step()
-            except NumericError as exc:
-                raise NumericError(
-                    f"epoch {epoch + 1}, batch {batch_index + 1}: {exc}"
-                ) from None
-            step_count += 1
-            if not _adamax_update(params, step.grads, adamax, step_count, config.learning_rate):
-                raise NumericError(
-                    f"non-finite gradient at epoch {epoch + 1}, batch {batch_index + 1}"
-                )
-            rec_sum += rec * size
-            tdc_sum += tdc * size
-        history.append(LossBreakdown.from_parts(rec_sum / n, tdc_sum / n, config.alpha))
+    # A non-finite loss or gradient is named below, not warned about on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            rows = _batch_rows(shuffle_rng.permutation(n), b)
+            rec_sum = 0.0
+            tdc_sum = 0.0
+            for batch_index, start in enumerate(range(0, n, b)):
+                size = min(b, n - start)
+                step = steps[size]
+                values.take(rows[3 * start : 3 * (start + size)], axis=0, out=step.x)
+                try:
+                    rec, tdc = step()
+                except NumericError as exc:
+                    raise NumericError(
+                        f"epoch {epoch + 1}, batch {batch_index + 1}: {exc}"
+                    ) from None
+                step_count += 1
+                if not _adamax_update(params, step.grads, adamax, step_count, config.learning_rate):
+                    raise NumericError(
+                        f"non-finite gradient at epoch {epoch + 1}, batch {batch_index + 1}"
+                    )
+                rec_sum += rec * size
+                tdc_sum += tdc * size
+            history.append(LossBreakdown.from_parts(rec_sum / n, tdc_sum / n, config.alpha))
 
     return model, history
 

@@ -111,6 +111,10 @@ class Mlp:
             )
         sizes = [_check_int(s, "every layer size", 1) for s in layer_sizes]
         self._shapes = [(o, i) for i, o in zip(sizes, sizes[1:])]
+        for k, a in enumerate(activations):
+            if a not in tuple(Activation):
+                raise ConfigError(
+                    f"activations[{k}] must be one of {', '.join(Activation)}, got {a!r:.40}")
         self._activations = [Activation(a) for a in activations]
         self._bind(np.zeros(sum(o * i + o for o, i in self._shapes)))
 

@@ -68,8 +68,13 @@ class DatasetFrame:
             if self.timestamps.shape != (self.values.shape[0],):
                 raise DimensionError("timestamps length must equal row count")
             if self.values.shape[0] > 1:
-                steps = self.timestamps[1:] - self.timestamps[:-1]
-                if steps[0] <= 0 or np.count_nonzero(steps != steps[0]):
+                stamps = self.timestamps
+                steps = stamps[1:] - stamps[:-1]
+                step = steps.item(0)
+                # The int64 steps wrap silently; a wrapped one shows in the
+                # span, taken in Python ints.
+                if (step <= 0 or np.count_nonzero(steps != step)
+                        or stamps.item(-1) - stamps.item(0) != steps.size * step):
                     raise ConfigError(
                         "timestamps must be strictly increasing with uniform spacing"
                     )

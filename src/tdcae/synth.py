@@ -80,7 +80,7 @@ class AttackScenario:
         object.__setattr__(self, "magnitude", _check_number(self.magnitude, "magnitude"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TankSystemConfig:
     """Two coupled tanks by default: one per entry of each per-tank field.
     Levels in metres, areas in square metres, flows in cubic metres per
@@ -119,15 +119,15 @@ class TankSystemConfig:
                 entries = None
             if entries is None:
                 raise ConfigError(f"{name} must be a list of numbers, got {type(value).__name__}")
-            setattr(self, name, tuple(_check_number(v, f"{name}[{i}]", 0.0, strict)
-                                      for i, v in enumerate(entries)))
+            object.__setattr__(self, name, tuple(_check_number(v, f"{name}[{i}]", 0.0, strict)
+                                                 for i, v in enumerate(entries)))
         if not self.n_tanks:
             raise ConfigError("tank_area needs at least one entry")
         for name in _PER_TANK:
             if getattr(self, name) is not None and len(getattr(self, name)) != self.n_tanks:
                 raise ConfigError(f"{name} needs one entry per tank")
         for name, strict in _SCALARS.items():
-            setattr(self, name, _check_number(getattr(self, name), name, 0.0, strict))
+            object.__setattr__(self, name, _check_number(getattr(self, name), name, 0.0, strict))
         for on, off, height in zip(
             self.pump_on_level, self.pump_off_level, self.tank_height
         ):
@@ -137,10 +137,10 @@ class TankSystemConfig:
                 )
             if height <= off:
                 raise ConfigError("tank_height must exceed pump_off_level")
-        self.horizon = _check_int(self.horizon, "horizon", 100)
+        object.__setattr__(self, "horizon", _check_int(self.horizon, "horizon", 100))
         if self.horizon > MAX_HORIZON:
             raise ConfigError(f"horizon must be in [100, {MAX_HORIZON}], got {self.horizon}")
-        self.seed = _check_int(self.seed, "seed", 0)
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
         for i, (lv, height) in enumerate(zip(self.initial_levels or (), self.tank_height)):
             if lv > height:
                 raise ConfigError(f"initial_levels[{i}] must be <= tank_height[{i}], "

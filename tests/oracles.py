@@ -27,10 +27,10 @@ method must reproduce on every layout. `backward_post`, `loss_step_post`,
 fused step, the Adamax step and the training loop as they were before the
 tanh' buffers, the work-buffer Adamax step, the call lists and the per-batch
 gathers into the step's buffer: the bits those must reproduce. `run_calls`
-runs a call list. `all_finite_reference` and
-`uniform_steps_reference` are the finiteness and time-spacing checks as
-they were written before `errors._all_finite` and the counted spacing
-check: the verdicts those must reproduce.
+runs a call list. `all_finite_reference` is the finiteness check as it was
+written before `errors._all_finite`: the verdicts that must reproduce.
+`uniform_steps_reference` is the time-spacing check in Python ints, whose
+steps cannot wrap around int64: the verdicts DatasetFrame must give.
 """
 
 import csv
@@ -579,9 +579,8 @@ def all_finite_reference(a) -> bool:
 
 def uniform_steps_reference(timestamps) -> bool:
     """Whether DatasetFrame accepts these int64 stamps: strictly
-    increasing with one step between all neighbours."""
-    timestamps = np.asarray(timestamps, dtype=np.int64)
-    if timestamps.shape[0] <= 1:
-        return True
-    steps = timestamps[1:] - timestamps[:-1]
-    return not (steps[0] <= 0 or (steps != steps[0]).any())
+    increasing with one step between all neighbours, a step that fits
+    int64. The steps are Python ints, so none of them wraps."""
+    stamps = [int(t) for t in np.asarray(timestamps, dtype=np.int64)]
+    steps = {b - a for a, b in zip(stamps, stamps[1:])}
+    return len(steps) <= 1 and all(0 < step < 2**63 for step in steps)

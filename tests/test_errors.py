@@ -4,9 +4,9 @@ value of any setting is a ConfigError whose message starts with the
 setting's name, and a numpy number is stored as a Python int or float.
 Then the library's other user errors, each pinned by type and message."""
 
+import dataclasses
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +199,9 @@ USER_ERRORS = {
     "tank-below-its-pump-off-level": (
         ConfigError, "tank_height must exceed pump_off_level",
         lambda: TankSystemConfig(tank_height=(5.5, 6.8))),
+    "unknown-activation": (
+        ConfigError, "activations[0] must be one of tanh, identity, got 'relu'",
+        lambda: Mlp([2, 2], ["relu"])),
 }
 
 
@@ -208,13 +211,24 @@ def test_a_user_error_is_named(kind, message, call):
         call()
 
 
+# A config is frozen once checked: a field set afterwards would reach code
+# that trusts the check, as a 0 window does `detect`'s smoothing.
+@pytest.mark.parametrize("config, field, value", [
+    (DetectionConfig(), "window", 0),
+    (TrainingConfig(), "batch_size", 0),
+    (TankSystemConfig(), "tank_area", (0.0, 110.0)),
+], ids=["detection-window", "training-batch-size", "tank-area"])
+def test_a_checked_config_refuses_a_field_set_after_its_check(config, field, value):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        dataclasses.replace(config, **{field: value})
+
+
 def test_a_gradient_beyond_float_range_is_named():
     # An alpha of 1e308 keeps a batch's loss finite but not its gradient.
-    # The backward pass leaks one warning on the way, recorded as FOUND in
-    # CHANGES.md. Only that warning is ignored, by its message; the filter
-    # goes once train stops leaking it. The raise after it is pinned here.
+    # pyproject.toml makes a RuntimeWarning an error, so a warning from the
+    # backward pass would end the call before the raise pinned here.
     frame = DatasetFrame(["a", "b", "c"], np.random.default_rng(0).normal(size=(40, 3)))
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "invalid value encountered in dot", RuntimeWarning)
-        with pytest.raises(NumericError, match="^non-finite gradient at epoch 1, batch 1$"):
-            train(TrainingConfig(epochs=1, alpha=1e308, hidden_size=3, seed=0), frame)
+    with pytest.raises(NumericError, match="^non-finite gradient at epoch 1, batch 1$"):
+        train(TrainingConfig(epochs=1, alpha=1e308, hidden_size=3, seed=0), frame)

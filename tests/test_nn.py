@@ -4,7 +4,7 @@ import pytest
 from conftest import one_layer_mlp
 from oracles import backward_reference, fd_gradient_mlp, rel_error
 from tdcae.errors import ConfigError, DimensionError, NumericError
-from tdcae.nn import Activation, GradientSet, Mlp, forward, init_mlp
+from tdcae.nn import Activation, GradientSet, Mlp, _share_params, forward, init_mlp
 
 TANH = Activation.TANH
 IDENTITY = Activation.IDENTITY
@@ -199,3 +199,19 @@ class TestFlatParameters:
         grads.flat[:] = np.arange(grads.flat.size)
         assert np.array_equal(view.weight_grads[0], np.arange(12.0).reshape(4, 3))
         assert np.array_equal(view.bias_grads[1], [24.0, 25.0])
+
+    def test_each_layer_record_follows_its_mlp_into_a_shared_vector(self, rng):
+        enc = init_mlp([3, 4, 2], [TANH, TANH], seed=1)
+        dec = init_mlp([2, 3], [IDENTITY], seed=2)
+        flat = _share_params(enc, dec)
+        for mlp in (enc, dec):
+            assert np.shares_memory(mlp.params, flat)
+            for layer in mlp.layers:
+                assert all(np.shares_memory(a, mlp.params)
+                           for a in (layer.weights, layer.weights_t, layer.bias))
+        flat[...] = rng.normal(size=flat.size)
+        for mlp in (enc, dec):
+            copy = Mlp(mlp.layer_sizes, [l.activation for l in mlp.layers])
+            copy.params[...] = mlp.params
+            x = rng.normal(size=(5, mlp.input_size))
+            assert forward(mlp, x).tobytes() == forward(copy, x).tobytes()

@@ -588,8 +588,10 @@ class TestFrameInvariants:
                 timestamps=np.array([0, 1, 3]),
             )
 
-    @pytest.mark.parametrize("stamps", [[0, 0, 1], [2, 1, 0], [0, 2, 4, 5]],
-                             ids=["repeated", "decreasing", "late-nonuniform"])
+    # The last case decreases, but its int64 differences wrap to two steps of +2.
+    @pytest.mark.parametrize("stamps", [[0, 0, 1], [2, 1, 0], [0, 2, 4, 5],
+                                        [2**63 - 2, -(2**63), -(2**63) + 2]],
+                             ids=["repeated", "decreasing", "late-nonuniform", "wrapping"])
     def test_timestamps_that_are_not_one_uniform_increasing_step_are_rejected(self, stamps):
         with pytest.raises(ConfigError, match="strictly increasing with uniform spacing"):
             DatasetFrame(["a"], np.zeros((len(stamps), 1)), timestamps=stamps)
