@@ -1,10 +1,12 @@
 """Reconstruction-error scoring, moving-average smoothing, percentile
 thresholding and binary anomaly flagging. The one module that runs a
-trained model on data, one `nn._layer` call per layer with at most two
-activations alive: `_latent` is the checked encoder pass that `report`
-also reads, `_reconstruction` runs the decoder over it, and
+trained model on data, through `nn._layers` with at most two activations
+alive: `_reconstruction` runs the encoder and decoder in one call, and
 `reconstruction_error` squares the residual in the reconstruction's
-buffer. The latent and the errors are tested by `errors._all_finite`, the
+buffer. `_latent` is the checked encoder pass that `report` reads and that
+checks a latent other than tanh before it is decoded; a tanh latent is
+finite or NaN, and a NaN one is named through the errors it makes NaN.
+The latent and the errors are tested by `errors._all_finite`, the
 package's one finiteness test."""
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, IngestionError, NumericError, _all_finite,
                      _check_int, _check_number)
 from .model import HTdcAutoencoder
-from .nn import _as_matrix, _finite_output, _layer
+from .nn import _TANH, _as_matrix, _finite_output, _layers
 from .preprocess import DatasetFrame, _check_attack_free, read_table, write_table
 
 
@@ -55,15 +57,11 @@ class DetectionResult:
 
 def _latent(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
     """The encoder's output for x, a finite float64 matrix of the model's
-    width such as a frame's values, so only the latent outlives the pass.
-    It is checked, as a saturating decoder can map an infinite latent to a
-    finite output, and named as forward would, the input first: a frame
-    checks its values when built, not after an in-place change."""
-    if x.shape[0] < 1:
-        raise DimensionError("batch must contain at least one row")
-    latent = x
-    for layer in model.encoder.layers:
-        latent = _layer(layer, latent)
+    width such as a frame's values. It is checked, as a saturating decoder
+    can map an infinite latent to a finite output, and named as forward
+    would, the input first: a frame checks its values when built, not after
+    an in-place change."""
+    latent = _layers(model.encoder.layers, x)
     if not _all_finite(latent):
         _as_matrix(x, "input")
         _finite_output(latent)
@@ -71,13 +69,19 @@ def _latent(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
 
 
 def _reconstruction(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
-    """The decoder's output for `_latent(model, x)`, unchecked. The latent
-    is bound only to this frame's local, which each layer's output replaces,
-    so no caller keeps it alive while the decoder runs."""
-    out = _latent(model, x)
-    for layer in model.decoder.layers:
-        out = _layer(layer, out)
-    return out
+    """The decoder's output for x's latent, unchecked, from one `_layers`
+    call over the encoder's and the decoder's layers, so no caller keeps
+    the latent alive while the decoder runs. A tanh latent, which every
+    built or loaded model has, is not checked: it is finite or NaN, and a
+    NaN makes its row's reconstruction and error NaN, which `_scores` names
+    with forward's message. Any other latent is checked by `_latent` first,
+    in a pass of its own, whose result is dropped before the decoder runs."""
+    if x.shape[0] < 1:
+        raise DimensionError("batch must contain at least one row")
+    encoder = model.encoder.layers
+    if encoder[-1].activation is not _TANH:
+        _latent(model, x)
+    return _layers(encoder + model.decoder.layers, x)
 
 
 def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndarray:

@@ -7,9 +7,9 @@ contiguous vector, `params`; the layers' weights and biases are views into
 it, and a GradientSet views a flat gradient vector laid out the same way.
 An optimizer step is then a few elementwise operations on flat vectors.
 Each layer is one `DenseLayer` record, in `Mlp.layers`, which every pass
-reads. The layer arithmetic lives here. `_layer`, one layer's output in a
-new array, is the unchecked kernel that the checked public `forward` and
-the scorer in `tdcae.detect` call once per record. The training step in
+reads. The layer arithmetic lives here. `_layers`, a stack of layers'
+output in a new array, is the unchecked kernel that the checked `forward`
+and the scorer in `tdcae.detect` call once per pass. The training step in
 `tdcae.model` instead builds its passes once, with `_forward_calls` and
 `_backward_calls`: each returns a flat list of (function, args) pairs, the
 products, bias adds, tanh and derivative multiplies of one pass over fixed
@@ -21,7 +21,7 @@ The backward list reads each tanh layer's derivative 1 - post**2 from a
 buffer of the caller's, which the training step fills for every tanh layer
 at once, and leaves the forward outputs as they are.
 
-The products call BLAS through the ndarray method `a.dot(b, out)` (`_layer`
+The products call BLAS through the ndarray method `a.dot(b, out)` (`_layers`
 without `out`, which gives the same bits as `out=None`), bound on the
 buffer it reads, not `np.matmul` and not the function `np.dot`: on the
 32x8 matrices of a training batch the cost of a product is call overhead.
@@ -176,17 +176,17 @@ def init_mlp(layer_sizes: list[int], activations: list[Activation], seed: int) -
     return mlp
 
 
-def _layer(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """Unchecked output of one of an Mlp's layers for the finite float64
-    matrix x, in a new array. A loop that rebinds one local to each
-    layer's output keeps at most two activations alive on every CPython:
-    while a call runs, only x and the output exist, even where the caller
-    keeps its arguments until the call returns, as CPython 3.10 does."""
-    _, weights_t, bias, activation = layer
-    x = x.dot(weights_t)
-    x += bias
-    if activation is _TANH:
-        np.tanh(x, out=x)
+def _layers(layers: list[DenseLayer], x: np.ndarray) -> np.ndarray:
+    """Unchecked output of a stack of an Mlp's layers, or of two Mlps' in
+    order, for the finite float64 matrix x, in a new array. One local is
+    rebound to each layer's output, so at most two activations are alive
+    on every CPython: while a layer runs, only its input and its output
+    exist, besides the x that the caller keeps."""
+    for _, weights_t, bias, activation in layers:
+        x = x.dot(weights_t)
+        x += bias
+        if activation is _TANH:
+            np.tanh(x, out=x)
     return x
 
 
@@ -251,6 +251,4 @@ def forward(mlp: Mlp, x) -> np.ndarray:
         raise DimensionError(
             f"input has {x.shape[1]} columns, network expects {mlp.input_size}"
         )
-    for layer in mlp.layers:
-        x = _layer(layer, x)
-    return _finite_output(x)
+    return _finite_output(_layers(mlp.layers, x))

@@ -2,8 +2,9 @@
 and writing, and robust scaling. EDGE_FEATURES names the columns of each
 edge area; `DatasetFrame.select` cuts an edge's frame out of a full one.
 Finiteness, of a frame's values and of what the C reader read, is tested
-by `errors._all_finite`, the package's one finiteness test; the time
-spacing is counted with `np.count_nonzero` too."""
+by `errors._all_finite`, the package's one finiteness test. A frame's
+time axis is checked in Python ints, which cannot wrap: its stamps must be
+the arithmetic sequence of their first stamp and a step in 1..2**63-1."""
 
 from __future__ import annotations
 
@@ -68,13 +69,10 @@ class DatasetFrame:
             if self.timestamps.shape != (self.values.shape[0],):
                 raise DimensionError("timestamps length must equal row count")
             if self.values.shape[0] > 1:
-                stamps = self.timestamps
-                steps = stamps[1:] - stamps[:-1]
-                step = steps.item(0)
-                # The int64 steps wrap silently; a wrapped one shows in the
-                # span, taken in Python ints.
-                if (step <= 0 or np.count_nonzero(steps != step)
-                        or stamps.item(-1) - stamps.item(0) != steps.size * step):
+                # Python ints, which cannot wrap as int64 differences do.
+                t = self.timestamps.tolist()
+                step = t[1] - t[0]
+                if not 0 < step < 2**63 or t != list(range(t[0], t[0] + len(t) * step, step)):
                     raise ConfigError(
                         "timestamps must be strictly increasing with uniform spacing"
                     )

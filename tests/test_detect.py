@@ -11,6 +11,7 @@ from conftest import identity_autoencoder, one_layer_mlp, traced_peak
 from oracles import smooth_reference, smooth_shifted_reference
 from tdcae.detect import (
     DetectionConfig,
+    _latent,
     DetectionResult,
     detect,
     fit_threshold,
@@ -24,7 +25,7 @@ from tdcae.errors import ConfigError, DimensionError, NumericError
 from tdcae.model import (
     HTdcAutoencoder, LatentPartition, TrainingConfig, build_model, edge_training_config,
 )
-from tdcae.nn import Activation, forward
+from tdcae.nn import Activation, Mlp, _layers, forward, init_mlp
 from tdcae.preprocess import DatasetFrame
 
 
@@ -80,16 +81,22 @@ class TestReconstructionError:
         peak = traced_peak(lambda: reconstruction_error(model, frame))
         assert peak <= 2.1 * frame.values.nbytes
 
-    def test_memory_bound_holds_where_callers_keep_their_arguments(self, rng, monkeypatch):
+    @pytest.mark.parametrize("latent", ["tanh", "identity"])
+    def test_memory_bound_holds_where_callers_keep_their_arguments(self, rng, monkeypatch,
+                                                                   latent):
         # CPython 3.10 keeps a call's arguments alive in the caller until
         # the call returns, where 3.11 hands them to the callee. Calling
         # each function that tdcae.detect calls through a frame that holds
-        # its arguments gives 3.10's peak on any Python.
+        # its arguments gives 3.10's peak on any Python. An identity latent
+        # is checked on its own before it is decoded.
         detect_mod = importlib.import_module("tdcae.detect")
         for name, f in list(vars(detect_mod).items()):
             if isinstance(f, types.FunctionType) and f.__module__.startswith("tdcae."):
                 monkeypatch.setattr(detect_mod, name, lambda *a, _f=f, **k: _f(*a, **k))
         model = build_model(8, TrainingConfig(hidden_size=8, partition=LatentPartition(3, 1)))
+        if latent == "identity":
+            encoder = init_mlp([8, 8, 7], [Activation.TANH, Activation.IDENTITY], seed=0)
+            model = HTdcAutoencoder(encoder, model.decoder, model.partition)
         frame = frame_of(rng.normal(size=(20_000, 8)))
         peak = traced_peak(lambda: reconstruction_error(model, frame))
         assert peak <= 2.1 * frame.values.nbytes
@@ -109,6 +116,19 @@ def saturating_model() -> HTdcAutoencoder:
     return HTdcAutoencoder(encoder, decoder, LatentPartition(0, 2))
 
 
+def nan_latent_model() -> HTdcAutoencoder:
+    """An identity layer whose products on inputs of 1e10 overflow to +inf
+    and -inf, and a tanh latent layer that sums them to NaN, which tanh
+    keeps. Two layers, as a product kernel that accumulates with fused
+    multiply-adds sums overflowing products of finite numbers to an
+    infinity, not NaN."""
+    encoder = Mlp([2, 2, 1], [Activation.IDENTITY, Activation.TANH])
+    encoder.layers[0].weights[...] = [[1e300, 0.0], [0.0, -1e300]]
+    encoder.layers[1].weights[...] = 1.0
+    decoder = one_layer_mlp(np.ones((2, 1)), 0.0, Activation.IDENTITY)
+    return HTdcAutoencoder(encoder, decoder, LatentPartition(0, 1))
+
+
 class TestNonFiniteScoring:
     """reconstruction_error and detect name a non-finite input, latent or
     reconstruction with forward's messages and in that order, before an
@@ -126,6 +146,22 @@ class TestNonFiniteScoring:
         with np.errstate(over="ignore"), pytest.raises(
                 NumericError, match="^forward pass produced non-finite output$"):
             self.score(kind, saturating_model(), frame)
+
+    @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
+    def test_a_nan_tanh_latent_is_named_through_its_errors(self, kind):
+        # A tanh latent is not checked: its NaN makes every error NaN, which
+        # is named with the message that a checked latent gave.
+        model, frame = nan_latent_model(), frame_of(np.full((3, 2), 1e10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^forward pass produced non-finite output$"):
+                self.score(kind, model, frame)
+
+    def test_report_refuses_a_nan_tanh_latent(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_layers(nan_latent_model().encoder.layers, np.full((3, 2), 1e10))).all()
+            with pytest.raises(NumericError, match="^forward pass produced non-finite output$"):
+                _latent(nan_latent_model(), np.full((3, 2), 1e10))
 
     @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
     @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])

@@ -8,7 +8,7 @@ import pytest
 
 from batadal_fixture import BATADAL_COLUMNS, write_batadal_csv
 from conftest import traced_peak
-from oracles import reference_load_csv, write_table_reference
+from oracles import reference_load_csv, uniform_steps_reference, write_table_reference
 from tdcae import preprocess
 from tdcae.errors import ConfigError, DimensionError, IngestionError, NumericError
 from tdcae.preprocess import (
@@ -588,16 +588,23 @@ class TestFrameInvariants:
                 timestamps=np.array([0, 1, 3]),
             )
 
-    # The last case decreases, but its int64 differences wrap to two steps of +2.
+    # "wrapping" decreases, but its int64 differences wrap to two steps of
+    # +2; "step-beyond-int64" increases by one step, 2**64 - 1, that int64
+    # cannot hold.
     @pytest.mark.parametrize("stamps", [[0, 0, 1], [2, 1, 0], [0, 2, 4, 5],
-                                        [2**63 - 2, -(2**63), -(2**63) + 2]],
-                             ids=["repeated", "decreasing", "late-nonuniform", "wrapping"])
+                                        [2**63 - 2, -(2**63), -(2**63) + 2],
+                                        [-(2**63), 2**63 - 1]],
+                             ids=["repeated", "decreasing", "late-nonuniform", "wrapping",
+                                  "step-beyond-int64"])
     def test_timestamps_that_are_not_one_uniform_increasing_step_are_rejected(self, stamps):
+        assert not uniform_steps_reference(stamps)
         with pytest.raises(ConfigError, match="strictly increasing with uniform spacing"):
             DatasetFrame(["a"], np.zeros((len(stamps), 1)), timestamps=stamps)
 
-    @pytest.mark.parametrize("stamps", [[4, 6, 8, 10], [7]], ids=["step-2", "one-row"])
+    @pytest.mark.parametrize("stamps", [[4, 6, 8, 10], [7], list(range(-7, 20_000 * 3 - 7, 3))],
+                             ids=["step-2", "one-row", "20000-rows"])
     def test_any_uniform_increasing_step_and_a_single_row_are_accepted(self, stamps):
+        assert uniform_steps_reference(stamps)
         frame = DatasetFrame(["a"], np.zeros((len(stamps), 1)), timestamps=stamps)
         assert frame.timestamps.tolist() == stamps
 
