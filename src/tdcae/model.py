@@ -374,7 +374,8 @@ def train(
     input buffer of its loss step. The encoder and decoder parameters share
     one flat vector, which each batch updates in place with one Adamax step
     on the gradient of the fused loss step; that step also finds a
-    non-finite gradient, which raises NumericError.
+    non-finite gradient, which raises NumericError, as do parameters left
+    non-finite by the last step.
     """
     if train_frame.n_rows < 3:
         raise ConfigError(f"need >= 3 rows to build triples, got {train_frame.n_rows}")
@@ -424,6 +425,12 @@ def train(
                 tdc_sum += tdc * size
             history.append(LossBreakdown.from_parts(rec_sum / n, tdc_sum / n, config.alpha))
 
+    # A step checks its gradient, not the parameters it writes, and a step
+    # size beyond the float range makes them non-finite with no later batch
+    # to fail on.
+    if not _all_finite(params):
+        raise NumericError(f"non-finite parameters after epoch {epoch + 1}, batch "
+                           f"{batch_index + 1}, at learning_rate {config.learning_rate}")
     return model, history
 
 

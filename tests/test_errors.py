@@ -232,3 +232,14 @@ def test_a_gradient_beyond_float_range_is_named():
     frame = DatasetFrame(["a", "b", "c"], np.random.default_rng(0).normal(size=(40, 3)))
     with pytest.raises(NumericError, match="^non-finite gradient at epoch 1, batch 1$"):
         train(TrainingConfig(epochs=1, alpha=1e308, hidden_size=3, seed=0), frame)
+
+
+def test_a_learning_rate_that_leaves_the_parameters_non_finite_is_named():
+    # One batch of all 38 triples: the step size 1e308 / (1 - beta1) is
+    # beyond the float range, the parameters it writes are not finite, and
+    # no later batch is left to fail on them.
+    frame = DatasetFrame(["a", "b", "c"], np.random.default_rng(0).normal(size=(40, 3)))
+    config = TrainingConfig(epochs=1, batch_size=64, learning_rate=1e308, hidden_size=3)
+    with pytest.raises(NumericError, match=re.escape(
+            "non-finite parameters after epoch 1, batch 1, at learning_rate 1e+308")):
+        train(config, frame)
