@@ -81,9 +81,7 @@ class TestReconstructionError:
         peak = traced_peak(lambda: reconstruction_error(model, frame))
         assert peak <= 2.1 * frame.values.nbytes
 
-    @pytest.mark.parametrize("latent", ["tanh", "identity"])
-    def test_memory_bound_holds_where_callers_keep_their_arguments(self, rng, monkeypatch,
-                                                                   latent):
+    def test_memory_bound_holds_where_callers_keep_their_arguments(self, rng, monkeypatch):
         # CPython 3.10 keeps a call's arguments alive in the caller until
         # the call returns, where 3.11 hands them to the callee. Calling
         # each function that tdcae.detect calls through a frame that holds
@@ -94,12 +92,12 @@ class TestReconstructionError:
             if isinstance(f, types.FunctionType) and f.__module__.startswith("tdcae."):
                 monkeypatch.setattr(detect_mod, name, lambda *a, _f=f, **k: _f(*a, **k))
         model = build_model(8, TrainingConfig(hidden_size=8, partition=LatentPartition(3, 1)))
-        if latent == "identity":
-            encoder = init_mlp([8, 8, 7], [Activation.TANH, Activation.IDENTITY], seed=0)
-            model = HTdcAutoencoder(encoder, model.decoder, model.partition)
+        encoder = init_mlp([8, 8, 7], [Activation.TANH, Activation.IDENTITY], seed=0)
+        identity_latent = HTdcAutoencoder(encoder, model.decoder, model.partition)
         frame = frame_of(rng.normal(size=(20_000, 8)))
-        peak = traced_peak(lambda: reconstruction_error(model, frame))
-        assert peak <= 2.1 * frame.values.nbytes
+        for m in (model, identity_latent):
+            peak = traced_peak(lambda: reconstruction_error(m, frame))
+            assert peak <= 2.1 * frame.values.nbytes
 
     def test_feature_mismatch_raises(self, rng):
         model = identity_autoencoder(3)
