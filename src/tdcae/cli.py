@@ -273,7 +273,17 @@ def cmd_report(args) -> dict:
         raise ConfigError(f"need >= 3 rows to plot, got --plot-rows {args.plot_rows} "
                           f"on {scaled.n_rows} data rows")
 
-    latent = _latent(trained, scaled.values)
+    # The latent, and each feature's spread for the overlay below, with
+    # overflow left to the checks: `_latent` names a non-finite latent, and
+    # a feature whose spread overflows cannot be overlaid, so it is named
+    # before anything is written.
+    with np.errstate(over="ignore", invalid="ignore"):
+        latent = _latent(trained, scaled.values)
+        feat_std = [np.std(scaled.values[:, f]) for f in range(scaled.n_features)]
+    for name, std in zip(scaled.feature_names, feat_std):
+        if not np.isfinite(std):
+            raise NumericError(f"{args.data}: feature {name}: standard deviation overflows")
+
     p = trained.partition
     z, zdot = latent[:, p.z_slice], latent[:, p.zdot_slice]
     names = (
@@ -281,14 +291,6 @@ def cmd_report(args) -> dict:
         + [f"zdot{i + 1}" for i in range(p.n_pairs)]
         + [f"s{i + 1}" for i in range(p.n_stat)]
     )
-    # Each feature's spread, for the overlay below. A feature whose spread
-    # overflows cannot be overlaid, so it is named before anything is written.
-    with np.errstate(over="ignore", invalid="ignore"):
-        feat_std = [np.std(scaled.values[:, f]) for f in range(scaled.n_features)]
-    for name, std in zip(scaled.feature_names, feat_std):
-        if not np.isfinite(std):
-            raise NumericError(f"{args.data}: feature {name}: standard deviation overflows")
-
     out = _out_dir(args.out)
     pre.write_table(out / "latent_trace.csv", ["timestamp"] + names, [scaled.stamps, *latent.T])
 

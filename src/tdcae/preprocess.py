@@ -3,8 +3,8 @@ and writing, and robust scaling. EDGE_FEATURES names the columns of each
 edge area; `DatasetFrame.select` cuts an edge's frame out of a full one.
 Finiteness, of a frame's values and of what the C reader read, is tested
 by `errors._all_finite`, the package's one finiteness test. A frame's
-time axis is checked in Python ints, which cannot wrap: its stamps must be
-the arithmetic sequence of their first stamp and a step in 1..2**63-1."""
+time axis is a `range`, which holds one uniform step by its type and
+cannot wrap: a frame checks only its length and the sign of its step."""
 
 from __future__ import annotations
 
@@ -47,42 +47,39 @@ EDGE_FEATURES: dict[int, tuple[str, ...]] = {
 class DatasetFrame:
     """A time-indexed matrix of sensor features with optional attack labels.
 
-    values has shape (T, F); timestamps are integer hour indices, of an
-    integer dtype that fits int64 (not converted from floats, strings or
-    bools), strictly increasing with uniform spacing; labels, if present,
-    must be 0 or 1 per row.
+    values has shape (T, F); timestamps are the integer hours of the rows,
+    a `range` of T stamps (default `range(T)`) with a positive step when T
+    >= 2, kept as given; anything but a range is refused by type. A range
+    holds one uniform step and Python ints, so the check is O(1) and no
+    stamp wraps. Labels, if present, must be 0 or 1 per row.
     """
 
     feature_names: list[str]
     values: np.ndarray
     labels: np.ndarray | None = None
-    timestamps: np.ndarray | None = None
+    timestamps: range | None = None
     datetimes: list[str] | None = None
 
     def __post_init__(self):
         self.values = _checked_values(self.values, self.feature_names, unique=True)
-        if self.timestamps is None:
-            self.timestamps = np.arange(self.values.shape[0], dtype=np.int64)
-        else:
-            stamps = np.asarray(self.timestamps)
-            self.timestamps = stamps if stamps.dtype == _INT64 else _int64_stamps(stamps)
-            if self.timestamps.shape != (self.values.shape[0],):
-                raise DimensionError("timestamps length must equal row count")
-            if self.values.shape[0] > 1:
-                # Python ints, which cannot wrap as int64 differences do.
-                t = self.timestamps.tolist()
-                step = t[1] - t[0]
-                if not 0 < step < 2**63 or t != list(range(t[0], t[0] + len(t) * step, step)):
-                    raise ConfigError(
-                        "timestamps must be strictly increasing with uniform spacing"
-                    )
+        n = self.values.shape[0]
+        stamps = self.timestamps
+        if stamps is None:
+            self.timestamps = range(n)
+        elif not isinstance(stamps, range):
+            raise ConfigError(f"timestamps must be a range, got {type(stamps).__name__}")
+        # Compared, not measured: len() of a range beyond sys.maxsize raises.
+        elif stamps != range(stamps.start, stamps.start + n * stamps.step, stamps.step):
+            raise DimensionError("timestamps length must equal row count")
+        elif stamps.step < 0 and n > 1:
+            raise ConfigError("timestamps must be strictly increasing with uniform spacing")
         if self.labels is not None:
             labels = np.asarray(self.labels)
-            if labels.shape != (self.values.shape[0],):
+            if labels.shape != (n,):
                 raise DimensionError("labels length must equal row count")
             _check_binary(labels)
             self.labels = labels.astype(np.int64, copy=False)
-        if self.datetimes is not None and len(self.datetimes) != self.values.shape[0]:
+        if self.datetimes is not None and len(self.datetimes) != n:
             raise DimensionError("datetimes length must equal row count")
 
     @property
@@ -94,7 +91,7 @@ class DatasetFrame:
         return self.values.shape[1]
 
     @property
-    def stamps(self) -> list[str] | np.ndarray:
+    def stamps(self) -> list[str] | range:
         """The time column of the CSVs written from this frame: the
         DATETIME cells when the frame has them, else the timestamps."""
         return self.timestamps if self.datetimes is None else self.datetimes
@@ -109,11 +106,12 @@ class DatasetFrame:
 
     def with_values(self, values, feature_names=None) -> "DatasetFrame":
         """A frame with the given values (and column names, if given) over
-        copies of this frame's labels, timestamps and datetimes.
+        copies of this frame's labels and datetimes and its timestamps, a
+        range, which is shared.
 
         Only what new values can break is checked again: the values must be
         a 2-D float64 matrix with this frame's row count, one column per
-        name, and finite; new names must be unique. The copied fields come
+        name, and finite; new names must be unique. The other fields come
         from a checked frame and are not checked twice. Errors are those of
         the constructor."""
         names = list(self.feature_names if feature_names is None else feature_names)
@@ -124,7 +122,7 @@ class DatasetFrame:
         out.feature_names = names
         out.values = values
         out.labels = None if self.labels is None else self.labels.copy()
-        out.timestamps = self.timestamps.copy()
+        out.timestamps = self.timestamps
         out.datetimes = None if self.datetimes is None else list(self.datetimes)
         return out
 
@@ -145,19 +143,6 @@ def _check_attack_free(frame: DatasetFrame) -> None:
             f"attacked ({LABEL_COLUMN} = 1), the first at row {first} "
             f"(stamp {frame.stamps[first]}); train on attack-free data"
         )
-
-
-_INT64 = np.dtype(np.int64)
-
-
-def _int64_stamps(stamps: np.ndarray) -> np.ndarray:
-    """Timestamps that are not int64 as int64, or a ConfigError naming them
-    unless their dtype is an integer type that fits int64: floats, strings,
-    objects, uint64 and bools (as errors._check_int refuses a bool) are not
-    converted. An empty list, which numpy reads as float64, holds none."""
-    if stamps.size and (stamps.dtype.kind not in "iu" or not np.can_cast(stamps.dtype, _INT64)):
-        raise ConfigError(f"timestamps must be integers that fit int64, got dtype {stamps.dtype}")
-    return stamps.astype(_INT64)
 
 
 def _checked_values(values, names, unique: bool) -> np.ndarray:
@@ -463,12 +448,13 @@ def write_table(path, header, columns) -> None:
 
     A 1-D numeric numpy column is written as the repr of each tolist()
     entry: floats as their shortest round-tripping repr, integers as
-    decimals, booleans as True/False. Every other cell (the header, text
+    decimals, booleans as True/False; a range, such as a frame's
+    timestamps, as the repr of each int. Every other cell (the header, text
     such as DATETIME stamps, the entries of any other column) is quoted
     as the excel dialect quotes it, by _excel_cell. Rows are written in
     blocks of _BLOCK_ROWS, one write call each, so beyond the columns the
     memory used is bounded by a block."""
-    columns = [c if isinstance(c, (np.ndarray, list)) else list(c) for c in columns]
+    columns = [c if isinstance(c, (np.ndarray, list, range)) else list(c) for c in columns]
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise DimensionError(f"columns of unequal length {sorted(lengths)}")
@@ -487,6 +473,8 @@ def write_table(path, header, columns) -> None:
 
 def _cells(column):
     """The cell texts of a block of one write_table column."""
+    if isinstance(column, range):
+        return map(repr, column)
     if not isinstance(column, np.ndarray):
         return map(_excel_cell, column)
     numeric = column.ndim == 1 and column.dtype.kind in "biuf"

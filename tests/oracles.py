@@ -29,8 +29,6 @@ tanh' buffers, the work-buffer Adamax step, the call lists and the per-batch
 gathers into the step's buffer: the bits those must reproduce. `run_calls`
 runs a call list. `all_finite_reference` is the finiteness check as it was
 written before `errors._all_finite`: the verdicts that must reproduce.
-`uniform_steps_reference` is the time-spacing check in Python ints, whose
-steps cannot wrap around int64: the verdicts DatasetFrame must give.
 """
 
 import csv
@@ -575,12 +573,3 @@ def polyline_reference(series, threshold=None) -> list[str]:
 def all_finite_reference(a) -> bool:
     """Whether every entry of a is finite, by numpy's `all` reduction."""
     return bool(np.isfinite(a).all())
-
-
-def uniform_steps_reference(timestamps) -> bool:
-    """Whether DatasetFrame accepts these int64 stamps: strictly
-    increasing with one step between all neighbours, a step that fits
-    int64. The steps are Python ints, so none of them wraps."""
-    stamps = [int(t) for t in np.asarray(timestamps, dtype=np.int64)]
-    steps = {b - a for a, b in zip(stamps, stamps[1:])}
-    return len(steps) <= 1 and all(0 < step < 2**63 for step in steps)

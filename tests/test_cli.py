@@ -832,11 +832,13 @@ class TestMalformedModel:
         assert field in err
 
 
-def with_cell(src, dst, row, value) -> Path:
-    """A copy of the CSV src with the first cell of data row `row` set to value."""
+def with_cell(src, dst, row, value, whole_row=False) -> Path:
+    """A copy of the CSV src with the first cell of data row `row` set to
+    value, or with every cell of it but the last (the label) when whole_row."""
     lines = Path(src).read_text().splitlines()
     cells = lines[row + 1].split(",")
-    lines[row + 1] = ",".join([value] + cells[1:])
+    n = len(cells) - 1 if whole_row else 1
+    lines[row + 1] = ",".join([value] * n + cells[n:])
     Path(dst).write_text("\n".join(lines) + "\n")
     return Path(dst)
 
@@ -870,8 +872,14 @@ class TestOverflow:
         assert "row 599 (timestamp 599): reconstruction error overflows" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
-    def test_report_names_the_feature_whose_spread_overflows(self, pipeline, tmp_path, capsys):
-        data = with_cell(pipeline / "test" / "data.csv", tmp_path / "d.csv", 100, "1e200")
+    # A whole row of 1.7e308 cells also overflows the first layer's
+    # products, which must not warn before the spread is named.
+    @pytest.mark.parametrize("value, whole_row", [("1e200", False), ("1.7e308", True)],
+                             ids=["one-cell", "whole-row"])
+    def test_report_names_the_feature_whose_spread_overflows(self, pipeline, tmp_path, capsys,
+                                                              value, whole_row):
+        data = with_cell(pipeline / "test" / "data.csv", tmp_path / "d.csv", 100, value,
+                         whole_row)
         feature = data.read_text().split(",", 1)[0]
         code = run("report", "--model", pipeline / "model" / "model.json", "--data", data,
                    "--out", tmp_path / "o")

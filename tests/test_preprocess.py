@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import re
 import warnings
 
@@ -8,7 +7,7 @@ import pytest
 
 from batadal_fixture import BATADAL_COLUMNS, write_batadal_csv
 from conftest import traced_peak
-from oracles import reference_load_csv, uniform_steps_reference, write_table_reference
+from oracles import reference_load_csv, write_table_reference
 from tdcae import preprocess
 from tdcae.errors import ConfigError, DimensionError, IngestionError, NumericError
 from tdcae.preprocess import (
@@ -173,19 +172,19 @@ class TestScaler:
 class TestFrame:
     def test_with_values_copies_everything_but_the_values(self):
         frame = DatasetFrame(["a", "b"], np.zeros((3, 2)), labels=[0, 1, 0],
-                             timestamps=[5, 6, 7], datetimes=["x", "y", "z"])
+                             timestamps=range(5, 8), datetimes=["x", "y", "z"])
         out = frame.with_values(np.ones((3, 1)), ["c"])
         assert out.feature_names == ["c"] and np.array_equal(out.values, np.ones((3, 1)))
         assert frame.with_values(frame.values).feature_names == ["a", "b"]
-        out.labels[0], out.timestamps[0], out.datetimes[0] = 1, 0, "w"
-        assert frame.labels[0] == 0 and frame.timestamps[0] == 5 and frame.datetimes[0] == "x"
+        out.labels[0], out.datetimes[0] = 1, "w"
+        assert frame.labels[0] == 0 and frame.datetimes[0] == "x"
 
     @pytest.mark.parametrize("values, names", [
         (np.zeros((2, 2)), None), (np.zeros((4, 2)), None), (np.zeros((3, 3)), None),
         (np.zeros((3, 2)), ["c"]), (np.zeros(3), None), (np.zeros((3, 2, 1)), None),
     ])
     def test_with_values_rejects_a_wrong_shape(self, values, names):
-        frame = DatasetFrame(["a", "b"], np.zeros((3, 2)), timestamps=[5, 6, 7])
+        frame = DatasetFrame(["a", "b"], np.zeros((3, 2)), timestamps=range(5, 8))
         with pytest.raises(DimensionError):
             frame.with_values(values, names)
 
@@ -512,9 +511,11 @@ class TestTableCodec:
         int64 = np.iinfo(np.int64)
         ints = np.resize(np.array([int64.min, -1, 0, int64.max]), rows)
         epochs, losses = zip(*[(k, k / 3) for k in range(rows)]) if rows else ((), ())
+        # A frame's timestamps, here from below int64's range to beyond it.
+        stamps = range(-(2**64), -(2**64) + rows * 2**60, 2**60)
         columns = [np.resize(np.array(floats), rows), ints, np.arange(rows) % 3 == 0,
-                   [texts[k % len(texts)] for k in range(rows)], epochs, losses]
-        header = ["f", 'i"', "b,", "t", "epoch", "loss"]
+                   [texts[k % len(texts)] for k in range(rows)], epochs, losses, stamps]
+        header = ["f", 'i"', "b,", "t", "epoch", "loss", "stamp"]
         write_table(tmp_path / "fast.csv", header, columns)
         write_table_reference(tmp_path / "reference.csv", header, columns)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -580,64 +581,51 @@ class TestFrameInvariants:
                 labels=np.zeros(2, dtype=int),
             )
 
-    def test_nonuniform_timestamps_rejected(self):
-        with pytest.raises(ConfigError):
-            DatasetFrame(
-                feature_names=["a"],
-                values=np.zeros((3, 1)),
-                timestamps=np.array([0, 1, 3]),
-            )
+    def test_timestamps_default_to_the_row_indices(self):
+        assert DatasetFrame(["a"], np.zeros((3, 1))).timestamps == range(3)
+        assert DatasetFrame(["a"], np.zeros((0, 1))).timestamps == range(0)
 
-    # "wrapping" decreases, but its int64 differences wrap to two steps of
-    # +2; "step-beyond-int64" increases by one step, 2**64 - 1, that int64
-    # cannot hold.
-    @pytest.mark.parametrize("stamps", [[0, 0, 1], [2, 1, 0], [0, 2, 4, 5],
-                                        [2**63 - 2, -(2**63), -(2**63) + 2],
-                                        [-(2**63), 2**63 - 1]],
-                             ids=["repeated", "decreasing", "late-nonuniform", "wrapping",
-                                  "step-beyond-int64"])
-    def test_timestamps_that_are_not_one_uniform_increasing_step_are_rejected(self, stamps):
-        assert not uniform_steps_reference(stamps)
-        with pytest.raises(ConfigError, match="strictly increasing with uniform spacing"):
-            DatasetFrame(["a"], np.zeros((len(stamps), 1)), timestamps=stamps)
-
-    @pytest.mark.parametrize("stamps", [[4, 6, 8, 10], [7], list(range(-7, 20_000 * 3 - 7, 3))],
-                             ids=["step-2", "one-row", "20000-rows"])
-    def test_any_uniform_increasing_step_and_a_single_row_are_accepted(self, stamps):
-        assert uniform_steps_reference(stamps)
+    # A stamp or a step beyond int64 is a Python int like any other.
+    @pytest.mark.parametrize("stamps", [range(4, 12, 2), range(7, 8), range(5, 4, -1),
+                                        range(-7, 20_000 * 3 - 7, 3), range(3, 3),
+                                        range(2**63 - 1, 2**63 + 3 * 2**64, 2**64)],
+                             ids=["step-2", "one-row", "one-row-decreasing", "20000-rows",
+                                  "no-rows", "beyond-int64"])
+    def test_a_range_of_the_row_count_is_kept_as_the_same_object(self, stamps):
         frame = DatasetFrame(["a"], np.zeros((len(stamps), 1)), timestamps=stamps)
-        assert frame.timestamps.tolist() == stamps
+        assert frame.timestamps is stamps
 
-    # Parsed stamps are checked, not coerced: a float, string, NaN or a
-    # stamp beyond int64 is a named error, not a truncation, a parse, a
-    # ValueError or an OverflowError.
-    @pytest.mark.parametrize("stamps, dtype", [
-        ([0.5, 1.5, 2.5], "float64"),
-        (["0", "1", "2"], "<U1"),
-        ([0, 1, math.nan], "float64"),
-        ([0, 2**63, 2**64], "object"),
-        (np.array([0, 1, 2], dtype=np.uint64), "uint64"),
-        ([True, False, True], "bool"),
-        (np.array([0, 1, 2], dtype=object), "object"),
-    ], ids=["float", "string", "nan", "beyond-int64", "uint64", "bool", "object"])
-    def test_timestamps_that_are_not_integers_within_int64_are_refused(self, stamps, dtype):
-        with pytest.raises(ConfigError, match=re.escape(
-                f"timestamps must be integers that fit int64, got dtype {dtype}")):
+    def test_a_decreasing_range_is_rejected(self):
+        with pytest.raises(ConfigError, match="^timestamps must be strictly increasing "
+                                              "with uniform spacing$"):
+            DatasetFrame(["a"], np.zeros((3, 1)), timestamps=range(2, -1, -1))
+
+    # The longest range has more stamps than sys.maxsize, which len() of it
+    # refuses with an OverflowError.
+    @pytest.mark.parametrize("stamps", [range(4), range(2), range(0, 6, 3)[1:],
+                                        range(3, 0, -1)[:2], range(-(2**64), 2**64)],
+                             ids=["longer", "shorter", "sliced-short", "decreasing-short",
+                                  "beyond-maxsize"])
+    def test_a_range_of_another_length_is_rejected(self, stamps):
+        with pytest.raises(DimensionError, match="^timestamps length must equal row count$"):
             DatasetFrame(["a"], np.zeros((3, 1)), timestamps=stamps)
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, ">i8"])
-    def test_timestamps_of_a_narrower_integer_type_are_stored_as_int64(self, dtype):
-        frame = DatasetFrame(["a"], np.zeros((3, 1)), timestamps=np.array([4, 6, 8], dtype=dtype))
-        assert frame.timestamps.dtype == np.int64 and frame.timestamps.tolist() == [4, 6, 8]
+    @pytest.mark.parametrize("stamps, kind", [
+        ([0, 1, 2], "list"),
+        (np.arange(3, dtype=np.int64), "ndarray"),
+        (np.array([0.0, 1.0, 2.0]), "ndarray"),
+    ], ids=["list", "int64", "float"])
+    def test_timestamps_that_are_not_a_range_are_refused_by_type(self, stamps, kind):
+        with pytest.raises(ConfigError, match=f"^timestamps must be a range, got {kind}$"):
+            DatasetFrame(["a"], np.zeros((3, 1)), timestamps=stamps)
 
-    def test_an_empty_list_of_timestamps_is_accepted_for_no_rows(self):
-        # numpy reads [] as float64, but it holds no stamp to refuse.
-        frame = DatasetFrame(["a"], np.zeros((0, 1)), timestamps=[])
-        assert frame.timestamps.dtype == np.int64 and frame.timestamps.shape == (0,)
-
-    def test_int64_timestamps_are_kept_without_a_copy(self):
-        stamps = np.arange(10, dtype=np.int64)[3:7]
-        assert DatasetFrame(["a"], np.zeros((4, 1)), timestamps=stamps).timestamps is stamps
+    def test_derived_frames_share_the_range(self):
+        stamps = range(5, 20, 5)
+        frame = DatasetFrame(["a", "b"], np.zeros((3, 2)), timestamps=stamps)
+        scaler = RobustScalerParams(["a", "b"], [0.0, 0.0], [1.0, 1.0])
+        for out in (frame.with_values(np.ones((3, 2))), frame.select(["b"]),
+                    apply_scaler(scaler, frame)):
+            assert out.timestamps is stamps
 
     def test_select_preserves_order_and_errors(self):
         frame = frame_from_columns(a=[1, 2, 3, 4], b=[5, 6, 7, 8], c=[9, 10, 11, 12])
