@@ -273,10 +273,9 @@ def cmd_report(args) -> dict:
         raise ConfigError(f"need >= 3 rows to plot, got --plot-rows {args.plot_rows} "
                           f"on {scaled.n_rows} data rows")
 
-    # The latent, and each feature's spread for the overlay below, with
-    # overflow left to the checks: `_latent` names a non-finite latent, and
-    # a feature whose spread overflows cannot be overlaid, so it is named
-    # before anything is written.
+    # The latent and each feature's spread (for the overlay below), with
+    # overflow left to the checks: a spread that overflows cannot be
+    # overlaid, so it is named before anything is written.
     with np.errstate(over="ignore", invalid="ignore"):
         latent = _latent(trained, scaled.values)
         feat_std = [np.std(scaled.values[:, f]) for f in range(scaled.n_features)]
