@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 
@@ -610,11 +611,22 @@ class TestFrameInvariants:
         with pytest.raises(DimensionError, match="^timestamps length must equal row count$"):
             DatasetFrame(["a"], np.zeros((3, 1)), timestamps=stamps)
 
+    # Refused, not coerced: even uniform integer stamps in another type, and
+    # floats, strings, NaN, stamps beyond int64 and booleans, are a named
+    # error, not a truncation, a parse, a ValueError or an OverflowError.
     @pytest.mark.parametrize("stamps, kind", [
         ([0, 1, 2], "list"),
         (np.arange(3, dtype=np.int64), "ndarray"),
         (np.array([0.0, 1.0, 2.0]), "ndarray"),
-    ], ids=["list", "int64", "float"])
+        ((0, 1, 2), "tuple"),
+        (["0", "1", "2"], "list"),
+        ([0, 1, math.nan], "list"),
+        ([0, 2**63, 2**64], "list"),
+        (np.array([0, 1, 2], dtype=np.uint64), "ndarray"),
+        ([True, False, True], "list"),
+        (np.array([0, 1, 2], dtype=object), "ndarray"),
+    ], ids=["list", "int64", "float", "tuple", "string", "nan", "beyond-int64", "uint64",
+            "bool", "object"])
     def test_timestamps_that_are_not_a_range_are_refused_by_type(self, stamps, kind):
         with pytest.raises(ConfigError, match=f"^timestamps must be a range, got {kind}$"):
             DatasetFrame(["a"], np.zeros((3, 1)), timestamps=stamps)

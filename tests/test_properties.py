@@ -38,7 +38,7 @@ from oracles import (
 )
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
 from tdcae.detect import DetectionConfig, detect, fit_threshold, smooth
-from tdcae.errors import ConfigError, NumericError, TdcaeError, _all_finite
+from tdcae.errors import ConfigError, DimensionError, NumericError, TdcaeError, _all_finite
 from tdcae.metrics import AttackInterval, fuse_edges, intervals_from_labels, ttd_score
 from tdcae.model import (LatentPartition, TrainingConfig, _mean_square, _settings, load_model,
                          save_model, train)
@@ -248,6 +248,32 @@ def test_a_derived_frame_equals_the_constructor_built_one(frame, data):
         timestamps=frame.timestamps, datetimes=frame.datetimes,
     ))
     assert _built(lambda: frame.with_values(values, names)) == built
+
+
+# Starts and steps reach beyond int64; the verdict is read off the listed
+# stamps, not off the range's own start, step and length. Half the frames
+# have as many rows as the range has stamps.
+@relaxed
+@given(start=st.integers(-(2**65), 2**65),
+       step=(st.integers(-3, 3) | st.integers(-(2**65), 2**65)).filter(bool),
+       length=st.integers(0, 5), extra=st.sampled_from([0, 0, -1, 1]))
+@example(start=5, step=-1, length=2, extra=0)
+@example(start=2**63, step=-(2**64), length=3, extra=0)
+def test_a_frame_accepts_exactly_the_increasing_ranges_of_its_row_count(start, step, length,
+                                                                          extra):
+    stamps = range(start, start + step * length, step)
+    listed, rows = list(stamps), max(length + extra, 0)
+    try:
+        frame = DatasetFrame(["a"], np.zeros((rows, 1)), timestamps=stamps)
+    except DimensionError as exc:
+        assert len(listed) != rows
+        assert str(exc) == "timestamps length must equal row count"
+    except ConfigError as exc:
+        assert len(listed) == rows and listed[1] <= listed[0]
+        assert str(exc) == "timestamps must be strictly increasing with uniform spacing"
+    else:
+        assert len(listed) == rows and listed == sorted(set(listed))
+        assert frame.timestamps is stamps
 
 
 float64_edges = st.sampled_from([
