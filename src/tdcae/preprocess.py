@@ -61,8 +61,17 @@ class DatasetFrame:
     datetimes: list[str] | None = None
 
     def __post_init__(self):
-        self.values = _checked_values(self.values, self.feature_names, unique=True)
-        n = self.values.shape[0]
+        names = self.feature_names
+        self.values = values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2:
+            raise DimensionError(f"values must be 2-D, got shape {values.shape}")
+        if len(names) != values.shape[1]:
+            raise DimensionError(f"{len(names)} feature names for {values.shape[1]} columns")
+        if len(set(names)) != len(names):
+            raise IngestionError("duplicate feature names")
+        if not _all_finite(values):
+            raise NumericError("values contain non-finite entries")
+        n = values.shape[0]
         stamps = self.timestamps
         if stamps is None:
             self.timestamps = range(n)
@@ -107,24 +116,12 @@ class DatasetFrame:
     def with_values(self, values, feature_names=None) -> "DatasetFrame":
         """A frame with the given values (and column names, if given) over
         copies of this frame's labels and datetimes and its timestamps, a
-        range, which is shared.
-
-        Only what new values can break is checked again: the values must be
-        a 2-D float64 matrix with this frame's row count, one column per
-        name, and finite; new names must be unique. The other fields come
-        from a checked frame and are not checked twice. Errors are those of
-        the constructor."""
-        names = list(self.feature_names if feature_names is None else feature_names)
-        values = _checked_values(values, names, unique=feature_names is not None)
-        if values.shape[0] != self.values.shape[0]:
-            raise DimensionError("timestamps length must equal row count")
-        out = object.__new__(DatasetFrame)
-        out.feature_names = names
-        out.values = values
-        out.labels = None if self.labels is None else self.labels.copy()
-        out.timestamps = self.timestamps
-        out.datetimes = None if self.datetimes is None else list(self.datetimes)
-        return out
+        range, which is shared. It is built, and checked, by the constructor."""
+        return DatasetFrame(
+            list(self.feature_names if feature_names is None else feature_names), values,
+            None if self.labels is None else self.labels.copy(), self.timestamps,
+            None if self.datetimes is None else list(self.datetimes),
+        )
 
 
 def _check_attack_free(frame: DatasetFrame) -> None:
@@ -143,21 +140,6 @@ def _check_attack_free(frame: DatasetFrame) -> None:
             f"attacked ({LABEL_COLUMN} = 1), the first at row {first} "
             f"(stamp {frame.stamps[first]}); train on attack-free data"
         )
-
-
-def _checked_values(values, names, unique: bool) -> np.ndarray:
-    """values as a float64 matrix with one finite column per name; names
-    must be unique when `unique` is set."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise DimensionError(f"values must be 2-D, got shape {values.shape}")
-    if len(names) != values.shape[1]:
-        raise DimensionError(f"{len(names)} feature names for {values.shape[1]} columns")
-    if unique and len(set(names)) != len(names):
-        raise IngestionError("duplicate feature names")
-    if not _all_finite(values):
-        raise NumericError("values contain non-finite entries")
-    return values
 
 
 @dataclass(frozen=True)
