@@ -47,11 +47,16 @@ EDGE_FEATURES: dict[int, tuple[str, ...]] = {
 class DatasetFrame:
     """A time-indexed matrix of sensor features with optional attack labels.
 
-    values has shape (T, F); timestamps are the integer hours of the rows,
-    a `range` of T stamps (default `range(T)`) with a positive step when T
+    values has shape (T, F), one finite column per name in feature_names,
+    which must be unique; timestamps are the integer hours of the rows, a
+    `range` of T stamps (default `range(T)`) with a positive step when T
     >= 2, kept as given; anything but a range is refused by type. A range
     holds one uniform step and Python ints, so the check is O(1) and no
-    stamp wraps. Labels, if present, must be 0 or 1 per row.
+    stamp wraps. Labels, if present, must be 0 or 1 per row. feature_names
+    and datetimes may be lists or tuples; a str, which would be read as one
+    name or stamp per character, is refused. Derived frames (`select`,
+    `with_values`, `apply_scaler`) are built by this constructor too, so
+    every frame has passed every check.
     """
 
     feature_names: list[str]
@@ -61,6 +66,9 @@ class DatasetFrame:
     datetimes: list[str] | None = None
 
     def __post_init__(self):
+        for field_name in ("feature_names", "datetimes"):
+            if isinstance(getattr(self, field_name), str):
+                raise ConfigError(f"{field_name} must be a list, got str")
         names = self.feature_names
         self.values = values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:

@@ -196,6 +196,12 @@ USER_ERRORS = {
     "datetimes-length": (
         DimensionError, "datetimes length must equal row count",
         lambda: DatasetFrame(["a"], np.zeros((3, 1)), datetimes=["x", "y"])),
+    "feature-names-str": (
+        ConfigError, "feature_names must be a list, got str",
+        lambda: DatasetFrame("ab", np.zeros((3, 2)), datetimes="xyz")),
+    "datetimes-str": (
+        ConfigError, "datetimes must be a list, got str",
+        lambda: DatasetFrame(["a", "b"], np.zeros((3, 2)), datetimes="xyz")),
     "tank-below-its-pump-off-level": (
         ConfigError, "tank_height must exceed pump_off_level",
         lambda: TankSystemConfig(tank_height=(5.5, 6.8))),

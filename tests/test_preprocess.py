@@ -189,12 +189,21 @@ class TestFrame:
         with pytest.raises(DimensionError):
             frame.with_values(values, names)
 
+    def test_names_and_datetimes_may_be_tuples(self):
+        frame = DatasetFrame(("a", "b"), np.zeros((2, 2)), datetimes=("x", "y"))
+        assert frame.select(["b"]).feature_names == ["b"] and frame.stamps == ("x", "y")
+
     def test_with_values_checks_new_names_and_values(self):
         frame = DatasetFrame(["a", "b"], np.zeros((3, 2)))
         with pytest.raises(IngestionError, match="duplicate"):
             frame.with_values(np.zeros((3, 2)), ["c", "c"])
         with pytest.raises(NumericError):
             frame.with_values(np.full((3, 2), np.nan))
+        # Names edited in place after construction are checked again.
+        frame.feature_names[1] = "a"
+        with pytest.raises(IngestionError, match="^duplicate feature names$"):
+            frame.with_values(frame.values)
+        frame.feature_names[1] = "b"
         assert frame.with_values(np.ones((3, 2), dtype=int)).values.dtype == np.float64
 
 
