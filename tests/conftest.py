@@ -50,6 +50,14 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def child_env(**extra) -> dict:
+    """This process's environment for a child Python process, with the
+    checkout's src first on PYTHONPATH, and the given variables set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240101)

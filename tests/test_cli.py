@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 from batadal_fixture import write_batadal_csv
+from conftest import child_env
 from oracles import polyline_reference
 from tdcae import preprocess
 from tdcae.cli import TRAIN_SCORES_HEADER, _load_train_scores, main
@@ -234,6 +234,7 @@ class TestDetectCommand:
         assert len(lines) == 601
 
     def test_svg_has_threshold_and_shading(self, pipeline):
+        ET.parse(pipeline / "det" / "detection.svg")
         svg = (pipeline / "det" / "detection.svg").read_text()
         assert "threshold" in svg
         assert 'fill="#bbbbbb"' in svg  # shaded attack intervals from labels
@@ -335,6 +336,7 @@ class TestDetectCommand:
                    "--data", pipeline / "test" / "data.csv",
                    "--train-data", bad, "--out", tmp_path / "fit") == 1
         assert capsys.readouterr().err == f"error: {bad}: row 3: non-finite value in {header[1]}\n"
+        assert not (tmp_path / "fit").exists()
 
 
 class TestEvaluateCommand:
@@ -465,11 +467,16 @@ class TestEvaluateCommand:
             detections = [out / f"det{e}" / "detection.csv" for e in (1, 2, 3)]
             assert run("evaluate", "--detections", *detections, "--labels", data,
                        "--out", out / "eval") == 0
-            return [(out / d / name).read_bytes() for e in (1, 2, 3)
-                    for d, name in ((f"model{e}", "model.json"), (f"det{e}", "detection.csv"))]
+            assert run("report", "--model", out / "model1" / "model.json", "--data", data,
+                       "--out", out / "report") == 0
+            names = [f"{d}{e}/{name}" for e in (1, 2, 3)
+                     for d, name in (("model", "model.json"), ("det", "detection.csv"))]
+            return {name: (out / name).read_bytes()
+                    for name in [*names, "report/latent_trace.csv"]}
 
         first = chain(tmp_path / "a")
-        widths = [json.loads(first[2 * k])["encoder"]["layer_sizes"][0] for k in range(3)]
+        widths = [json.loads(first[f"model{e}/model.json"])["encoder"]["layer_sizes"][0]
+                  for e in (1, 2, 3)]
         assert widths == [9, 19, 15]
         for e in (1, 2, 3):
             rows = read_table(tmp_path / "a" / f"det{e}" / "detection.csv",
@@ -478,6 +485,8 @@ class TestEvaluateCommand:
             assert scores.shape == (400, 2) and np.isfinite(scores).all()
         metrics = json.loads((tmp_path / "a" / "eval" / "metrics.json").read_text())
         assert all(np.isfinite(metrics[k]) for k in ("s", "s_ttd", "s_clf"))
+        trace = first["report/latent_trace.csv"].decode().splitlines()[1:]
+        assert [row.split(",")[0] for row in trace] == load_csv(data).datetimes
         assert chain(tmp_path / "b") == first
 
 
@@ -560,7 +569,7 @@ class TestReportCommand:
 
     def test_svg_text_is_escaped(self, pipeline, tmp_path):
         frame = load_csv(pipeline / "train" / "data.csv")
-        names = ["a<b", "c&d", *frame.feature_names[2:]]
+        names = ["a<b", "c&d\x01", *frame.feature_names[2:]]
         save_csv(DatasetFrame(names, frame.values, frame.labels), tmp_path / "d.csv")
         assert run("train", "--data", tmp_path / "d.csv", "--out", tmp_path / "m",
                    "--epochs", 1) == 0
@@ -624,11 +633,9 @@ class TestLocale:
     @staticmethod
     def chain(cwd: Path, **env) -> dict:
         cwd.mkdir()
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, **env}
-        done = subprocess.run([sys.executable, "-c", NON_ASCII_CHAIN], cwd=cwd, env=env,
-                              capture_output=True, text=True, errors="replace")
+        done = subprocess.run([sys.executable, "-c", NON_ASCII_CHAIN], cwd=cwd,
+                              env=child_env(**env), capture_output=True, text=True,
+                              errors="replace")
         assert done.returncode == 0, done.stderr
         return {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
 
@@ -675,24 +682,54 @@ class TestExitCodes:
         }[case]
         assert run(*argv) == 1
         assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["--hidden", "--pairs", "--stat"])
     def test_width_too_large_to_allocate_is_user_error(self, pipeline, tmp_path, flag):
         # 10**12 nodes ask for tens of TiB of weights. Under a 4 GiB
         # address-space limit the allocation fails at once, whether or not
         # the machine overcommits memory.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-c", LIMITED_MAIN, "train", "--data",
              str(pipeline / "train" / "data.csv"), "--out", str(tmp_path / "o"),
              "--epochs", "1", flag, str(10**12)],
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-            capture_output=True, text=True,
+            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
         )
         assert done.returncode == 1, done.stderr
         assert done.stderr.startswith("error: Unable to allocate")
         assert "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
+
+    # In a separate process a RuntimeWarning is a line on stderr, not the
+    # exception that pyproject.toml's filter makes of it in-process, so
+    # stderr must be the one error line and nothing else.
+    @pytest.mark.parametrize("case", ["--help", "train --alpha 1e308", "train --lr 1e308",
+                                      "report on a row of 1.7e308"])
+    def test_stderr_of_a_separate_process_is_only_its_error(self, pipeline, tmp_path, case):
+        out = tmp_path / "o"
+        train = ["train", "--data", pipeline / "train" / "data.csv", "--out", out, "--epochs", 1]
+        big = tmp_path / "big.csv"
+        argv, error = {
+            "--help": (["--help"], None),
+            "train --alpha 1e308": (train + ["--alpha", 1e308],
+                                    "non-finite gradient at epoch 1, batch 1"),
+            # 1000 triples a batch: the first step is the only one.
+            "train --lr 1e308": (train + ["--batch-size", 1000, "--lr", 1e308],
+                                 "non-finite parameters after epoch 1, batch 1, "
+                                 "at learning_rate 1e+308"),
+            "report on a row of 1.7e308": (
+                ["report", "--model", pipeline / "model" / "model.json", "--data", big,
+                 "--out", out], f"{big}: feature L_T1: standard deviation overflows"),
+        }[case]
+        with_cell(pipeline / "test" / "data.csv", big, 50, "1.7e308", whole_row=True)
+        done = subprocess.run([sys.executable, "-m", "tdcae.cli", *map(str, argv)],
+                              env=child_env(), capture_output=True, text=True)
+        if error is None:
+            assert (done.returncode, done.stderr) == (0, ""), done.stderr
+            assert done.stdout.startswith("usage:")
+        else:
+            assert (done.returncode, done.stderr) == (1, f"error: {error}\n")
+            assert not out.exists()
 
     def test_internal_error_is_exit_two(self, tmp_path, capsys, monkeypatch):
         # An exception outside the package's error hierarchy is a bug.
@@ -830,6 +867,7 @@ class TestMalformedModel:
         code, err = self.detect_with(doc, tmp_path, capsys)
         assert code == 1
         assert field in err
+        assert not (tmp_path / "o").exists()
 
 
 def with_cell(src, dst, row, value, whole_row=False) -> Path:
@@ -854,7 +892,7 @@ class TestOverflow:
                    "--out", tmp_path / "o")
         assert code == 1
         assert "row 100 (timestamp 100): reconstruction error overflows" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "detection.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_fit_threshold_names_the_row(self, pipeline, tmp_path, capsys):
         data = with_cell(pipeline / "train" / "data.csv", tmp_path / "d.csv", 100, "1e200")
@@ -1016,6 +1054,7 @@ class TestMalformedInput:
         assert run("synth", "--out", tmp_path / "s", "--config", path) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and field in err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("doc, flags, message", [
         ({"attacks": 5}, ["--attacks", "none"], "attacks: expected a list, got 5"),

@@ -559,6 +559,8 @@ def test_save_model_round_trips_its_model_and_refuses_another(
     assert loaded_scaler.feature_names == scaler.feature_names
     assert loaded_scaler.median.tobytes() == scaler.median.tobytes()
     assert loaded_scaler.iqr.tobytes() == scaler.iqr.tobytes()
+    save_model(base / "resaved.json", loaded, loaded_scaler, loaded_config)
+    assert (base / "resaved.json").read_bytes() == (base / "model.json").read_bytes()
 
     # The model against a config or scaler that build_model would not
     # have built it from.
