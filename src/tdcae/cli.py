@@ -277,7 +277,7 @@ def cmd_report(args) -> dict:
     # overflow left to the checks: a spread that overflows cannot be
     # overlaid, so it is named before anything is written.
     with np.errstate(over="ignore", invalid="ignore"):
-        latent = _latent(trained, scaled.values)
+        latent = _latent(trained, scaled)
         feat_std = [np.std(scaled.values[:, f]) for f in range(scaled.n_features)]
     for name, std in zip(scaled.feature_names, feat_std):
         if not np.isfinite(std):

@@ -7,7 +7,7 @@ buffer. `_latent` is the checked encoder pass that `report` reads and that
 checks a latent other than tanh before it is decoded; a tanh latent is
 finite or NaN, and a NaN one is named through the errors it makes NaN.
 The latent and the errors are tested by `errors._all_finite`, the
-package's one finiteness test."""
+package's one finiteness test; the first row that fails it is named."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, IngestionError, NumericError, _all_finite,
                      _check_int, _check_number)
 from .model import HTdcAutoencoder
-from .nn import _TANH, _as_matrix, _finite_output, _layers
+from .nn import _TANH, _layers
 from .preprocess import DatasetFrame, _check_attack_free, read_table, write_table
 
 
@@ -55,41 +55,38 @@ class DetectionResult:
             raise DimensionError("score and flag sequences must share one length")
 
 
-def _latent(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
-    """The encoder's output for x, a finite float64 matrix of the model's
-    width such as a frame's values. It is checked, as a saturating decoder
-    can map an infinite latent to a finite output, and named as forward
-    would, the input first: a frame checks its values when built, not after
-    an in-place change."""
-    latent = _layers(model.encoder.layers, x)
+def _latent(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndarray:
+    """The encoder's output for the frame's values. It is checked, as a
+    saturating decoder can map an infinite latent to a finite output, and
+    the first row that is not finite raises NumericError naming its stamp."""
+    latent = _layers(model.encoder.layers, frame.values)
     if not _all_finite(latent):
-        _as_matrix(x, "input")
-        _finite_output(latent)
+        row = int(np.argmin(np.isfinite(latent))) // latent.shape[1]
+        raise NumericError(f"row {row} (timestamp {frame.stamps[row]}): latent is not finite")
     return latent
 
 
-def _reconstruction(model: HTdcAutoencoder, x: np.ndarray) -> np.ndarray:
-    """The decoder's output for x's latent, unchecked, from one `_layers`
-    call over the encoder's and the decoder's layers, so no caller keeps
-    the latent alive while the decoder runs. A tanh latent, which every
+def _reconstruction(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndarray:
+    """The decoder's output for the frame's latent, unchecked, from one
+    `_layers` call over the encoder's and the decoder's layers, so no caller
+    keeps the latent alive while the decoder runs. A tanh latent, which every
     built or loaded model has, is not checked: it is finite or NaN, and a
-    NaN makes its row's reconstruction and error NaN, which `_scores` names
-    with forward's message. Any other latent is checked by `_latent` first,
-    in a pass of its own, whose result is dropped before the decoder runs."""
-    if x.shape[0] < 1:
+    NaN makes its row's reconstruction and error NaN, which `_scores` names.
+    Any other latent is checked by `_latent` first, in a pass of its own,
+    whose result is dropped before the decoder runs."""
+    if frame.n_rows < 1:
         raise DimensionError("batch must contain at least one row")
     encoder = model.encoder.layers
     if encoder[-1].activation is not _TANH:
-        _latent(model, x)
-    return _layers(encoder + model.decoder.layers, x)
+        _latent(model, frame)
+    return _layers(encoder + model.decoder.layers, frame.values)
 
 
 def reconstruction_error(model: HTdcAutoencoder, frame: DatasetFrame) -> np.ndarray:
     """Per-timestep MSE between each row and its reconstruction. Every
     timestep is scored; the frame must already be scaled with the model's
-    scaler. A non-finite input, latent or reconstruction raises
-    NumericError with forward's message, and an error beyond the largest
-    float one naming the first such row."""
+    scaler. The first row whose latent (when it is checked) or error is not
+    finite raises NumericError naming its row and stamp."""
     return _scores(model, frame, None)[0]
 
 
@@ -101,13 +98,12 @@ def _scores(model: HTdcAutoencoder, frame: DatasetFrame, window: int | None) -> 
             f"frame has {frame.n_features} features, model expects {model.n_features}"
         )
     values = frame.values
-    # A non-finite input, latent or reconstruction, or finite rows and
-    # reconstructions more than the largest float apart, are named below,
-    # not warned about. A non-finite reconstruction makes its row's error
-    # non-finite, and a non-finite error its smoothed score.
+    # A non-finite input, which the residual holds, latent or reconstruction,
+    # or finite rows and reconstructions more than the largest float apart,
+    # make the row's error and smoothed score non-finite: named, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
         # The residual and its square overwrite the reconstruction.
-        residual = _reconstruction(model, values)
+        residual = _reconstruction(model, frame)
         np.subtract(values, residual, out=residual)
         residual *= residual
         # np.mean's own arithmetic: one row sum, then a division by the count,
@@ -117,15 +113,10 @@ def _scores(model: HTdcAutoencoder, frame: DatasetFrame, window: int | None) -> 
         smoothed = errors if window is None else _smooth(errors, window)
     if not _all_finite(smoothed):
         if not _all_finite(errors):
-            # In forward's order: values changed in place, then the output,
-            # which is computed again as the residual took its place.
-            _as_matrix(values, "input")
-            with np.errstate(over="ignore", invalid="ignore"):
-                reconstruction = _reconstruction(model, values)
-            _finite_output(reconstruction)
             row = int(np.argmin(np.isfinite(errors)))
+            what = "is NaN" if np.isnan(errors[row]) else "overflows"
             raise NumericError(
-                f"row {row} (timestamp {frame.stamps[row]}): reconstruction error overflows"
+                f"row {row} (timestamp {frame.stamps[row]}): reconstruction error {what}"
             )
         _name_overflow(smoothed, "smoothed score")
     return errors, smoothed
@@ -226,8 +217,8 @@ def detect(
     config: DetectionConfig,
 ) -> DetectionResult:
     """Flag timesteps whose smoothed reconstruction error strictly exceeds
-    the threshold; scores equal to the threshold stay normal. A window sum
-    that overflows raises NumericError naming its row."""
+    the threshold; scores equal to the threshold stay normal. A non-finite
+    latent, error or window sum raises NumericError naming its row."""
     threshold = _check_number(threshold, "threshold")
     raw, smoothed = _scores(model, frame, config.window)
     flags = smoothed > threshold

@@ -57,21 +57,6 @@ class Activation(str, Enum):
 _TANH = Activation.TANH
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {x.shape}")
-    if not _all_finite(x):
-        raise NumericError(f"{name} contains non-finite entries")
-    return x
-
-
-def _finite_output(out: np.ndarray) -> np.ndarray:
-    if not _all_finite(out):
-        raise NumericError("forward pass produced non-finite output")
-    return out
-
-
 class DenseLayer(NamedTuple):
     """One affine layer of an Mlp: y = act(dot(x, weights_t) + bias).
 
@@ -244,11 +229,18 @@ def forward(mlp: Mlp, x) -> np.ndarray:
     """Evaluate the network on a batch: x has shape (batch, input_size), the
     result (batch, output_size); both must be finite, with >= 1 row. Pure:
     does not touch the Mlp."""
-    x = _as_matrix(x, "input")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(f"input must be 2-D, got shape {x.shape}")
+    if not _all_finite(x):
+        raise NumericError("input contains non-finite entries")
     if x.shape[0] < 1:
         raise DimensionError("batch must contain at least one row")
     if x.shape[1] != mlp.input_size:
         raise DimensionError(
             f"input has {x.shape[1]} columns, network expects {mlp.input_size}"
         )
-    return _finite_output(_layers(mlp.layers, x))
+    out = _layers(mlp.layers, x)
+    if not _all_finite(out):
+        raise NumericError("forward pass produced non-finite output")
+    return out

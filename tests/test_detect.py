@@ -128,9 +128,9 @@ def nan_latent_model() -> HTdcAutoencoder:
 
 
 class TestNonFiniteScoring:
-    """reconstruction_error and detect name a non-finite input, latent or
-    reconstruction with forward's messages and in that order, before an
-    overflowing error."""
+    """reconstruction_error and detect name the first row whose checked
+    latent or whose error is not finite, with its stamp: a non-finite input,
+    latent or reconstruction makes its row's error non-finite."""
 
     @staticmethod
     def score(kind, model, frame):
@@ -142,36 +142,39 @@ class TestNonFiniteScoring:
     def test_overflowing_latent_raises_even_if_the_decoder_saturates(self, kind):
         frame = frame_of(np.full((3, 2), 1e10))
         with np.errstate(over="ignore"), pytest.raises(
-                NumericError, match="^forward pass produced non-finite output$"):
+                NumericError, match=r"^row 0 \(timestamp 0\): latent is not finite$"):
             self.score(kind, saturating_model(), frame)
 
     @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
     def test_a_nan_tanh_latent_is_named_through_its_errors(self, kind):
-        # A tanh latent is not checked: its NaN makes every error NaN, which
-        # is named with the message that a checked latent gave.
+        # A tanh latent is not checked: its NaN makes every error NaN.
         model, frame = nan_latent_model(), frame_of(np.full((3, 2), 1e10))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="^forward pass produced non-finite output$"):
+            with pytest.raises(NumericError,
+                               match=r"^row 0 \(timestamp 0\): reconstruction error is NaN$"):
                 self.score(kind, model, frame)
 
     def test_report_refuses_a_nan_tanh_latent(self):
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(_layers(nan_latent_model().encoder.layers, np.full((3, 2), 1e10))).all()
-            with pytest.raises(NumericError, match="^forward pass produced non-finite output$"):
-                _latent(nan_latent_model(), np.full((3, 2), 1e10))
+            with pytest.raises(NumericError, match=r"^row 0 \(timestamp 0\): latent is not finite$"):
+                _latent(nan_latent_model(), frame_of(np.full((3, 2), 1e10)))
 
     @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
-    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
-    def test_values_made_non_finite_in_place(self, kind, cell):
-        # The frame checks its values when it is built, not after. A tanh
-        # encoder maps an infinite entry to a finite latent, so only the
-        # row's error shows it.
+    @pytest.mark.parametrize("cell, error", [
+        (np.nan, "is NaN"), (np.inf, "overflows"), (-np.inf, "overflows")])
+    def test_values_made_non_finite_in_place(self, kind, cell, error):
+        # The frame checks its values when it is built, not after. An
+        # identity latent shows the cell; a tanh encoder maps an infinite
+        # entry to a finite latent, so only the row's error shows it.
         frame = frame_of(np.full((3, 2), 0.5))
         frame.values[1, 0] = cell
         tanh_model = build_model(2, TrainingConfig(hidden_size=3, partition=LatentPartition(0, 2)))
-        for model in (identity_autoencoder(2), saturating_model(), tanh_model):
-            with pytest.raises(NumericError, match="^input contains non-finite entries$"):
+        for model, what in ((identity_autoencoder(2), "latent is not finite"),
+                            (saturating_model(), "latent is not finite"),
+                            (tanh_model, f"reconstruction error {error}")):
+            with pytest.raises(NumericError, match=rf"^row 1 \(timestamp 1\): {what}$"):
                 self.score(kind, model, frame)
 
     @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
@@ -181,8 +184,32 @@ class TestNonFiniteScoring:
         decoder = one_layer_mlp(np.full((2, 1), 1e308), 1e308, Activation.IDENTITY)
         model = HTdcAutoencoder(encoder, decoder, LatentPartition(0, 1))
         with np.errstate(over="ignore"), pytest.raises(
-                NumericError, match="^forward pass produced non-finite output$"):
+                NumericError, match=r"^row 0 \(timestamp 0\): reconstruction error overflows$"):
             self.score(kind, model, frame_of(np.zeros((3, 2))))
+
+    @pytest.mark.parametrize("kind", ["reconstruction_error", "detect"])
+    def test_the_first_non_finite_row_is_named_with_its_datetime_cell(self, kind, monkeypatch):
+        # Row 2 is made NaN in place, which the tanh latent carries into its
+        # error; row 4's finite 1e200 squares to an error that overflows.
+        # Each is named from the one pass that scored it.
+        detect_mod = importlib.import_module("tdcae.detect")
+        passes = []
+        reconstruction = detect_mod._reconstruction
+        monkeypatch.setattr(detect_mod, "_reconstruction",
+                            lambda *args: passes.append(1) or reconstruction(*args))
+        values = np.full((6, 2), 0.5)
+        values[4, 1] = 1e200
+        cells = [f"2017-01-01 {hour:02d}:00:00" for hour in range(6)]
+        frame = DatasetFrame(["a", "b"], values, datetimes=cells)
+        model = build_model(2, TrainingConfig(hidden_size=3, partition=LatentPartition(0, 2)))
+        overflow = r"^row 4 \(timestamp 2017-01-01 04:00:00\): reconstruction error overflows$"
+        with pytest.raises(NumericError, match=overflow):
+            self.score(kind, model, frame)
+        frame.values[2, 0] = np.nan
+        nan = r"^row 2 \(timestamp 2017-01-01 02:00:00\): reconstruction error is NaN$"
+        with pytest.raises(NumericError, match=nan):
+            self.score(kind, model, frame)
+        assert len(passes) == 2
 
 
 class TestSmooth:

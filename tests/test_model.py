@@ -52,7 +52,7 @@ class TestPartitionAndEncode:
         model = build_model(9, edge_training_config(1))
         for layer in model.encoder.layers:
             layer.weights[:] = 0.0
-        latent = _latent(model, np.ones((2, 9)))
+        latent = _latent(model, DatasetFrame([f"f{i}" for i in range(9)], np.ones((2, 9))))
         p = model.partition
         assert latent.shape == (2, p.width)
         for part in (p.z_slice, p.zdot_slice, p.s_slice):
