@@ -299,8 +299,8 @@ def cmd_report(args) -> dict:
     # partner, both smoothed to tame the noise in the numerical derivative.
     pair_series = []
     for i in range(p.n_pairs):
-        cd = model_mod.central_difference(z[:-2, i], z[2:, i], config.delta_t)
-        cd_s = smooth(cd[: rows - 2], window)
+        cd = model_mod.central_difference(z[: rows - 2, i], z[2:rows, i], config.delta_t)
+        cd_s = smooth(cd, window)
         node_s = smooth(zdot[1 : rows - 1, i], window)
         pair_series.append((f"central diff z{i + 1}", cd_s))
         pair_series.append((f"zdot{i + 1}", node_s))

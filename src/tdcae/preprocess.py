@@ -43,6 +43,16 @@ EDGE_FEATURES: dict[int, tuple[str, ...]] = {
 }
 
 
+def _check_strs(entries, name: str) -> None:
+    """Raise ConfigError naming the first of entries that is not a str. One
+    `"".join` tests them all; only when it fails are they looked at in turn."""
+    try:
+        "".join(entries)
+    except TypeError:
+        k, entry = next((k, e) for k, e in enumerate(entries) if not isinstance(e, str))
+        raise ConfigError(f"{name}[{k}] must be a str, got {type(entry).__name__}") from None
+
+
 @dataclass
 class DatasetFrame:
     """A time-indexed matrix of sensor features with optional attack labels.
@@ -53,8 +63,9 @@ class DatasetFrame:
     >= 2, kept as given; anything but a range is refused by type. A range
     holds one uniform step and Python ints, so the check is O(1) and no
     stamp wraps. Labels, if present, must be 0 or 1 per row. feature_names
-    and datetimes may be lists or tuples; a str, which would be read as one
-    name or stamp per character, is refused. Derived frames (`select`,
+    and datetimes may be lists or tuples of str; a str, which would be read
+    as one name or stamp per character, is refused, and so is an entry that
+    is not a str, which the CSV writer cannot write. Derived frames (`select`,
     `with_values`, `apply_scaler`) are built by this constructor too, so
     every frame has passed every check.
     """
@@ -67,8 +78,11 @@ class DatasetFrame:
 
     def __post_init__(self):
         for field_name in ("feature_names", "datetimes"):
-            if isinstance(getattr(self, field_name), str):
+            entries = getattr(self, field_name)
+            if isinstance(entries, str):
                 raise ConfigError(f"{field_name} must be a list, got str")
+            if entries is not None:
+                _check_strs(entries, field_name)
         names = self.feature_names
         self.values = values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
@@ -156,6 +170,7 @@ class RobustScalerParams:
 
     Frozen, over read-only float64 copies of `median` and `iqr`, one entry
     per feature. The one check of a scaler, fitted, loaded or built by hand:
+    each feature name, a key of `model.json`, must be a str, and
     `errors._check_number` checks each feature's median and then its IQR,
     >= 0, named `<feature>.median` and `<feature>.iqr`. Division uses
     `divisors`, fixed at construction: the IQR, with a zero IQR replaced
@@ -169,6 +184,7 @@ class RobustScalerParams:
 
     def __post_init__(self):
         names = list(self.feature_names)
+        _check_strs(names, "feature_names")
         # Each entry reaches its check as it was given: a list's as objects.
         entries = [v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
                    for v in (self.median, self.iqr)]

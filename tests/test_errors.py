@@ -19,7 +19,7 @@ from tdcae.model import (
     central_difference, edge_training_config, load_model, save_model, train,
 )
 from tdcae.nn import Activation, Mlp, init_mlp
-from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler
+from tdcae.preprocess import DatasetFrame, RobustScalerParams, apply_scaler, fit_scaler
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate
 
 TANH = Activation.TANH
@@ -202,6 +202,15 @@ USER_ERRORS = {
     "datetimes-str": (
         ConfigError, "datetimes must be a list, got str",
         lambda: DatasetFrame(["a", "b"], np.zeros((3, 2)), datetimes="xyz")),
+    "feature-name-not-str": (
+        ConfigError, "feature_names[1] must be a str, got int",
+        lambda: DatasetFrame(["a", 2, "c"], np.zeros((3, 3)))),
+    "scaler-feature-name-not-str": (
+        ConfigError, "feature_names[0] must be a str, got int",
+        lambda: RobustScalerParams([1, 2], np.zeros(2), np.ones(2))),
+    "datetime-not-str": (
+        ConfigError, "datetimes[1] must be a str, got NoneType",
+        lambda: DatasetFrame(["a"], np.zeros((3, 1)), datetimes=["x", None, 2.5])),
     "tank-below-its-pump-off-level": (
         ConfigError, "tank_height must exceed pump_off_level",
         lambda: TankSystemConfig(tank_height=(5.5, 6.8))),

@@ -24,6 +24,10 @@ RULES = {
         r"(?<!\w)forward\(", "nn.py",
         "tdcae.detect is the one module that runs a trained model on data",
         "latent = forward(model.encoder, x)"),
+    "forward-message": (
+        r"forward pass produced", "nn.py",
+        "only nn.forward names a whole output; tdcae.detect names a row",
+        'raise NumericError("forward pass produced non-finite output")'),
     "writelines": (
         r"writelines", None,
         "write_table writes a block of rows per call, not one call per line",
