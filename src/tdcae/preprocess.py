@@ -44,8 +44,11 @@ EDGE_FEATURES: dict[int, tuple[str, ...]] = {
 
 
 def _check_strs(entries, name: str) -> None:
-    """Raise ConfigError naming the first of entries that is not a str. One
+    """The one check of a list of names: raise ConfigError unless entries is
+    a list or tuple of str, naming the first entry that is not a str. One
     `"".join` tests them all; only when it fails are they looked at in turn."""
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {type(entries).__name__}")
     try:
         "".join(entries)
     except TypeError:
@@ -63,9 +66,9 @@ class DatasetFrame:
     >= 2, kept as given; anything but a range is refused by type. A range
     holds one uniform step and Python ints, so the check is O(1) and no
     stamp wraps. Labels, if present, must be 0 or 1 per row. feature_names
-    and datetimes may be lists or tuples of str; a str, which would be read
-    as one name or stamp per character, is refused, and so is an entry that
-    is not a str, which the CSV writer cannot write. Derived frames (`select`,
+    and datetimes must be lists or tuples of str (`_check_strs`): a str, read
+    as one name per character, or an array is refused, and so is an entry
+    that is not a str, which the CSV writer cannot write. Derived frames (`select`,
     `with_values`, `apply_scaler`) are built by this constructor too, so
     every frame has passed every check.
     """
@@ -77,13 +80,9 @@ class DatasetFrame:
     datetimes: list[str] | None = None
 
     def __post_init__(self):
-        for field_name in ("feature_names", "datetimes"):
-            entries = getattr(self, field_name)
-            if isinstance(entries, str):
-                raise ConfigError(f"{field_name} must be a list, got str")
-            if entries is not None:
-                _check_strs(entries, field_name)
-        names = self.feature_names
+        _check_strs(names := self.feature_names, "feature_names")
+        if self.datetimes is not None:
+            _check_strs(self.datetimes, "datetimes")
         self.values = values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise DimensionError(f"values must be 2-D, got shape {values.shape}")
@@ -129,6 +128,7 @@ class DatasetFrame:
 
     def select(self, names: list[str] | tuple[str, ...]) -> "DatasetFrame":
         """Frame restricted to the given columns, in the given order."""
+        _check_strs(names, "names")
         missing = [n for n in names if n not in self.feature_names]
         if missing:
             raise IngestionError(f"missing features: {', '.join(missing)}")
@@ -170,11 +170,11 @@ class RobustScalerParams:
 
     Frozen, over read-only float64 copies of `median` and `iqr`, one entry
     per feature. The one check of a scaler, fitted, loaded or built by hand:
-    each feature name, a key of `model.json`, must be a str, and
-    `errors._check_number` checks each feature's median and then its IQR,
-    >= 0, named `<feature>.median` and `<feature>.iqr`. Division uses
-    `divisors`, fixed at construction: the IQR, with a zero IQR replaced
-    by 1.0 so that constant features are centred but not rescaled.
+    its feature names, the keys of `model.json`, must be a list or tuple of
+    str, and `errors._check_number` checks each feature's median and then
+    its IQR, >= 0, named `<feature>.median` and `<feature>.iqr`. Division
+    uses `divisors`, fixed at construction: the IQR, with a zero IQR
+    replaced by 1.0 so that constant features are centred but not rescaled.
     """
 
     feature_names: list[str]
@@ -183,8 +183,8 @@ class RobustScalerParams:
     divisors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_strs(self.feature_names, "feature_names")
         names = list(self.feature_names)
-        _check_strs(names, "feature_names")
         # Each entry reaches its check as it was given: a list's as objects.
         entries = [v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
                    for v in (self.median, self.iqr)]
