@@ -170,11 +170,11 @@ class RobustScalerParams:
 
     Frozen, over read-only float64 copies of `median` and `iqr`, one entry
     per feature. The one check of a scaler, fitted, loaded or built by hand:
-    its feature names, the keys of `model.json`, must be a list or tuple of
-    str, and `errors._check_number` checks each feature's median and then
-    its IQR, >= 0, named `<feature>.median` and `<feature>.iqr`. Division
-    uses `divisors`, fixed at construction: the IQR, with a zero IQR
-    replaced by 1.0 so that constant features are centred but not rescaled.
+    its feature names, the keys of `model.json`, must be a list or tuple
+    of unique str, and `errors._check_number` checks each feature's median
+    and then its IQR, >= 0, named `<feature>.median` and `<feature>.iqr`.
+    Division uses `divisors`, fixed at construction: the IQR, with a zero
+    IQR replaced by 1.0 so that constant features are centred but not rescaled.
     """
 
     feature_names: list[str]
@@ -190,6 +190,8 @@ class RobustScalerParams:
                    for v in (self.median, self.iqr)]
         if any(e.shape != (len(names),) for e in entries):
             raise DimensionError("median/iqr must have one entry per feature")
+        if len(set(names)) != len(names):
+            raise IngestionError("duplicate feature names")
         for name, m, q in zip(names, *(e.tolist() for e in entries)):
             _check_number(m, f"{name}.median")
             _check_number(q, f"{name}.iqr", 0.0)
