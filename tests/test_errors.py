@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tdcae.detect import DetectionConfig, DetectionResult, detect, fit_threshold, smooth
-from tdcae.errors import ConfigError, DimensionError, NumericError
+from tdcae.errors import ConfigError, DimensionError, IngestionError, NumericError
 from tdcae.metrics import AttackInterval, ConfusionCounts, fuse_edges
 from tdcae.model import (
     HTdcAutoencoder, LatentPartition, TrainingConfig, _LossStep, build_model,
@@ -211,6 +211,41 @@ USER_ERRORS = {
     "datetime-not-str": (
         ConfigError, "datetimes[1] must be a str, got NoneType",
         lambda: DatasetFrame(["a"], np.zeros((3, 1)), datetimes=["x", None, 2.5])),
+    # Anything but a list or tuple of names is refused by name, before it is
+    # read, by a frame, a scaler and select alike.
+    "feature-names-int": (
+        ConfigError, "feature_names must be a list, got int",
+        lambda: DatasetFrame(5, np.zeros((2, 3)))),
+    "feature-names-none": (
+        ConfigError, "feature_names must be a list, got NoneType",
+        lambda: DatasetFrame(None, np.zeros((2, 3)))),
+    "datetimes-int": (
+        ConfigError, "datetimes must be a list, got int",
+        lambda: DatasetFrame(["a"], np.zeros((2, 1)), datetimes=7)),
+    "feature-names-generator": (
+        ConfigError, "feature_names must be a list, got generator",
+        lambda: DatasetFrame((n for n in ("a", "b")), np.zeros((2, 2)))),
+    "feature-names-ndarray": (
+        ConfigError, "feature_names must be a list, got ndarray",
+        lambda: DatasetFrame(np.array(["a", "b"]), np.zeros((2, 2))).select(["a"])),
+    "select-str": (
+        ConfigError, "names must be a list, got str",
+        lambda: DatasetFrame(["L_T1", "L"], np.zeros((2, 2))).select("L_T1")),
+    "select-int": (
+        ConfigError, "names must be a list, got int",
+        lambda: DatasetFrame(["a"], np.zeros((2, 1))).select(5)),
+    "scaler-feature-names-str": (
+        ConfigError, "feature_names must be a list, got str",
+        lambda: RobustScalerParams("ab", np.zeros(2), np.ones(2))),
+    "scaler-feature-names-int": (
+        ConfigError, "feature_names must be a list, got int",
+        lambda: RobustScalerParams(5, np.zeros(2), np.ones(2))),
+    "scaler-feature-names-none": (
+        ConfigError, "feature_names must be a list, got NoneType",
+        lambda: RobustScalerParams(None, np.zeros(2), np.ones(2))),
+    "scaler-duplicate-feature-names": (
+        IngestionError, "duplicate feature names",
+        lambda: RobustScalerParams(["a", "a"], np.zeros(2), np.ones(2))),
     "tank-below-its-pump-off-level": (
         ConfigError, "tank_height must exceed pump_off_level",
         lambda: TankSystemConfig(tank_height=(5.5, 6.8))),

@@ -44,7 +44,8 @@ from tdcae.model import (LatentPartition, TrainingConfig, _mean_square, _setting
                          save_model, train)
 from tdcae.nn import Activation, GradientSet, _backward_calls, _forward_calls, init_mlp
 from tdcae.optim import _AdamaxState, _adamax_update
-from tdcae.preprocess import DatasetFrame, apply_scaler, fit_scaler, load_csv, save_csv, write_table
+from tdcae.preprocess import (DatasetFrame, RobustScalerParams, apply_scaler, fit_scaler, load_csv,
+                              save_csv, write_table)
 from tdcae.svgplot import line_plot
 from tdcae.synth import AttackKind, AttackScenario, TankSystemConfig, simulate, simulate_trace
 
@@ -248,6 +249,61 @@ def test_a_derived_frame_equals_the_constructor_built_one(frame, data):
         timestamps=frame.timestamps, datetimes=frame.datetimes,
     ))
     assert _built(lambda: frame.with_values(values, names)) == built
+
+
+# Names are drawn from the columns of the frame that select is called on.
+COLUMNS = ("a", "b", "c")
+name_entries = st.sampled_from(COLUMNS) | st.integers() | st.none() | st.binary(max_size=2)
+# A fresh argument of each kind from what was drawn: a generator is used up
+# by the first call that reads it.
+ARGUMENT_KINDS = {
+    "list": list, "tuple": tuple, "bare": lambda value: value,
+    "generator": lambda value: (e for e in value), "ndarray": np.array,
+}
+
+
+@st.composite
+def name_arguments(draw):
+    """(kind, value) of an argument drawn three ways, each free of duplicate
+    entries: a list or tuple of entries of any kind; a bare str, int or None;
+    a generator or an ndarray of column names."""
+    kind = draw(st.sampled_from(list(ARGUMENT_KINDS)))
+    if kind == "bare":
+        return kind, draw(st.text(max_size=3) | st.integers() | st.none())
+    entries = name_entries if kind in ("list", "tuple") else st.sampled_from(COLUMNS)
+    return kind, draw(st.lists(entries, max_size=4, unique=True))
+
+
+def _refusal(call):
+    """None if call() returns, else its ConfigError's message without the
+    argument's name that starts it."""
+    try:
+        call()
+    except ConfigError as exc:
+        return re.sub(r"^\w+", "", str(exc))
+    return None
+
+
+# Every list of names goes through one check: a frame, a scaler and select
+# accept the same arguments and refuse the rest with one message.
+@relaxed
+@given(argument=name_arguments())
+def test_a_frame_a_scaler_and_select_check_a_list_of_names_alike(argument):
+    kind, value = argument
+    entries = [] if kind == "bare" else value
+    n = len(entries)
+
+    def make():
+        return ARGUMENT_KINDS[kind](value)
+
+    refusals = [
+        _refusal(lambda: DatasetFrame(make(), np.zeros((2, n)))),
+        _refusal(lambda: RobustScalerParams(make(), np.zeros(n), np.ones(n))),
+        _refusal(lambda: DatasetFrame(list(COLUMNS), np.zeros((2, 3))).select(make())),
+    ]
+    assert refusals == refusals[:1] * 3
+    accepted = kind in ("list", "tuple") and all(isinstance(e, str) for e in entries)
+    assert (refusals[0] is None) == accepted
 
 
 # Starts and steps reach beyond int64; the verdict is read off the listed

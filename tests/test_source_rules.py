@@ -36,6 +36,10 @@ RULES = {
         r"operator\.index", "errors.py",
         "every integer setting is checked by errors._check_int",
         "n = operator.index(value)"),
+    "names-check": (
+        r"must be a (list|str), got", "preprocess.py",
+        "every list of names is checked by preprocess._check_strs",
+        'raise ConfigError(f"names must be a list, got {type(names).__name__}")'),
     "object-new": (
         r"object\.__new__", None,
         "every DatasetFrame is built, and checked, by its constructor",
