@@ -138,7 +138,10 @@ class DatasetFrame:
     def with_values(self, values, feature_names=None) -> "DatasetFrame":
         """A frame with the given values (and column names, if given) over
         copies of this frame's labels and datetimes and its timestamps, a
-        range, which is shared. It is built, and checked, by the constructor."""
+        range, which is shared. It is built, and checked, by the constructor;
+        new names are checked before they are copied."""
+        if feature_names is not None:
+            _check_strs(feature_names, "feature_names")
         return DatasetFrame(
             list(self.feature_names if feature_names is None else feature_names), values,
             None if self.labels is None else self.labels.copy(), self.timestamps,

@@ -234,6 +234,9 @@ USER_ERRORS = {
     "select-int": (
         ConfigError, "names must be a list, got int",
         lambda: DatasetFrame(["a"], np.zeros((2, 1))).select(5)),
+    "with-values-names-str": (
+        ConfigError, "feature_names must be a list, got str",
+        lambda: DatasetFrame(["a", "b"], np.zeros((2, 2))).with_values(np.ones((2, 2)), "xy")),
     "scaler-feature-names-str": (
         ConfigError, "feature_names must be a list, got str",
         lambda: RobustScalerParams("ab", np.zeros(2), np.ones(2))),
