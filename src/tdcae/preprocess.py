@@ -66,9 +66,9 @@ class DatasetFrame:
     >= 2, kept as given; anything but a range is refused by type. A range
     holds one uniform step and Python ints, so the check is O(1) and no
     stamp wraps. Labels, if present, must be 0 or 1 per row. feature_names
-    and datetimes must be lists or tuples of str (`_check_strs`): a str, read
-    as one name per character, or an array is refused, and so is an entry
-    that is not a str, which the CSV writer cannot write. Derived frames (`select`,
+    and datetimes must be lists or tuples of str (`_check_strs`); anything
+    else, such as a str read as one name per character, is refused, and so
+    is an entry that is not a str, which the CSV writer cannot write. Derived frames (`select`,
     `with_values`, `apply_scaler`) are built by this constructor too, so
     every frame has passed every check.
     """
